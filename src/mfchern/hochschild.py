@@ -8,7 +8,7 @@ retract category used for exact bookkeeping checks.
 
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .cech import (
     CechCochain,
@@ -20,6 +20,7 @@ from .cech import (
 )
 from .mf import MorphismCochain, hom_differential, _split_by_total_parity
 from .connection import total_curvature
+from .rings import echelon_reduce
 
 __all__ = [
     "GeometricCategory",
@@ -29,7 +30,6 @@ __all__ = [
     "hochschild_b",
     "cyclic_t",
     "connes_B",
-    "normalize",
     "tr_nabla",
     "nabla_bracket",
     "eta_pi",
@@ -69,13 +69,25 @@ class GeometricCategory:
 
     def parity(self, a):
         p = a.parity()
-        assert p is not None, "chain entries must be parity homogeneous"
+        if p is None:
+            raise ValueError("chain entries must be parity homogeneous")
         return p
 
-    def validate_entry(self, a):
-        assert isinstance(a, MorphismCochain)
-        for mf in a.cochain.entries.values():
-            assert all(k[3] == 0 for k in mf.terms), "chain entries must be u-free"
+    def validate_entry(self, a, where):
+        if not isinstance(a, MorphismCochain):
+            raise TypeError(f"{where} is a {type(a).__name__}, not a MorphismCochain")
+        for tup, mf in a.cochain.entries.items():
+            for k in mf.terms:
+                if k[3]:
+                    raise ValueError(
+                        f"chain entries must be u-free: {where} has a u^{k[3]} "
+                        f"term on {tup}"
+                    )
+        if not a.is_zero() and a.parity() is None:
+            raise ValueError(
+                f"chain entries must be parity homogeneous: {where} mixes "
+                "even and odd terms"
+            )
 
     def key(self, a):
         return (
@@ -204,13 +216,14 @@ class FormalMorphism:
     __slots__ = ("source", "target", "coeffs")
 
     def __init__(self, source, target, coeffs):
-        assert source in ("P", "N") and target in ("P", "N")
+        if source not in ("P", "N") or target not in ("P", "N"):
+            raise ValueError(f"unknown objects {source!r} -> {target!r}")
         clean = {}
         for name, c in coeffs.items():
-            assert name in _BASIS, f"unknown arrow {name!r}"
-            assert _SOURCE[name] == source and _TARGET[name] == target, (
-                f"{name} is not an arrow {source} -> {target}"
-            )
+            if name not in _BASIS:
+                raise ValueError(f"unknown arrow {name!r}")
+            if _SOURCE[name] != source or _TARGET[name] != target:
+                raise ValueError(f"{name} is not an arrow {source} -> {target}")
             c = Fraction(c)
             if c != 0:
                 clean[name] = c
@@ -226,8 +239,13 @@ class FormalMorphism:
         return not self.coeffs
 
     def __add__(self, other):
-        assert isinstance(other, FormalMorphism)
-        assert other.source == self.source and other.target == self.target
+        if not isinstance(other, FormalMorphism):
+            raise TypeError(f"cannot add a {type(other).__name__} to a FormalMorphism")
+        if other.source != self.source or other.target != self.target:
+            raise ValueError(
+                f"cannot add an arrow {other.source} -> {other.target} to an "
+                f"arrow {self.source} -> {self.target}"
+            )
         out = dict(self.coeffs)
         for name, c in other.coeffs.items():
             out[name] = out.get(name, Fraction(0)) + c
@@ -249,8 +267,13 @@ class FormalMorphism:
 
     def compose(self, other):
         """self after other."""
-        assert isinstance(other, FormalMorphism)
-        assert other.target == self.source, "composition shape mismatch"
+        if not isinstance(other, FormalMorphism):
+            raise TypeError(f"cannot compose a FormalMorphism with a {type(other).__name__}")
+        if other.target != self.source:
+            raise ValueError(
+                f"composition shape mismatch: {self.source} -> {self.target} "
+                f"after {other.source} -> {other.target}"
+            )
         out = {}
         for na, ca in self.coeffs.items():
             for nb, cb in other.coeffs.items():
@@ -285,8 +308,9 @@ class RetractCategory:
     def parity(self, a):
         return 0
 
-    def validate_entry(self, a):
-        assert isinstance(a, FormalMorphism)
+    def validate_entry(self, a, where):
+        if not isinstance(a, FormalMorphism):
+            raise TypeError(f"{where} is a {type(a).__name__}, not a FormalMorphism")
 
     def key(self, a):
         items = tuple(sorted((n, str(c)) for n, c in a.coeffs.items()))
@@ -335,7 +359,16 @@ class HochschildChain:
     """Exact linear combination of strings a0[a1|...|an]; each a_j maps
     P_{j+1} -> P_j cyclically.  Coefficients are absorbed into a0 and strings
     with identical slots merge.  Construction normalizes: any string with a
-    scalar-identity entry in slots 1..n is dropped."""
+    scalar-identity entry in slots 1..n is dropped.
+
+    A string is the pure tensor a0 (x) a1 (x) ... (x) an.  The category
+    decomposes a0 over a basis of labels (``decompose``) and each slot over
+    a basis of the slot space, in which the scalar identities are zero
+    (``slot_decompose``).  Strings merge only when their slots are equal as
+    values, so the stored strings need not be linearly independent: a
+    relation among slot values (a Leibniz expansion sitting in one slot, or
+    a0[a] + a0[b] - a0[a + b]) is visible only in these bases, and
+    ``is_zero`` works in them."""
 
     __slots__ = ("category", "u_truncation", "tensor_cap", "strings")
 
@@ -346,22 +379,31 @@ class HochschildChain:
         self.strings = {}
         cat = category
         for coeff, u_pow, a0, slots in items:
-            assert u_pow >= 0
+            if u_pow < 0:
+                raise ValueError(f"negative power of u: u^{u_pow}")
             if u_pow > u_truncation:
                 continue
             slots = tuple(slots)
-            assert len(slots) <= tensor_cap, "tensor degree above the cap"
-            cat.validate_entry(a0)
-            for s in slots:
-                cat.validate_entry(s)
+            if len(slots) > tensor_cap:
+                raise ValueError(
+                    f"tensor degree {len(slots)} above the cap {tensor_cap}"
+                )
             chain_entries = (a0,) + slots
+            for j, a in enumerate(chain_entries):
+                cat.validate_entry(a, f"slot {j}")
             for j in range(len(slots)):
-                assert cat.same_object(
+                if not cat.same_object(
                     cat.source(chain_entries[j]), cat.target(chain_entries[j + 1])
-                ), "string is not composable"
-            assert cat.same_object(
-                cat.source(chain_entries[-1]), cat.target(a0)
-            ), "string does not close up cyclically"
+                ):
+                    raise ValueError(
+                        f"string is not composable: the source of slot {j} is "
+                        f"not the target of slot {j + 1}"
+                    )
+            if not cat.same_object(cat.source(chain_entries[-1]), cat.target(a0)):
+                raise ValueError(
+                    f"string does not close up cyclically: the source of slot "
+                    f"{len(slots)} is not the target of slot 0"
+                )
             if any(cat.is_zero(s) for s in slots):
                 continue
             if any(cat.is_scalar_identity(s) for s in slots):
@@ -384,10 +426,6 @@ class HochschildChain:
                     del self.strings[key]
                 else:
                     self.strings[key] = (u_pow, merged, slots)
-        for key in list(self.strings):
-            u_pow, a0, slots = self.strings[key]
-            for a in (a0,) + slots:
-                cat.parity(a)
 
     @classmethod
     def single(cls, category, u_truncation, tensor_cap, a0, slots=(), coeff=1, u_pow=0):
@@ -400,45 +438,61 @@ class HochschildChain:
             out.append(self.strings[key])
         return out
 
-    def _expanded(self):
-        """Multilinear expansion over elementary labels.  String-level
-        merging cannot see relations between entry values, for example a
-        Leibniz expansion sitting in one slot, so exact zero tests go
-        through this basis."""
-        cat = self.category
-        out = {}
-        for (m, a0, slots) in self.strings.values():
-            parts = [list(cat.decompose(a0))]
-            for s in slots:
-                parts.append(list(cat.slot_decompose(s)))
-            for combo in itertools.product(*parts):
-                coeff = Fraction(1)
-                labels = [m]
-                for lab, q in combo:
-                    coeff *= q
-                    labels.append(lab)
-                key = tuple(labels)
-                total = out.get(key, Fraction(0)) + coeff
-                if total:
-                    out[key] = total
-                else:
-                    out.pop(key, None)
-        return out
-
     def is_zero(self):
-        if not self.strings:
-            return True
-        return not self._expanded()
+        """Exact zero test in the label bases of the class docstring.
+
+        Strings of different tensor length or power of u lie in independent
+        summands, so they are tested apart.  At each slot position the
+        distinct slot values are reduced to echelon form once: a value is
+        then sum_p c_p r_p over independent echelon rows r_p, and a string
+        is sum over pivot tuples (p_1..p_n) of prod_j c_{j,p_j} times
+        a0 (x) r_{p_1} (x) ... (x) r_{p_n}.  Pure tensors of independent
+        vectors are independent, so the chain is zero iff, for every u power
+        and pivot tuple, the a0 label vectors summed with these weights
+        vanish.  The work grows with the number of strings times the product
+        of the slot values' coordinate counts, not with the product of the
+        strings' term counts."""
+        cat = self.category
+        by_length = {}
+        for key, string in self.strings.items():
+            # key = (u_pow, route) + the slots' category keys
+            by_length.setdefault(len(string[2]), []).append((key[2:], string))
+        total = {}
+        for n, members in by_length.items():
+            coords = []
+            for j in range(n):
+                pivots, columns, at_j = {}, {}, {}
+                for slot_keys, (_m, _a0, slots) in members:
+                    if slot_keys[j] in at_j:
+                        continue
+                    row = {}
+                    for lab, q in cat.slot_decompose(slots[j]):
+                        col = columns.setdefault(lab, len(columns))
+                        row[col] = row.get(col, Fraction(0)) + q
+                    at_j[slot_keys[j]] = list(echelon_reduce(pivots, row)[0].items())
+                coords.append(at_j)
+            for slot_keys, (m, a0, _slots) in members:
+                parts = list(cat.decompose(a0))
+                factors = [coords[j][k] for j, k in enumerate(slot_keys)]
+                for combo in itertools.product(*factors):
+                    weight = prod(q for _p, q in combo)
+                    head = (m, tuple(p for p, _q in combo))
+                    for lab, q in parts:
+                        key = (head, lab)
+                        total[key] = total.get(key, Fraction(0)) + weight * q
+        return not any(total.values())
 
     def tensor_degrees(self):
         return sorted({len(slots) for (_m, _a, slots) in self.strings.values()})
 
     def _combine(self, other, flip):
-        assert isinstance(other, HochschildChain)
-        assert other.category is self.category or (
+        if not isinstance(other, HochschildChain):
+            raise TypeError(f"cannot combine a HochschildChain with a {type(other).__name__}")
+        if other.category is not self.category and not (
             isinstance(self.category, RetractCategory)
             and isinstance(other.category, RetractCategory)
-        ), "chains live over different categories"
+        ):
+            raise ValueError("chains live over different categories")
         items = [(1, m, a, s) for (m, a, s) in self.strings.values()]
         sign = -1 if flip else 1
         items += [(sign, m, a, s) for (m, a, s) in other.strings.values()]
@@ -480,13 +534,6 @@ class HochschildChain:
 
     def __repr__(self):
         return f"HochschildChain({len(self.strings)} strings)"
-
-
-def normalize(x):
-    """Re-run the degenerate-slot quotient; construction already applies it,
-    so this is the identity on chains built through the public API."""
-    items = [(1, m, a, s) for (m, a, s) in x.strings.values()]
-    return HochschildChain(x.category, x.u_truncation, x.tensor_cap, items)
 
 
 # -- differentials -----------------------------------------------------------
@@ -643,7 +690,8 @@ def tr_nabla(x, connections):
     at least one form degree.
     """
     cat = x.category
-    assert isinstance(cat, GeometricCategory), "trace needs geometric chains"
+    if not isinstance(cat, GeometricCategory):
+        raise TypeError("trace needs geometric chains")
     scheme = cat.scheme
     trunc = x.u_truncation
     jmax = scheme.dimension
@@ -727,7 +775,8 @@ def _formal_eta_coefficient(i):
 
 def xi_sequence(i, u_truncation=0, tensor_cap=None):
     """The degree 2i-1 comparison chains of the retract category."""
-    assert i >= 1
+    if i < 1:
+        raise ValueError(f"xi_i needs i >= 1, got {i}")
     cat = RetractCategory()
     if tensor_cap is None:
         tensor_cap = 2 * i + 1
@@ -779,7 +828,8 @@ def xi_recursion_check(i_max):
     subspaces, and b(xi_{i+1}) = -B(xi_i) in the double quotient."""
     from .mf import MFReport
 
-    assert i_max >= 1
+    if i_max < 1:
+        raise ValueError(f"the check needs i_max >= 1, got {i_max}")
     failures = []
     for i in range(1, i_max + 1):
         cap = 2 * (i + 1) + 1

@@ -17,6 +17,7 @@ __all__ = [
     "LocalFrac",
     "RingMap",
     "QLinearSystem",
+    "echelon_reduce",
     "solve_linear_graded",
     "solve_affine_q",
     "monomials_up_to",
@@ -510,6 +511,46 @@ class RingMap:
         return RingMap(inner.source, self.target, tuple(self.apply(im) for im in inner.images))
 
 
+def echelon_reduce(pivots, coeffs, rhs=Fraction(0)):
+    """Reduce one sparse row over Q against echelon rows; keep what is left.
+
+    ``pivots`` maps a column to ``(row, rhs)``, where ``row`` is a dict
+    column -> Fraction with 1 at that column.  The smallest reducible column
+    is eliminated first.  A nonzero remainder joins ``pivots``, scaled to 1
+    at its smallest column.  Returns ``(coords, rest)``: ``coords`` maps
+    pivot columns to nonzero Fractions such that ``coeffs`` is the sum of
+    ``coords[c]`` times the row of ``c`` (the new row included), and
+    ``rest`` is the right-hand side left over when the row reduced to zero,
+    which is nonzero exactly when the row is inconsistent with the pivots.
+    """
+    coeffs = dict(coeffs)
+    coords = {}
+    while True:
+        reducible = [c for c in coeffs if c in pivots]
+        if not reducible:
+            break
+        col = min(reducible)
+        prow, prhs = pivots[col]
+        factor = coeffs.pop(col)
+        coords[col] = coords.get(col, Fraction(0)) + factor
+        for c, v in prow.items():
+            if c == col:
+                continue
+            coeffs[c] = coeffs.get(c, Fraction(0)) - factor * v
+            if coeffs[c] == 0:
+                del coeffs[c]
+        rhs = rhs - factor * prhs
+    rest = Fraction(0)
+    if coeffs:
+        pivot_col = min(coeffs)
+        lead = coeffs[pivot_col]
+        pivots[pivot_col] = ({c: v / lead for c, v in coeffs.items()}, rhs / lead)
+        coords[pivot_col] = lead
+    else:
+        rest = rhs
+    return {c: q for c, q in coords.items() if q}, rest
+
+
 class QLinearSystem:
     """Sparse exact linear system over Q with deterministic elimination."""
 
@@ -526,29 +567,9 @@ class QLinearSystem:
         or None when the system is inconsistent."""
         pivots = {}
         for coeffs, rhs in self.rows:
-            coeffs = dict(coeffs)
-            while True:
-                reducible = [c for c in coeffs if c in pivots]
-                if not reducible:
-                    break
-                col = min(reducible)
-                prow, prhs = pivots[col]
-                factor = coeffs.pop(col)
-                for c, v in prow.items():
-                    if c == col:
-                        continue
-                    coeffs[c] = coeffs.get(c, Fraction(0)) - factor * v
-                    if coeffs[c] == 0:
-                        del coeffs[c]
-                rhs = rhs - factor * prhs
-            if not coeffs:
-                if rhs != 0:
-                    return None
-                continue
-            pivot_col = min(coeffs)
-            lead = coeffs[pivot_col]
-            row = {c: v / lead for c, v in coeffs.items()}
-            pivots[pivot_col] = (row, rhs / lead)
+            _coords, rest = echelon_reduce(pivots, coeffs, rhs)
+            if rest != 0:
+                return None
         solution = [Fraction(0)] * ncols
         for col in sorted(pivots, reverse=True):
             row, rhs = pivots[col]

@@ -9,6 +9,7 @@ from mfchern.rings import (
     Ring,
     RingMap,
     ScalarPoly,
+    echelon_reduce,
     monomials_up_to,
     poly_arith,
     solve_affine_q,
@@ -229,6 +230,24 @@ def test_qlinear_random_consistent():
             lhs = sum((row.get(j, Fraction(0)) * sol[j] for j in range(n)), Fraction(0))
             rhs = sum((row.get(j, Fraction(0)) * target[j] for j in range(n)), Fraction(0))
             assert lhs == rhs
+
+
+def test_echelon_coordinates_rebuild_each_row():
+    rng = random.Random(13)
+    for _ in range(30):
+        pivots = {}
+        for _row in range(rng.randint(1, 6)):
+            row = {rng.randrange(5): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                   for _ in range(rng.randint(0, 4))}
+            row = {c: q for c, q in row.items() if q}
+            coords, rest = echelon_reduce(pivots, row)
+            assert rest == 0
+            rebuilt = {}
+            for p, q in coords.items():
+                for c, v in pivots[p][0].items():
+                    rebuilt[c] = rebuilt.get(c, Fraction(0)) + q * v
+            assert {c: v for c, v in rebuilt.items() if v} == row
+        assert all(row[p] == 1 for p, (row, _rhs) in pivots.items())
 
 
 def test_affine_solver_shape():

@@ -1,0 +1,200 @@
+"""Differential test of HochschildChain.is_zero against the full multilinear
+expansion of every string, which is slow but obviously exact."""
+
+import itertools
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from mfchern.hochschild import (
+    FormalMorphism,
+    GeometricCategory,
+    HochschildChain,
+    RetractCategory,
+    connes_B,
+    hochschild_b,
+)
+from mfchern.mf import MorphismCochain
+
+from .test_hochschild import line_objects, proj_pool, random_chain, random_morphism
+
+
+def expanded(x):
+    """Reference oracle: expand every string multilinearly over the labels of
+    ``decompose`` (entry a0) and ``slot_decompose`` (slots), and sum the
+    coefficients of equal label tuples.  The chain is zero iff nothing is
+    left."""
+    cat = x.category
+    out = {}
+    for (m, a0, slots) in x.strings.values():
+        parts = [list(cat.decompose(a0))]
+        for s in slots:
+            parts.append(list(cat.slot_decompose(s)))
+        for combo in itertools.product(*parts):
+            coeff = Fraction(1)
+            labels = [m]
+            for lab, q in combo:
+                coeff *= q
+                labels.append(lab)
+            key = tuple(labels)
+            total = out.get(key, Fraction(0)) + coeff
+            if total:
+                out[key] = total
+            else:
+                out.pop(key, None)
+    return out
+
+
+def verdicts(x):
+    """(new verdict, oracle verdict)."""
+    return x.is_zero(), not expanded(x)
+
+
+# -- chain generators --------------------------------------------------------
+
+
+def split_slot(rng, x, draw):
+    """A chain equal to zero whose strings do not cancel one by one: for one
+    string a0[..|s|..] of x and a value t drawn like s, the chain
+    a0[..|t|..] + a0[..|s - t|..] - a0[..|s|..].  Returns None when x has no
+    string with slots."""
+    cat = x.category
+    strings = [string for string in x.items() if string[2]]
+    if not strings:
+        return None
+    m, a0, slots = rng.choice(strings)
+    j = rng.randrange(len(slots))
+    s = slots[j]
+    t = draw(rng, s)
+
+    def with_slot(value):
+        return slots[:j] + (value,) + slots[j + 1:]
+
+    items = [
+        (1, m, a0, with_slot(t)),
+        (1, m, a0, with_slot(cat.add(s, cat.scale(t, -1)))),
+        (-1, m, a0, slots),
+    ]
+    return HochschildChain(cat, x.u_truncation, x.tensor_cap, items)
+
+
+def draw_geometric(rng, s):
+    """A random morphism with the shape and parity of s; sometimes shifted
+    by a multiple of the identity, which is zero in a slot."""
+    t = random_morphism(rng, s.source, s.target, s.parity(), 2, nterms=3)
+    if s.source is s.target and s.parity() == 0 and rng.random() < 0.3:
+        t = t + MorphismCochain.identity(s.source, 2).scale(rng.randint(-2, 2))
+    return t
+
+
+def random_formal(rng, source, target):
+    names = [n for n in ("1P", "g", "f", "1N", "pi")
+             if FormalMorphism.basis(n).source == source
+             and FormalMorphism.basis(n).target == target]
+    return FormalMorphism(source, target, {
+        n: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for n in names
+    })
+
+
+def draw_formal(rng, s):
+    return random_formal(rng, s.source, s.target)
+
+
+def random_formal_chain(rng, cap=6, nstrings=3, max_n=4):
+    items = []
+    for _ in range(nstrings):
+        n = rng.randint(0, max_n)
+        route = [rng.choice("PN") for _ in range(n + 1)]
+        slots = tuple(
+            random_formal(rng, route[j + 1] if j < n else route[0], route[j])
+            for j in range(1, n + 1)
+        )
+        a0 = random_formal(rng, route[1] if n else route[0], route[0])
+        items.append((1, rng.randint(0, 1), a0, slots))
+    return HochschildChain(RetractCategory(), 1, cap, items)
+
+
+def geometric_cases(rng, cat, objects):
+    """Random chains with and without relations: x itself, x against its
+    copy one power of u up, b(b(x)), and a split-slot zero chain with and
+    without x added."""
+    x = random_chain(rng, cat, objects, 2, 6, max_n=2, nterms=3)
+    yield x
+    yield x - x.shift_u(1)
+    yield hochschild_b(hochschild_b(x))
+    zero = split_slot(rng, x, draw_geometric)
+    if zero is not None:
+        yield zero
+        yield zero + x
+        yield zero + connes_B(x)
+
+
+def formal_cases(rng):
+    x = random_formal_chain(rng)
+    yield x
+    yield x - x.shift_u(1)
+    yield connes_B(connes_B(x))
+    zero = split_slot(rng, x, draw_formal)
+    if zero is not None:
+        yield zero
+        yield zero + x
+        yield zero - hochschild_b(x)
+
+
+# -- tests ---------------------------------------------------------------------
+
+
+def test_dependent_slot_values_cancel():
+    """a0[a] + a0[b] - a0[a + b] is zero although no two strings merge."""
+    sch, (P, Q) = line_objects()
+    cat = GeometricCategory(sch, 2)
+    rng = random.Random(11)
+    a0 = random_morphism(rng, P, P, 0, 2)
+    a = random_morphism(rng, P, P, 1, 2)
+    b = random_morphism(rng, P, P, 1, 2)
+    x = HochschildChain(cat, 2, 4, [(1, 0, a0, (a,)), (1, 0, a0, (b,)), (-1, 0, a0, (a + b,))])
+    assert len(x.strings) == 3
+    assert verdicts(x) == (True, True)
+    y = HochschildChain(cat, 2, 4, [(1, 0, a0, (a,)), (1, 0, a0, (b,)), (-1, 0, a0, (a + b.scale(2),))])
+    assert verdicts(y) == (False, False)
+
+    g, f = FormalMorphism.basis("g"), FormalMorphism.basis("f")
+    pi, one = FormalMorphism.basis("pi"), FormalMorphism.basis("1N")
+    # 1_N is a scalar identity, so pi + 1_N equals pi in a slot
+    z = HochschildChain(RetractCategory(), 0, 4, [(1, 0, g, (f, pi)), (-1, 0, g, (f, pi + one))])
+    assert len(z.strings) == 2
+    assert verdicts(z) == (True, True)
+
+
+def test_random_chains_agree_with_expansion():
+    rng = random.Random(20261017)
+    seen = {True: 0, False: 0}
+    proj, twisted = proj_pool()
+    pools = [line_objects(), (proj, [P for P, _tw in twisted])]
+    for trial in range(12):
+        sch, objects = pools[trial % 2]
+        cat = GeometricCategory(sch, 2)
+        for x in itertools.chain(geometric_cases(rng, cat, objects), formal_cases(rng)):
+            new, old = verdicts(x)
+            assert new == old, f"trial {trial}:\n{x.canonical_string()}"
+            seen[new] += 1
+    assert seen[True] >= 10 and seen[False] >= 10, seen
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_formal_chains_agree_with_expansion(rng):
+    for x in formal_cases(rng):
+        new, old = verdicts(x)
+        assert new == old, x.canonical_string()
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_geometric_chains_agree_with_expansion(rng):
+    sch, objects = line_objects()
+    cat = GeometricCategory(sch, 2)
+    for x in geometric_cases(rng, cat, objects):
+        new, old = verdicts(x)
+        assert new == old, x.canonical_string()
