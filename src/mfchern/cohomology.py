@@ -3,7 +3,14 @@ differential, primitive solving, and conjugation averaging of families."""
 
 from fractions import Fraction
 
-from .rings import LocalFrac, QLinearSystem, ScalarPoly, monomials_up_to
+from .rings import (
+    LocalFrac,
+    QLinearSystem,
+    ScalarPoly,
+    _add_monomial_rows,
+    _subsets,
+    monomials_up_to,
+)
 from .cech import (
     CechCochain,
     MatrixForm,
@@ -126,50 +133,6 @@ def is_cocycle(c):
     return total_differential(c).is_zero()
 
 
-def _expand_rows(contributions, rhs_values, system):
-    """Clear denominators per coordinate group and match monomials.
-
-    contributions: {(tup, idxs, m): [(column index, LocalFrac)]}
-    rhs_values: {(tup, idxs, m): LocalFrac}
-    """
-    keys = set(contributions) | set(rhs_values)
-    for key in sorted(keys):
-        ring = None
-        parts = contributions.get(key, [])
-        rhs = rhs_values.get(key)
-        dens = [p.den for _col, p in parts]
-        if rhs is not None:
-            dens.append(rhs.den)
-            ring = rhs.ring
-        elif parts:
-            ring = parts[0][1].ring
-        if ring is None:
-            continue
-        ngen = len(ring.denominators)
-        common = tuple(max(d[j] for d in dens) for j in range(ngen)) if dens else (0,) * ngen
-        rows = {}
-
-        def put(col, value):
-            lift = value.num * ring.den_power(
-                tuple(c - a for c, a in zip(common, value.den))
-            )
-            for exps, q in lift.terms.items():
-                rows.setdefault(exps, {})
-                if col is None:
-                    rows[exps]["rhs"] = rows[exps].get("rhs", Fraction(0)) + q
-                else:
-                    rows[exps][col] = rows[exps].get(col, Fraction(0)) + q
-
-        for col, value in parts:
-            put(col, value)
-        if rhs is not None:
-            put(None, rhs)
-        for exps in sorted(rows):
-            data = rows[exps]
-            rhs_q = data.pop("rhs", Fraction(0))
-            system.add_row(data, rhs_q)
-
-
 def cohomologous(c1, c2, degree_bound, den_bound=1):
     """Search for a primitive p with total_differential(p) = c1 - c2.
 
@@ -230,7 +193,10 @@ def cohomologous(c1, c2, degree_bound, den_bound=1):
             rhs_values[key] = rhs_values.get(key, f.ring.zero()) + f
 
     system = QLinearSystem()
-    _expand_rows(contributions, rhs_values, system)
+    for key in sorted(set(contributions) | set(rhs_values)):
+        parts = contributions.get(key, [])
+        rhs = rhs_values[key] if key in rhs_values else parts[0][1].ring.zero()
+        _add_monomial_rows(system, parts, rhs)
     solution = system.solve(len(columns))
     if solution is None:
         return None
@@ -248,13 +214,6 @@ def cohomologous(c1, c2, degree_bound, den_bound=1):
     if total_differential(primitive) == diff:
         return primitive
     return None
-
-
-def _subsets(n):
-    out = [()]
-    for j in range(n):
-        out = out + [s + (j,) for s in out]
-    return sorted(out, key=lambda s: (len(s), s))
 
 
 def _transported(scheme, cochain, h):

@@ -30,29 +30,35 @@ class Connection:
     __slots__ = ("mf", "matrices")
 
     def __init__(self, mf, matrices=None):
-        assert isinstance(mf, MatrixFactorization)
+        if not isinstance(mf, MatrixFactorization):
+            raise TypeError(f"not a MatrixFactorization: {mf!r}")
         self.mf = mf
         scheme = mf.scheme
         parities = mf.bundle.parities()
         n = scheme.npatches()
         if matrices is None:
             matrices = [None] * n
-        assert len(matrices) == n
+        if len(matrices) != n:
+            raise ValueError(f"{len(matrices)} connection matrices for {n} patches")
         self.matrices = []
         for i, C in enumerate(matrices):
             ring = scheme.patch_ring(i)
             if C is None:
                 C = MatrixForm(ring, parities, parities, {})
-            assert isinstance(C, MatrixForm)
-            assert C.ring.name == ring.name
-            assert C.row_parities == parities and C.col_parities == parities
+            if not isinstance(C, MatrixForm):
+                raise TypeError(f"connection matrix on patch {i} is not a MatrixForm")
+            if C.ring.name != ring.name:
+                raise ValueError(f"connection matrix on patch {i} lives in {C.ring.name}")
+            if C.row_parities != parities or C.col_parities != parities:
+                raise ValueError(f"connection matrix on patch {i} has the wrong shape")
             for key in C.terms:
                 r, c, idxs, u = key
-                assert len(idxs) == 1, "connection entries must be 1-forms"
-                assert u == 0, "connection entries carry no u"
-                assert C.term_endo_parity(key) == 0, (
-                    "connection entries must preserve the internal grading"
-                )
+                if len(idxs) != 1:
+                    raise ValueError("connection entries must be 1-forms")
+                if u != 0:
+                    raise ValueError("connection entries carry no u")
+                if C.term_endo_parity(key) != 0:
+                    raise ValueError("connection entries must preserve the internal grading")
             self.matrices.append(C)
 
     def scheme(self):
@@ -79,7 +85,8 @@ def default_connection(P):
 def apply_connection(conn, i, section):
     """(d + C_i) applied to a column of forms over patch i."""
     C = conn.matrix(i)
-    assert section.ring.name == C.ring.name
+    if section.ring.name != C.ring.name:
+        raise ValueError(f"section lives in {section.ring.name}, not {C.ring.name}")
     return section.d_form() + C.mul(section)
 
 
@@ -87,7 +94,8 @@ def group_transformed_connection(conn, structure, g):
     """The connection g.C with matrix phi_g rho_g(C) phi_g^{-1} + phi_g
     d(phi_g^{-1}) on each patch."""
     P = structure.P
-    assert conn.mf is P
+    if conn.mf is not P:
+        raise ValueError("connection and structure are on different factorizations")
     scheme = P.scheme
     act = scheme.action
     out = []
@@ -95,14 +103,10 @@ def group_transformed_connection(conn, structure, g):
         ring = scheme.patch_ring(i)
         rho = act.map(g, i)
         phi = structure.phi_matrix_form(g, i)
-        inv_rows = invert_matrix(ring, structure.phi[g][i])
         parities = P.bundle.parities()
-        inv_terms = {}
-        for r, row in enumerate(inv_rows):
-            for c, v in enumerate(row):
-                if not v.is_zero():
-                    inv_terms[(r, c, (), 0)] = v
-        phi_inv = MatrixForm(ring, parities, parities, inv_terms)
+        phi_inv = MatrixForm.from_entries(
+            ring, parities, parities, invert_matrix(ring, structure.phi[g][i])
+        )
         moved = pullback_matrix(rho, conn.matrix(i))
         C = phi.mul(moved).mul(phi_inv) + phi.mul(phi_inv.d_form())
         out.append(C)
@@ -207,5 +211,6 @@ def atiyah_cocycle(E, conn=None, u_truncation=4):
         P = MatrixFactorization(E, [zero_rows for _ in range(E.scheme.npatches())])
     if conn is None:
         conn = default_connection(P)
-    assert conn.mf.bundle is P.bundle
+    if conn.mf.bundle is not P.bundle:
+        raise ValueError("connection is on a different bundle")
     return _frame_differences(P, conn, u_truncation)

@@ -16,6 +16,7 @@ from .rings import (
     Ring,
     RingMap,
     ScalarPoly,
+    _check_same_ring,
     parse_scalar,
     solve_affine_q,
     solve_linear_graded,
@@ -37,8 +38,9 @@ class Patch:
     __slots__ = ("ring", "potential")
 
     def __init__(self, ring, potential):
-        assert isinstance(ring, Ring)
-        assert isinstance(potential, LocalFrac) and potential.ring.name == ring.name
+        if not isinstance(ring, Ring) or not isinstance(potential, LocalFrac):
+            raise TypeError("a patch needs a Ring and a LocalFrac potential")
+        _check_same_ring(ring, potential.ring)
         self.ring = ring
         self.potential = potential
 
@@ -67,17 +69,20 @@ class GroupAction:
     def __init__(self, elements, table, maps):
         self.elements = tuple(elements)
         n = len(self.elements)
-        assert len(table) == n and all(len(row) == n for row in table)
+        if len(table) != n or any(len(row) != n for row in table):
+            raise ValueError(f"multiplication table is not {n} x {n}")
         self.table = tuple(tuple(row) for row in table)
         self.maps = maps
         ident = None
         for a in range(n):
             if all(self.table[a][b] == b and self.table[b][a] == b for b in range(n)):
                 ident = a
-        assert ident is not None, "multiplication table has no identity"
+        if ident is None:
+            raise ValueError("multiplication table has no identity")
         self.identity = self.elements[ident]
         for a in range(n):
-            assert sorted(self.table[a]) == list(range(n)), "table row not a bijection"
+            if sorted(self.table[a]) != list(range(n)):
+                raise ValueError("table row not a bijection")
 
     def index(self, g):
         return self.elements.index(g)
@@ -131,8 +136,10 @@ class CoveredScheme:
         action=None,
         all_critical_values_zero=False,
     ):
-        assert grading in ("Z", "Z2")
-        assert dimension >= 0
+        if grading not in ("Z", "Z2") or dimension < 0:
+            raise ValueError(
+                f"need grading Z or Z2 and dimension >= 0: {grading!r}, {dimension}"
+            )
         self.grading = grading
         self.dimension = dimension
         self.patches = list(patches)
@@ -173,10 +180,12 @@ class CoveredScheme:
 
     def intersection(self, tup):
         tup = tuple(tup)
-        assert all(a < b for a, b in zip(tup, tup[1:])), f"tuple not increasing: {tup}"
-        assert self.is_nonempty(tup), f"empty intersection requested: {tup}"
         if tup in self._intersections:
             return self._intersections[tup]
+        if any(a >= b for a, b in zip(tup, tup[1:])):
+            raise ValueError(f"tuple not increasing: {tup}")
+        if not self.is_nonempty(tup):
+            raise ValueError(f"empty intersection requested: {tup}")
         base = self.patches[tup[0]].ring
         dens = list(base.denominators)
         for j in tup[1:]:
@@ -207,7 +216,8 @@ class CoveredScheme:
         small, big = tuple(small), tuple(big)
         if (small, big) in self._restrictions:
             return self._restrictions[(small, big)]
-        assert set(small) <= set(big)
+        if not set(small) <= set(big):
+            raise ValueError(f"{small} is not contained in {big}")
         src = self.intersection(small).ring
         dst_inter = self.intersection(big)
         if small[0] == big[0]:
@@ -220,7 +230,8 @@ class CoveredScheme:
 
     def action_on(self, tup, g):
         """The g-action transported to the intersection ring of tup."""
-        assert self.action is not None
+        if self.action is None:
+            raise ValueError("scheme has no group action")
         ring = self.intersection(tup).ring
         base = self.action.map(g, tup[0])
         images = tuple(reroot(ring, img) for img in base.images)
@@ -231,16 +242,19 @@ class CoveredScheme:
     def _validate(self):
         if self.grading == "Z":
             for i, p in enumerate(self.patches):
-                assert p.potential.is_zero(), (
-                    f"grading Z requires zero potential, patch {i} has {p.potential}"
-                )
+                if not p.potential.is_zero():
+                    raise ValueError(
+                        f"grading Z requires zero potential, patch {i} has {p.potential}"
+                    )
         for (i, j), (dens, images) in self.pair_data.items():
-            assert i < j
+            if not i < j:
+                raise ValueError(f"gluing pair ({i},{j}) is not increasing")
             base = self.patches[i].ring
             for d in dens:
-                assert isinstance(d, ScalarPoly) and d.vars == base.vars
-                assert not d.is_zero()
-            assert len(images) == len(self.patches[j].ring.vars)
+                if not isinstance(d, ScalarPoly) or d.vars != base.vars or d.is_zero():
+                    raise ValueError(f"bad denominator {d!r} for gluing ({i},{j})")
+            if len(images) != len(self.patches[j].ring.vars):
+                raise ValueError(f"gluing ({i},{j}) needs one image per variable")
         # potentials agree on pairwise overlaps
         for (i, j) in sorted(self.pair_data):
             if not self.is_nonempty((i, j)):
@@ -255,47 +269,36 @@ class CoveredScheme:
         # triple consistency: going through the middle patch agrees
         for (i, j, k) in self.tuples(3):
             inter = self.intersection((i, j, k))
-            via = RingMap(
-                self.patches[k].ring,
-                inter.ring,
-                tuple(
-                    _applyrerooted(inter.ring, self.pair_data[(i, j)][1], img)
-                    for img in self.pair_data[(j, k)][1]
-                ),
-            )
-            direct = inter.restrictions[k]
-            for a, b in zip(via.images, direct.images):
-                assert a == b, f"incompatible gluing data on triple ({i},{j},{k})"
+            via_j = tuple(reroot(inter.ring, img) for img in self.pair_data[(i, j)][1])
+            for img, direct in zip(self.pair_data[(j, k)][1], inter.restrictions[k].images):
+                if RingMap(img.ring, inter.ring, via_j).apply(img) != direct:
+                    raise ValueError(f"incompatible gluing data on triple ({i},{j},{k})")
         if self.action is not None:
             self._validate_action()
 
     def _validate_action(self):
         act = self.action
         n = self.npatches()
-        assert set(act.maps) == set(act.elements)
-        for g in act.elements:
-            assert len(act.maps[g]) == n
+        if set(act.maps) != set(act.elements) or any(len(m) != n for m in act.maps.values()):
+            raise ValueError("the action needs one ring map per element and patch")
         # group law patchwise, exact equality of images
         for g in act.elements:
             for h in act.elements:
                 gh = act.mult(g, h)
                 for i in range(n):
                     comp = act.map(g, i).compose(act.map(h, i))
-                    for a, b in zip(comp.images, act.map(gh, i).images):
-                        assert a == b, f"action fails group law at ({g},{h}), patch {i}"
+                    if comp.images != act.map(gh, i).images:
+                        raise ValueError(f"action fails group law at ({g},{h}), patch {i}")
         # identity acts as identity
         for i in range(n):
-            for a, b in zip(
-                act.map(act.identity, i).images,
-                RingMap.identity(self.patches[i].ring).images,
-            ):
-                assert a == b, "identity element must act trivially"
+            if act.map(act.identity, i).images != RingMap.identity(self.patches[i].ring).images:
+                raise ValueError("identity element must act trivially")
         # the potential is fixed
         for g in act.elements:
             for i in range(n):
-                assert act.map(g, i).apply(self.patches[i].potential) == self.patches[
-                    i
-                ].potential, f"potential not fixed by {g} on patch {i}"
+                w = self.patches[i].potential
+                if act.map(g, i).apply(w) != w:
+                    raise ValueError(f"potential not fixed by {g} on patch {i}")
         # actions commute with the gluing maps
         for (i, j) in sorted(self.pair_data):
             if not self.is_nonempty((i, j)):
@@ -308,31 +311,21 @@ class CoveredScheme:
                 rhs = [
                     rho_ij.apply(img) for img in act.map(g, j).images
                 ]
-                for a, b in zip(lhs, rhs):
-                    assert a == b, f"action of {g} does not respect gluing ({i},{j})"
+                if lhs != rhs:
+                    raise ValueError(f"action of {g} does not respect gluing ({i},{j})")
 
 
 def reroot(ring, value):
     """Reinterpret a LocalFrac in a ring with the same variables and a
     superset of the denominator generators."""
-    assert value.ring.vars == ring.vars
+    if value.ring.vars != ring.vars:
+        raise ValueError(f"cannot reroot {value.ring.name} into {ring.name}: variables differ")
     num = ScalarPoly(ring.vars, value.num.terms)
     out = LocalFrac(ring, num)
     for g, m in zip(value.ring.denominators, value.den):
         if m:
             g2 = ScalarPoly(ring.vars, g.terms)
             out = out * LocalFrac(ring, g2).unit_inverse() ** m
-    return out
-
-
-def _applyrerooted(ring, images, value):
-    """Apply variable images (given as LocalFracs rerooted into ring) to value."""
-    imgs = tuple(reroot(ring, im) for im in images)
-    out = value.num.substitute(imgs, ring)
-    for g, m in zip(value.ring.denominators, value.den):
-        if m:
-            g_img = g.substitute(imgs, ring)
-            out = out * g_img.unit_inverse() ** m
     return out
 
 
@@ -358,7 +351,8 @@ def build_scheme(config, check_covering=False, covering_bound=4):
     pair_data = {}
     for glue in config.get("gluings", ()):
         i, j = glue["pair"]
-        assert i < j, "gluing pairs must be given with increasing indices"
+        if not i < j:
+            raise ValueError("gluing pairs must be given with increasing indices")
         base = rings[i]
         dens = tuple(parse_scalar(base, d).num for d in glue.get("denominators", ()))
         scratch = Ring(f"{base.name}*{j}", base.vars, base.denominators + dens)
@@ -448,37 +442,33 @@ def _affine_substitute(matrix, shift, values, ring):
     return out
 
 
-def _left_inverse(columns, nrows):
-    """A rational left inverse of the matrix with the given columns."""
-    ncols = len(columns)
-    rows = [[columns[c][r] for c in range(ncols)] for r in range(nrows)]
-    # row-reduce [L | I] and read the inverse off the pivot rows
-    aug = [rows[r] + [Fraction(1 if k == r else 0) for k in range(nrows)] for r in range(nrows)]
-    r = 0
-    pivot_rows = []
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if aug[i][c] != 0:
-                pivot = i
-                break
-        assert pivot is not None, "kernel basis columns must be independent"
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        lead = aug[r][c]
-        aug[r] = [v / lead for v in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        pivot_rows.append(r)
-        r += 1
-    return [[aug[i][ncols + k] for k in range(nrows)] for i in pivot_rows]
+def _left_inverse(columns):
+    """Rows m_k with m_k . columns[j] = [j == k]: a rational left inverse of
+    the matrix with the given independent columns, one solve per column."""
+    out = []
+    for k in range(len(columns)):
+        sol = solve_affine_q(columns, [int(j == k) for j in range(len(columns))])
+        assert sol is not None, "kernel basis columns must be independent"
+        out.append(sol[0])
+    return out
+
+
+def _locus_coordinates(ring, x0, columns, values, failure):
+    """Coordinates t over ring with values = x0 + L t, L the matrix with the
+    given columns; raises ValueError(failure) when values are off the piece."""
+    diffs = [v - c for v, c in zip(values, x0)]
+    t = _affine_substitute(_left_inverse(columns), [0] * len(columns), diffs, ring)
+    rows = [[col[r] for col in columns] for r in range(len(x0))]
+    if _affine_substitute(rows, x0, t, ring) != values:
+        raise ValueError(failure)
+    return t
 
 
 def fixed_locus(scheme, g):
     """Present the fixed subscheme of the group element g patch by patch."""
     act = scheme.action
-    assert act is not None, "scheme has no group action"
+    if act is None:
+        raise ValueError("scheme has no group action")
     n = scheme.npatches()
     patch_map = {}
     restrictions = {}
@@ -573,46 +563,22 @@ def fixed_locus(scheme, g):
             f"{ring_i.name}&{lj}", ring_i.vars, ring_i.denominators + tuple(dens)
         )
         # ambient transition functions restricted to the locus
-        restricted = []
-        ok = True
-        lifted = [reroot(pair_ring, v) for v in restr_i.images]
-        for img in scheme.pair_data[(ai, aj)][1]:
-            val = img.num.substitute(lifted, pair_ring)
-            for dgen, m in zip(img.ring.denominators, img.den):
-                if m:
-                    dim = dgen.substitute(lifted, pair_ring)
-                    inv = dim.inverse()
-                    if inv is None:
-                        ok = False
-                        break
-                    val = val * inv ** m
-            if not ok:
-                break
-            restricted.append(val)
-        assert ok, f"gluing ({ai},{aj}) does not restrict to the locus of {g}"
-        x0j, Lj = parametrizations[aj]
-        nvars_j = len(scheme.patch_ring(aj).vars)
-        if Lj:
-            Mj = _left_inverse(Lj, nvars_j)
-        else:
-            Mj = []
-        images = []
-        diffs = [v - x0j[r] for r, v in enumerate(restricted)]
-        for row in Mj:
-            acc = pair_ring.zero()
-            for c, v in zip(row, diffs):
-                if c != 0:
-                    acc = acc + v * c
-            images.append(acc)
-        # well-definedness: x0j + Lj.(images) reproduces the restricted gluing
-        for r in range(nvars_j):
-            recon = pair_ring.const(x0j[r])
-            for c, col in enumerate(Lj):
-                if col[r] != 0:
-                    recon = recon + images[c] * col[r]
-            assert recon == restricted[r], (
-                f"gluing ({ai},{aj}) does not carry the locus of {g} to itself"
-            )
+        lifted = tuple(reroot(pair_ring, v) for v in restr_i.images)
+        try:
+            restricted = [
+                RingMap(img.ring, pair_ring, lifted).apply(img)
+                for img in scheme.pair_data[(ai, aj)][1]
+            ]
+        except ValueError as err:
+            raise ValueError(
+                f"gluing ({ai},{aj}) does not restrict to the locus of {g}"
+            ) from err
+        images = _locus_coordinates(
+            pair_ring,
+            *parametrizations[aj],
+            restricted,
+            f"gluing ({ai},{aj}) does not carry the locus of {g} to itself",
+        )
         pair_data[(li, lj)] = (tuple(dens), tuple(images))
 
     locus_scheme = CoveredScheme(
@@ -641,33 +607,19 @@ def locus_transport(scheme, locus_src, locus_dst, h):
         di = locus_dst.patch_map.get(i)
         if si is None:
             continue
-        assert di is not None, (
-            f"transport by {h} hits an empty piece on patch {i}"
-        )
+        if di is None:
+            raise ValueError(f"transport by {h} hits an empty piece on patch {i}")
         ring_src = locus_src.scheme.patch_ring(si)
         matrix, shift = act.affine_data(hinv, i)
         # image of ambient coordinates under the point map, on the g-locus
         moved = _affine_substitute(
             matrix, shift, list(locus_src.restrictions[i].images), ring_src
         )
-        x0d, Ld = locus_dst.parametrizations[i]
-        nvars = len(scheme.patch_ring(i).vars)
-        Md = _left_inverse(Ld, nvars) if Ld else []
-        diffs = [v - x0d[r] for r, v in enumerate(moved)]
-        images = []
-        for row in Md:
-            acc = ring_src.zero()
-            for c, v in zip(row, diffs):
-                if c != 0:
-                    acc = acc + v * c
-            images.append(acc)
-        for r in range(nvars):
-            recon = ring_src.const(x0d[r])
-            for c, col in enumerate(Ld):
-                if col[r] != 0:
-                    recon = recon + images[c] * col[r]
-            assert recon == moved[r], (
-                f"transport by {h} does not map the locus correctly on patch {i}"
-            )
+        images = _locus_coordinates(
+            ring_src,
+            *locus_dst.parametrizations[i],
+            moved,
+            f"transport by {h} does not map the locus correctly on patch {i}",
+        )
         out[i] = RingMap(locus_dst.scheme.patch_ring(di), ring_src, tuple(images))
     return out

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .cech import CechCochain, MatrixForm, acw_product, cech_differential, pullback_matrix
 from .geometry import reroot
-from .rings import LocalFrac, parse_scalar
+from .rings import _subsets, parse_scalar
 
 __all__ = [
     "VectorBundle",
@@ -31,6 +31,60 @@ __all__ = [
 ]
 
 
+def _matmul(ring, a, b):
+    """Product of dense square LocalFrac matrices over ring; zero entries of
+    either factor are skipped."""
+    out = [[ring.zero()] * len(b) for _ in a]
+    for r, row in enumerate(a):
+        acc = out[r]
+        for k, x in enumerate(row):
+            if x.is_zero():
+                continue
+            for c, y in enumerate(b[k]):
+                if not y.is_zero():
+                    acc[c] = acc[c] + x * y
+    return out
+
+
+def _dense_form(rows, parities, src, ring=None):
+    """The MatrixForm of a dense matrix over src, with its nonzero entries
+    rerooted into ring when ring is given and differs from src."""
+    if ring is not None and ring.name != src.name:
+        rows = [[v if v.is_zero() else reroot(ring, v) for v in row] for row in rows]
+    return MatrixForm.from_entries(ring or src, parities, parities, rows)
+
+
+def _identity_rows(ring, n):
+    return [[ring.one() if r == c else ring.zero() for c in range(n)] for r in range(n)]
+
+
+def _coerce_square(ring, rows, rank, what):
+    """A rank x rank matrix over ring from LocalFracs, strings or rationals."""
+    mat = [[parse_scalar(ring, v) for v in row] for row in rows]
+    if len(mat) != rank or any(len(row) != rank for row in mat):
+        raise ValueError(f"{what} is not a {rank} x {rank} matrix")
+    return mat
+
+
+def _map_rows(ring_map, mat):
+    return [[ring_map.apply(v) for v in row] for row in mat]
+
+
+def _check_morphism(x, what):
+    if not isinstance(x, MorphismCochain):
+        raise TypeError(f"{what} is a {type(x).__name__}, not a MorphismCochain")
+
+
+def _action(scheme):
+    if scheme.action is None:
+        raise ValueError("scheme has no group action")
+    return scheme.action
+
+
+def _nonzero_positions(mat):
+    return [(r, c) for r, row in enumerate(mat) for c, v in enumerate(row) if not v.is_zero()]
+
+
 def invert_matrix(ring, rows):
     """Exact inverse of a square matrix of LocalFracs by elimination with
     unit pivots.  Raises when no unit pivot is available."""
@@ -39,7 +93,6 @@ def invert_matrix(ring, rows):
         [v for v in row] + [ring.one() if k == r else ring.zero() for k in range(n)]
         for r, row in enumerate(rows)
     ]
-    assert all(len(row) == 2 * n for row in aug)
     for c in range(n):
         pivot = None
         for r in range(c, n):
@@ -69,49 +122,32 @@ class VectorBundle:
     def __init__(self, scheme, gradings, transitions, inverses=None):
         self.scheme = scheme
         self.gradings = tuple(gradings)
-        if scheme.grading == "Z2":
-            assert all(g in (0, 1) for g in self.gradings)
+        if scheme.grading == "Z2" and not all(g in (0, 1) for g in self.gradings):
+            raise ValueError(f"Z2 gradings must be 0 or 1, got {self.gradings}")
         self._parities = tuple(g % 2 for g in self.gradings)
         rank = len(self.gradings)
         self.transitions = {}
         self.inverses = {}
         for (i, j), rows in transitions.items():
-            assert i < j
+            if not i < j:
+                raise ValueError(f"transition pair ({i},{j}) is not increasing")
             ring = scheme.intersection((i, j)).ring
-            mat = [[self._coerce(ring, v) for v in row] for row in rows]
-            assert len(mat) == rank and all(len(r) == rank for r in mat)
-            for r in range(rank):
-                for c in range(rank):
-                    if not mat[r][c].is_zero():
-                        assert self.gradings[r] == self.gradings[c], (
-                            f"transition ({i},{j}) entry ({r},{c}) is not degree 0"
-                        )
+            mat = _coerce_square(ring, rows, rank, f"transition ({i},{j})")
+            for r, c in _nonzero_positions(mat):
+                if self.gradings[r] != self.gradings[c]:
+                    raise ValueError(f"transition ({i},{j}) entry ({r},{c}) is not degree 0")
             self.transitions[(i, j)] = mat
             if inverses and (i, j) in inverses:
-                inv = [[self._coerce(ring, v) for v in row] for row in inverses[(i, j)]]
+                inv = _coerce_square(ring, inverses[(i, j)], rank, f"inverse ({i},{j})")
             else:
                 inv = invert_matrix(ring, mat)
-            for r in range(rank):
-                for c in range(rank):
-                    want = ring.one() if r == c else ring.zero()
-                    got = sum(
-                        (mat[r][k] * inv[k][c] for k in range(rank)),
-                        ring.zero(),
-                    )
-                    assert got == want, f"declared inverse wrong at ({i},{j})"
+            if _matmul(ring, mat, inv) != _identity_rows(ring, rank):
+                raise ValueError(f"declared inverse wrong at ({i},{j})")
             self.inverses[(i, j)] = inv
         for pair in scheme.tuples(2):
-            assert pair in self.transitions, f"missing transition for overlap {pair}"
+            if pair not in self.transitions:
+                raise ValueError(f"missing transition for overlap {pair}")
         self._check_cocycle()
-
-    @staticmethod
-    def _coerce(ring, v):
-        if isinstance(v, LocalFrac):
-            assert v.ring.name == ring.name
-            return v
-        if isinstance(v, str):
-            return parse_scalar(ring, v)
-        return ring.const(v)
 
     def _check_cocycle(self):
         for (i, j, k) in self.scheme.tuples(3):
@@ -120,19 +156,12 @@ class VectorBundle:
             gik = self._matrix_form(ring, (i, k))
             rm = self.scheme.restriction((j, k), (i, j, k))
             gjk = pullback_matrix(rm, self._matrix_form(None, (j, k)))
-            assert gij.mul(gjk) == gik, f"cocycle fails on triple ({i},{j},{k})"
+            if gij.mul(gjk) != gik:
+                raise ValueError(f"cocycle fails on triple ({i},{j},{k})")
 
     def _matrix_form(self, ring, pair, inverse=False):
-        src = self.scheme.intersection(pair).ring
         rows = self.inverses[pair] if inverse else self.transitions[pair]
-        terms = {}
-        for r, row in enumerate(rows):
-            for c, v in enumerate(row):
-                if not v.is_zero():
-                    if ring is not None and ring.name != src.name:
-                        v = reroot(ring, v)
-                    terms[(r, c, (), 0)] = v
-        return MatrixForm(ring or src, self._parities, self._parities, terms)
+        return _dense_form(rows, self._parities, self.scheme.intersection(pair).ring, ring)
 
     def rank(self):
         return len(self.gradings)
@@ -155,42 +184,26 @@ class MatrixFactorization:
     def __init__(self, bundle, deltas):
         self.bundle = bundle
         self.scheme = bundle.scheme
-        n = self.scheme.npatches()
-        assert len(deltas) == n
+        if len(deltas) != self.scheme.npatches():
+            raise ValueError(f"{len(deltas)} deltas for {self.scheme.npatches()} patches")
         self.deltas = []
-        rank = bundle.rank()
+        gradings = bundle.gradings
         for i, rows in enumerate(deltas):
-            ring = self.scheme.patch_ring(i)
-            mat = [[VectorBundle._coerce(ring, v) for v in row] for row in rows]
-            assert len(mat) == rank and all(len(r) == rank for r in mat)
-            for r in range(rank):
-                for c in range(rank):
-                    if mat[r][c].is_zero():
-                        continue
-                    if self.scheme.grading == "Z":
-                        assert bundle.gradings[r] == bundle.gradings[c] + 1, (
-                            f"delta entry ({r},{c}) on patch {i} is not degree 1"
-                        )
-                    else:
-                        assert bundle.gradings[r] != bundle.gradings[c], (
-                            f"delta entry ({r},{c}) on patch {i} is not odd"
-                        )
+            mat = _coerce_square(self.scheme.patch_ring(i), rows, bundle.rank(), f"delta {i}")
+            for r, c in _nonzero_positions(mat):
+                if self.scheme.grading == "Z" and gradings[r] != gradings[c] + 1:
+                    raise ValueError(f"delta entry ({r},{c}) on patch {i} is not degree 1")
+                if self.scheme.grading == "Z2" and gradings[r] == gradings[c]:
+                    raise ValueError(f"delta entry ({r},{c}) on patch {i} is not odd")
             self.deltas.append(mat)
 
     def rank(self):
         return self.bundle.rank()
 
     def delta_matrix_form(self, i, ring=None):
-        src = self.scheme.patch_ring(i)
-        terms = {}
-        for r, row in enumerate(self.deltas[i]):
-            for c, v in enumerate(row):
-                if not v.is_zero():
-                    if ring is not None and ring.name != src.name:
-                        v = reroot(ring, v)
-                    terms[(r, c, (), 0)] = v
-        p = self.bundle.parities()
-        return MatrixForm(ring or src, p, p, terms)
+        return _dense_form(
+            self.deltas[i], self.bundle.parities(), self.scheme.patch_ring(i), ring
+        )
 
     def delta_cochain(self, u_truncation):
         entries = {}
@@ -223,14 +236,12 @@ def check_mf(P):
     overlaps; returns a report instead of raising."""
     failures = []
     scheme = P.scheme
-    rank = P.rank()
     for i in range(scheme.npatches()):
         ring = scheme.patch_ring(i)
         w = scheme.potential(i)
-        d = P.deltas[i]
-        for r in range(rank):
-            for c in range(rank):
-                got = sum((d[r][k] * d[k][c] for k in range(rank)), ring.zero())
+        square = _matmul(ring, P.deltas[i], P.deltas[i])
+        for r, row in enumerate(square):
+            for c, got in enumerate(row):
                 want = w if r == c else ring.zero()
                 if got != want:
                     failures.append(
@@ -238,26 +249,18 @@ def check_mf(P):
                     )
     for (i, j) in scheme.tuples(2):
         inter = scheme.intersection((i, j))
-        ring = inter.ring
         g = P.bundle.transitions[(i, j)]
-        di = [[inter.restrictions[i].apply(v) for v in row] for row in P.deltas[i]]
-        dj = [[inter.restrictions[j].apply(v) for v in row] for row in P.deltas[j]]
-        for r in range(rank):
-            for c in range(rank):
-                lhs = sum((g[r][k] * dj[k][c] for k in range(rank)), ring.zero())
-                rhs = sum((di[r][k] * g[k][c] for k in range(rank)), ring.zero())
-                if lhs != rhs:
+        di = _map_rows(inter.restrictions[i], P.deltas[i])
+        dj = _map_rows(inter.restrictions[j], P.deltas[j])
+        lhs = _matmul(inter.ring, g, dj)
+        rhs = _matmul(inter.ring, di, g)
+        for r, row in enumerate(lhs):
+            for c, got in enumerate(row):
+                if got != rhs[r][c]:
                     failures.append(
                         f"overlap ({i},{j}): g delta_j != delta_i g at ({r},{c})"
                     )
     return MFReport(failures)
-
-
-def _subsets_ordered(m):
-    out = [()]
-    for j in range(m):
-        out = out + [s + (j,) for s in out]
-    return sorted(out, key=lambda s: (len(s), s))
 
 
 def koszul_mf(scheme, a, b):
@@ -267,7 +270,8 @@ def koszul_mf(scheme, a, b):
     bundle is the exterior algebra on m generators with identity transitions.
     """
     m = len(a)
-    assert len(b) == m
+    if len(b) != m:
+        raise ValueError(f"{m} elements a_j but {len(b)} elements b_j")
     npatch = scheme.npatches()
     a = [
         [parse_scalar(scheme.patch_ring(i), v) for i, v in enumerate(row)]
@@ -283,22 +287,14 @@ def koszul_mf(scheme, a, b):
             raise ValueError(
                 f"sum a_j b_j = {total} differs from the potential on patch {i}"
             )
-    basis = _subsets_ordered(m)
+    basis = _subsets(m)
     index = {s: k for k, s in enumerate(basis)}
     if scheme.grading == "Z":
         gradings = [len(s) for s in basis]
     else:
         gradings = [len(s) % 2 for s in basis]
     transitions = {
-        pair: [
-            [
-                scheme.intersection(pair).ring.one()
-                if r == c
-                else scheme.intersection(pair).ring.zero()
-                for c in range(len(basis))
-            ]
-            for r in range(len(basis))
-        ]
+        pair: _identity_rows(scheme.intersection(pair).ring, len(basis))
         for pair in scheme.tuples(2)
     }
     bundle = VectorBundle(scheme, gradings, transitions)
@@ -327,67 +323,20 @@ def koszul_mf(scheme, a, b):
     return P
 
 
-def random_global_section(
-    rng, source, target, source_twists, target_twists, parity, u_truncation, bound=3
-):
-    """Random global Hom-section on a two-patch scheme whose transitions are
-    diagonal monomial twists.
-
-    Entry (r, c) glues iff it is a polynomial of degree at most
-    source_twists[c] - target_twists[r] in the first chart; the second chart
-    holds the reversed coefficients.  Returns None when every admissible
-    window came out zero."""
-    scheme = source.scheme
-    assert scheme.npatches() == 2, "sampler assumes a two-patch cover"
-    psrc = source.bundle.parities()
-    ptgt = target.bundle.parities()
-    assert len(source_twists) == len(psrc) and len(target_twists) == len(ptgt)
-    r0 = scheme.patch_ring(0)
-    r1 = scheme.patch_ring(1)
-    assert len(r0.vars) == 1 and len(r1.vars) == 1
-    v0 = r0.var(r0.vars[0])
-    v1 = r1.var(r1.vars[0])
-    m0 = [[r0.zero()] * len(psrc) for _ in range(len(ptgt))]
-    m1 = [[r1.zero()] * len(psrc) for _ in range(len(ptgt))]
-    got = False
-    for r in range(len(ptgt)):
-        for c in range(len(psrc)):
-            if (ptgt[r] + psrc[c]) % 2 != parity % 2:
-                continue
-            win = source_twists[c] - target_twists[r]
-            if win < 0:
-                continue
-            coeffs = [rng.randint(-bound, bound) for _ in range(win + 1)]
-            if all(q == 0 for q in coeffs):
-                continue
-            got = True
-            p0 = r0.zero()
-            p1 = r1.zero()
-            for k, q in enumerate(coeffs):
-                if q:
-                    p0 = p0 + r0.const(q) * v0**k
-                    p1 = p1 + r1.const(q) * v1 ** (win - k)
-            m0[r][c] = p0
-            m1[r][c] = p1
-    if not got:
-        return None
-    e0 = MatrixForm.from_entries(r0, ptgt, psrc, m0)
-    e1 = MatrixForm.from_entries(r1, ptgt, psrc, m1)
-    return MorphismCochain.from_entries(
-        source, target, {(0,): e0, (1,): e1}, u_truncation
-    )
-
-
 class MorphismCochain:
     """A Cech cochain of Hom-valued entries between two factorizations."""
 
     __slots__ = ("source", "target", "cochain")
 
     def __init__(self, source, target, cochain):
-        assert isinstance(source, MatrixFactorization)
-        assert isinstance(target, MatrixFactorization)
-        assert isinstance(cochain, CechCochain)
-        assert cochain.source is source.bundle and cochain.target is target.bundle
+        if not isinstance(source, MatrixFactorization) or not isinstance(
+            target, MatrixFactorization
+        ):
+            raise TypeError("source and target must be MatrixFactorizations")
+        if not isinstance(cochain, CechCochain):
+            raise TypeError(f"not a CechCochain: {cochain!r}")
+        if cochain.source is not source.bundle or cochain.target is not target.bundle:
+            raise ValueError("cochain bundles differ from the source and target bundles")
         self.source = source
         self.target = target
         self.cochain = cochain
@@ -414,8 +363,9 @@ class MorphismCochain:
         return self.cochain.homogeneous_total_parity()
 
     def __add__(self, other):
-        assert isinstance(other, MorphismCochain)
-        assert other.source is self.source and other.target is self.target
+        _check_morphism(other, "summand")
+        if other.source is not self.source or other.target is not self.target:
+            raise ValueError("summands have different sources or targets")
         return MorphismCochain(self.source, self.target, self.cochain + other.cochain)
 
     def __neg__(self):
@@ -429,8 +379,9 @@ class MorphismCochain:
 
     def compose(self, other):
         """self after other."""
-        assert isinstance(other, MorphismCochain)
-        assert other.target is self.source, "composition shape mismatch"
+        _check_morphism(other, "composed morphism")
+        if other.target is not self.source:
+            raise ValueError("composition shape mismatch")
         return MorphismCochain(
             other.source, self.target, acw_product(self.cochain, other.cochain)
         )
@@ -439,7 +390,8 @@ class MorphismCochain:
         return hom_differential(self)
 
     def __eq__(self, other):
-        assert isinstance(other, MorphismCochain)
+        if not isinstance(other, MorphismCochain):
+            return NotImplemented
         return (
             self.source is other.source
             and self.target is other.target
@@ -483,7 +435,7 @@ def _split_by_total_parity(cochain):
 def hom_differential(phi):
     """delta_target after phi, minus (-1)^{|phi|} phi after delta_source,
     plus the Cech differential of phi; squares to zero in the curved sense."""
-    assert isinstance(phi, MorphismCochain)
+    _check_morphism(phi, "phi")
     trunc = phi.cochain.u_truncation
     dQ = phi.target.delta_cochain(trunc)
     dP = phi.source.delta_cochain(trunc)
@@ -510,14 +462,17 @@ class RetractData:
     __slots__ = ("P", "N", "g", "f", "pi")
 
     def __init__(self, P, N, g, f):
-        assert isinstance(g, MorphismCochain) and isinstance(f, MorphismCochain)
-        assert g.source is P and g.target is N
-        assert f.source is N and f.target is P
+        _check_morphism(g, "g")
+        _check_morphism(f, "f")
+        if g.source is not P or g.target is not N or f.source is not N or f.target is not P:
+            raise ValueError("need g: P -> N and f: N -> P")
         trunc = min(g.cochain.u_truncation, f.cochain.u_truncation)
         one_P = MorphismCochain.identity(P, trunc)
-        assert (f.compose(g) - one_P).is_zero(), "f g != 1_P"
-        assert g.differential().is_zero(), "g is not closed"
-        assert f.differential().is_zero(), "f is not closed"
+        if not (f.compose(g) - one_P).is_zero():
+            raise ValueError("f g != 1_P")
+        for name, arrow in (("g", g), ("f", f)):
+            if not arrow.differential().is_zero():
+                raise ValueError(f"{name} is not closed")
         self.P = P
         self.N = N
         self.g = g
@@ -527,7 +482,8 @@ class RetractData:
 
 
 def direct_sum(P, Q):
-    assert P.scheme is Q.scheme
+    if P.scheme is not Q.scheme:
+        raise ValueError("summands live on different schemes")
     scheme = P.scheme
     gradings = P.bundle.gradings + Q.bundle.gradings
     rp, rq = P.rank(), Q.rank()
@@ -580,23 +536,17 @@ def shift(P):
 def group_twist(P, g):
     """The factorization with the g-action applied to transitions and delta."""
     scheme = P.scheme
-    act = scheme.action
-    assert act is not None
+    act = _action(scheme)
     transitions = {}
     inverses = {}
     for pair in scheme.tuples(2):
         rho = scheme.action_on(pair, g)
-        transitions[pair] = [
-            [rho.apply(v) for v in row] for row in P.bundle.transitions[pair]
-        ]
-        inverses[pair] = [
-            [rho.apply(v) for v in row] for row in P.bundle.inverses[pair]
-        ]
+        transitions[pair] = _map_rows(rho, P.bundle.transitions[pair])
+        inverses[pair] = _map_rows(rho, P.bundle.inverses[pair])
     bundle = VectorBundle(scheme, P.bundle.gradings, transitions, inverses)
     deltas = []
     for i in range(scheme.npatches()):
-        rho = act.map(g, i)
-        deltas.append([[rho.apply(v) for v in row] for row in P.deltas[i]])
+        deltas.append(_map_rows(act.map(g, i), P.deltas[i]))
     return MatrixFactorization(bundle, deltas)
 
 
@@ -608,24 +558,20 @@ class EquivariantStructure:
 
     def __init__(self, P, phi):
         scheme = P.scheme
-        act = scheme.action
-        assert act is not None
+        act = _action(scheme)
         self.P = P
         self.phi = {}
-        rank = P.rank()
+        gradings = P.bundle.gradings
         for g in act.elements:
             mats = phi[g]
-            assert len(mats) == scheme.npatches()
+            if len(mats) != scheme.npatches():
+                raise ValueError(f"phi_{g} has {len(mats)} patches, not {scheme.npatches()}")
             coerced = []
             for i, rows in enumerate(mats):
-                ring = scheme.patch_ring(i)
-                mat = [[VectorBundle._coerce(ring, v) for v in row] for row in rows]
-                for r in range(rank):
-                    for c in range(rank):
-                        if not mat[r][c].is_zero():
-                            assert P.bundle.gradings[r] == P.bundle.gradings[c], (
-                                f"phi_{g} not degree 0 at ({r},{c}) on patch {i}"
-                            )
+                mat = _coerce_square(scheme.patch_ring(i), rows, P.rank(), f"phi_{g}")
+                for r, c in _nonzero_positions(mat):
+                    if gradings[r] != gradings[c]:
+                        raise ValueError(f"phi_{g} not degree 0 at ({r},{c}) on patch {i}")
                 coerced.append(mat)
             self.phi[g] = coerced
         self._validate()
@@ -634,109 +580,50 @@ class EquivariantStructure:
         P = self.P
         scheme = P.scheme
         act = scheme.action
-        rank = P.rank()
-        e = act.identity
         for i in range(scheme.npatches()):
-            ring = scheme.patch_ring(i)
-            for r in range(rank):
-                for c in range(rank):
-                    want = ring.one() if r == c else ring.zero()
-                    assert self.phi[e][i][r][c] == want, "phi_e must be the identity"
+            if self.phi[act.identity][i] != _identity_rows(scheme.patch_ring(i), P.rank()):
+                raise ValueError("phi_e must be the identity")
         for g in act.elements:
             for h in act.elements:
                 gh = act.mult(g, h)
                 for i in range(scheme.npatches()):
-                    ring = scheme.patch_ring(i)
-                    rho = act.map(g, i)
-                    lhs = self.phi[gh][i]
-                    for r in range(rank):
-                        for c in range(rank):
-                            got = sum(
-                                (
-                                    self.phi[g][i][r][k] * rho.apply(self.phi[h][i][k][c])
-                                    for k in range(rank)
-                                ),
-                                ring.zero(),
-                            )
-                            assert got == lhs[r][c], (
-                                f"phi cocycle fails for ({g},{h}) on patch {i}"
-                            )
+                    moved = _map_rows(act.map(g, i), self.phi[h][i])
+                    if _matmul(scheme.patch_ring(i), self.phi[g][i], moved) != self.phi[gh][i]:
+                        raise ValueError(f"phi cocycle fails for ({g},{h}) on patch {i}")
         # compatibility with delta: delta phi_g = phi_g g(delta)
         for g in act.elements:
             for i in range(scheme.npatches()):
                 ring = scheme.patch_ring(i)
-                rho = act.map(g, i)
-                for r in range(rank):
-                    for c in range(rank):
-                        lhs = sum(
-                            (
-                                P.deltas[i][r][k] * self.phi[g][i][k][c]
-                                for k in range(rank)
-                            ),
-                            ring.zero(),
-                        )
-                        rhs = sum(
-                            (
-                                self.phi[g][i][r][k] * rho.apply(P.deltas[i][k][c])
-                                for k in range(rank)
-                            ),
-                            ring.zero(),
-                        )
-                        assert lhs == rhs, (
-                            f"phi_{g} does not intertwine delta on patch {i}"
-                        )
+                phi, delta = self.phi[g][i], P.deltas[i]
+                moved = _map_rows(act.map(g, i), delta)
+                if _matmul(ring, delta, phi) != _matmul(ring, phi, moved):
+                    raise ValueError(f"phi_{g} does not intertwine delta on patch {i}")
         # transitions: phi is a morphism of bundles gP -> P
         for (i, j) in scheme.tuples(2):
             inter = scheme.intersection((i, j))
-            ring = inter.ring
             gij = P.bundle.transitions[(i, j)]
             for g in act.elements:
-                phi_i = [
-                    [inter.restrictions[i].apply(v) for v in row]
-                    for row in self.phi[g][i]
-                ]
-                phi_j = [
-                    [inter.restrictions[j].apply(v) for v in row]
-                    for row in self.phi[g][j]
-                ]
-                rho = scheme.action_on((i, j), g)
-                for r in range(rank):
-                    for c in range(rank):
-                        lhs = sum(
-                            (gij[r][k] * phi_j[k][c] for k in range(rank)),
-                            ring.zero(),
-                        )
-                        rhs = sum(
-                            (phi_i[r][k] * rho.apply(gij[k][c]) for k in range(rank)),
-                            ring.zero(),
-                        )
-                        assert lhs == rhs, (
-                            f"phi_{g} not compatible with transition ({i},{j})"
-                        )
+                phi_i = _map_rows(inter.restrictions[i], self.phi[g][i])
+                phi_j = _map_rows(inter.restrictions[j], self.phi[g][j])
+                moved = _map_rows(scheme.action_on((i, j), g), gij)
+                if _matmul(inter.ring, gij, phi_j) != _matmul(inter.ring, phi_i, moved):
+                    raise ValueError(f"phi_{g} not compatible with transition ({i},{j})")
 
     def phi_matrix_form(self, g, i, ring=None):
-        src = self.P.scheme.patch_ring(i)
-        terms = {}
-        for r, row in enumerate(self.phi[g][i]):
-            for c, v in enumerate(row):
-                if not v.is_zero():
-                    if ring is not None and ring.name != src.name:
-                        v = reroot(ring, v)
-                    terms[(r, c, (), 0)] = v
-        p = self.P.bundle.parities()
-        return MatrixForm(ring or src, p, p, terms)
+        return _dense_form(
+            self.phi[g][i], self.P.bundle.parities(), self.P.scheme.patch_ring(i), ring
+        )
 
 
 def twist_by_character(structure, character):
     """Scale each phi_g by a character value chi(g) in Q."""
     act = structure.P.scheme.action
-    e = act.identity
-    assert character[e] == 1
+    if character[act.identity] != 1:
+        raise ValueError("character is not multiplicative: chi(e) != 1")
     for g in act.elements:
         for h in act.elements:
-            assert character[act.mult(g, h)] == character[g] * character[h], (
-                "character is not multiplicative"
-            )
+            if character[act.mult(g, h)] != character[g] * character[h]:
+                raise ValueError("character is not multiplicative")
     phi = {
         g: [
             [[v * Fraction(character[g]) for v in row] for row in mat]

@@ -3,11 +3,15 @@
 Multivariate polynomials, localizations at declared denominator generators,
 ring maps, and exact linear solving in graded pieces.  All values are
 immutable after construction and all comparisons are exact.
+
+Every linear system over Q, sparse or dense, is reduced by one eliminator,
+``echelon_reduce``, and solved by one back-substitution; ``QLinearSystem``,
+``solve_affine_q`` (fixed loci and their left inverses) and the Hochschild
+zero test all go through it.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 __all__ = [
@@ -21,7 +25,6 @@ __all__ = [
     "solve_linear_graded",
     "solve_affine_q",
     "monomials_up_to",
-    "poly_arith",
     "parse_scalar",
 ]
 
@@ -53,6 +56,14 @@ def _compositions(total, nparts):
         for tail in _compositions(total - head, nparts - 1):
             out.append((head,) + tail)
     return out
+
+
+def _subsets(n):
+    """All subsets of range(n) as increasing tuples, by size and then lexically."""
+    out = [()]
+    for j in range(n):
+        out = out + [s + (j,) for s in out]
+    return sorted(out, key=lambda s: (len(s), s))
 
 
 class ScalarPoly:
@@ -271,6 +282,17 @@ class Ring:
         return f"Ring({self.name})"
 
 
+def _check_same_ring(a, b):
+    """Rings are the same when they are one object or agree in name, variables
+    and denominator generators; anything else raises."""
+    if a is b:
+        return
+    if a.name != b.name:
+        raise ValueError(f"ambient ring mismatch: {a.name} vs {b.name}")
+    if a.vars != b.vars or a.denominators != b.denominators:
+        raise ValueError(f"ambient ring mismatch: two different rings are named {a.name}")
+
+
 class LocalFrac:
     """numerator / product of declared denominator generators, canonicalized.
 
@@ -318,10 +340,10 @@ class LocalFrac:
         return self.num.as_constant()
 
     def _same_ring(self, other):
-        assert isinstance(other, LocalFrac), f"not a LocalFrac: {other!r}"
-        assert self.ring.name == other.ring.name, (
-            f"ambient ring mismatch: {self.ring.name} vs {other.ring.name}"
-        )
+        if not isinstance(other, LocalFrac):
+            raise TypeError(f"not a LocalFrac: {other!r}")
+        if other.ring is not self.ring:
+            _check_same_ring(self.ring, other.ring)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -465,7 +487,9 @@ class RingMap:
         images = tuple(images)
         assert len(images) == len(source.vars)
         for img in images:
-            assert isinstance(img, LocalFrac) and img.ring.name == target.name
+            if not isinstance(img, LocalFrac):
+                raise TypeError(f"ring map image is not a LocalFrac: {img!r}")
+            _check_same_ring(img.ring, target)
         self.source = source
         self.target = target
         self.images = images
@@ -475,31 +499,30 @@ class RingMap:
     def identity(cls, ring):
         return cls(ring, ring, tuple(ring.var(v) for v in ring.vars))
 
-    def _denominator_inverses(self):
+    def _denominator_inverse(self, j):
+        """Inverse of the image of source denominator j, computed on first use."""
         if self._den_inverses is None:
-            invs = []
-            for g in self.source.denominators:
-                img = g.substitute(self.images, self.target)
-                inv = img.inverse()
-                if inv is None:
-                    raise ValueError(
-                        f"denominator {g} of {self.source.name} does not map to "
-                        f"a unit of {self.target.name}"
-                    )
-                invs.append(inv)
-            self._den_inverses = tuple(invs)
-        return self._den_inverses
+            self._den_inverses = [None] * len(self.source.denominators)
+        if self._den_inverses[j] is None:
+            g = self.source.denominators[j]
+            inv = g.substitute(self.images, self.target).inverse()
+            if inv is None:
+                raise ValueError(
+                    f"denominator {g} of {self.source.name} does not map to "
+                    f"a unit of {self.target.name}"
+                )
+            self._den_inverses[j] = inv
+        return self._den_inverses[j]
 
     def apply(self, a):
-        assert isinstance(a, LocalFrac) and a.ring.name == self.source.name, (
-            f"value of {getattr(a, 'ring', None)} fed to map from {self.source.name}"
-        )
+        if not isinstance(a, LocalFrac):
+            raise TypeError(f"not a LocalFrac: {a!r}")
+        if a.ring is not self.source:
+            _check_same_ring(self.source, a.ring)
         out = a.num.substitute(self.images, self.target)
-        if any(a.den):
-            invs = self._denominator_inverses()
-            for inv, m in zip(invs, a.den):
-                if m:
-                    out = out * inv ** m
+        for j, m in enumerate(a.den):
+            if m:
+                out = out * self._denominator_inverse(j) ** m
         return out
 
     def __call__(self, a):
@@ -507,7 +530,7 @@ class RingMap:
 
     def compose(self, inner):
         """self after inner."""
-        assert inner.target.name == self.source.name
+        _check_same_ring(self.source, inner.target)
         return RingMap(inner.source, self.target, tuple(self.apply(im) for im in inner.images))
 
 
@@ -565,76 +588,61 @@ class QLinearSystem:
     def solve(self, ncols):
         """One exact solution as a list of Fractions (free columns set to 0),
         or None when the system is inconsistent."""
-        pivots = {}
-        for coeffs, rhs in self.rows:
-            _coords, rest = echelon_reduce(pivots, coeffs, rhs)
-            if rest != 0:
-                return None
-        solution = [Fraction(0)] * ncols
-        for col in sorted(pivots, reverse=True):
-            row, rhs = pivots[col]
-            val = rhs
-            for c, v in row.items():
-                if c != col:
-                    val -= v * solution[c]
-            solution[col] = val
-        return solution
+        pivots = _reduce_rows(self.rows)
+        if pivots is None:
+            return None
+        return _back_substitute(pivots, [Fraction(0)] * ncols)
+
+
+def _reduce_rows(rows):
+    """Echelon pivots (see echelon_reduce) of (coeffs, rhs) rows, or None when
+    the rows are inconsistent."""
+    pivots = {}
+    for coeffs, rhs in rows:
+        _coords, rest = echelon_reduce(pivots, coeffs, rhs)
+        if rest != 0:
+            return None
+    return pivots
+
+
+def _back_substitute(pivots, solution, homogeneous=False):
+    """Fill the pivot columns of solution, whose free columns are set, so that
+    every pivot row holds (with right-hand sides 0 when homogeneous).  A pivot
+    row has entries only at columns from its pivot on, so pivots are solved
+    from the last column back."""
+    for col in sorted(pivots, reverse=True):
+        row, rhs = pivots[col]
+        val = Fraction(0) if homogeneous else rhs
+        for c, v in row.items():
+            if c != col:
+                val -= v * solution[c]
+        solution[col] = val
+    return solution
 
 
 def solve_affine_q(matrix, rhs):
     """Solve A x = rhs exactly over Q.
 
     Returns (particular solution, kernel basis) with entries as Fractions,
-    or None when inconsistent.  Used for fixed-locus computations.
+    or None when inconsistent.  The particular solution has every free
+    column at 0, and the kernel vector of a free column is 1 there and 0 at
+    the other free columns, so both are unique.  Used for fixed-locus
+    computations.
     """
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    aug = [
-        [_as_fraction(v) for v in row] + [_as_fraction(r)]
+    ncols = len(matrix[0]) if matrix else 0
+    pivots = _reduce_rows(
+        ({c: _as_fraction(v) for c, v in enumerate(row) if v}, _as_fraction(r))
         for row, r in zip(matrix, rhs)
-    ]
-    pivot_cols = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if aug[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        lead = aug[r][c]
-        aug[r] = [v / lead for v in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            return None
-    particular = [Fraction(0)] * ncols
-    for i, c in enumerate(pivot_cols):
-        particular[c] = aug[i][ncols]
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
+    )
+    if pivots is None:
+        return None
     basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, c in enumerate(pivot_cols):
-            vec[c] = -aug[i][fc]
-        basis.append(vec)
-    return particular, basis
-
-
-def poly_arith(a, b, op):
-    """Named arithmetic entry point over LocalFrac values."""
-    assert op in ("add", "mul")
-    return a + b if op == "add" else a * b
+    for free in range(ncols):
+        if free not in pivots:
+            vec = [Fraction(0)] * ncols
+            vec[free] = Fraction(1)
+            basis.append(_back_substitute(pivots, vec, homogeneous=True))
+    return _back_substitute(pivots, [Fraction(0)] * ncols), basis
 
 
 def parse_scalar(ring, text):
@@ -646,7 +654,7 @@ def parse_scalar(ring, text):
     import ast
 
     if isinstance(text, LocalFrac):
-        assert text.ring.name == ring.name
+        _check_same_ring(ring, text.ring)
         return text
     if isinstance(text, (int, Fraction)):
         return ring.const(text)
@@ -691,8 +699,24 @@ def parse_scalar(ring, text):
     return ev(node)
 
 
-def _den_tuples_up_to(ngens, bound):
-    return monomials_up_to(ngens, bound)
+def _add_monomial_rows(system, parts, rhs):
+    """Add sum(x_col * value for col, value in parts) = rhs, an equation over
+    the ring of rhs, to system: clear the common denominator and add one row
+    per monomial."""
+    ring = rhs.ring
+    common = tuple(map(max, zip(rhs.den, *(value.den for _col, value in parts))))
+    rows = {}
+    for col, value in parts + [(None, rhs)]:
+        if value.ring is not ring:
+            _check_same_ring(ring, value.ring)
+        lift = value.num * ring.den_power(tuple(c - d for c, d in zip(common, value.den)))
+        for exps, q in lift.terms.items():
+            row = rows.setdefault(exps, {})
+            row[col] = row.get(col, Fraction(0)) + q
+    for exps in sorted(rows):
+        row = rows[exps]
+        rhs_q = row.pop(None, Fraction(0))
+        system.add_row(row, rhs_q)
 
 
 def solve_linear_graded(equations, degree_bound, den_bound=0):
@@ -717,7 +741,7 @@ def solve_linear_graded(equations, degree_bound, den_bound=0):
     for name in names:
         ring = unknown_ring[name]
         elems = []
-        for den in _den_tuples_up_to(len(ring.denominators), den_bound):
+        for den in monomials_up_to(len(ring.denominators), den_bound):
             for mono in monomials_up_to(len(ring.vars), degree_bound):
                 elems.append(
                     LocalFrac(ring, ScalarPoly(ring.vars, {mono: Fraction(1)}), den)
@@ -729,26 +753,12 @@ def solve_linear_graded(equations, degree_bound, den_bound=0):
 
     system = QLinearSystem()
     for terms, rhs in equations:
-        ring = rhs.ring
-        products = []
-        common = list(rhs.den)
-        for coeff, name in terms:
-            assert coeff.ring.name == ring.name, "equation terms must share one ring"
-            for k, e in enumerate(basis[name]):
-                p = coeff * e
-                products.append((col_index[(name, k)], p))
-                common = [max(a, b) for a, b in zip(common, p.den)]
-        rows = {}
-        for col, p in products:
-            scale = ring.den_power(tuple(c - d for c, d in zip(common, p.den)))
-            for exps, c in (p.num * scale).terms.items():
-                rows.setdefault(exps, {})[col] = (
-                    rows.setdefault(exps, {}).get(col, Fraction(0)) + c
-                )
-        rhs_scale = ring.den_power(tuple(c - d for c, d in zip(common, rhs.den)))
-        rhs_terms = (rhs.num * rhs_scale).terms
-        for exps in sorted(set(rows) | set(rhs_terms), key=_grlex_key):
-            system.add_row(rows.get(exps, {}), rhs_terms.get(exps, Fraction(0)))
+        parts = [
+            (col_index[(name, k)], coeff * e)
+            for coeff, name in terms
+            for k, e in enumerate(basis[name])
+        ]
+        _add_monomial_rows(system, parts, rhs)
 
     solution = system.solve(len(columns))
     if solution is None:

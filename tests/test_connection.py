@@ -114,13 +114,13 @@ def test_connection_entry_validation():
     P = koszul_mf(sch, [["x"]], [["x"]])
     ring = sch.patch_ring(0)
     not_one_form = MatrixForm(ring, (0, 1), (0, 1), {(0, 0, (), 0): ring.one()})
-    with pytest.raises(AssertionError, match="1-form"):
+    with pytest.raises(ValueError, match="1-form"):
         Connection(P, [not_one_form])
     with_u = MatrixForm(ring, (0, 1), (0, 1), {(0, 0, (0,), 1): ring.one()})
-    with pytest.raises(AssertionError, match="no u"):
+    with pytest.raises(ValueError, match="no u"):
         Connection(P, [with_u])
     odd = MatrixForm(ring, (0, 1), (0, 1), {(0, 1, (0,), 0): ring.one()})
-    with pytest.raises(AssertionError, match="internal grading"):
+    with pytest.raises(ValueError, match="internal grading"):
         Connection(P, [odd])
 
 

@@ -105,7 +105,7 @@ def test_proj_line_builds():
 def test_grading_Z_forces_zero_potential():
     cfg = proj_line()
     cfg["potentials"] = ["z^2", "w^2"]
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="grading Z requires zero potential"):
         build_scheme(cfg)
 
 
@@ -144,7 +144,7 @@ def test_triple_consistency_passes_and_restrictions_compose():
 def test_triple_inconsistency_detected():
     cfg = three_patch_line()
     cfg["gluings"][2]["images"] = ["x + 1"]
-    with pytest.raises(AssertionError, match="triple|incompatible"):
+    with pytest.raises(ValueError, match="triple|incompatible"):
         build_scheme(cfg)
 
 
@@ -168,14 +168,14 @@ def test_covering_check_quiet_when_certified():
 def test_action_group_law_enforced():
     cfg = z2_reflection_on_line()
     cfg["group"]["action"][1] = [["x + 1"]]  # not an involution
-    with pytest.raises(AssertionError, match="group law"):
+    with pytest.raises(ValueError, match="group law"):
         build_scheme(cfg)
 
 
 def test_action_must_fix_potential():
     cfg = z2_reflection_on_line()
     cfg["potentials"] = ["x^3"]
-    with pytest.raises(AssertionError, match="potential not fixed"):
+    with pytest.raises(ValueError, match="potential not fixed"):
         build_scheme(cfg)
 
 

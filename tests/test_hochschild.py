@@ -29,7 +29,6 @@ from mfchern.mf import (
     direct_sum,
     hom_differential,
     koszul_mf,
-    random_global_section,
 )
 from mfchern.rings import parse_scalar
 
@@ -126,6 +125,57 @@ def random_chain(rng, cat, objects, trunc, cap, max_n=3, nstrings=2, nterms=6):
         a0 = random_morphism(rng, src0, route[0], rng.randint(0, 1), trunc, nterms=nterms)
         items.append((1, rng.randint(0, 1), a0, tuple(slots)))
     return HochschildChain(cat, trunc, cap, items)
+
+
+def random_global_section(
+    rng, source, target, source_twists, target_twists, parity, u_truncation, bound=3
+):
+    """Random global Hom-section on a two-patch scheme whose transitions are
+    diagonal monomial twists.
+
+    Entry (r, c) glues iff it is a polynomial of degree at most
+    source_twists[c] - target_twists[r] in the first chart; the second chart
+    holds the reversed coefficients.  Returns None when every admissible
+    window came out zero."""
+    scheme = source.scheme
+    assert scheme.npatches() == 2, "sampler assumes a two-patch cover"
+    psrc = source.bundle.parities()
+    ptgt = target.bundle.parities()
+    assert len(source_twists) == len(psrc) and len(target_twists) == len(ptgt)
+    r0 = scheme.patch_ring(0)
+    r1 = scheme.patch_ring(1)
+    assert len(r0.vars) == 1 and len(r1.vars) == 1
+    v0 = r0.var(r0.vars[0])
+    v1 = r1.var(r1.vars[0])
+    m0 = [[r0.zero()] * len(psrc) for _ in range(len(ptgt))]
+    m1 = [[r1.zero()] * len(psrc) for _ in range(len(ptgt))]
+    got = False
+    for r in range(len(ptgt)):
+        for c in range(len(psrc)):
+            if (ptgt[r] + psrc[c]) % 2 != parity % 2:
+                continue
+            win = source_twists[c] - target_twists[r]
+            if win < 0:
+                continue
+            coeffs = [rng.randint(-bound, bound) for _ in range(win + 1)]
+            if all(q == 0 for q in coeffs):
+                continue
+            got = True
+            p0 = r0.zero()
+            p1 = r1.zero()
+            for k, q in enumerate(coeffs):
+                if q:
+                    p0 = p0 + r0.const(q) * v0**k
+                    p1 = p1 + r1.const(q) * v1 ** (win - k)
+            m0[r][c] = p0
+            m1[r][c] = p1
+    if not got:
+        return None
+    e0 = MatrixForm.from_entries(r0, ptgt, psrc, m0)
+    e1 = MatrixForm.from_entries(r1, ptgt, psrc, m1)
+    return MorphismCochain.from_entries(
+        source, target, {(0,): e0, (1,): e1}, u_truncation
+    )
 
 
 def random_global_chain(rng, cat, pool, trunc, cap, max_n=3, nstrings=2):

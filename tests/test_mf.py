@@ -176,7 +176,7 @@ def test_line_bundle_on_proj_line_z_graded():
 def test_transition_degree_zero_enforced():
     sch = build_scheme(proj_line())
     r = sch.intersection((0, 1)).ring
-    with pytest.raises(AssertionError, match="degree 0"):
+    with pytest.raises(ValueError, match="degree 0"):
         VectorBundle(
             sch,
             [0, 1],
@@ -188,13 +188,13 @@ def test_wrong_declared_inverse_rejected():
     sch = build_scheme(proj_line())
     r = sch.intersection((0, 1)).ring
     z = r.var("z")
-    with pytest.raises(AssertionError, match="inverse"):
+    with pytest.raises(ValueError, match="inverse"):
         VectorBundle(sch, [0], {(0, 1): [[z]]}, inverses={(0, 1): [[z]]})
 
 
 def test_missing_transition_rejected():
     sch = build_scheme(proj_line())
-    with pytest.raises(AssertionError, match="missing transition"):
+    with pytest.raises(ValueError, match="missing transition"):
         VectorBundle(sch, [0], {})
 
 
@@ -211,7 +211,7 @@ def test_cocycle_failure_detected():
     good = entries({(0, 1): "z", (0, 2): "1", (1, 2): "w"})
     VectorBundle(sch, [0], good)
     bad = entries({(0, 1): "z", (0, 2): "1", (1, 2): "1"})
-    with pytest.raises(AssertionError, match="cocycle"):
+    with pytest.raises(ValueError, match="cocycle"):
         VectorBundle(sch, [0], bad)
 
 
@@ -222,7 +222,7 @@ def test_delta_degree_enforced_z_graded():
         sch, [1, 0], {(0, 1): [[r.one(), r.zero()], [r.zero(), r.one()]]}
     )
     MatrixFactorization(bundle, [[[0, 1], [0, 0]], [[0, 1], [0, 0]]])
-    with pytest.raises(AssertionError, match="degree 1"):
+    with pytest.raises(ValueError, match="degree 1"):
         MatrixFactorization(bundle, [[[0, 0], [1, 0]], [[0, 0], [1, 0]]])
 
 
@@ -326,7 +326,7 @@ def test_compose_shape_checked():
     Q = koszul_mf(sch, [["1", "1"]], [["0", "0"]])
     one_P = MorphismCochain.identity(P, 1)
     one_Q = MorphismCochain.identity(Q, 1)
-    with pytest.raises(AssertionError, match="shape"):
+    with pytest.raises(ValueError, match="shape"):
         one_P.compose(one_Q)
 
 
@@ -426,7 +426,7 @@ def test_retract_data_rejects_non_closed_f():
                           {(0, 0, (), 0): one, (1, 1, (), 0): one, (0, 2, (), 0): one})},
         0,
     )
-    with pytest.raises(AssertionError, match="not closed"):
+    with pytest.raises(ValueError, match="not closed"):
         RetractData(P, N, g, f_bad)
 
 
@@ -446,7 +446,7 @@ def test_retract_data_rejects_wrong_composite():
     f_zero = MorphismCochain.from_entries(
         N, P, {}, 0
     )
-    with pytest.raises(AssertionError, match="1_P"):
+    with pytest.raises(ValueError, match="1_P"):
         RetractData(P, N, g, f_zero)
 
 
@@ -489,14 +489,14 @@ def test_equivariant_structure_on_line():
 def test_equivariant_cocycle_violation_rejected():
     sch = build_scheme(z2_reflection_on_line())
     P = koszul_mf(sch, [["x"]], [["x"]])
-    with pytest.raises(AssertionError, match="cocycle"):
+    with pytest.raises(ValueError, match="cocycle"):
         EquivariantStructure(P, {"e": [[[1, 0], [0, 1]]], "s": [[[2, 0], [0, -2]]]})
 
 
 def test_equivariant_delta_compat_rejected():
     sch = build_scheme(z2_reflection_on_line())
     P = koszul_mf(sch, [["x"]], [["x"]])
-    with pytest.raises(AssertionError, match="intertwine"):
+    with pytest.raises(ValueError, match="intertwine"):
         EquivariantStructure(P, {"e": [[[1, 0], [0, 1]]], "s": [[[1, 0], [0, 1]]]})
 
 
@@ -506,7 +506,7 @@ def test_character_must_be_multiplicative():
     es = EquivariantStructure(
         P, {"e": [[[1, 0], [0, 1]]], "s": [[[1, 0], [0, -1]]]}
     )
-    with pytest.raises(AssertionError, match="multiplicative"):
+    with pytest.raises(ValueError, match="multiplicative"):
         twist_by_character(es, {"e": 1, "s": 2})
 
 
@@ -520,7 +520,7 @@ def test_equivariant_structure_across_patches():
     # odd twist: the same constants break on the overlap, opposite signs work
     bundle1 = VectorBundle(sch, [0], {(0, 1): [[r.var("z")]]})
     P1 = MatrixFactorization(bundle1, [[[0]], [[0]]])
-    with pytest.raises(AssertionError, match="transition"):
+    with pytest.raises(ValueError, match="transition"):
         EquivariantStructure(P1, {"e": [[[1]], [[1]]], "s": [[[1]], [[1]]]})
     EquivariantStructure(P1, {"e": [[[1]], [[1]]], "s": [[[1]], [[-1]]]})
 

@@ -11,7 +11,6 @@ from mfchern.rings import (
     ScalarPoly,
     echelon_reduce,
     monomials_up_to,
-    poly_arith,
     solve_affine_q,
     solve_linear_graded,
 )
@@ -141,11 +140,23 @@ def test_ring_map_composition_random():
         assert comp.apply(a) == a  # the two inversions cancel
 
 
-def test_poly_arith_entry_point():
-    A = plain_ring()
-    x = A.var("x")
-    assert poly_arith(x, x, "add") == 2 * x
-    assert poly_arith(x, x, "mul") == x ** 2
+def test_rings_compared_by_structure_not_name():
+    z = ScalarPoly.variable(("z",), "z")
+    plain = Ring("U", ("z",))
+    punctured = Ring("U", ("z",), (z,))
+    # this used to evaluate to z + 1: the denominator was dropped silently
+    with pytest.raises(ValueError, match="two different rings are named U"):
+        plain.var("z") + punctured.var("z").unit_inverse()
+    with pytest.raises(ValueError, match="two different rings are named U"):
+        RingMap.identity(plain).apply(punctured.var("z").unit_inverse())
+    with pytest.raises(ValueError, match="ambient ring mismatch: U vs V"):
+        plain.var("z") * Ring("V", ("z",)).var("z")
+    with pytest.raises(TypeError):
+        plain.var("z") + "z"
+    # a second ring of the same structure is the same ring
+    twin = Ring("U", ("z",), (z,))
+    assert str(punctured.var("z") + twin.var("z").unit_inverse()) == "(z^2 + 1)/z"
+    assert punctured.var("z") == twin.var("z")
 
 
 def test_divide_exact():
