@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .forms import DifferentialForm, de_rham_d, merge_indices, pullback
-from .rings import LocalFrac
+from .rings import LocalFrac, _check_same_ring
 
 __all__ = [
     "MatrixForm",
@@ -69,17 +69,26 @@ class MatrixForm:
         self.ring = ring
         self.row_parities = tuple(row_parities)
         self.col_parities = tuple(col_parities)
-        assert all(p in (0, 1) for p in self.row_parities + self.col_parities)
-        nvars = len(ring.vars)
+        if not all(p in (0, 1) for p in self.row_parities + self.col_parities):
+            raise ValueError("parities must be 0 or 1")
+        nrows, ncols, nvars = len(self.row_parities), len(self.col_parities), len(ring.vars)
         clean = {}
         for (r, c, idxs, m), f in terms.items():
             idxs = tuple(idxs)
-            assert 0 <= r < len(self.row_parities), f"row {r} out of range"
-            assert 0 <= c < len(self.col_parities), f"col {c} out of range"
-            assert m >= 0
-            assert all(0 <= i < nvars for i in idxs)
-            assert all(a < b for a, b in zip(idxs, idxs[1:]))
-            assert isinstance(f, LocalFrac) and f.ring.name == ring.name
+            if not (
+                0 <= r < nrows
+                and 0 <= c < ncols
+                and m >= 0
+                and all(0 <= i < nvars for i in idxs)
+                and all(a < b for a, b in zip(idxs, idxs[1:]))
+            ):
+                raise ValueError(
+                    f"bad term key {(r, c, idxs, m)}: need row < {nrows}, col < {ncols}, "
+                    f"increasing dx indices below {nvars} and a u power >= 0"
+                )
+            if not isinstance(f, LocalFrac):
+                raise TypeError(f"term {(r, c, idxs, m)} is a {type(f).__name__}, not a LocalFrac")
+            _check_same_ring(f.ring, ring)
             if f.is_zero():
                 continue
             key = (r, c, idxs, m)
@@ -136,11 +145,15 @@ class MatrixForm:
             return parities.pop()
         return None
 
+    def _check_operand(self, other):
+        if not isinstance(other, MatrixForm):
+            raise TypeError(f"a {type(other).__name__} is not a MatrixForm")
+        _check_same_ring(self.ring, other.ring)
+
     def __add__(self, other):
-        assert isinstance(other, MatrixForm)
-        assert other.ring.name == self.ring.name
-        assert other.row_parities == self.row_parities
-        assert other.col_parities == self.col_parities
+        self._check_operand(other)
+        if other.row_parities != self.row_parities or other.col_parities != self.col_parities:
+            raise ValueError("summands have different shapes or parities")
         terms = dict(self.terms)
         for k, f in other.terms.items():
             terms[k] = terms[k] + f if k in terms else f
@@ -198,11 +211,9 @@ class MatrixForm:
         cech_left is the Cech degree of the cochain the left factor came
         from; it feeds rule 2.
         """
-        assert isinstance(other, MatrixForm)
-        assert other.ring.name == self.ring.name, (
-            f"cannot compose values over {self.ring.name} and {other.ring.name}"
-        )
-        assert self.col_parities == other.row_parities, "shape mismatch"
+        self._check_operand(other)
+        if self.col_parities != other.row_parities:
+            raise ValueError("shape mismatch")
         terms = {}
         for (r1, c1, i1, m1), f1 in self.terms.items():
             e1 = (self.row_parities[r1] + self.col_parities[c1]) % 2
@@ -231,7 +242,8 @@ class MatrixForm:
 
     def supertrace(self):
         """Scalar value (-1)^{|row|} times the diagonal sum."""
-        assert self.row_parities == self.col_parities, "supertrace needs square shape"
+        if self.row_parities != self.col_parities:
+            raise ValueError("supertrace needs square shape")
         terms = {}
         for (r, c, idxs, m), f in self.terms.items():
             if r != c:
@@ -242,10 +254,9 @@ class MatrixForm:
         return MatrixForm(self.ring, (0,), (0,), terms)
 
     def __eq__(self, other):
-        assert isinstance(other, MatrixForm)
+        self._check_operand(other)
         if (
-            self.ring.name != other.ring.name
-            or self.row_parities != other.row_parities
+            self.row_parities != other.row_parities
             or self.col_parities != other.col_parities
         ):
             return False
@@ -270,9 +281,11 @@ class MatrixForm:
 def pullback_matrix(ring_map, value, row_parities=None, col_parities=None):
     """Move a MatrixForm along a RingMap, pulling back both the coefficients
     and the dx factors."""
+    if not isinstance(value, MatrixForm):
+        raise TypeError(f"a {type(value).__name__} is not a MatrixForm")
+    _check_same_ring(value.ring, ring_map.source)
     rows = value.row_parities if row_parities is None else row_parities
     cols = value.col_parities if col_parities is None else col_parities
-    assert value.ring.name == ring_map.source.name
     target = ring_map.target
     terms = {}
     for (r, c, idxs, m), f in value.terms.items():
@@ -325,17 +338,15 @@ class CechCochain:
         cols = source.parities()
         for tup, mf in entries.items():
             tup = tuple(tup)
-            assert scheme.is_nonempty(tup), f"entry at empty intersection {tup}"
-            assert isinstance(mf, MatrixForm)
-            assert mf.ring.name == scheme.intersection(tup).ring.name, (
-                f"entry at {tup} lives in {mf.ring.name}"
-            )
-            assert mf.row_parities == rows and mf.col_parities == cols, (
-                f"entry at {tup} has wrong shape for the declared bundles"
-            )
-            assert all(k[3] <= u_truncation for k in mf.terms), (
-                f"u-power above truncation at {tup}"
-            )
+            if not scheme.is_nonempty(tup):
+                raise ValueError(f"entry at empty intersection {tup}")
+            if not isinstance(mf, MatrixForm):
+                raise TypeError(f"entry at {tup} is a {type(mf).__name__}, not a MatrixForm")
+            _check_same_ring(mf.ring, scheme.intersection(tup).ring)
+            if mf.row_parities != rows or mf.col_parities != cols:
+                raise ValueError(f"entry at {tup} has wrong shape for the declared bundles")
+            if any(k[3] > u_truncation for k in mf.terms):
+                raise ValueError(f"u-power above truncation at {tup}")
             if not mf.is_zero():
                 clean[tup] = mf
         self.entries = clean
@@ -350,9 +361,6 @@ class CechCochain:
     def is_zero(self):
         return not self.entries
 
-    def cech_degrees(self):
-        return sorted({len(t) - 1 for t in self.entries})
-
     def homogeneous_total_parity(self):
         """Total parity (Cech + form + endomorphism) when well-defined."""
         parities = set()
@@ -364,10 +372,14 @@ class CechCochain:
         return None
 
     def _compatible(self, other):
-        assert isinstance(other, CechCochain)
-        assert other.scheme is self.scheme
-        assert other.source.parities() == self.source.parities()
-        assert other.target.parities() == self.target.parities()
+        _check_cochain(other)
+        if other.scheme is not self.scheme:
+            raise ValueError("cochains live on different schemes")
+        if (
+            other.source.parities() != self.source.parities()
+            or other.target.parities() != self.target.parities()
+        ):
+            raise ValueError("cochains have different shapes")
 
     def __add__(self, other):
         self._compatible(other)
@@ -469,6 +481,11 @@ class CechCochain:
     __repr__ = __str__
 
 
+def _check_cochain(c):
+    if not isinstance(c, CechCochain):
+        raise TypeError(f"a {type(c).__name__} is not a CechCochain")
+
+
 def identity_cochain(scheme, bundle, u_truncation):
     entries = {}
     for (i,) in scheme.tuples(1):
@@ -480,7 +497,7 @@ def identity_cochain(scheme, bundle, u_truncation):
 def cech_differential(c):
     """Alternating sum of transports, with the rule-1 sign for passing the
     degree-1 Cech operation through each term's internal value."""
-    assert isinstance(c, CechCochain)
+    _check_cochain(c)
     scheme = c.scheme
     out = {}
     sizes = {len(t) + 1 for t in c.entries}
@@ -512,7 +529,7 @@ def cech_differential(c):
 
 def form_derivative(c):
     """Entrywise exterior derivative in each tuple's leading frame."""
-    assert isinstance(c, CechCochain)
+    _check_cochain(c)
     entries = {}
     for tup, mf in c.entries.items():
         d = mf.d_form()
@@ -523,11 +540,12 @@ def form_derivative(c):
 
 def acw_product(a, b):
     """Front-face/back-face cup product; a composes after b on values."""
-    assert isinstance(a, CechCochain) and isinstance(b, CechCochain)
-    assert a.scheme is b.scheme
-    assert b.target.parities() == a.source.parities(), (
-        "product needs target bundle of the right factor = source of the left"
-    )
+    _check_cochain(a)
+    _check_cochain(b)
+    if a.scheme is not b.scheme:
+        raise ValueError("factors live on different schemes")
+    if b.target.parities() != a.source.parities():
+        raise ValueError("product needs target bundle of the right factor = source of the left")
     scheme = a.scheme
     trunc = min(a.u_truncation, b.u_truncation)
     out = {}
@@ -557,8 +575,9 @@ def acw_product(a, b):
 
 def exp_neg(c):
     """Sum of (-1)^m c^m / m! under the cup product, for nilpotent c."""
-    assert isinstance(c, CechCochain)
-    assert c.source.parities() == c.target.parities(), "exp needs square values"
+    _check_cochain(c)
+    if c.source.parities() != c.target.parities():
+        raise ValueError("exp needs square values")
     scheme = c.scheme
     out = identity_cochain(scheme, c.source, c.u_truncation)
     power = out
@@ -582,8 +601,9 @@ def exp_neg(c):
 
 def supertrace(c):
     """Entrywise supertrace, producing a scalar-valued cochain."""
-    assert isinstance(c, CechCochain)
-    assert c.source.parities() == c.target.parities(), "supertrace needs square values"
+    _check_cochain(c)
+    if c.source.parities() != c.target.parities():
+        raise ValueError("supertrace needs square values")
     entries = {}
     for tup, mf in c.entries.items():
         tr = mf.supertrace()

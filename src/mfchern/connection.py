@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .cech import CechCochain, MatrixForm, pullback_matrix
 from .mf import MatrixFactorization, invert_matrix
-from .rings import Fraction
+from .rings import Fraction, _check_same_ring
 
 __all__ = [
     "Connection",
@@ -47,8 +47,7 @@ class Connection:
                 C = MatrixForm(ring, parities, parities, {})
             if not isinstance(C, MatrixForm):
                 raise TypeError(f"connection matrix on patch {i} is not a MatrixForm")
-            if C.ring.name != ring.name:
-                raise ValueError(f"connection matrix on patch {i} lives in {C.ring.name}")
+            _check_same_ring(C.ring, ring)
             if C.row_parities != parities or C.col_parities != parities:
                 raise ValueError(f"connection matrix on patch {i} has the wrong shape")
             for key in C.terms:
@@ -85,8 +84,7 @@ def default_connection(P):
 def apply_connection(conn, i, section):
     """(d + C_i) applied to a column of forms over patch i."""
     C = conn.matrix(i)
-    if section.ring.name != C.ring.name:
-        raise ValueError(f"section lives in {section.ring.name}, not {C.ring.name}")
+    _check_same_ring(section.ring, C.ring)
     return section.d_form() + C.mul(section)
 
 
@@ -100,13 +98,9 @@ def group_transformed_connection(conn, structure, g):
     act = scheme.action
     out = []
     for i in range(scheme.npatches()):
-        ring = scheme.patch_ring(i)
         rho = act.map(g, i)
-        phi = structure.phi_matrix_form(g, i)
-        parities = P.bundle.parities()
-        phi_inv = MatrixForm.from_entries(
-            ring, parities, parities, invert_matrix(ring, structure.phi[g][i])
-        )
+        phi = structure.phi[g][i]
+        phi_inv = invert_matrix(phi)
         moved = pullback_matrix(rho, conn.matrix(i))
         C = phi.mul(moved).mul(phi_inv) + phi.mul(phi_inv.d_form())
         out.append(C)
@@ -167,7 +161,7 @@ def total_curvature(P, conn, with_u=True, u_truncation=None):
             sq = (C.d_form() + C.mul(C)).shift_u(1)
             if not sq.is_zero():
                 second[(i,)] = sq
-        delta = P.delta_matrix_form(i)
+        delta = P.deltas[i]
         value = delta.d_form() + C.mul(delta) + delta.mul(C)
         if not value.is_zero():
             comm[(i,)] = value

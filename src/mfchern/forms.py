@@ -9,9 +9,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rings import LocalFrac, Ring, RingMap
+from .rings import LocalFrac, Ring, RingMap, _check_same_ring
 
 __all__ = ["DifferentialForm", "de_rham_d", "wedge", "pullback"]
+
+
+def _check_form(x):
+    if not isinstance(x, DifferentialForm):
+        raise TypeError(f"a {type(x).__name__} is not a DifferentialForm")
 
 
 def merge_indices(ta, tb):
@@ -31,18 +36,19 @@ class DifferentialForm:
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms):
-        assert isinstance(ring, Ring)
+        if not isinstance(ring, Ring):
+            raise TypeError(f"a {type(ring).__name__} is not a Ring")
         self.ring = ring
         clean = {}
         for idxs, coeff in terms.items():
             idxs = tuple(idxs)
-            assert all(
-                0 <= i < len(ring.vars) for i in idxs
-            ), f"dx index out of range for {ring.name}"
-            assert all(a < b for a, b in zip(idxs, idxs[1:])), (
-                f"dx indices must be strictly increasing: {idxs}"
-            )
-            assert isinstance(coeff, LocalFrac) and coeff.ring.name == ring.name
+            if not all(0 <= i < len(ring.vars) for i in idxs):
+                raise ValueError(f"dx index out of range for {ring.name}: {idxs}")
+            if not all(a < b for a, b in zip(idxs, idxs[1:])):
+                raise ValueError(f"dx indices must be strictly increasing: {idxs}")
+            if not isinstance(coeff, LocalFrac):
+                raise TypeError(f"coefficient of {idxs} is a {type(coeff).__name__}")
+            _check_same_ring(coeff.ring, ring)
             if coeff.is_zero():
                 continue
             if idxs in clean:
@@ -85,8 +91,8 @@ class DifferentialForm:
         )
 
     def __add__(self, other):
-        assert isinstance(other, DifferentialForm)
-        assert other.ring.name == self.ring.name
+        _check_form(other)
+        _check_same_ring(self.ring, other.ring)
         terms = dict(self.terms)
         for idxs, c in other.terms.items():
             if idxs in terms:
@@ -104,7 +110,8 @@ class DifferentialForm:
     def __mul__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
             scalar = self.ring.const(scalar)
-        assert isinstance(scalar, LocalFrac)
+        if not isinstance(scalar, LocalFrac):
+            raise TypeError(f"cannot scale a form by a {type(scalar).__name__}")
         return DifferentialForm(
             self.ring, {i: c * scalar for i, c in self.terms.items()}
         )
@@ -112,9 +119,8 @@ class DifferentialForm:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        assert isinstance(other, DifferentialForm)
-        if self.ring.name != other.ring.name:
-            return False
+        _check_form(other)
+        _check_same_ring(self.ring, other.ring)
         if set(self.terms) != set(other.terms):
             return False
         return all(self.terms[i] == other.terms[i] for i in self.terms)
@@ -154,7 +160,7 @@ def d_of_function(value):
 
 
 def de_rham_d(form):
-    assert isinstance(form, DifferentialForm)
+    _check_form(form)
     out = DifferentialForm.zero(form.ring)
     for idxs, coeff in form.terms.items():
         dcoeff = d_of_function(coeff)
@@ -167,8 +173,9 @@ def de_rham_d(form):
 
 
 def wedge(a, b):
-    assert isinstance(a, DifferentialForm) and isinstance(b, DifferentialForm)
-    assert a.ring.name == b.ring.name
+    _check_form(a)
+    _check_form(b)
+    _check_same_ring(a.ring, b.ring)
     out = DifferentialForm.zero(a.ring)
     for ia, ca in a.terms.items():
         for ib, cb in b.terms.items():
@@ -185,11 +192,10 @@ def pullback(ring_map, form):
     Coefficients move by the map itself and each dx_i becomes d(image of x_i),
     expanded in the target coordinates.
     """
-    assert isinstance(ring_map, RingMap)
-    assert isinstance(form, DifferentialForm)
-    assert form.ring.name == ring_map.source.name, (
-        f"form lives on {form.ring.name}, map starts at {ring_map.source.name}"
-    )
+    if not isinstance(ring_map, RingMap):
+        raise TypeError(f"a {type(ring_map).__name__} is not a RingMap")
+    _check_form(form)
+    _check_same_ring(form.ring, ring_map.source)
     target = ring_map.target
     image_differentials = [d_of_function(img) for img in ring_map.images]
     out = DifferentialForm.zero(target)

@@ -432,11 +432,7 @@ class HochschildChain:
         return cls(category, u_truncation, tensor_cap, [(coeff, u_pow, a0, slots)])
 
     def items(self):
-        cat = self.category
-        out = []
-        for key in sorted(self.strings, key=lambda k: (k[0], k[1:])):
-            out.append(self.strings[key])
-        return out
+        return [self.strings[key] for key in sorted(self.strings, key=lambda k: (k[0], k[1:]))]
 
     def is_zero(self):
         """Exact zero test in the label bases of the class docstring.
@@ -481,9 +477,6 @@ class HochschildChain:
                         key = (head, lab)
                         total[key] = total.get(key, Fraction(0)) + weight * q
         return not any(total.values())
-
-    def tensor_degrees(self):
-        return sorted({len(slots) for (_m, _a, slots) in self.strings.values()})
 
     def _combine(self, other, flip):
         if not isinstance(other, HochschildChain):
@@ -544,6 +537,7 @@ def hochschild_b(x, curved=False):
     the wrap-around, entrywise differentials, and curvature insertions."""
     cat = x.category
     items = []
+    differentials = {}  # id of an entry of x -> its differential
     for (u_pow, a0, slots) in x.strings.values():
         n = len(slots)
         entries = (a0,) + slots
@@ -566,7 +560,9 @@ def hochschild_b(x, curved=False):
             items.append(((-1) ** (exponent % 2), u_pow, new_a0, slots[: n - 1]))
 
         for j in range(n + 1):
-            da = cat.differential(entries[j])
+            da = differentials.get(id(entries[j]))
+            if da is None:
+                da = differentials[id(entries[j])] = cat.differential(entries[j])
             if cat.is_zero(da):
                 continue
             sign = (-1) ** ((sum(parities[:j]) - j) % 2)
@@ -588,39 +584,37 @@ def hochschild_b(x, curved=False):
     return HochschildChain(cat, x.u_truncation, x.tensor_cap, items)
 
 
+def _rotated(cat, a0, slots):
+    """The string a0[slots] with its last-written entry rotated to the front:
+    a0 moves into the last slot, and the cyclic Koszul sign on shifted
+    degrees scales the new front entry."""
+    if not slots:
+        return a0, slots
+    rest = sum(cat.parity(s) - 1 for s in slots)
+    if ((cat.parity(a0) - 1) * rest) % 2:
+        return cat.scale(slots[0], -1), slots[1:] + (a0,)
+    return slots[0], slots[1:] + (a0,)
+
+
 def cyclic_t(x):
-    """Rotate the last-written entry to the front: a0 moves into the last
-    slot with the cyclic Koszul sign on shifted degrees."""
+    """Rotate the last-written entry to the front of every string."""
     cat = x.category
-    items = []
-    for (u_pow, a0, slots) in x.strings.values():
-        n = len(slots)
-        if n == 0:
-            items.append((1, u_pow, a0, slots))
-            continue
-        p0 = cat.parity(a0)
-        rest = sum(cat.parity(s) - 1 for s in slots)
-        sign = (-1) ** (((p0 - 1) * rest) % 2)
-        items.append((sign, u_pow, slots[0], slots[1:] + (a0,)))
+    items = [
+        (1, u_pow) + _rotated(cat, a0, slots) for (u_pow, a0, slots) in x.strings.values()
+    ]
     return HochschildChain(cat, x.u_truncation, x.tensor_cap, items)
 
 
 def connes_B(x):
     """B = s N in the normalized complex: sum the cyclic rotations, then
-    prepend an identity."""
+    prepend an identity.  A rotation whose slots hold a scalar identity
+    vanishes when the sum is built."""
     cat = x.category
     items = []
     for (u_pow, a0, slots) in x.strings.values():
-        n = len(slots)
-        single = HochschildChain(
-            cat, x.u_truncation, x.tensor_cap, [(1, u_pow, a0, slots)]
-        )
-        rotated = single
-        for _i in range(n + 1):
-            for (m, b0, bslots) in rotated.strings.values():
-                one = cat.identity(cat.target(b0))
-                items.append((1, m, one, (b0,) + bslots))
-            rotated = cyclic_t(rotated)
+        for _i in range(len(slots) + 1):
+            items.append((1, u_pow, cat.identity(cat.target(a0)), (a0,) + slots))
+            a0, slots = _rotated(cat, a0, slots)
     return HochschildChain(cat, x.u_truncation, x.tensor_cap, items)
 
 
@@ -762,15 +756,13 @@ def eta_pi(r, u_truncation, tensor_cap=None):
     for i in range(1, u_truncation + 1):
         if 2 * i > tensor_cap:
             break
-        coeff = Fraction((-1) ** i * factorial(2 * i), 2 * factorial(i))
-        items.append((coeff, i, two_pi_minus_one, (r.pi,) * (2 * i)))
+        items.append((_eta_coefficient(i), i, two_pi_minus_one, (r.pi,) * (2 * i)))
     return HochschildChain(cat, u_truncation, tensor_cap, items)
 
 
-def _formal_eta_coefficient(i):
-    coeff = Fraction((-1) ** i * factorial(2 * i), 2 * factorial(i))
-    a0 = FormalMorphism("N", "N", {"pi": Fraction(2), "1N": Fraction(-1)})
-    return coeff, a0
+def _eta_coefficient(i):
+    """The coefficient (-1)^i (2i)! / (2 i!) of u^i (2 pi - 1)[pi|...|pi]."""
+    return Fraction((-1) ** i * factorial(2 * i), 2 * factorial(i))
 
 
 def xi_sequence(i, u_truncation=0, tensor_cap=None):
@@ -835,10 +827,12 @@ def xi_recursion_check(i_max):
         cap = 2 * (i + 1) + 1
         xi_i = xi_sequence(i, tensor_cap=cap)
         xi_next = xi_sequence(i + 1, tensor_cap=cap)
-        coeff, eta_a0 = _formal_eta_coefficient(i)
-        cat = xi_i.category
+        eta_a0 = FormalMorphism("N", "N", {"pi": Fraction(2), "1N": Fraction(-1)})
         eta_i = HochschildChain(
-            cat, 0, cap, [(coeff, 0, eta_a0, (FormalMorphism.basis("pi"),) * (2 * i))]
+            xi_i.category,
+            0,
+            cap,
+            [(_eta_coefficient(i), 0, eta_a0, (FormalMorphism.basis("pi"),) * (2 * i))],
         )
         resid = hochschild_b(xi_next) - eta_i + connes_B(xi_i)
         for (_m, names), c in sorted(_merged_monomials(resid).items()):

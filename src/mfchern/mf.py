@@ -3,6 +3,11 @@
 Bundles are given by transition cocycles over the ordered cover; a matrix
 factorization adds a degree-1 endomorphism squaring to the potential.  The
 hom complex pairs the patchwise differentials with the Cech differential.
+
+Transitions, inverses, deltas and the phi_g are form-free, u-free
+MatrixForms over the pair or patch ring, built once at construction.  At form
+degree zero ``MatrixForm.mul`` carries no sign and ``pullback_matrix`` maps
+entrywise, so every check on them is the plain matrix identity.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from fractions import Fraction
 
 from .cech import CechCochain, MatrixForm, acw_product, cech_differential, pullback_matrix
 from .geometry import reroot
-from .rings import _subsets, parse_scalar
+from .rings import _check_same_ring, _subsets, parse_scalar
 
 __all__ = [
     "VectorBundle",
@@ -31,43 +36,50 @@ __all__ = [
 ]
 
 
-def _matmul(ring, a, b):
-    """Product of dense square LocalFrac matrices over ring; zero entries of
-    either factor are skipped."""
-    out = [[ring.zero()] * len(b) for _ in a]
-    for r, row in enumerate(a):
-        acc = out[r]
-        for k, x in enumerate(row):
-            if x.is_zero():
-                continue
-            for c, y in enumerate(b[k]):
-                if not y.is_zero():
-                    acc[c] = acc[c] + x * y
-    return out
+def _check_plain(m, what):
+    """Raise unless m is a square MatrixForm without dx or u terms."""
+    if not isinstance(m, MatrixForm):
+        raise TypeError(f"{what} is a {type(m).__name__}, not a MatrixForm")
+    n = len(m.row_parities)
+    if m.shape() != (n, n):
+        raise ValueError(f"{what} is not a square matrix")
+    if any(idxs or u for (_r, _c, idxs, u) in m.terms):
+        raise ValueError(f"{what} has dx or u terms")
 
 
-def _dense_form(rows, parities, src, ring=None):
-    """The MatrixForm of a dense matrix over src, with its nonzero entries
-    rerooted into ring when ring is given and differs from src."""
-    if ring is not None and ring.name != src.name:
-        rows = [[v if v.is_zero() else reroot(ring, v) for v in row] for row in rows]
-    return MatrixForm.from_entries(ring or src, parities, parities, rows)
-
-
-def _identity_rows(ring, n):
-    return [[ring.one() if r == c else ring.zero() for c in range(n)] for r in range(n)]
-
-
-def _coerce_square(ring, rows, rank, what):
-    """A rank x rank matrix over ring from LocalFracs, strings or rationals."""
-    mat = [[parse_scalar(ring, v) for v in row] for row in rows]
-    if len(mat) != rank or any(len(row) != rank for row in mat):
+def _square_form(ring, value, parities, what):
+    """A form-free, u-free square MatrixForm over ring with the given row and
+    column parities, from a MatrixForm or a square list of LocalFracs,
+    expression strings or rationals."""
+    rank = len(parities)
+    if isinstance(value, MatrixForm):
+        _check_plain(value, what)
+        _check_same_ring(value.ring, ring)
+        if value.shape() != (rank, rank):
+            raise ValueError(f"{what} is not a {rank} x {rank} matrix")
+        return MatrixForm(ring, parities, parities, value.terms)
+    rows = [[parse_scalar(ring, v) for v in row] for row in value]
+    if len(rows) != rank or any(len(row) != rank for row in rows):
         raise ValueError(f"{what} is not a {rank} x {rank} matrix")
-    return mat
+    return MatrixForm.from_entries(ring, parities, parities, rows)
 
 
-def _map_rows(ring_map, mat):
-    return [[ring_map.apply(v) for v in row] for row in mat]
+def _differing_entries(a, b):
+    """(row, col, entry of a, entry of b), in row-major order, wherever two
+    form-free MatrixForms differ."""
+    zero = a.ring.zero()
+    for r, c in sorted({key[:2] for key in (a - b).terms}):
+        yield r, c, a.terms.get((r, c, (), 0), zero), b.terms.get((r, c, (), 0), zero)
+
+
+def _in_ring(ring, m):
+    """m with its entries rerooted into ring when ring is another ring (same
+    variables, more denominator generators); m itself otherwise."""
+    if ring.name == m.ring.name:
+        _check_same_ring(m.ring, ring)
+        return m
+    terms = {key: reroot(ring, f) for key, f in m.terms.items()}
+    return MatrixForm(ring, m.row_parities, m.col_parities, terms)
 
 
 def _check_morphism(x, what):
@@ -81,18 +93,17 @@ def _action(scheme):
     return scheme.action
 
 
-def _nonzero_positions(mat):
-    return [(r, c) for r, row in enumerate(mat) for c, v in enumerate(row) if not v.is_zero()]
-
-
-def invert_matrix(ring, rows):
-    """Exact inverse of a square matrix of LocalFracs by elimination with
+def invert_matrix(m):
+    """Exact inverse of a form-free square MatrixForm by elimination with
     unit pivots.  Raises when no unit pivot is available."""
-    n = len(rows)
-    aug = [
-        [v for v in row] + [ring.one() if k == r else ring.zero() for k in range(n)]
-        for r, row in enumerate(rows)
-    ]
+    _check_plain(m, "matrix")
+    ring = m.ring
+    n = len(m.row_parities)
+    aug = [[ring.zero()] * (2 * n) for _ in range(n)]
+    for r in range(n):
+        aug[r][n + r] = ring.one()
+    for (r, c, _idxs, _u), f in m.terms.items():
+        aug[r][c] = f
     for c in range(n):
         pivot = None
         for r in range(c, n):
@@ -108,7 +119,9 @@ def invert_matrix(ring, rows):
             if r != c and not aug[r][c].is_zero():
                 f = aug[r][c]
                 aug[r] = [v - f * w for v, w in zip(aug[r], aug[c])]
-    return [row[n:] for row in aug]
+    return MatrixForm.from_entries(
+        ring, m.col_parities, m.row_parities, [row[n:] for row in aug]
+    )
 
 
 class VectorBundle:
@@ -124,24 +137,23 @@ class VectorBundle:
         self.gradings = tuple(gradings)
         if scheme.grading == "Z2" and not all(g in (0, 1) for g in self.gradings):
             raise ValueError(f"Z2 gradings must be 0 or 1, got {self.gradings}")
-        self._parities = tuple(g % 2 for g in self.gradings)
-        rank = len(self.gradings)
+        self._parities = parities = tuple(g % 2 for g in self.gradings)
         self.transitions = {}
         self.inverses = {}
-        for (i, j), rows in transitions.items():
+        for (i, j), value in transitions.items():
             if not i < j:
                 raise ValueError(f"transition pair ({i},{j}) is not increasing")
             ring = scheme.intersection((i, j)).ring
-            mat = _coerce_square(ring, rows, rank, f"transition ({i},{j})")
-            for r, c in _nonzero_positions(mat):
+            g = _square_form(ring, value, parities, f"transition ({i},{j})")
+            for r, c, _idxs, _u in g.terms:
                 if self.gradings[r] != self.gradings[c]:
                     raise ValueError(f"transition ({i},{j}) entry ({r},{c}) is not degree 0")
-            self.transitions[(i, j)] = mat
+            self.transitions[(i, j)] = g
             if inverses and (i, j) in inverses:
-                inv = _coerce_square(ring, inverses[(i, j)], rank, f"inverse ({i},{j})")
+                inv = _square_form(ring, inverses[(i, j)], parities, f"inverse ({i},{j})")
             else:
-                inv = invert_matrix(ring, mat)
-            if _matmul(ring, mat, inv) != _identity_rows(ring, rank):
+                inv = invert_matrix(g)
+            if g.mul(inv) != MatrixForm.identity(ring, parities):
                 raise ValueError(f"declared inverse wrong at ({i},{j})")
             self.inverses[(i, j)] = inv
         for pair in scheme.tuples(2):
@@ -150,18 +162,15 @@ class VectorBundle:
         self._check_cocycle()
 
     def _check_cocycle(self):
-        for (i, j, k) in self.scheme.tuples(3):
-            ring = self.scheme.intersection((i, j, k)).ring
-            gij = self._matrix_form(ring, (i, j))
-            gik = self._matrix_form(ring, (i, k))
-            rm = self.scheme.restriction((j, k), (i, j, k))
-            gjk = pullback_matrix(rm, self._matrix_form(None, (j, k)))
+        scheme = self.scheme
+        for (i, j, k) in scheme.tuples(3):
+            ring = scheme.intersection((i, j, k)).ring
+            gij = self.transition(scheme, ring, i, j)
+            gik = self.transition(scheme, ring, i, k)
+            rm = scheme.restriction((j, k), (i, j, k))
+            gjk = pullback_matrix(rm, self.transitions[(j, k)])
             if gij.mul(gjk) != gik:
                 raise ValueError(f"cocycle fails on triple ({i},{j},{k})")
-
-    def _matrix_form(self, ring, pair, inverse=False):
-        rows = self.inverses[pair] if inverse else self.transitions[pair]
-        return _dense_form(rows, self._parities, self.scheme.intersection(pair).ring, ring)
 
     def rank(self):
         return len(self.gradings)
@@ -171,11 +180,11 @@ class VectorBundle:
 
     def transition(self, scheme, ring, i, j):
         assert scheme is self.scheme and i < j
-        return self._matrix_form(ring, (i, j))
+        return _in_ring(ring, self.transitions[(i, j)])
 
     def transition_inverse(self, scheme, ring, i, j):
         assert scheme is self.scheme and i < j
-        return self._matrix_form(ring, (i, j), inverse=True)
+        return _in_ring(ring, self.inverses[(i, j)])
 
 
 class MatrixFactorization:
@@ -188,32 +197,21 @@ class MatrixFactorization:
             raise ValueError(f"{len(deltas)} deltas for {self.scheme.npatches()} patches")
         self.deltas = []
         gradings = bundle.gradings
-        for i, rows in enumerate(deltas):
-            mat = _coerce_square(self.scheme.patch_ring(i), rows, bundle.rank(), f"delta {i}")
-            for r, c in _nonzero_positions(mat):
+        for i, value in enumerate(deltas):
+            d = _square_form(self.scheme.patch_ring(i), value, bundle.parities(), f"delta {i}")
+            for r, c, _idxs, _u in d.terms:
                 if self.scheme.grading == "Z" and gradings[r] != gradings[c] + 1:
                     raise ValueError(f"delta entry ({r},{c}) on patch {i} is not degree 1")
                 if self.scheme.grading == "Z2" and gradings[r] == gradings[c]:
                     raise ValueError(f"delta entry ({r},{c}) on patch {i} is not odd")
-            self.deltas.append(mat)
+            self.deltas.append(d)
 
     def rank(self):
         return self.bundle.rank()
 
-    def delta_matrix_form(self, i, ring=None):
-        return _dense_form(
-            self.deltas[i], self.bundle.parities(), self.scheme.patch_ring(i), ring
-        )
-
     def delta_cochain(self, u_truncation):
-        entries = {}
-        for (i,) in self.scheme.tuples(1):
-            mf = self.delta_matrix_form(i)
-            if not mf.is_zero():
-                entries[(i,)] = mf
-        return CechCochain(
-            self.scheme, self.bundle, self.bundle, entries, u_truncation
-        )
+        entries = {(i,): d for i, d in enumerate(self.deltas) if not d.is_zero()}
+        return CechCochain(self.scheme, self.bundle, self.bundle, entries, u_truncation)
 
 
 class MFReport:
@@ -236,30 +234,17 @@ def check_mf(P):
     overlaps; returns a report instead of raising."""
     failures = []
     scheme = P.scheme
-    for i in range(scheme.npatches()):
-        ring = scheme.patch_ring(i)
-        w = scheme.potential(i)
-        square = _matmul(ring, P.deltas[i], P.deltas[i])
-        for r, row in enumerate(square):
-            for c, got in enumerate(row):
-                want = w if r == c else ring.zero()
-                if got != want:
-                    failures.append(
-                        f"patch {i}: delta^2 entry ({r},{c}) is {got}, expected {want}"
-                    )
+    for i, d in enumerate(P.deltas):
+        w_id = MatrixForm.identity(scheme.patch_ring(i), P.bundle.parities())
+        for r, c, got, want in _differing_entries(d.mul(d), w_id.scale(scheme.potential(i))):
+            failures.append(f"patch {i}: delta^2 entry ({r},{c}) is {got}, expected {want}")
     for (i, j) in scheme.tuples(2):
         inter = scheme.intersection((i, j))
         g = P.bundle.transitions[(i, j)]
-        di = _map_rows(inter.restrictions[i], P.deltas[i])
-        dj = _map_rows(inter.restrictions[j], P.deltas[j])
-        lhs = _matmul(inter.ring, g, dj)
-        rhs = _matmul(inter.ring, di, g)
-        for r, row in enumerate(lhs):
-            for c, got in enumerate(row):
-                if got != rhs[r][c]:
-                    failures.append(
-                        f"overlap ({i},{j}): g delta_j != delta_i g at ({r},{c})"
-                    )
+        di = pullback_matrix(inter.restrictions[i], P.deltas[i])
+        dj = pullback_matrix(inter.restrictions[j], P.deltas[j])
+        for r, c, _lhs, _rhs in _differing_entries(g.mul(dj), di.mul(g)):
+            failures.append(f"overlap ({i},{j}): g delta_j != delta_i g at ({r},{c})")
     return MFReport(failures)
 
 
@@ -273,14 +258,11 @@ def koszul_mf(scheme, a, b):
     if len(b) != m:
         raise ValueError(f"{m} elements a_j but {len(b)} elements b_j")
     npatch = scheme.npatches()
-    a = [
-        [parse_scalar(scheme.patch_ring(i), v) for i, v in enumerate(row)]
-        for row in a
-    ]
-    b = [
-        [parse_scalar(scheme.patch_ring(i), v) for i, v in enumerate(row)]
-        for row in b
-    ]
+
+    def scalars(rows):
+        return [[parse_scalar(scheme.patch_ring(i), v) for i, v in enumerate(row)] for row in rows]
+
+    a, b = scalars(a), scalars(b)
     for i in range(npatch):
         total = sum((a[j][i] * b[j][i] for j in range(m)), scheme.patch_ring(i).zero())
         if total != scheme.potential(i):
@@ -289,34 +271,26 @@ def koszul_mf(scheme, a, b):
             )
     basis = _subsets(m)
     index = {s: k for k, s in enumerate(basis)}
-    if scheme.grading == "Z":
-        gradings = [len(s) for s in basis]
-    else:
-        gradings = [len(s) % 2 for s in basis]
+    gradings = [len(s) if scheme.grading == "Z" else len(s) % 2 for s in basis]
+    parities = tuple(len(s) % 2 for s in basis)
     transitions = {
-        pair: _identity_rows(scheme.intersection(pair).ring, len(basis))
+        pair: MatrixForm.identity(scheme.intersection(pair).ring, parities)
         for pair in scheme.tuples(2)
     }
     bundle = VectorBundle(scheme, gradings, transitions)
     deltas = []
     for i in range(npatch):
-        ring = scheme.patch_ring(i)
-        mat = [[ring.zero() for _ in basis] for _ in basis]
+        terms = {}
         for s in basis:
             col = index[s]
             for j in range(m):
-                below = sum(1 for x in s if x < j)
+                sign = (-1) ** sum(1 for x in s if x < j)
                 if j not in s:
-                    wedge = tuple(sorted(s + (j,)))
-                    mat[index[wedge]][col] = mat[index[wedge]][col] + a[j][i] * (
-                        (-1) ** below
-                    )
+                    row, value = index[tuple(sorted(s + (j,)))], a[j][i]
                 else:
-                    dropped = tuple(x for x in s if x != j)
-                    mat[index[dropped]][col] = mat[index[dropped]][col] + b[j][i] * (
-                        (-1) ** below
-                    )
-        deltas.append(mat)
+                    row, value = index[tuple(x for x in s if x != j)], b[j][i]
+                terms[(row, col, (), 0)] = value * sign
+        deltas.append(MatrixForm(scheme.patch_ring(i), parities, parities, terms))
     P = MatrixFactorization(bundle, deltas)
     report = check_mf(P)
     assert report.ok, report.failures
@@ -398,9 +372,6 @@ class MorphismCochain:
             and self.cochain == other.cochain
         )
 
-    def canonical_key(self):
-        return (id(self.source), id(self.target), self.cochain.canonical_string())
-
     def __repr__(self):
         return f"MorphismCochain({self.cochain.canonical_string()!r})"
 
@@ -481,39 +452,27 @@ class RetractData:
         assert (self.pi.compose(self.pi) - self.pi).is_zero(), "pi not idempotent"
 
 
+def _block_diagonal(a, b):
+    """diag(a, b) for square MatrixForms over one ring."""
+    n = len(a.row_parities)
+    terms = dict(a.terms)
+    for (r, c, idxs, u), f in b.terms.items():
+        terms[(r + n, c + n, idxs, u)] = f
+    parities = a.row_parities + b.row_parities
+    return MatrixForm(a.ring, parities, parities, terms)
+
+
 def direct_sum(P, Q):
     if P.scheme is not Q.scheme:
         raise ValueError("summands live on different schemes")
-    scheme = P.scheme
-    gradings = P.bundle.gradings + Q.bundle.gradings
-    rp, rq = P.rank(), Q.rank()
-    transitions = {}
-    inverses = {}
-    for pair in scheme.tuples(2):
-        ring = scheme.intersection(pair).ring
-        zero = ring.zero()
-
-        def block(mp, mq):
-            rows = []
-            for r in range(rp):
-                rows.append([mp[r][c] for c in range(rp)] + [zero] * rq)
-            for r in range(rq):
-                rows.append([zero] * rp + [mq[r][c] for c in range(rq)])
-            return rows
-
-        transitions[pair] = block(P.bundle.transitions[pair], Q.bundle.transitions[pair])
-        inverses[pair] = block(P.bundle.inverses[pair], Q.bundle.inverses[pair])
-    bundle = VectorBundle(scheme, gradings, transitions, inverses)
-    deltas = []
-    for i in range(scheme.npatches()):
-        ring = scheme.patch_ring(i)
-        zero = ring.zero()
-        rows = []
-        for r in range(rp):
-            rows.append([P.deltas[i][r][c] for c in range(rp)] + [zero] * rq)
-        for r in range(rq):
-            rows.append([zero] * rp + [Q.deltas[i][r][c] for c in range(rq)])
-        deltas.append(rows)
+    pb, qb = P.bundle, Q.bundle
+    bundle = VectorBundle(
+        P.scheme,
+        pb.gradings + qb.gradings,
+        {pair: _block_diagonal(g, qb.transitions[pair]) for pair, g in pb.transitions.items()},
+        {pair: _block_diagonal(g, qb.inverses[pair]) for pair, g in pb.inverses.items()},
+    )
+    deltas = [_block_diagonal(dp, dq) for dp, dq in zip(P.deltas, Q.deltas)]
     return MatrixFactorization(bundle, deltas)
 
 
@@ -527,26 +486,21 @@ def shift(P):
     bundle = VectorBundle(
         scheme, gradings, P.bundle.transitions, P.bundle.inverses
     )
-    deltas = [
-        [[-v for v in row] for row in mat] for mat in P.deltas
-    ]
-    return MatrixFactorization(bundle, deltas)
+    return MatrixFactorization(bundle, [-d for d in P.deltas])
 
 
 def group_twist(P, g):
     """The factorization with the g-action applied to transitions and delta."""
     scheme = P.scheme
     act = _action(scheme)
-    transitions = {}
-    inverses = {}
-    for pair in scheme.tuples(2):
-        rho = scheme.action_on(pair, g)
-        transitions[pair] = _map_rows(rho, P.bundle.transitions[pair])
-        inverses[pair] = _map_rows(rho, P.bundle.inverses[pair])
-    bundle = VectorBundle(scheme, P.bundle.gradings, transitions, inverses)
-    deltas = []
-    for i in range(scheme.npatches()):
-        deltas.append(_map_rows(act.map(g, i), P.deltas[i]))
+
+    def moved(stored):
+        return {pair: pullback_matrix(scheme.action_on(pair, g), m) for pair, m in stored.items()}
+
+    bundle = VectorBundle(
+        scheme, P.bundle.gradings, moved(P.bundle.transitions), moved(P.bundle.inverses)
+    )
+    deltas = [pullback_matrix(act.map(g, i), d) for i, d in enumerate(P.deltas)]
     return MatrixFactorization(bundle, deltas)
 
 
@@ -567,12 +521,12 @@ class EquivariantStructure:
             if len(mats) != scheme.npatches():
                 raise ValueError(f"phi_{g} has {len(mats)} patches, not {scheme.npatches()}")
             coerced = []
-            for i, rows in enumerate(mats):
-                mat = _coerce_square(scheme.patch_ring(i), rows, P.rank(), f"phi_{g}")
-                for r, c in _nonzero_positions(mat):
+            for i, value in enumerate(mats):
+                m = _square_form(scheme.patch_ring(i), value, P.bundle.parities(), f"phi_{g}")
+                for r, c, _idxs, _u in m.terms:
                     if gradings[r] != gradings[c]:
                         raise ValueError(f"phi_{g} not degree 0 at ({r},{c}) on patch {i}")
-                coerced.append(mat)
+                coerced.append(m)
             self.phi[g] = coerced
         self._validate()
 
@@ -580,39 +534,34 @@ class EquivariantStructure:
         P = self.P
         scheme = P.scheme
         act = scheme.action
+        parities = P.bundle.parities()
         for i in range(scheme.npatches()):
-            if self.phi[act.identity][i] != _identity_rows(scheme.patch_ring(i), P.rank()):
+            if self.phi[act.identity][i] != MatrixForm.identity(scheme.patch_ring(i), parities):
                 raise ValueError("phi_e must be the identity")
         for g in act.elements:
             for h in act.elements:
                 gh = act.mult(g, h)
                 for i in range(scheme.npatches()):
-                    moved = _map_rows(act.map(g, i), self.phi[h][i])
-                    if _matmul(scheme.patch_ring(i), self.phi[g][i], moved) != self.phi[gh][i]:
+                    moved = pullback_matrix(act.map(g, i), self.phi[h][i])
+                    if self.phi[g][i].mul(moved) != self.phi[gh][i]:
                         raise ValueError(f"phi cocycle fails for ({g},{h}) on patch {i}")
         # compatibility with delta: delta phi_g = phi_g g(delta)
         for g in act.elements:
             for i in range(scheme.npatches()):
-                ring = scheme.patch_ring(i)
                 phi, delta = self.phi[g][i], P.deltas[i]
-                moved = _map_rows(act.map(g, i), delta)
-                if _matmul(ring, delta, phi) != _matmul(ring, phi, moved):
+                moved = pullback_matrix(act.map(g, i), delta)
+                if delta.mul(phi) != phi.mul(moved):
                     raise ValueError(f"phi_{g} does not intertwine delta on patch {i}")
         # transitions: phi is a morphism of bundles gP -> P
         for (i, j) in scheme.tuples(2):
             inter = scheme.intersection((i, j))
             gij = P.bundle.transitions[(i, j)]
             for g in act.elements:
-                phi_i = _map_rows(inter.restrictions[i], self.phi[g][i])
-                phi_j = _map_rows(inter.restrictions[j], self.phi[g][j])
-                moved = _map_rows(scheme.action_on((i, j), g), gij)
-                if _matmul(inter.ring, gij, phi_j) != _matmul(inter.ring, phi_i, moved):
+                phi_i = pullback_matrix(inter.restrictions[i], self.phi[g][i])
+                phi_j = pullback_matrix(inter.restrictions[j], self.phi[g][j])
+                moved = pullback_matrix(scheme.action_on((i, j), g), gij)
+                if gij.mul(phi_j) != phi_i.mul(moved):
                     raise ValueError(f"phi_{g} not compatible with transition ({i},{j})")
-
-    def phi_matrix_form(self, g, i, ring=None):
-        return _dense_form(
-            self.phi[g][i], self.P.bundle.parities(), self.P.scheme.patch_ring(i), ring
-        )
 
 
 def twist_by_character(structure, character):
@@ -625,10 +574,7 @@ def twist_by_character(structure, character):
             if character[act.mult(g, h)] != character[g] * character[h]:
                 raise ValueError("character is not multiplicative")
     phi = {
-        g: [
-            [[v * Fraction(character[g]) for v in row] for row in mat]
-            for mat in structure.phi[g]
-        ]
+        g: [m.scale(Fraction(character[g])) for m in structure.phi[g]]
         for g in act.elements
     }
     return EquivariantStructure(structure.P, phi)

@@ -118,11 +118,6 @@ class ScalarPoly:
                 return c
         return None
 
-    def total_degree(self):
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
     def __add__(self, other):
         assert isinstance(other, ScalarPoly) and other.vars == self.vars
         terms = dict(self.terms)
@@ -267,9 +262,6 @@ class Ring:
 
     def var(self, name):
         return LocalFrac(self, ScalarPoly.variable(self.vars, name))
-
-    def poly(self, terms):
-        return LocalFrac(self, ScalarPoly(self.vars, terms))
 
     def den_power(self, mults):
         out = ScalarPoly.const(self.vars, 1)

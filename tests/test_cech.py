@@ -12,10 +12,12 @@ from mfchern.cech import (
     cech_differential,
     exp_neg,
     identity_cochain,
+    pullback_matrix,
     supertrace,
 )
-from mfchern.forms import DifferentialForm, pullback
+from mfchern.forms import DifferentialForm, pullback, wedge
 from mfchern.geometry import build_scheme
+from mfchern.rings import Ring, ScalarPoly
 
 from .test_geometry import affine_line_squared, proj_line, three_patch_line
 from .test_rings import random_frac
@@ -406,3 +408,68 @@ def test_canonical_string_deterministic():
     b = CechCochain.scalar(X, backward, 3)
     assert a.canonical_string() == b.canonical_string()
     assert "u^1" in a.canonical_string()
+
+
+def test_matrix_form_keys_validated():
+    ring = Ring("A", ("x",))
+    one = ring.one()
+    # row 5 of a 1-row matrix, dx index 7 on a one-variable ring, u^-1
+    with pytest.raises(ValueError, match="bad term key"):
+        MatrixForm(ring, (0,), (0,), {(5, 0, (7,), -1): one})
+    for key in [(5, 0, (), 0), (0, 1, (), 0), (0, 0, (7,), 0), (0, 0, (), -1), (0, 0, (0, 0), 0)]:
+        with pytest.raises(ValueError, match="bad term key"):
+            MatrixForm(ring, (0,), (0,), {key: one})
+    with pytest.raises(ValueError, match="parities"):
+        MatrixForm(ring, (2,), (0,), {})
+    with pytest.raises(TypeError):
+        MatrixForm(ring, (0,), (0,), {(0, 0, (), 0): 1})
+
+
+def test_matrix_form_rings_compared_by_structure():
+    z = ScalarPoly.variable(("z",), "z")
+    plain = Ring("U", ("z",))
+    punctured = Ring("U", ("z",), (z,))
+    with pytest.raises(ValueError, match="two different rings are named U"):
+        MatrixForm(plain, (0,), (0,), {(0, 0, (), 0): punctured.var("z").unit_inverse()})
+    a = MatrixForm.identity(plain, (0,))
+    b = MatrixForm.identity(punctured, (0,))
+    for op in (lambda: a + b, lambda: a.mul(b), lambda: a == b):
+        with pytest.raises(ValueError, match="two different rings are named U"):
+            op()
+    with pytest.raises(TypeError):
+        a.mul(plain.one())
+    # a second ring of the same structure is the same ring
+    twin = Ring("U", ("z",), (z,))
+    assert MatrixForm.identity(twin, (0,)) == b
+    assert (b + MatrixForm.identity(twin, (0,))).terms[(0, 0, (), 0)] == punctured.const(2)
+
+
+def test_cochain_and_form_inputs_validated():
+    sch = build_scheme(proj_line())
+    other = sch.patch_ring(1)
+    bundle = ConstantBundle((0,))
+    with pytest.raises(ValueError, match="ambient ring mismatch"):
+        CechCochain(sch, bundle, bundle, {(0,): MatrixForm.identity(other, (0,))}, 1)
+    with pytest.raises(TypeError):
+        CechCochain(sch, bundle, bundle, {(0,): sch.patch_ring(0).one()}, 1)
+    with pytest.raises(ValueError, match="truncation"):
+        u_term = MatrixForm(sch.patch_ring(0), (0,), (0,), {(0, 0, (), 2): sch.patch_ring(0).one()})
+        CechCochain(sch, bundle, bundle, {(0,): u_term}, 1)
+    one = identity_cochain(sch, bundle, 1)
+    for op in (acw_product, lambda a, b: a + b):
+        with pytest.raises(TypeError):
+            op(one, MatrixForm.identity(sch.patch_ring(0), (0,)))
+    with pytest.raises(ValueError, match="square"):
+        exp_neg(CechCochain(sch, bundle, ConstantBundle((0, 1)), {}, 1))
+    ring = sch.patch_ring(0)
+    with pytest.raises(ValueError, match="dx index out of range"):
+        DifferentialForm(ring, {(3,): ring.one()})
+    with pytest.raises(ValueError, match="ambient ring mismatch"):
+        DifferentialForm(ring, {(): other.one()})
+    with pytest.raises(ValueError, match="ambient ring mismatch"):
+        wedge(DifferentialForm.dx(ring, 0), DifferentialForm.dx(other, 0))
+    restriction = sch.restriction((0,), (0, 1))
+    with pytest.raises(ValueError, match="ambient ring mismatch"):
+        pullback(restriction, DifferentialForm.dx(other, 0))
+    with pytest.raises(ValueError, match="ambient ring mismatch"):
+        pullback_matrix(restriction, MatrixForm.identity(other, (0,)))

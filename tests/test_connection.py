@@ -180,7 +180,7 @@ def test_operator_oracle_for_families():
     P = koszul_mf(sch, [["x"], ["y"]], [["x"], ["y"]])
     ring = sch.patch_ring(0)
     parities = P.bundle.parities()
-    delta = P.delta_matrix_form(0)
+    delta = P.deltas[0]
     rng = random.Random(13)
     for trial in range(10):
         C = random_one_form_matrix(rng, ring, parities)
@@ -207,7 +207,7 @@ def test_commutator_is_function_linear():
     P = koszul_mf(sch, [["x"], ["y"]], [["x"], ["y"]])
     ring = sch.patch_ring(0)
     parities = P.bundle.parities()
-    delta = P.delta_matrix_form(0)
+    delta = P.deltas[0]
     rng = random.Random(17)
     for trial in range(10):
         C = random_one_form_matrix(rng, ring, parities)

@@ -1,0 +1,76 @@
+"""Input validation must not depend on ``assert``: one ``python -O`` process
+feeds a table of malformed inputs to the package and reports every input that
+was accepted instead of raising ValueError or TypeError."""
+
+import json
+import os
+import subprocess
+import sys
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+CHILD = r'''
+import json
+
+from mfchern.cech import CechCochain, MatrixForm
+from mfchern.geometry import build_scheme
+from mfchern.mf import VectorBundle
+from mfchern.rings import Ring, ScalarPoly
+
+line = Ring("A", ("x",))
+one = line.one()
+z = ScalarPoly.variable(("z",), "z")
+plain, punctured = Ring("U", ("z",)), Ring("U", ("z",), (z,))
+sch = build_scheme({
+    "grading": "Z",
+    "dimension": 1,
+    "patches": [
+        {"name": "U0", "variables": ["z"], "denominators": []},
+        {"name": "U1", "variables": ["w"], "denominators": []},
+    ],
+    "gluings": [{"pair": [0, 1], "denominators": ["z"], "images": ["1/z"]}],
+    "potentials": ["0", "0"],
+})
+pair = sch.intersection((0, 1)).ring
+
+CASES = {
+    "MatrixForm: row 5, dx index 7 and u^-1 on a 1 x 1 matrix over A[x]":
+        lambda: MatrixForm(line, (0,), (0,), {(5, 0, (7,), -1): one}),
+    "MatrixForm: row 5 of a 1-row matrix":
+        lambda: MatrixForm(line, (0,), (0,), {(5, 0, (), 0): one}),
+    "MatrixForm: dx index 7 on a one-variable ring":
+        lambda: MatrixForm(line, (0,), (0,), {(0, 0, (7,), 0): one}),
+    "MatrixForm: u power -1":
+        lambda: MatrixForm(line, (0,), (0,), {(0, 0, (), -1): one}),
+    "MatrixForm: entry from a same-named ring with other denominators":
+        lambda: MatrixForm(plain, (0,), (0,), {(0, 0, (), 0): punctured.var("z").unit_inverse()}),
+    "CechCochain: entry in the ring of another patch":
+        lambda: CechCochain.scalar(sch, {(0,): MatrixForm.identity(sch.patch_ring(1), (0,))}, 1),
+    "VectorBundle: non-square transition":
+        lambda: VectorBundle(sch, [0], {(0, 1): [[pair.one(), pair.one()]]}),
+    "VectorBundle: wrong declared inverse":
+        lambda: VectorBundle(sch, [0], {(0, 1): [[pair.var("z")]]},
+                             inverses={(0, 1): [[pair.var("z")]]}),
+}
+
+accepted = []
+for name, build in CASES.items():
+    try:
+        build()
+    except (ValueError, TypeError):
+        continue
+    accepted.append(name)
+print(json.dumps({"cases": len(CASES), "accepted": accepted}))
+'''
+
+
+def test_malformed_inputs_raise_under_python_O():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CHILD], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report["cases"] == 8
+    assert not report["accepted"], "accepted under python -O: " + "; ".join(report["accepted"])
