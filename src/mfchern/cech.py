@@ -214,19 +214,25 @@ class MatrixForm:
         self._check_operand(other)
         if self.col_parities != other.row_parities:
             raise ValueError("shape mismatch")
+        by_row = {}
+        for key, f2 in other.terms.items():
+            by_row.setdefault(key[0], []).append((key, f2))
         terms = {}
         for (r1, c1, i1, m1), f1 in self.terms.items():
+            bucket = by_row.get(c1)
+            if bucket is None:
+                continue
             e1 = (self.row_parities[r1] + self.col_parities[c1]) % 2
-            for (r2, c2, i2, m2), f2 in other.terms.items():
-                if c1 != r2:
-                    continue
+            for (r2, c2, i2, m2), f2 in bucket:
                 wsign, merged = merge_indices(i1, i2)
                 if wsign == 0:
                     continue
                 e2 = (other.row_parities[r2] + other.col_parities[c2]) % 2
                 sign = wsign * product_sign(cech_left, e1, len(i2), e2)
                 key = (r1, c2, merged, m1 + m2)
-                val = f1 * f2 * sign
+                val = f1 * f2
+                if sign < 0:
+                    val = -val
                 terms[key] = terms[key] + val if key in terms else val
         return MatrixForm(self.ring, self.row_parities, other.col_parities, terms)
 

@@ -159,31 +159,47 @@ def d_of_function(value):
     return DifferentialForm(ring, terms)
 
 
+def _accumulate(terms, idxs, value):
+    terms[idxs] = terms[idxs] + value if idxs in terms else value
+
+
 def de_rham_d(form):
     _check_form(form)
-    out = DifferentialForm.zero(form.ring)
+    terms = {}
     for idxs, coeff in form.terms.items():
         dcoeff = d_of_function(coeff)
         for (i,), p in dcoeff.terms.items():
             sign, merged = merge_indices((i,), idxs)
             if sign == 0:
                 continue
-            out = out + DifferentialForm(form.ring, {merged: p * sign})
-    return out
+            _accumulate(terms, merged, p * sign)
+    return DifferentialForm(form.ring, terms)
 
 
 def wedge(a, b):
     _check_form(a)
     _check_form(b)
     _check_same_ring(a.ring, b.ring)
-    out = DifferentialForm.zero(a.ring)
+    terms = {}
     for ia, ca in a.terms.items():
         for ib, cb in b.terms.items():
             sign, merged = merge_indices(ia, ib)
             if sign == 0:
                 continue
-            out = out + DifferentialForm(a.ring, {merged: ca * cb * sign})
-    return out
+            _accumulate(terms, merged, ca * cb * sign)
+    return DifferentialForm(a.ring, terms)
+
+
+def _dx_pullback(ring_map, idxs):
+    """d(image of x_i1) ^ ... ^ d(image of x_ik) in the target coordinates,
+    cached on the map per index tuple."""
+    cached = ring_map._dx_pullbacks.get(idxs)
+    if cached is None:
+        cached = DifferentialForm.function(ring_map.target.one())
+        for i in idxs:
+            cached = wedge(cached, d_of_function(ring_map.images[i]))
+        ring_map._dx_pullbacks[idxs] = cached
+    return cached
 
 
 def pullback(ring_map, form):
@@ -196,12 +212,12 @@ def pullback(ring_map, form):
         raise TypeError(f"a {type(ring_map).__name__} is not a RingMap")
     _check_form(form)
     _check_same_ring(form.ring, ring_map.source)
-    target = ring_map.target
-    image_differentials = [d_of_function(img) for img in ring_map.images]
-    out = DifferentialForm.zero(target)
+    terms = {}
     for idxs, coeff in form.terms.items():
-        piece = DifferentialForm.function(ring_map.apply(coeff))
-        for i in idxs:
-            piece = wedge(piece, image_differentials[i])
-        out = out + piece
-    return out
+        moved = ring_map.apply(coeff)
+        if not idxs:
+            _accumulate(terms, (), moved)
+            continue
+        for merged, c in _dx_pullback(ring_map, idxs).terms.items():
+            _accumulate(terms, merged, moved * c)
+    return DifferentialForm(ring_map.target, terms)

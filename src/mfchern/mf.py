@@ -178,12 +178,18 @@ class VectorBundle:
     def parities(self):
         return self._parities
 
+    def _check_pair(self, scheme, i, j):
+        if scheme is not self.scheme:
+            raise ValueError("transition requested on another scheme than the bundle's")
+        if not i < j:
+            raise ValueError(f"transition ({i},{j}) needs i < j")
+
     def transition(self, scheme, ring, i, j):
-        assert scheme is self.scheme and i < j
+        self._check_pair(scheme, i, j)
         return _in_ring(ring, self.transitions[(i, j)])
 
     def transition_inverse(self, scheme, ring, i, j):
-        assert scheme is self.scheme and i < j
+        self._check_pair(scheme, i, j)
         return _in_ring(ring, self.inverses[(i, j)])
 
 

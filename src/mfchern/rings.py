@@ -173,11 +173,30 @@ class ScalarPoly:
         return e, self.terms[e]
 
     def divide_exact(self, divisor):
-        """Exact quotient self / divisor, or None when division is not exact."""
-        assert isinstance(divisor, ScalarPoly) and divisor.vars == self.vars
-        assert not divisor.is_zero(), "division by zero polynomial"
+        """Exact quotient self / divisor, or None when division is not exact.
+
+        A one-term divisor c*x^e divides exactly when every exponent of self
+        is at least e componentwise; the quotient shifts the exponents and
+        divides the coefficients by c.  Any other divisor goes through grlex
+        long division.
+        """
+        if not isinstance(divisor, ScalarPoly):
+            raise TypeError(f"cannot divide by a {type(divisor).__name__}")
+        if divisor.vars != self.vars:
+            raise ValueError(f"divisor variables {divisor.vars} differ from {self.vars}")
+        if divisor.is_zero():
+            raise ValueError("division by zero polynomial")
         if self.is_zero():
             return ScalarPoly.zero(self.vars)
+        if len(divisor.terms) == 1:
+            (de, dc), = divisor.terms.items()
+            qterms = {}
+            for e, c in self.terms.items():
+                qe = tuple(a - b for a, b in zip(e, de))
+                if any(x < 0 for x in qe):
+                    return None
+                qterms[qe] = c / dc
+            return ScalarPoly(self.vars, qterms)
         lead_e, lead_c = divisor.leading()
         remainder = self
         qterms = {}
@@ -247,8 +266,15 @@ class Ring:
         self.vars = tuple(variables)
         dens = tuple(denominators)
         for g in dens:
-            assert isinstance(g, ScalarPoly) and g.vars == self.vars
-            assert not g.is_zero(), f"zero denominator generator in ring {name}"
+            if not isinstance(g, ScalarPoly):
+                raise TypeError(f"denominator generator of ring {name} is a {type(g).__name__}")
+            if g.vars != self.vars:
+                raise ValueError(
+                    f"denominator generator {g} of ring {name} is in variables {g.vars}, "
+                    f"not {self.vars}"
+                )
+            if g.is_zero():
+                raise ValueError(f"zero denominator generator in ring {name}")
         self.denominators = dens
 
     def zero(self):
@@ -470,14 +496,28 @@ class RingMap:
 
     Well-definedness on the multiplicative set is enforced lazily: the image
     of each source denominator generator must be a unit of the target.
+
+    A map caches, for as long as the map itself lives: whether it is a
+    coordinate inclusion (same variables, image k is variable k with no
+    denominator), decided at construction; the inverse of each source
+    denominator's image, on first use; and, filled by ``forms.pullback``, the
+    pulled-back dx-monomial of each index tuple.  A coordinate inclusion
+    moves a numerator by copying its terms instead of substituting.
     """
 
-    __slots__ = ("source", "target", "images", "_den_inverses")
+    __slots__ = ("source", "target", "images", "_den_inverses", "_inclusion", "_dx_pullbacks")
 
     def __init__(self, source, target, images):
-        assert isinstance(source, Ring) and isinstance(target, Ring)
+        if not isinstance(source, Ring) or not isinstance(target, Ring):
+            raise TypeError(
+                f"ring map needs two Rings, got a {type(source).__name__} "
+                f"and a {type(target).__name__}"
+            )
         images = tuple(images)
-        assert len(images) == len(source.vars)
+        if len(images) != len(source.vars):
+            raise ValueError(
+                f"ring map from {source.name} needs {len(source.vars)} images, got {len(images)}"
+            )
         for img in images:
             if not isinstance(img, LocalFrac):
                 raise TypeError(f"ring map image is not a LocalFrac: {img!r}")
@@ -486,6 +526,11 @@ class RingMap:
         self.target = target
         self.images = images
         self._den_inverses = None
+        self._inclusion = source.vars == target.vars and all(
+            not any(img.den) and img.num == ScalarPoly.variable(target.vars, v)
+            for img, v in zip(images, target.vars)
+        )
+        self._dx_pullbacks = {}
 
     @classmethod
     def identity(cls, ring):
@@ -511,7 +556,10 @@ class RingMap:
             raise TypeError(f"not a LocalFrac: {a!r}")
         if a.ring is not self.source:
             _check_same_ring(self.source, a.ring)
-        out = a.num.substitute(self.images, self.target)
+        if self._inclusion:
+            out = LocalFrac(self.target, ScalarPoly(self.target.vars, a.num.terms))
+        else:
+            out = a.num.substitute(self.images, self.target)
         for j, m in enumerate(a.den):
             if m:
                 out = out * self._denominator_inverse(j) ** m

@@ -15,13 +15,13 @@ import json
 from mfchern.cech import CechCochain, MatrixForm
 from mfchern.geometry import build_scheme
 from mfchern.mf import VectorBundle
-from mfchern.rings import Ring, ScalarPoly
+from mfchern.rings import Ring, RingMap, ScalarPoly
 
 line = Ring("A", ("x",))
 one = line.one()
 z = ScalarPoly.variable(("z",), "z")
 plain, punctured = Ring("U", ("z",)), Ring("U", ("z",), (z,))
-sch = build_scheme({
+line_config = {
     "grading": "Z",
     "dimension": 1,
     "patches": [
@@ -30,8 +30,11 @@ sch = build_scheme({
     ],
     "gluings": [{"pair": [0, 1], "denominators": ["z"], "images": ["1/z"]}],
     "potentials": ["0", "0"],
-})
+}
+sch, other_sch = build_scheme(line_config), build_scheme(line_config)
 pair = sch.intersection((0, 1)).ring
+bundle = VectorBundle(sch, [0], {(0, 1): [[pair.var("z")]]})
+x = ScalarPoly.variable(("x",), "x")
 
 CASES = {
     "MatrixForm: row 5, dx index 7 and u^-1 on a 1 x 1 matrix over A[x]":
@@ -51,6 +54,28 @@ CASES = {
     "VectorBundle: wrong declared inverse":
         lambda: VectorBundle(sch, [0], {(0, 1): [[pair.var("z")]]},
                              inverses={(0, 1): [[pair.var("z")]]}),
+    "VectorBundle.transition: requested on another scheme":
+        lambda: bundle.transition(other_sch, pair, 0, 1),
+    "VectorBundle.transition: pair (1, 0) is not increasing":
+        lambda: bundle.transition(sch, pair, 1, 0),
+    "VectorBundle.transition_inverse: pair (0, 0) is not increasing":
+        lambda: bundle.transition_inverse(sch, pair, 0, 0),
+    "Ring: denominator generator given as a string":
+        lambda: Ring("B", ("x",), ("x",)),
+    "Ring: denominator generator in other variables":
+        lambda: Ring("B", ("x",), (z,)),
+    "Ring: zero denominator generator":
+        lambda: Ring("B", ("x",), (ScalarPoly.zero(("x",)),)),
+    "RingMap: source is not a Ring":
+        lambda: RingMap(("x",), line, (one,)),
+    "RingMap: two images for one source variable":
+        lambda: RingMap(line, line, (one, one)),
+    "ScalarPoly.divide_exact: zero divisor":
+        lambda: x.divide_exact(ScalarPoly.zero(("x",))),
+    "ScalarPoly.divide_exact: divisor in other variables":
+        lambda: x.divide_exact(z),
+    "ScalarPoly.divide_exact: divisor is not a polynomial":
+        lambda: x.divide_exact(2),
 }
 
 accepted = []
@@ -72,5 +97,5 @@ def test_malformed_inputs_raise_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["cases"] == 8
+    assert report["cases"] == 19
     assert not report["accepted"], "accepted under python -O: " + "; ".join(report["accepted"])

@@ -1,0 +1,442 @@
+"""Differential tests of the overlap-transport kernels against the forms they
+replaced: grlex long division for every divisor, RingMap.apply by
+substitution for every map, forms.pullback recomputing d(image) on every call,
+wedge and de_rham_d adding one piece at a time, and MatrixForm.mul testing
+every pair of terms.
+
+The oracles run with ScalarPoly.divide_exact swapped for the long-division
+oracle, so every LocalFrac they build is cancelled as before.  Results are
+compared term by term (numerator terms, denominator multiplicities and keys),
+not only by value."""
+
+import contextlib
+import itertools
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from mfchern.cech import MatrixForm, merge_indices, product_sign
+from mfchern.forms import (
+    DifferentialForm,
+    _dx_pullback,
+    d_of_function,
+    de_rham_d,
+    pullback,
+    wedge,
+)
+from mfchern.geometry import build_scheme
+from mfchern.rings import Ring, RingMap, ScalarPoly
+
+from .test_cech import random_matrix_form
+from .test_geometry import three_patch_line
+from .test_rings import random_frac, random_poly
+
+P1 = {
+    "grading": "Z2",
+    "dimension": 1,
+    "patches": [
+        {"name": "U0", "variables": ["z"], "denominators": []},
+        {"name": "U1", "variables": ["w"], "denominators": []},
+    ],
+    "gluings": [{"pair": [0, 1], "denominators": ["z"], "images": ["1/z"]}],
+    "potentials": ["0", "0"],
+}
+
+P2 = {
+    "grading": "Z",
+    "dimension": 2,
+    "patches": [
+        {"name": "V0", "variables": ["y", "z"], "denominators": []},
+        {"name": "V1", "variables": ["x", "z"], "denominators": []},
+        {"name": "V2", "variables": ["x", "y"], "denominators": []},
+    ],
+    "gluings": [
+        {"pair": [0, 1], "denominators": ["y"], "images": ["1/y", "z/y"]},
+        {"pair": [0, 2], "denominators": ["z"], "images": ["1/z", "y/z"]},
+        {"pair": [1, 2], "denominators": ["z"], "images": ["x/z", "1/z"]},
+    ],
+    "potentials": ["0", "0", "0"],
+}
+
+# P^1 glued along D(z + 1) by the Moebius coordinate w = z/(z + 1).
+MOEBIUS_LINE = {
+    "grading": "Z",
+    "dimension": 1,
+    "patches": [
+        {"name": "M0", "variables": ["z"], "denominators": []},
+        {"name": "M1", "variables": ["w"], "denominators": []},
+    ],
+    "gluings": [{"pair": [0, 1], "denominators": ["z + 1"], "images": ["z/(z + 1)"]}],
+    "potentials": ["0", "0"],
+}
+
+
+# -- the replaced kernels, as they were ------------------------------------
+
+
+def long_division(self, divisor):
+    """Exact quotient self / divisor, or None when division is not exact."""
+    assert isinstance(divisor, ScalarPoly) and divisor.vars == self.vars
+    assert not divisor.is_zero(), "division by zero polynomial"
+    if self.is_zero():
+        return ScalarPoly.zero(self.vars)
+    lead_e, lead_c = divisor.leading()
+    remainder = self
+    qterms = {}
+    while not remainder.is_zero():
+        re, rc = remainder.leading()
+        qe = tuple(a - b for a, b in zip(re, lead_e))
+        if any(x < 0 for x in qe):
+            return None
+        qc = rc / lead_c
+        qterms[qe] = qterms.get(qe, Fraction(0)) + qc
+        remainder = remainder - divisor * ScalarPoly(self.vars, {qe: qc})
+    return ScalarPoly(self.vars, qterms)
+
+
+@contextlib.contextmanager
+def long_division_everywhere():
+    fast = ScalarPoly.divide_exact
+    ScalarPoly.divide_exact = long_division
+    try:
+        yield
+    finally:
+        ScalarPoly.divide_exact = fast
+
+
+def substitute_apply(ring_map, a):
+    """RingMap.apply by substitution, with the denominator inverses computed
+    the way the lazy cache computes them."""
+    out = a.num.substitute(ring_map.images, ring_map.target)
+    for j, m in enumerate(a.den):
+        if m:
+            g = ring_map.source.denominators[j]
+            out = out * g.substitute(ring_map.images, ring_map.target).inverse() ** m
+    return out
+
+
+def piecewise_de_rham_d(form):
+    out = DifferentialForm.zero(form.ring)
+    for idxs, coeff in form.terms.items():
+        dcoeff = d_of_function(coeff)
+        for (i,), p in dcoeff.terms.items():
+            sign, merged = merge_indices((i,), idxs)
+            if sign == 0:
+                continue
+            out = out + DifferentialForm(form.ring, {merged: p * sign})
+    return out
+
+
+def piecewise_wedge(a, b):
+    out = DifferentialForm.zero(a.ring)
+    for ia, ca in a.terms.items():
+        for ib, cb in b.terms.items():
+            sign, merged = merge_indices(ia, ib)
+            if sign == 0:
+                continue
+            out = out + DifferentialForm(a.ring, {merged: ca * cb * sign})
+    return out
+
+
+def recomputing_pullback(ring_map, form):
+    target = ring_map.target
+    image_differentials = [d_of_function(img) for img in ring_map.images]
+    out = DifferentialForm.zero(target)
+    for idxs, coeff in form.terms.items():
+        piece = DifferentialForm.function(substitute_apply(ring_map, coeff))
+        for i in idxs:
+            piece = piecewise_wedge(piece, image_differentials[i])
+        out = out + piece
+    return out
+
+
+def all_pairs_mul(self, other, cech_left=0):
+    terms = {}
+    for (r1, c1, i1, m1), f1 in self.terms.items():
+        e1 = (self.row_parities[r1] + self.col_parities[c1]) % 2
+        for (r2, c2, i2, m2), f2 in other.terms.items():
+            if c1 != r2:
+                continue
+            wsign, merged = merge_indices(i1, i2)
+            if wsign == 0:
+                continue
+            e2 = (other.row_parities[r2] + other.col_parities[c2]) % 2
+            sign = wsign * product_sign(cech_left, e1, len(i2), e2)
+            key = (r1, c2, merged, m1 + m2)
+            val = f1 * f2 * sign
+            terms[key] = terms[key] + val if key in terms else val
+    return MatrixForm(self.ring, self.row_parities, other.col_parities, terms)
+
+
+# -- term-by-term comparison -------------------------------------------------
+
+
+def assert_same_poly(p, q):
+    assert p.vars == q.vars
+    assert p.terms == q.terms, f"{p} vs {q}"
+
+
+def assert_same_frac(a, b):
+    assert a.ring.name == b.ring.name and a.ring.vars == b.ring.vars
+    assert a.ring.denominators == b.ring.denominators
+    assert_same_poly(a.num, b.num)
+    assert a.den == b.den, f"{a} has den {a.den}, {b} has {b.den}"
+
+
+def assert_same_terms(x, y):
+    assert set(x.terms) == set(y.terms), f"{x} vs {y}"
+    for key in x.terms:
+        assert_same_frac(x.terms[key], y.terms[key])
+
+
+# -- inputs --------------------------------------------------------------------
+
+
+def restriction_maps(config):
+    sch = build_scheme(config)
+    maps = []
+    for size in range(1, sch.npatches() + 1):
+        for big in sch.tuples(size):
+            for k in range(1, size + 1):
+                for small in itertools.combinations(big, k):
+                    maps.append(sch.restriction(small, big))
+    return maps
+
+
+def cover_restriction_maps():
+    return [
+        rm
+        for config in (P1, P2, MOEBIUS_LINE, three_patch_line())
+        for rm in restriction_maps(config)
+    ]
+
+
+def poly_from(variables, data):
+    return ScalarPoly(variables, {tuple(e): Fraction(n, d) for e, n, d in data})
+
+
+def random_divisor(rng, variables, monomial):
+    nvars = len(variables)
+    if monomial:
+        e = tuple(rng.randint(0, 2) for _ in range(nvars))
+        return ScalarPoly(variables, {e: Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))})
+    while True:
+        d = random_poly_in(rng, variables, degree=2, terms=rng.randint(2, 3))
+        if len(d.terms) > 1:
+            return d
+
+
+def random_poly_in(rng, variables, degree=2, terms=3):
+    return random_poly(rng, Ring("P", variables), degree=degree, terms=terms)
+
+
+def division_cases(rng, variables):
+    """(numerator, divisor) pairs: exact and inexact, monomial and not,
+    including zero and constant numerators and constant divisors."""
+    cases = []
+    for monomial in (True, True, False):
+        d = random_divisor(rng, variables, monomial)
+        q = random_poly_in(rng, variables, degree=2, terms=rng.randint(1, 4))
+        cases.append((q * d, d))
+        cases.append((q * d + random_poly_in(rng, variables, degree=3, terms=2), d))
+        cases.append((random_poly_in(rng, variables, degree=3, terms=4), d))
+        cases.append((ScalarPoly.zero(variables), d))
+        cases.append((ScalarPoly.const(variables, Fraction(rng.randint(-5, 5), 3)), d))
+    cases.append((random_poly_in(rng, variables), ScalarPoly.const(variables, Fraction(-2, 7))))
+    return cases
+
+
+def assert_same_division(p, d):
+    new = p.divide_exact(d)
+    old = long_division(p, d)
+    assert (new is None) == (old is None), f"{p} / {d}: {new} vs {old}"
+    if new is not None:
+        assert_same_poly(new, old)
+    return new is not None
+
+
+def random_form(rng, ring, nterms=3):
+    nvars = len(ring.vars)
+    terms = {}
+    for _ in range(nterms):
+        idxs = tuple(sorted(rng.sample(range(nvars), rng.randint(0, nvars))))
+        f = random_frac(rng, ring, degree=2, den_bound=2)
+        terms[idxs] = terms[idxs] + f if idxs in terms else f
+    return DifferentialForm(ring, terms)
+
+
+def check_map(rng, rm, trials):
+    for _ in range(trials):
+        a = random_frac(rng, rm.source, degree=3, den_bound=2)
+        new = rm.apply(a)
+        with long_division_everywhere():
+            old = substitute_apply(rm, a)
+        assert_same_frac(new, old)
+        form = random_form(rng, rm.source)
+        new = pullback(rm, form)
+        with long_division_everywhere():
+            old = recomputing_pullback(rm, form)
+        assert_same_terms(new, old)
+
+
+def mul_rings():
+    x = ScalarPoly.variable(("x", "y"), "x")
+    y = ScalarPoly.variable(("x", "y"), "y")
+    one = ScalarPoly.const(("x", "y"), 1)
+    return [
+        Ring("A", ("x", "y")),
+        Ring("B", ("x", "y"), (x, y)),
+        Ring("C", ("x", "y"), (x - one, x * y + one)),
+    ]
+
+
+def check_mul(rng, ring):
+    parities = [(0,), (0, 1), (1, 0, 1)]
+    rows, mid, cols = (rng.choice(parities) for _ in range(3))
+    a = random_matrix_form(rng, ring, rows, mid, max_u=2, nterms=rng.randint(0, 6))
+    b = random_matrix_form(rng, ring, mid, cols, max_u=2, nterms=rng.randint(0, 6))
+    cech_left = rng.randint(0, 2)
+    new = a.mul(b, cech_left=cech_left)
+    with long_division_everywhere():
+        old = all_pairs_mul(a, b, cech_left=cech_left)
+    assert new.row_parities == old.row_parities and new.col_parities == old.col_parities
+    assert_same_terms(new, old)
+
+
+def check_forms(rng, ring):
+    a, b = random_form(rng, ring), random_form(rng, ring)
+    with long_division_everywhere():
+        old_wedge, old_d = piecewise_wedge(a, b), piecewise_de_rham_d(a)
+    assert_same_terms(wedge(a, b), old_wedge)
+    assert_same_terms(de_rham_d(a), old_d)
+
+
+# -- tests -----------------------------------------------------------------------
+
+
+def test_monomial_division_matches_long_division():
+    rng = random.Random(20261018)
+    exact = {True: 0, False: 0}
+    for variables in (("x",), ("x", "y"), ("x", "y", "z")):
+        for _ in range(40):
+            for p, d in division_cases(rng, variables):
+                exact[assert_same_division(p, d)] += 1
+    assert exact[True] >= 100 and exact[False] >= 100, exact
+
+
+def test_division_in_no_variables():
+    p = ScalarPoly.const((), Fraction(3, 4))
+    assert_same_division(p, ScalarPoly.const((), Fraction(-2)))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    data=st.lists(
+        st.tuples(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)),
+            st.integers(-6, 6),
+            st.integers(1, 4),
+        ),
+        max_size=5,
+    ),
+    lead=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    coeff=st.integers(-5, 5).filter(bool),
+    rest=st.lists(
+        st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-3, 3), st.just(1)),
+        max_size=2,
+    ),
+    multiply=st.booleans(),
+)
+def test_division_property(data, lead, coeff, rest, multiply):
+    variables = ("x", "y")
+    p = poly_from(variables, data)
+    d = poly_from(variables, [(lead, coeff, 1)] + rest)
+    if d.is_zero():
+        return
+    if multiply:
+        p = p * d
+    assert_same_division(p, d)
+
+
+def test_inclusions_detected_by_their_images():
+    maps = cover_restriction_maps()
+    inclusions = [rm for rm in maps if rm._inclusion]
+    assert inclusions and len(inclusions) < len(maps)
+    for rm in maps:
+        plain = rm.source.vars == rm.target.vars and all(
+            str(img) == v for img, v in zip(rm.images, rm.target.vars)
+        )
+        assert rm._inclusion == plain, rm.images
+    A = Ring("A", ("x", "y"))
+    assert RingMap.identity(A)._inclusion
+    assert not RingMap(A, A, (A.var("y"), A.var("x")))._inclusion
+    assert not RingMap(A, A, (A.var("x"), A.var("y") * 2))._inclusion
+    swapped = Ring("S", ("y", "x"))
+    assert not RingMap(A, swapped, (swapped.var("x"), swapped.var("y")))._inclusion
+
+
+def test_restriction_maps_match_substitution():
+    rng = random.Random(2109)
+    for rm in cover_restriction_maps():
+        check_map(rng, rm, trials=6)
+
+
+def test_non_inclusion_maps_on_one_ring_match_substitution():
+    rng = random.Random(14372)
+    x = ScalarPoly.variable(("x", "y"), "x")
+    y = ScalarPoly.variable(("x", "y"), "y")
+    B = Ring("B", ("x", "y"), (x, y))
+    maps = [
+        RingMap(B, B, (B.var("y"), B.var("x"))),
+        RingMap(B, B, (B.var("x") * 3, B.var("y") ** -1)),
+        RingMap.identity(B),
+    ]
+    for rm in maps:
+        check_map(rng, rm, trials=15)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_restriction_maps_property(rng):
+    maps = cover_restriction_maps()
+    check_map(rng, rng.choice(maps), trials=2)
+
+
+def test_dx_pullbacks_cached_per_map():
+    sch = build_scheme(P2)
+    rm = sch.restriction((1,), (0, 1))
+    form = DifferentialForm(rm.source, {(0, 1): rm.source.one()})
+    first = pullback(rm, form)
+    assert set(rm._dx_pullbacks) == {(0, 1)}
+    cached = rm._dx_pullbacks[(0, 1)]
+    assert _dx_pullback(rm, (0, 1)) is cached and _dx_pullback(rm, (0, 1)) is cached
+    assert_same_terms(pullback(rm, form), first)
+    with long_division_everywhere():
+        assert_same_terms(first, recomputing_pullback(rm, form))
+
+
+def test_indexed_mul_matches_all_pairs():
+    rng = random.Random(5)
+    for ring in mul_rings():
+        for _ in range(60):
+            check_mul(rng, ring)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_indexed_mul_property(rng):
+    check_mul(rng, rng.choice(mul_rings()))
+
+
+def test_accumulating_wedge_and_d_match_piecewise():
+    rng = random.Random(17)
+    for ring in mul_rings():
+        for _ in range(30):
+            check_forms(rng, ring)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_accumulating_wedge_and_d_property(rng):
+    check_forms(rng, rng.choice(mul_rings()))
