@@ -4,6 +4,12 @@ Multivariate polynomials, localizations at declared denominator generators,
 ring maps, and exact linear solving in graded pieces.  All values are
 immutable after construction and all comparisons are exact.
 
+A scalar is an ``int`` or a ``Fraction``; anything else (a float, a string)
+raises TypeError.  A polynomial stores each coefficient as a plain ``int``
+when it is integral and as a ``Fraction`` only when it is not, so products
+and sums of integral coefficients never build a ``Fraction``; every true
+division goes through ``Fraction`` and never yields a float.
+
 Every linear system over Q, sparse or dense, is reduced by one eliminator,
 ``echelon_reduce``, and solved by one back-substitution; ``QLinearSystem``,
 ``solve_affine_q`` (fixed loci and their left inverses) and the Hochschild
@@ -13,6 +19,7 @@ zero test all go through it.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 __all__ = [
     "Fraction",
@@ -29,11 +36,38 @@ __all__ = [
 ]
 
 
-def _as_fraction(c):
-    if isinstance(c, Fraction):
+def _exact(c):
+    """c as an int when it is integral and as a Fraction when it is not;
+    anything but an int or a Fraction raises TypeError."""
+    if type(c) is int:
         return c
-    assert isinstance(c, int), f"not an exact scalar: {c!r}"
-    return Fraction(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    raise TypeError(f"not an exact scalar: {c!r}")
+
+
+def _nonzero_terms(sums):
+    """sums without its zero coefficients, each integral Fraction as an int."""
+    return {
+        e: c.numerator if type(c) is not int and c.denominator == 1 else c
+        for e, c in sums.items()
+        if c
+    }
+
+
+def _power(base, n):
+    """base ** n for n >= 1 by repeated squaring, starting from the first
+    factor instead of multiplying it into the constant 1."""
+    out = None
+    while True:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if not n:
+            return out
+        base = base * base
 
 
 def _grlex_key(exps):
@@ -69,8 +103,9 @@ def _subsets(n):
 class ScalarPoly:
     """Polynomial over Q in an ordered variable list, stored sparsely.
 
-    terms maps exponent tuples to nonzero Fractions; the zero polynomial has
-    an empty term dict.
+    terms maps exponent tuples to nonzero coefficients, each an ``int`` when
+    it is integral and a ``Fraction`` (with denominator > 1) otherwise; the
+    zero polynomial has an empty term dict.
     """
 
     __slots__ = ("vars", "terms")
@@ -79,13 +114,25 @@ class ScalarPoly:
         self.vars = tuple(variables)
         clean = {}
         for exps, c in terms.items():
-            c = _as_fraction(c)
+            c = _exact(c)
             if c == 0:
                 continue
             exps = tuple(exps)
-            assert len(exps) == len(self.vars), "exponent arity mismatch"
-            clean[exps] = clean.get(exps, Fraction(0)) + c
-        self.terms = {e: c for e, c in clean.items() if c != 0}
+            if len(exps) != len(self.vars):
+                raise ValueError(f"exponent tuple {exps} does not fit variables {self.vars}")
+            clean[exps] = clean.get(exps, 0) + c
+        self.terms = _nonzero_terms(clean)
+
+    @classmethod
+    def _of_sums(cls, variables, sums):
+        """The polynomial with coefficients sums, a dict the arithmetic below
+        built: exact scalars keyed by exponent tuples of the right length.
+        Skips the constructor's checks; zero sums are dropped and integral
+        Fractions stored as ints."""
+        out = cls.__new__(cls)
+        out.vars = variables
+        out.terms = _nonzero_terms(sums)
+        return out
 
     @classmethod
     def zero(cls, variables):
@@ -93,7 +140,7 @@ class ScalarPoly:
 
     @classmethod
     def const(cls, variables, c):
-        c = _as_fraction(c)
+        c = _exact(c)
         if c == 0:
             return cls.zero(variables)
         return cls(variables, {(0,) * len(tuple(variables)): c})
@@ -103,58 +150,63 @@ class ScalarPoly:
         variables = tuple(variables)
         i = variables.index(name)
         exps = tuple(1 if j == i else 0 for j in range(len(variables)))
-        return cls(variables, {exps: Fraction(1)})
+        return cls(variables, {exps: 1})
 
     def is_zero(self):
         return not self.terms
 
     def as_constant(self):
-        """The constant value if this polynomial is constant, else None."""
+        """The constant value if this polynomial is constant, else None; an
+        int when it is integral and a Fraction otherwise."""
         if not self.terms:
-            return Fraction(0)
+            return 0
         if len(self.terms) == 1:
             (exps, c), = self.terms.items()
             if all(e == 0 for e in exps):
                 return c
         return None
 
+    def _check_operand(self, other):
+        if not isinstance(other, ScalarPoly):
+            raise TypeError(f"not a ScalarPoly: {other!r}")
+        if other.vars != self.vars:
+            raise ValueError(f"operand variables {other.vars} differ from {self.vars}")
+
     def __add__(self, other):
-        assert isinstance(other, ScalarPoly) and other.vars == self.vars
+        self._check_operand(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return ScalarPoly(self.vars, terms)
+            terms[e] = terms.get(e, 0) + c
+        return ScalarPoly._of_sums(self.vars, terms)
 
     def __neg__(self):
-        return ScalarPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return ScalarPoly._of_sums(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return ScalarPoly(self.vars, {e: c * v for e, v in self.terms.items()})
-        assert isinstance(other, ScalarPoly) and other.vars == self.vars
+        if not isinstance(other, ScalarPoly):
+            c = _exact(other)
+            return ScalarPoly._of_sums(self.vars, {e: c * v for e, v in self.terms.items()})
+        self._check_operand(other)
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return ScalarPoly(self.vars, terms)
+                e = tuple(map(add, e1, e2))
+                terms[e] = terms.get(e, 0) + c1 * c2
+        return ScalarPoly._of_sums(self.vars, terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        assert isinstance(n, int) and n >= 0
-        out = ScalarPoly.const(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        if not isinstance(n, int):
+            raise TypeError(f"exponent {n!r} is not an int")
+        if n < 0:
+            raise ValueError(f"negative exponent {n} of a polynomial")
+        if n == 0:
+            return ScalarPoly.const(self.vars, 1)
+        return _power(self, n)
 
     def __eq__(self, other):
         return (
@@ -168,7 +220,8 @@ class ScalarPoly:
 
     def leading(self):
         """(exponent tuple, coefficient) of the grlex-leading term."""
-        assert self.terms, "zero polynomial has no leading term"
+        if not self.terms:
+            raise ValueError("zero polynomial has no leading term")
         e = max(self.terms, key=_grlex_key)
         return e, self.terms[e]
 
@@ -195,8 +248,8 @@ class ScalarPoly:
                 qe = tuple(a - b for a, b in zip(e, de))
                 if any(x < 0 for x in qe):
                     return None
-                qterms[qe] = c / dc
-            return ScalarPoly(self.vars, qterms)
+                qterms[qe] = c if dc == 1 else Fraction(c, dc)
+            return ScalarPoly._of_sums(self.vars, qterms)
         lead_e, lead_c = divisor.leading()
         remainder = self
         qterms = {}
@@ -205,10 +258,10 @@ class ScalarPoly:
             qe = tuple(a - b for a, b in zip(re, lead_e))
             if any(x < 0 for x in qe):
                 return None
-            qc = rc / lead_c
-            qterms[qe] = qterms.get(qe, Fraction(0)) + qc
-            remainder = remainder - divisor * ScalarPoly(self.vars, {qe: qc})
-        return ScalarPoly(self.vars, qterms)
+            qc = Fraction(rc, lead_c)
+            qterms[qe] = qterms.get(qe, 0) + qc
+            remainder = remainder - divisor * ScalarPoly._of_sums(self.vars, {qe: qc})
+        return ScalarPoly._of_sums(self.vars, qterms)
 
     def partial(self, var_index):
         terms = {}
@@ -216,18 +269,23 @@ class ScalarPoly:
             if e[var_index] == 0:
                 continue
             ne = tuple(x - 1 if j == var_index else x for j, x in enumerate(e))
-            terms[ne] = terms.get(ne, Fraction(0)) + c * e[var_index]
-        return ScalarPoly(self.vars, terms)
+            terms[ne] = terms.get(ne, 0) + c * e[var_index]
+        return ScalarPoly._of_sums(self.vars, terms)
 
     def substitute(self, images, target_ring):
-        """Evaluate with each variable replaced by a LocalFrac of target_ring."""
-        assert len(images) == len(self.vars)
+        """Evaluate with each variable replaced by a LocalFrac of target_ring;
+        each power of an image is computed once per call."""
+        if len(images) != len(self.vars):
+            raise ValueError(f"{len(images)} images for the variables {self.vars}")
+        powers = {}
         out = target_ring.zero()
         for e, c in sorted(self.terms.items(), key=lambda item: _grlex_key(item[0])):
             term = target_ring.const(c)
-            for img, exp in zip(images, e):
+            for k, exp in enumerate(e):
                 if exp:
-                    term = term * (img ** exp)
+                    if (k, exp) not in powers:
+                        powers[k, exp] = images[k] ** exp
+                    term = term * powers[k, exp]
             out = out + term
         return out
 
@@ -290,11 +348,13 @@ class Ring:
         return LocalFrac(self, ScalarPoly.variable(self.vars, name))
 
     def den_power(self, mults):
-        out = ScalarPoly.const(self.vars, 1)
+        """The product of the denominator generators to the multiplicities
+        mults, built from its first factor."""
+        out = None
         for g, m in zip(self.denominators, mults):
             if m:
-                out = out * (g ** m)
-        return out
+                out = g ** m if out is None else out * g ** m
+        return ScalarPoly.const(self.vars, 1) if out is None else out
 
     def __repr__(self):
         return f"Ring({self.name})"
@@ -321,13 +381,22 @@ class LocalFrac:
     __slots__ = ("ring", "num", "den")
 
     def __init__(self, ring, num, den=None):
-        assert isinstance(ring, Ring)
-        assert isinstance(num, ScalarPoly) and num.vars == ring.vars
+        if not isinstance(ring, Ring):
+            raise TypeError(f"not a Ring: {ring!r}")
+        if not isinstance(num, ScalarPoly):
+            raise TypeError(f"numerator is not a ScalarPoly: {num!r}")
+        if num.vars != ring.vars:
+            raise ValueError(f"numerator variables {num.vars} differ from {ring.name}'s {ring.vars}")
         if den is None:
             den = (0,) * len(ring.denominators)
         den = tuple(den)
-        assert len(den) == len(ring.denominators)
-        assert all(m >= 0 for m in den)
+        if len(den) != len(ring.denominators):
+            raise ValueError(
+                f"{len(den)} multiplicities for the {len(ring.denominators)} "
+                f"denominator generators of {ring.name}"
+            )
+        if den and min(den) < 0:
+            raise ValueError(f"negative denominator multiplicity in {den}")
         self.ring = ring
         if num.is_zero():
             self.num = num
@@ -367,14 +436,17 @@ class LocalFrac:
         if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
         self._same_ring(other)
+        if self.den == other.den:
+            return LocalFrac(self.ring, self.num + other.num, self.den)
         common = tuple(max(a, b) for a, b in zip(self.den, other.den))
-        n1 = self.num * self.ring.den_power(
-            tuple(c - a for c, a in zip(common, self.den))
-        )
-        n2 = other.num * self.ring.den_power(
-            tuple(c - b for c, b in zip(common, other.den))
-        )
+        n1 = self._lift(common)
+        n2 = other._lift(common)
         return LocalFrac(self.ring, n1 + n2, common)
+
+    def _lift(self, den):
+        """The numerator over the larger denominator multiplicities den."""
+        shift = tuple(c - a for c, a in zip(den, self.den))
+        return self.num * self.ring.den_power(shift) if any(shift) else self.num
 
     __radd__ = __add__
 
@@ -390,8 +462,8 @@ class LocalFrac:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return LocalFrac(self.ring, self.num * other, self.den)
+        if not isinstance(other, LocalFrac):
+            return LocalFrac(self.ring, self.num * _exact(other), self.den)
         self._same_ring(other)
         return LocalFrac(
             self.ring,
@@ -402,19 +474,13 @@ class LocalFrac:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        assert isinstance(n, int)
+        if not isinstance(n, int):
+            raise TypeError(f"exponent {n!r} is not an int")
         if n < 0:
-            inv = self.inverse()
-            assert inv is not None, f"not a unit: {self}"
-            return inv ** (-n)
-        out = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+            return self.unit_inverse() ** (-n)
+        if n == 0:
+            return self.ring.one()
+        return _power(self, n)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -422,6 +488,8 @@ class LocalFrac:
         if not isinstance(other, LocalFrac):
             return NotImplemented
         self._same_ring(other)
+        if self.den == other.den:
+            return self.num == other.num
         lhs = self.num * self.ring.den_power(other.den)
         rhs = other.num * self.ring.den_power(self.den)
         return lhs == rhs
@@ -449,7 +517,7 @@ class LocalFrac:
         c = num.as_constant()
         if c is None or c == 0:
             return None
-        inv_num = self.ring.den_power(self.den) * (1 / c)
+        inv_num = self.ring.den_power(self.den) * Fraction(1, c)
         return LocalFrac(self.ring, inv_num, tuple(powers))
 
     def unit_inverse(self):
@@ -574,19 +642,22 @@ class RingMap:
         return RingMap(inner.source, self.target, tuple(self.apply(im) for im in inner.images))
 
 
-def echelon_reduce(pivots, coeffs, rhs=Fraction(0)):
+def echelon_reduce(pivots, coeffs, rhs=0):
     """Reduce one sparse row over Q against echelon rows; keep what is left.
 
     ``pivots`` maps a column to ``(row, rhs)``, where ``row`` is a dict
     column -> Fraction with 1 at that column.  The smallest reducible column
     is eliminated first.  A nonzero remainder joins ``pivots``, scaled to 1
-    at its smallest column.  Returns ``(coords, rest)``: ``coords`` maps
-    pivot columns to nonzero Fractions such that ``coeffs`` is the sum of
-    ``coords[c]`` times the row of ``c`` (the new row included), and
-    ``rest`` is the right-hand side left over when the row reduced to zero,
-    which is nonzero exactly when the row is inconsistent with the pivots.
+    at its smallest column by exact division.  Returns ``(coords, rest)``:
+    ``coords`` maps pivot columns to nonzero exact scalars such that
+    ``coeffs`` is the sum of ``coords[c]`` times the row of ``c`` (the new
+    row included), and ``rest`` is the right-hand side left over when the
+    row reduced to zero, which is nonzero exactly when the row is
+    inconsistent with the pivots.  A coefficient or right-hand side that is
+    not an int or a Fraction raises TypeError.
     """
-    coeffs = dict(coeffs)
+    coeffs = {c: _exact(v) for c, v in coeffs.items()}
+    rhs = _exact(rhs)
     coords = {}
     while True:
         reducible = [c for c in coeffs if c in pivots]
@@ -595,19 +666,22 @@ def echelon_reduce(pivots, coeffs, rhs=Fraction(0)):
         col = min(reducible)
         prow, prhs = pivots[col]
         factor = coeffs.pop(col)
-        coords[col] = coords.get(col, Fraction(0)) + factor
+        coords[col] = coords.get(col, 0) + factor
         for c, v in prow.items():
             if c == col:
                 continue
-            coeffs[c] = coeffs.get(c, Fraction(0)) - factor * v
+            coeffs[c] = coeffs.get(c, 0) - factor * v
             if coeffs[c] == 0:
                 del coeffs[c]
         rhs = rhs - factor * prhs
-    rest = Fraction(0)
+    rest = 0
     if coeffs:
         pivot_col = min(coeffs)
         lead = coeffs[pivot_col]
-        pivots[pivot_col] = ({c: v / lead for c, v in coeffs.items()}, rhs / lead)
+        pivots[pivot_col] = (
+            {c: Fraction(v, lead) for c, v in coeffs.items()},
+            Fraction(rhs, lead),
+        )
         coords[pivot_col] = lead
     else:
         rest = rhs
@@ -621,9 +695,9 @@ class QLinearSystem:
         self.rows = []
 
     def add_row(self, coeffs, rhs):
-        """coeffs: dict column-index -> Fraction."""
-        coeffs = {c: _as_fraction(v) for c, v in coeffs.items() if v != 0}
-        self.rows.append((coeffs, _as_fraction(rhs)))
+        """coeffs: dict column-index -> int or Fraction."""
+        coeffs = {c: _exact(v) for c, v in coeffs.items() if v != 0}
+        self.rows.append((coeffs, _exact(rhs)))
 
     def solve(self, ncols):
         """One exact solution as a list of Fractions (free columns set to 0),
@@ -671,7 +745,7 @@ def solve_affine_q(matrix, rhs):
     """
     ncols = len(matrix[0]) if matrix else 0
     pivots = _reduce_rows(
-        ({c: _as_fraction(v) for c, v in enumerate(row) if v}, _as_fraction(r))
+        ({c: _exact(v) for c, v in enumerate(row) if v}, _exact(r))
         for row, r in zip(matrix, rhs)
     )
     if pivots is None:
@@ -702,7 +776,8 @@ def parse_scalar(ring, text):
 
     def ev(n):
         if isinstance(n, ast.Constant):
-            assert isinstance(n.value, int), f"non-integer constant: {n.value!r}"
+            if type(n.value) is not int:
+                raise ValueError(f"non-integer constant: {n.value!r}")
             return ring.const(n.value)
         if isinstance(n, ast.Name):
             if n.id not in ring.vars:
@@ -715,16 +790,12 @@ def parse_scalar(ring, text):
                 return ev(n.operand)
         if isinstance(n, ast.BinOp):
             if isinstance(n.op, ast.Pow):
-                assert isinstance(n.right, ast.Constant) or (
-                    isinstance(n.right, ast.UnaryOp)
-                    and isinstance(n.right.op, ast.USub)
-                ), "exponent must be an integer literal"
-                exp = (
-                    n.right.value
-                    if isinstance(n.right, ast.Constant)
-                    else -n.right.operand.value
-                )
-                return ev(n.left) ** exp
+                exp, sign = n.right, 1
+                if isinstance(exp, ast.UnaryOp) and isinstance(exp.op, ast.USub):
+                    exp, sign = exp.operand, -1
+                if not (isinstance(exp, ast.Constant) and type(exp.value) is int):
+                    raise ValueError(f"exponent must be an integer literal: {ast.dump(n.right)}")
+                return ev(n.left) ** (sign * exp.value)
             a, b = ev(n.left), ev(n.right)
             if isinstance(n.op, ast.Add):
                 return a + b
@@ -752,10 +823,10 @@ def _add_monomial_rows(system, parts, rhs):
         lift = value.num * ring.den_power(tuple(c - d for c, d in zip(common, value.den)))
         for exps, q in lift.terms.items():
             row = rows.setdefault(exps, {})
-            row[col] = row.get(col, Fraction(0)) + q
+            row[col] = row.get(col, 0) + q
     for exps in sorted(rows):
         row = rows[exps]
-        rhs_q = row.pop(None, Fraction(0))
+        rhs_q = row.pop(None, 0)
         system.add_row(row, rhs_q)
 
 
@@ -784,7 +855,7 @@ def solve_linear_graded(equations, degree_bound, den_bound=0):
         for den in monomials_up_to(len(ring.denominators), den_bound):
             for mono in monomials_up_to(len(ring.vars), degree_bound):
                 elems.append(
-                    LocalFrac(ring, ScalarPoly(ring.vars, {mono: Fraction(1)}), den)
+                    LocalFrac(ring, ScalarPoly(ring.vars, {mono: 1}), den)
                 )
         basis[name] = elems
         for k in range(len(elems)):

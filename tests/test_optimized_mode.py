@@ -15,7 +15,7 @@ import json
 from mfchern.cech import CechCochain, MatrixForm
 from mfchern.geometry import build_scheme
 from mfchern.mf import VectorBundle
-from mfchern.rings import Ring, RingMap, ScalarPoly
+from mfchern.rings import LocalFrac, Ring, RingMap, ScalarPoly, echelon_reduce, parse_scalar
 
 line = Ring("A", ("x",))
 one = line.one()
@@ -76,6 +76,46 @@ CASES = {
         lambda: x.divide_exact(z),
     "ScalarPoly.divide_exact: divisor is not a polynomial":
         lambda: x.divide_exact(2),
+    "ScalarPoly: float coefficient":
+        lambda: ScalarPoly(("x",), {(1,): 2.5}),
+    "ScalarPoly: exponent tuple of length 2 in one variable":
+        lambda: ScalarPoly(("x",), {(1, 0): 1}),
+    "ScalarPoly * float":
+        lambda: x * 2.5,
+    "float * ScalarPoly":
+        lambda: 2.5 * x,
+    "ScalarPoly + int":
+        lambda: x + 1,
+    "ScalarPoly + polynomial in other variables":
+        lambda: x + z,
+    "ScalarPoly * polynomial in other variables":
+        lambda: x * z,
+    "ScalarPoly ** -1":
+        lambda: x ** -1,
+    "ScalarPoly ** 1.5":
+        lambda: x ** 1.5,
+    "ScalarPoly.leading: zero polynomial":
+        lambda: ScalarPoly.zero(("x",)).leading(),
+    "ScalarPoly.substitute: no image for the one variable":
+        lambda: x.substitute((), line),
+    "LocalFrac: ring given as a string":
+        lambda: LocalFrac("A", x),
+    "LocalFrac: numerator in other variables":
+        lambda: LocalFrac(line, z),
+    "LocalFrac: multiplicity on a ring with no denominators":
+        lambda: LocalFrac(line, x, (1,)),
+    "LocalFrac: negative multiplicity":
+        lambda: LocalFrac(punctured, z, (-1,)),
+    "LocalFrac ** -1 of a non-unit":
+        lambda: (one + line.var("x")) ** -1,
+    "LocalFrac * float":
+        lambda: one * 2.5,
+    "echelon_reduce: float coefficient":
+        lambda: echelon_reduce({}, {0: 2, 1: 1.5}),
+    "parse_scalar: non-integer constant":
+        lambda: parse_scalar(line, "1.5*x"),
+    "parse_scalar: exponent is not a literal":
+        lambda: parse_scalar(line, "x**x"),
 }
 
 accepted = []
@@ -97,5 +137,5 @@ def test_malformed_inputs_raise_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["cases"] == 19
+    assert report["cases"] == 39
     assert not report["accepted"], "accepted under python -O: " + "; ".join(report["accepted"])

@@ -99,6 +99,8 @@ def test_inverse_units_only():
     assert (z + 1).inverse() is None
     with pytest.raises(ValueError):
         (z + 1).unit_inverse()
+    with pytest.raises(ValueError, match=r"not a unit in U: z \+ 1"):
+        (z + 1) ** -2
 
 
 def test_partial_derivative_on_fractions():
@@ -259,6 +261,18 @@ def test_echelon_coordinates_rebuild_each_row():
                     rebuilt[c] = rebuilt.get(c, Fraction(0)) + q * v
             assert {c: v for c, v in rebuilt.items() if v} == row
         assert all(row[p] == 1 for p, (row, _rhs) in pivots.items())
+
+
+def test_echelon_divisions_are_exact():
+    pivots = {}
+    coords, rest = echelon_reduce(pivots, {0: 2, 1: 3}, 5)
+    assert coords == {0: 2} and rest == 0
+    row, rhs = pivots[0]
+    assert row == {0: 1, 1: Fraction(3, 2)} and rhs == Fraction(5, 2)
+    assert all(type(v) is Fraction for v in (*row.values(), rhs))
+    for bad_row, bad_rhs in (({0: 1, 1: 1.5}, 0), ({2: 1}, 0.5), ({0: 2, 1: 3}, 0.5)):
+        with pytest.raises(TypeError):
+            echelon_reduce(pivots, bad_row, bad_rhs)
 
 
 def test_affine_solver_shape():

@@ -89,7 +89,7 @@ def long_division(self, divisor):
         qe = tuple(a - b for a, b in zip(re, lead_e))
         if any(x < 0 for x in qe):
             return None
-        qc = rc / lead_c
+        qc = Fraction(rc) / lead_c
         qterms[qe] = qterms.get(qe, Fraction(0)) + qc
         remainder = remainder - divisor * ScalarPoly(self.vars, {qe: qc})
     return ScalarPoly(self.vars, qterms)
