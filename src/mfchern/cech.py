@@ -115,7 +115,7 @@ class MatrixForm:
         )
 
     @classmethod
-    def from_entries(cls, ring, row_parities, col_parities, matrix, u_power=0):
+    def from_entries(cls, ring, row_parities, col_parities, matrix):
         """Build a form-degree-zero value from a dense list of LocalFrac rows."""
         terms = {}
         for r, row in enumerate(matrix):
@@ -123,7 +123,7 @@ class MatrixForm:
                 if isinstance(f, (int, Fraction)):
                     f = ring.const(f)
                 if not f.is_zero():
-                    terms[(r, c, (), u_power)] = f
+                    terms[(r, c, (), 0)] = f
         return cls(ring, row_parities, col_parities, terms)
 
     def is_zero(self):
@@ -284,22 +284,19 @@ class MatrixForm:
     __repr__ = __str__
 
 
-def pullback_matrix(ring_map, value, row_parities=None, col_parities=None):
+def pullback_matrix(ring_map, value):
     """Move a MatrixForm along a RingMap, pulling back both the coefficients
     and the dx factors."""
     if not isinstance(value, MatrixForm):
         raise TypeError(f"a {type(value).__name__} is not a MatrixForm")
     _check_same_ring(value.ring, ring_map.source)
-    rows = value.row_parities if row_parities is None else row_parities
-    cols = value.col_parities if col_parities is None else col_parities
-    target = ring_map.target
     terms = {}
     for (r, c, idxs, m), f in value.terms.items():
         moved = pullback(ring_map, DifferentialForm(value.ring, {idxs: f}))
         for nidxs, nf in moved.terms.items():
             key = (r, c, nidxs, m)
             terms[key] = terms[key] + nf if key in terms else nf
-    return MatrixForm(target, rows, cols, terms)
+    return MatrixForm(ring_map.target, value.row_parities, value.col_parities, terms)
 
 
 # -- bundle stand-in for scalar-valued cochains ------------------------------

@@ -1,5 +1,10 @@
 """Total complex of scalar Cech cochains: degree bookkeeping, the full
-differential, primitive solving, and conjugation averaging of families."""
+differential, primitive solving, and conjugation averaging of families.
+
+Scalar cochains are plain ``CechCochain``s whose source and target bundles
+are even lines; every function here takes and returns them.
+``TotalCochain`` is such a cochain with degree queries added.
+"""
 
 from fractions import Fraction
 
@@ -29,23 +34,34 @@ __all__ = [
 ]
 
 
-class TotalCochain:
-    """A scalar-valued cochain with (Cech p, form q, u-power m) bookkeeping.
+def _check_scalar(c):
+    if not isinstance(c, CechCochain):
+        raise TypeError(f"a {type(c).__name__} is not a CechCochain")
+    if c.source.parities() != (0,) or c.target.parities() != (0,):
+        raise ValueError("total cochains are scalar-valued")
+
+
+class TotalCochain(CechCochain):
+    """A scalar cochain with (Cech p, form q, u-power m) bookkeeping.
 
     Total degree is p - q + 2m: the exterior derivative has degree -1, u has
     degree 2, and the Cech direction has degree +1.  Only the parity of the
     total degree is homogeneous for the cochains produced by trace maps, so
-    degree queries return sets.
+    degree queries return sets.  The given cochain's bundles are kept, so an
+    even line bundle still transports by its own transitions.
     """
 
-    __slots__ = ("cochain", "scheme")
+    __slots__ = ()
 
     def __init__(self, cochain):
-        assert isinstance(cochain, CechCochain)
-        assert cochain.source.parities() == (0,), "total cochains are scalar-valued"
-        assert cochain.target.parities() == (0,)
-        self.cochain = cochain
-        self.scheme = cochain.scheme
+        _check_scalar(cochain)
+        super().__init__(
+            cochain.scheme,
+            cochain.source,
+            cochain.target,
+            cochain.entries,
+            cochain.u_truncation,
+        )
 
     @classmethod
     def zero(cls, scheme, u_truncation):
@@ -53,47 +69,13 @@ class TotalCochain:
 
     def components(self):
         out = set()
-        for tup, mf in self.cochain.entries.items():
+        for tup, mf in self.entries.items():
             for (_r, _c, idxs, m) in mf.terms:
                 out.add((len(tup) - 1, len(idxs), m))
         return sorted(out)
 
     def total_degrees(self):
         return sorted({p - q + 2 * m for (p, q, m) in self.components()})
-
-    def total_parity(self):
-        return self.cochain.homogeneous_total_parity()
-
-    def is_zero(self):
-        return self.cochain.is_zero()
-
-    def __add__(self, other):
-        assert isinstance(other, TotalCochain)
-        return TotalCochain(self.cochain + other.cochain)
-
-    def __neg__(self):
-        return TotalCochain(-self.cochain)
-
-    def __sub__(self, other):
-        assert isinstance(other, TotalCochain)
-        return TotalCochain(self.cochain - other.cochain)
-
-    def scale(self, scalar):
-        return TotalCochain(self.cochain.scale(scalar))
-
-    def shift_u(self, k):
-        return TotalCochain(self.cochain.shift_u(k))
-
-    def __eq__(self, other):
-        if not isinstance(other, TotalCochain):
-            return NotImplemented
-        return self.cochain == other.cochain
-
-    def canonical_string(self):
-        return self.cochain.canonical_string()
-
-    def __str__(self):
-        return str(self.cochain)
 
 
 def _minus_dw_cochain(scheme, u_truncation):
@@ -118,15 +100,13 @@ def total_differential(c):
     realized as a cup product with the degree-zero Cech cochain of patchwise
     potential differentials.
     """
-    tc = c if isinstance(c, TotalCochain) else TotalCochain(c)
-    cochain = tc.cochain
-    out = cech_differential(cochain)
-    out = out + form_derivative(cochain).shift_u(1)
-    dw = _minus_dw_cochain(tc.scheme, cochain.u_truncation)
+    _check_scalar(c)
+    out = cech_differential(c)
+    out = out + form_derivative(c).shift_u(1)
+    dw = _minus_dw_cochain(c.scheme, c.u_truncation)
     if not dw.is_zero():
-        out = out + acw_product(dw, cochain)
-    result = TotalCochain(out)
-    return result if isinstance(c, TotalCochain) else result.cochain
+        out = out + acw_product(dw, c)
+    return out
 
 
 def is_cocycle(c):
@@ -141,16 +121,15 @@ def cohomologous(c1, c2, degree_bound, den_bound=1):
     primitive is verified by substitution before being returned.  None means
     undecided within the bound, not a proof of inequality.
     """
-    t1 = c1 if isinstance(c1, TotalCochain) else TotalCochain(c1)
-    t2 = c2 if isinstance(c2, TotalCochain) else TotalCochain(c2)
-    assert t1.scheme is t2.scheme, "cochains live on different schemes"
-    diff = t1 - t2
-    scheme = t1.scheme
-    trunc = diff.cochain.u_truncation
+    _check_scalar(c1)
+    _check_scalar(c2)
+    diff = c1 - c2  # raises ValueError when the schemes differ
+    scheme = c1.scheme
+    trunc = diff.u_truncation
     if diff.is_zero():
-        return TotalCochain.zero(scheme, trunc)
-    parity = diff.total_parity()
-    p1, p2 = t1.total_parity(), t2.total_parity()
+        return CechCochain.scalar(scheme, {}, trunc)
+    parity = diff.homogeneous_total_parity()
+    p1, p2 = c1.homogeneous_total_parity(), c2.homogeneous_total_parity()
     if parity is None or (p1 is not None and p2 is not None and p1 != p2):
         raise ValueError("total degree mismatch between the two cocycles")
     target_parity = (parity + 1) % 2
@@ -187,7 +166,7 @@ def cohomologous(c1, c2, degree_bound, den_bound=1):
                 contributions.setdefault((out_tup, out_idxs, out_m), []).append((col, f))
 
     rhs_values = {}
-    for tup, mf in diff.cochain.entries.items():
+    for tup, mf in diff.entries.items():
         for (r, c, idxs, m), f in mf.terms.items():
             key = (tup, idxs, m)
             rhs_values[key] = rhs_values.get(key, f.ring.zero()) + f
@@ -208,9 +187,7 @@ def cohomologous(c1, c2, degree_bound, den_bound=1):
         ring = value.ring
         add = MatrixForm(ring, (0,), (0,), {(0, 0, idxs, m): value * coeff})
         entries[tup] = entries[tup] + add if tup in entries else add
-    primitive = TotalCochain(
-        CechCochain.scalar(scheme, {t: v for t, v in entries.items()}, trunc)
-    )
+    primitive = CechCochain.scalar(scheme, entries, trunc)
     if total_differential(primitive) == diff:
         return primitive
     return None
@@ -227,21 +204,21 @@ def _transported(scheme, cochain, h):
 def coinvariant_project(family, scheme):
     """Average a per-group-element family over conjugation orbits.
 
-    family: {g: TotalCochain or CechCochain}; missing components are zero.
+    family: {g: scalar CechCochain}; missing components are zero.
     The component at g becomes the orbit average of the components at all
     h g h^{-1}, each pulled back along a fixed h realizing the conjugation.
     For abelian groups every orbit is a singleton realized by the identity,
     so the projection is the identity map.
     """
     act = scheme.action
-    assert act is not None, "scheme carries no group action"
+    if act is None:
+        raise ValueError("scheme carries no group action")
     trunc = None
-    cochains = {}
     for g, c in family.items():
-        cc = c.cochain if isinstance(c, TotalCochain) else c
-        assert cc.scheme is scheme
-        cochains[g] = cc
-        trunc = cc.u_truncation if trunc is None else min(trunc, cc.u_truncation)
+        _check_scalar(c)
+        if c.scheme is not scheme:
+            raise ValueError(f"the component at {g!r} lives on another scheme")
+        trunc = c.u_truncation if trunc is None else min(trunc, c.u_truncation)
     if trunc is None:
         trunc = 0
 
@@ -258,9 +235,9 @@ def coinvariant_project(family, scheme):
                 orbit.append((gp, pick))
         acc = CechCochain.scalar(scheme, {}, trunc)
         for gp, h in orbit:
-            c = cochains.get(gp)
+            c = family.get(gp)
             if c is None or c.is_zero():
                 continue
             acc = acc + _transported(scheme, c.truncate_u(trunc), h)
-        out[g] = TotalCochain(acc.scale(Fraction(1, len(orbit))))
+        out[g] = acc.scale(Fraction(1, len(orbit)))
     return out

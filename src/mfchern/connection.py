@@ -60,9 +60,6 @@ class Connection:
                     raise ValueError("connection entries must preserve the internal grading")
             self.matrices.append(C)
 
-    def scheme(self):
-        return self.mf.scheme
-
     def matrix(self, i):
         return self.matrices[i]
 

@@ -1,8 +1,25 @@
 """Cyclic chains over a small category of parity-graded objects, the b and B
 operators, normalization, and the connection trace map into scalar cochains.
 
-Two backends share one chain type: a geometric category whose morphisms are
-Cech cochains between matrix factorizations, and a five-dimensional formal
+Chains call their entries directly: an entry ``a`` has ``a.source`` and
+``a.target`` (objects compared with ``==``), ``a.parity()``, ``a.compose(b)``
+(a after b), ``a + b``, ``a.scale(q)``, ``a.is_zero()`` and
+``a.differential()``.  What depends on the category is a backend with eight
+methods:
+
+- ``object_key(P)``: a sortable key of an object;
+- ``validate_entry(a, where)``: raise unless ``a`` may sit in a chain;
+- ``key(a)``: a hashable, sortable key of an entry, equal for equal entries;
+- ``decompose(a)``: (label, rational) pairs over a basis of arrows;
+- ``slot_decompose(a)``: the same in the slot space, where the scalar
+  identities are zero;
+- ``identity(P)``: the identity arrow of an object;
+- ``is_scalar_identity(a)``: whether ``a`` is a scalar multiple of an
+  identity (zero included);
+- ``curvature(P)``: the curvature arrow of an object, or None when flat.
+
+Two backends implement it: a geometric category whose morphisms are Cech
+cochains between matrix factorizations, and a five-dimensional formal
 retract category used for exact bookkeeping checks.
 """
 
@@ -18,7 +35,7 @@ from .cech import (
     identity_cochain,
     supertrace,
 )
-from .mf import MorphismCochain, hom_differential, _split_by_total_parity
+from .mf import MorphismCochain, _split_by_total_parity
 from .connection import total_curvature
 from .rings import echelon_reduce
 
@@ -57,21 +74,6 @@ class GeometricCategory:
             key = len(self._ids)
             self._ids[id(P)] = key
         return key
-
-    def same_object(self, P, Q):
-        return P is Q
-
-    def source(self, a):
-        return a.source
-
-    def target(self, a):
-        return a.target
-
-    def parity(self, a):
-        p = a.parity()
-        if p is None:
-            raise ValueError("chain entries must be parity homogeneous")
-        return p
 
     def validate_entry(self, a, where):
         if not isinstance(a, MorphismCochain):
@@ -124,21 +126,6 @@ class GeometricCategory:
                     else:
                         pairs.pop(lab, None)
         return [(lab, q) for lab, q in pairs.items() if q]
-
-    def compose(self, a, b):
-        return a.compose(b)
-
-    def add(self, a, b):
-        return a + b
-
-    def scale(self, a, q):
-        return a.scale(q)
-
-    def is_zero(self, a):
-        return a.is_zero()
-
-    def differential(self, a):
-        return hom_differential(a)
 
     def identity(self, P):
         return MorphismCochain.identity(P, self.u_truncation)
@@ -238,6 +225,12 @@ class FormalMorphism:
     def is_zero(self):
         return not self.coeffs
 
+    def parity(self):
+        return 0
+
+    def differential(self):
+        return FormalMorphism(self.source, self.target, {})
+
     def __add__(self, other):
         if not isinstance(other, FormalMorphism):
             raise TypeError(f"cannot add a {type(other).__name__} to a FormalMorphism")
@@ -291,22 +284,8 @@ class RetractCategory:
     """The two-object category with fg = 1_P and gf = pi; every arrow is
     even and closed."""
 
-    objects = ("P", "N")
-
     def object_key(self, obj):
         return obj
-
-    def same_object(self, a, b):
-        return a == b
-
-    def source(self, a):
-        return a.source
-
-    def target(self, a):
-        return a.target
-
-    def parity(self, a):
-        return 0
 
     def validate_entry(self, a, where):
         if not isinstance(a, FormalMorphism):
@@ -326,21 +305,6 @@ class RetractCategory:
             for lab, q in self.decompose(a)
             if lab[2] not in ("1P", "1N")
         ]
-
-    def compose(self, a, b):
-        return a.compose(b)
-
-    def add(self, a, b):
-        return a + b
-
-    def scale(self, a, q):
-        return a.scale(q)
-
-    def is_zero(self, a):
-        return a.is_zero()
-
-    def differential(self, a):
-        return FormalMorphism(a.source, a.target, {})
 
     def identity(self, obj):
         return FormalMorphism.basis("1P" if obj == "P" else "1N")
@@ -377,7 +341,6 @@ class HochschildChain:
         self.u_truncation = u_truncation
         self.tensor_cap = tensor_cap
         self.strings = {}
-        cat = category
         for coeff, u_pow, a0, slots in items:
             if u_pow < 0:
                 raise ValueError(f"negative power of u: u^{u_pow}")
@@ -390,39 +353,37 @@ class HochschildChain:
                 )
             chain_entries = (a0,) + slots
             for j, a in enumerate(chain_entries):
-                cat.validate_entry(a, f"slot {j}")
+                category.validate_entry(a, f"slot {j}")
             for j in range(len(slots)):
-                if not cat.same_object(
-                    cat.source(chain_entries[j]), cat.target(chain_entries[j + 1])
-                ):
+                if chain_entries[j].source != chain_entries[j + 1].target:
                     raise ValueError(
                         f"string is not composable: the source of slot {j} is "
                         f"not the target of slot {j + 1}"
                     )
-            if not cat.same_object(cat.source(chain_entries[-1]), cat.target(a0)):
+            if chain_entries[-1].source != a0.target:
                 raise ValueError(
                     f"string does not close up cyclically: the source of slot "
                     f"{len(slots)} is not the target of slot 0"
                 )
-            if any(cat.is_zero(s) for s in slots):
+            if any(s.is_zero() for s in slots):
                 continue
-            if any(cat.is_scalar_identity(s) for s in slots):
+            if any(category.is_scalar_identity(s) for s in slots):
                 continue
-            scaled = cat.scale(a0, coeff) if coeff != 1 else a0
-            if cat.is_zero(scaled):
+            scaled = a0.scale(coeff) if coeff != 1 else a0
+            if scaled.is_zero():
                 continue
             route = (
-                cat.object_key(cat.source(a0)),
-                cat.object_key(cat.target(a0)),
-                cat.parity(a0),
+                category.object_key(a0.source),
+                category.object_key(a0.target),
+                a0.parity(),
             )
-            key = (u_pow, route) + tuple(cat.key(s) for s in slots)
+            key = (u_pow, route) + tuple(category.key(s) for s in slots)
             held = self.strings.get(key)
             if held is None:
                 self.strings[key] = (u_pow, scaled, slots)
             else:
-                merged = cat.add(held[1], scaled)
-                if cat.is_zero(merged):
+                merged = held[1] + scaled
+                if merged.is_zero():
                     del self.strings[key]
                 else:
                     self.strings[key] = (u_pow, merged, slots)
@@ -541,29 +502,29 @@ def hochschild_b(x, curved=False):
     for (u_pow, a0, slots) in x.strings.values():
         n = len(slots)
         entries = (a0,) + slots
-        parities = [cat.parity(a) for a in entries]
+        parities = [a.parity() for a in entries]
 
         for i in range(n):
             sign = (-1) ** ((sum(parities[: i + 1]) - i) % 2)
             if i == 0:
-                new_a0 = cat.compose(a0, slots[0])
+                new_a0 = a0.compose(slots[0])
                 new_slots = slots[1:]
             else:
                 new_a0 = a0
-                merged = cat.compose(slots[i - 1], slots[i])
+                merged = slots[i - 1].compose(slots[i])
                 new_slots = slots[: i - 1] + (merged,) + slots[i + 1 :]
             items.append((sign, u_pow, new_a0, new_slots))
 
         if n >= 1:
             exponent = (parities[n] - 1) * (sum(parities[:n]) - (n - 1)) + 1
-            new_a0 = cat.compose(slots[n - 1], a0)
+            new_a0 = slots[n - 1].compose(a0)
             items.append(((-1) ** (exponent % 2), u_pow, new_a0, slots[: n - 1]))
 
         for j in range(n + 1):
             da = differentials.get(id(entries[j]))
             if da is None:
-                da = differentials[id(entries[j])] = cat.differential(entries[j])
-            if cat.is_zero(da):
+                da = differentials[id(entries[j])] = entries[j].differential()
+            if da.is_zero():
                 continue
             sign = (-1) ** ((sum(parities[:j]) - j) % 2)
             if j == 0:
@@ -574,8 +535,8 @@ def hochschild_b(x, curved=False):
 
         if curved:
             for k in range(n + 1):
-                h = cat.curvature(cat.source(entries[k]))
-                if h is None or cat.is_zero(h):
+                h = cat.curvature(entries[k].source)
+                if h is None or h.is_zero():
                     continue
                 sign = (-1) ** ((sum(parities[: k + 1]) - k) % 2)
                 new_slots = slots[:k] + (h,) + slots[k:]
@@ -584,25 +545,24 @@ def hochschild_b(x, curved=False):
     return HochschildChain(cat, x.u_truncation, x.tensor_cap, items)
 
 
-def _rotated(cat, a0, slots):
+def _rotated(a0, slots):
     """The string a0[slots] with its last-written entry rotated to the front:
     a0 moves into the last slot, and the cyclic Koszul sign on shifted
     degrees scales the new front entry."""
     if not slots:
         return a0, slots
-    rest = sum(cat.parity(s) - 1 for s in slots)
-    if ((cat.parity(a0) - 1) * rest) % 2:
-        return cat.scale(slots[0], -1), slots[1:] + (a0,)
+    rest = sum(s.parity() - 1 for s in slots)
+    if ((a0.parity() - 1) * rest) % 2:
+        return slots[0].scale(-1), slots[1:] + (a0,)
     return slots[0], slots[1:] + (a0,)
 
 
 def cyclic_t(x):
     """Rotate the last-written entry to the front of every string."""
-    cat = x.category
     items = [
-        (1, u_pow) + _rotated(cat, a0, slots) for (u_pow, a0, slots) in x.strings.values()
+        (1, u_pow) + _rotated(a0, slots) for (u_pow, a0, slots) in x.strings.values()
     ]
-    return HochschildChain(cat, x.u_truncation, x.tensor_cap, items)
+    return HochschildChain(x.category, x.u_truncation, x.tensor_cap, items)
 
 
 def connes_B(x):
@@ -613,8 +573,8 @@ def connes_B(x):
     items = []
     for (u_pow, a0, slots) in x.strings.values():
         for _i in range(len(slots) + 1):
-            items.append((1, u_pow, cat.identity(cat.target(a0)), (a0,) + slots))
-            a0, slots = _rotated(cat, a0, slots)
+            items.append((1, u_pow, cat.identity(a0.target), (a0,) + slots))
+            a0, slots = _rotated(a0, slots)
     return HochschildChain(cat, x.u_truncation, x.tensor_cap, items)
 
 

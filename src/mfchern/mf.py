@@ -14,7 +14,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cech import CechCochain, MatrixForm, acw_product, cech_differential, pullback_matrix
+from .cech import (
+    CechCochain,
+    MatrixForm,
+    acw_product,
+    cech_differential,
+    identity_cochain,
+    pullback_matrix,
+)
 from .geometry import reroot
 from .rings import _check_same_ring, _subsets, parse_scalar
 
@@ -330,11 +337,7 @@ class MorphismCochain:
 
     @classmethod
     def identity(cls, P, u_truncation):
-        entries = {}
-        for (i,) in P.scheme.tuples(1):
-            ring = P.scheme.patch_ring(i)
-            entries[(i,)] = MatrixForm.identity(ring, P.bundle.parities())
-        return cls.from_entries(P, P, entries, u_truncation)
+        return cls(P, P, identity_cochain(P.scheme, P.bundle, u_truncation))
 
     def is_zero(self):
         return self.cochain.is_zero()

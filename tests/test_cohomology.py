@@ -160,7 +160,7 @@ def test_degree_bookkeeping():
     )
     assert c.components() == [(0, 0, 0), (1, 1, 1)]
     assert c.total_degrees() == [0, 2]
-    assert c.total_parity() == 0
+    assert c.homogeneous_total_parity() == 0
 
 
 def test_primitive_polynomial_case():
@@ -171,7 +171,9 @@ def test_primitive_polynomial_case():
     assert prim is not None
     half_square = scalar_cochain(sch, {(0,): [((), 0, "x^2")]}, 2).scale(Fraction(1, 2))
     assert prim == TotalCochain(half_square)
+    assert prim == half_square
     assert total_differential(prim) == c
+    assert total_differential(TotalCochain(c)) == total_differential(c)
 
 
 def test_primitive_across_charts():

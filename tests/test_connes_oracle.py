@@ -28,8 +28,8 @@ def chain_built_cyclic_t(x):
         if not slots:
             items.append((1, u_pow, a0, slots))
             continue
-        rest = sum(cat.parity(s) - 1 for s in slots)
-        sign = (-1) ** (((cat.parity(a0) - 1) * rest) % 2)
+        rest = sum(s.parity() - 1 for s in slots)
+        sign = (-1) ** (((a0.parity() - 1) * rest) % 2)
         items.append((sign, u_pow, slots[0], slots[1:] + (a0,)))
     return HochschildChain(cat, x.u_truncation, x.tensor_cap, items)
 
@@ -44,7 +44,7 @@ def chain_built_connes_B(x):
         rotated = HochschildChain(cat, x.u_truncation, x.tensor_cap, [(1, u_pow, a0, slots)])
         for _i in range(len(slots) + 1):
             for (m, b0, bslots) in rotated.strings.values():
-                one = cat.identity(cat.target(b0))
+                one = cat.identity(b0.target)
                 items.append((1, m, one, (b0,) + bslots))
             rotated = chain_built_cyclic_t(rotated)
     return HochschildChain(cat, x.u_truncation, x.tensor_cap, items)

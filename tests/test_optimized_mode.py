@@ -13,6 +13,7 @@ CHILD = r'''
 import json
 
 from mfchern.cech import CechCochain, MatrixForm
+from mfchern.cohomology import TotalCochain, coinvariant_project
 from mfchern.geometry import build_scheme
 from mfchern.mf import VectorBundle
 from mfchern.rings import LocalFrac, Ring, RingMap, ScalarPoly, echelon_reduce, parse_scalar
@@ -35,6 +36,20 @@ sch, other_sch = build_scheme(line_config), build_scheme(line_config)
 pair = sch.intersection((0, 1)).ring
 bundle = VectorBundle(sch, [0], {(0, 1): [[pair.var("z")]]})
 x = ScalarPoly.variable(("x",), "x")
+swap_config = {
+    "grading": "Z2",
+    "dimension": 2,
+    "patches": [{"name": "A2", "variables": ["x", "y"], "denominators": []}],
+    "gluings": [],
+    "potentials": ["0"],
+    "group": {
+        "elements": ["e", "s"],
+        "table": [[0, 1], [1, 0]],
+        "action": [[["x", "y"]], [["y", "x"]]],
+    },
+}
+plane, other_plane = build_scheme(swap_config), build_scheme(swap_config)
+rank2 = VectorBundle(plane, [0, 0], {})
 
 CASES = {
     "MatrixForm: row 5, dx index 7 and u^-1 on a 1 x 1 matrix over A[x]":
@@ -116,6 +131,16 @@ CASES = {
         lambda: parse_scalar(line, "1.5*x"),
     "parse_scalar: exponent is not a literal":
         lambda: parse_scalar(line, "x**x"),
+    "TotalCochain: 2 x 2-valued cochain":
+        lambda: TotalCochain(CechCochain(
+            plane, rank2, rank2, {(0,): MatrixForm.identity(plane.patch_ring(0), (0, 0))}, 1
+        )),
+    "TotalCochain: a string":
+        lambda: TotalCochain("c"),
+    "coinvariant_project: component on another scheme":
+        lambda: coinvariant_project({"e": CechCochain.scalar(other_plane, {}, 1)}, plane),
+    "coinvariant_project: scheme without a group action":
+        lambda: coinvariant_project({}, sch),
 }
 
 accepted = []
@@ -137,5 +162,5 @@ def test_malformed_inputs_raise_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["cases"] == 39
+    assert report["cases"] == 43
     assert not report["accepted"], "accepted under python -O: " + "; ".join(report["accepted"])

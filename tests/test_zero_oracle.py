@@ -73,7 +73,7 @@ def split_slot(rng, x, draw):
 
     items = [
         (1, m, a0, with_slot(t)),
-        (1, m, a0, with_slot(cat.add(s, cat.scale(t, -1)))),
+        (1, m, a0, with_slot(s + t.scale(-1))),
         (-1, m, a0, slots),
     ]
     return HochschildChain(cat, x.u_truncation, x.tensor_cap, items)
