@@ -22,6 +22,7 @@ __all__ = [
     "acw_product",
     "exp_neg",
     "supertrace",
+    "supertrace_product",
     "identity_cochain",
     "koszul_sign",
     "product_sign",
@@ -205,22 +206,19 @@ class MatrixForm:
             {k: f for k, f in self.terms.items() if k[3] == m},
         )
 
-    def mul(self, other, cech_left=0):
-        """Compose: self acting after other, with the ledger signs.
-
-        cech_left is the Cech degree of the cochain the left factor came
-        from; it feeds rule 2.
-        """
+    def _check_factor(self, other):
         self._check_operand(other)
         if self.col_parities != other.row_parities:
             raise ValueError("shape mismatch")
-        by_row = {}
-        for key, f2 in other.terms.items():
-            by_row.setdefault(key[0], []).append((key, f2))
-        terms = {}
+
+    def _signed_products(self, other, cech_left, partners):
+        """Yield (row, col, dx indices, u power), value for every composing
+        pair of a term of self and a term of other, with the ledger signs;
+        partners(r1, c1) lists the terms of other paired with self's terms
+        at (r1, c1)."""
         for (r1, c1, i1, m1), f1 in self.terms.items():
-            bucket = by_row.get(c1)
-            if bucket is None:
+            bucket = partners(r1, c1)
+            if not bucket:
                 continue
             e1 = (self.row_parities[r1] + self.col_parities[c1]) % 2
             for (r2, c2, i2, m2), f2 in bucket:
@@ -229,12 +227,44 @@ class MatrixForm:
                     continue
                 e2 = (other.row_parities[r2] + other.col_parities[c2]) % 2
                 sign = wsign * product_sign(cech_left, e1, len(i2), e2)
-                key = (r1, c2, merged, m1 + m2)
                 val = f1 * f2
-                if sign < 0:
-                    val = -val
-                terms[key] = terms[key] + val if key in terms else val
+                yield (r1, c2, merged, m1 + m2), (val if sign > 0 else -val)
+
+    def mul(self, other, cech_left=0):
+        """Compose: self acting after other, with the ledger signs.
+
+        cech_left is the Cech degree of the cochain the left factor came
+        from; it feeds rule 2.
+        """
+        self._check_factor(other)
+        by_row = {}
+        for key, f2 in other.terms.items():
+            by_row.setdefault(key[0], []).append((key, f2))
+        terms = {}
+        for key, val in self._signed_products(
+            other, cech_left, lambda r1, c1: by_row.get(c1)
+        ):
+            terms[key] = terms[key] + val if key in terms else val
         return MatrixForm(self.ring, self.row_parities, other.col_parities, terms)
+
+    def _supertrace_mul(self, other, cech_left=0):
+        """self.mul(other, cech_left).supertrace(), pairing only the terms
+        whose product lands on the diagonal."""
+        self._check_factor(other)
+        if self.row_parities != other.col_parities:
+            raise ValueError("supertrace needs square shape")
+        by_entry = {}
+        for key, f2 in other.terms.items():
+            by_entry.setdefault(key[:2], []).append((key, f2))
+        terms = {}
+        for (r, _c, idxs, m), val in self._signed_products(
+            other, cech_left, lambda r1, c1: by_entry.get((c1, r1))
+        ):
+            if self.row_parities[r]:
+                val = -val
+            key = (0, 0, idxs, m)
+            terms[key] = terms[key] + val if key in terms else val
+        return MatrixForm(self.ring, (0,), (0,), terms)
 
     def d_form(self):
         """Exterior derivative on the form factor; it sits leftmost, no sign."""
@@ -541,39 +571,59 @@ def form_derivative(c):
     return CechCochain(c.scheme, c.source, c.target, entries, c.u_truncation)
 
 
-def acw_product(a, b):
-    """Front-face/back-face cup product; a composes after b on values."""
+def _check_factors(a, b):
     _check_cochain(a)
     _check_cochain(b)
     if a.scheme is not b.scheme:
         raise ValueError("factors live on different schemes")
     if b.target.parities() != a.source.parities():
         raise ValueError("product needs target bundle of the right factor = source of the left")
-    scheme = a.scheme
+
+
+def _cup(a, b, product):
+    """Entries and u truncation of a front-face/back-face cup product whose
+    values are composed by product(front value, back value, Cech degree of
+    the front), both values moved into the ring and frame of their tuple."""
     trunc = min(a.u_truncation, b.u_truncation)
-    out = {}
     by_size_a = {}
     for t in a.entries:
         by_size_a.setdefault(len(t), set()).add(t)
     by_size_b = {}
     for t in b.entries:
         by_size_b.setdefault(len(t), set()).add(t)
+    out = {}
     for size_a, fronts in by_size_a.items():
         for size_b, backs in by_size_b.items():
             size = size_a + size_b - 1
-            for big in scheme.tuples(size):
+            for big in a.scheme.tuples(size):
                 front = big[: size_a]
                 back = big[size_a - 1 :]
                 if front not in fronts or back not in backs:
                     continue
                 left = a.transport(front, big)
                 right = b.transport(back, big)
-                value = left.mul(right, cech_left=size_a - 1).truncate_u(trunc)
+                value = product(left, right, size_a - 1).truncate_u(trunc)
                 if value.is_zero():
                     continue
                 out[big] = out[big] + value if big in out else value
-    out = {t: v for t, v in out.items() if not v.is_zero()}
-    return CechCochain(scheme, b.source, a.target, out, trunc)
+    return {t: v for t, v in out.items() if not v.is_zero()}, trunc
+
+
+def acw_product(a, b):
+    """Front-face/back-face cup product; a composes after b on values."""
+    _check_factors(a, b)
+    entries, trunc = _cup(a, b, MatrixForm.mul)
+    return CechCochain(a.scheme, b.source, a.target, entries, trunc)
+
+
+def supertrace_product(a, b):
+    """supertrace(acw_product(a, b)), with only the diagonal of each value
+    product computed."""
+    _check_factors(a, b)
+    if b.source.parities() != a.target.parities():
+        raise ValueError("supertrace needs square values")
+    entries, trunc = _cup(a, b, MatrixForm._supertrace_mul)
+    return CechCochain.scalar(a.scheme, entries, trunc)
 
 
 def exp_neg(c):
@@ -583,22 +633,20 @@ def exp_neg(c):
         raise ValueError("exp needs square values")
     scheme = c.scheme
     out = identity_cochain(scheme, c.source, c.u_truncation)
-    power = out
+    power = c
     bound = scheme.dimension + scheme.npatches() + 1
-    m = 0
-    coeff = Fraction(1)
-    while True:
-        m += 1
-        power = acw_product(power, c)
-        if power.is_zero():
-            break
+    m = 1
+    coeff = Fraction(-1)
+    while not power.is_zero():
         if m > bound:
             raise ValueError(
                 f"input not nilpotent: nonzero {m}-th power on a scheme of "
                 f"dimension {scheme.dimension}"
             )
-        coeff = coeff * Fraction(-1, m)
         out = out + power.scale(coeff)
+        m += 1
+        coeff = coeff * Fraction(-1, m)
+        power = acw_product(power, c)
     return out
 
 

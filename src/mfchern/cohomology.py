@@ -64,8 +64,12 @@ class TotalCochain(CechCochain):
         )
 
     @classmethod
+    def scalar(cls, scheme, entries, u_truncation):
+        return cls(CechCochain.scalar(scheme, entries, u_truncation))
+
+    @classmethod
     def zero(cls, scheme, u_truncation):
-        return cls(CechCochain.scalar(scheme, {}, u_truncation))
+        return cls.scalar(scheme, {}, u_truncation)
 
     def components(self):
         out = set()
@@ -134,36 +138,42 @@ def cohomologous(c1, c2, degree_bound, den_bound=1):
         raise ValueError("total degree mismatch between the two cocycles")
     target_parity = (parity + 1) % 2
 
+    # total_differential keeps the power of u except on u d, which raises it
+    # by one, so a column at u^m has its family's u^0 image shifted by m.
     columns = []
+    contributions = {}
     for size in range(1, scheme.npatches() + 1):
         for tup in scheme.tuples(size):
             ring = scheme.intersection(tup).ring
             nvars = len(ring.vars)
             for idxs in _subsets(nvars):
+                if (size - 1 + len(idxs)) % 2 != target_parity:
+                    continue
+                family = []
+                for den in monomials_up_to(len(ring.denominators), den_bound):
+                    for mono in monomials_up_to(nvars, degree_bound):
+                        value = LocalFrac(
+                            ring, ScalarPoly(ring.vars, {mono: Fraction(1)}), den
+                        )
+                        if value.den != tuple(den) or value.num.terms != {
+                            tuple(mono): Fraction(1)
+                        }:
+                            continue
+                        elem = CechCochain.scalar(
+                            scheme,
+                            {tup: MatrixForm(ring, (0,), (0,), {(0, 0, idxs, 0): value})},
+                            trunc,
+                        )
+                        family.append((value, total_differential(elem)))
                 for m in range(trunc + 1):
-                    if (size - 1 + len(idxs)) % 2 != target_parity:
-                        continue
-                    for den in monomials_up_to(len(ring.denominators), den_bound):
-                        for mono in monomials_up_to(nvars, degree_bound):
-                            value = LocalFrac(
-                                ring, ScalarPoly(ring.vars, {mono: Fraction(1)}), den
-                            )
-                            if value.den != tuple(den) or value.num.terms != {
-                                tuple(mono): Fraction(1)
-                            }:
-                                continue
-                            columns.append((tup, idxs, m, value))
-
-    contributions = {}
-    for col, (tup, idxs, m, value) in enumerate(columns):
-        ring = value.ring
-        elem = CechCochain.scalar(
-            scheme, {tup: MatrixForm(ring, (0,), (0,), {(0, 0, idxs, m): value})}, trunc
-        )
-        image = total_differential(elem)
-        for out_tup, mf in image.entries.items():
-            for (r, c, out_idxs, out_m), f in mf.terms.items():
-                contributions.setdefault((out_tup, out_idxs, out_m), []).append((col, f))
+                    for value, image in family:
+                        col = len(columns)
+                        columns.append((tup, idxs, m, value))
+                        for out_tup, mf in (image.shift_u(m) if m else image).entries.items():
+                            for (_r, _c, out_idxs, out_m), f in mf.terms.items():
+                                contributions.setdefault(
+                                    (out_tup, out_idxs, out_m), []
+                                ).append((col, f))
 
     rhs_values = {}
     for tup, mf in diff.entries.items():

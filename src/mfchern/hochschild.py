@@ -32,8 +32,8 @@ from .cech import (
     MatrixForm,
     acw_product,
     form_derivative,
-    identity_cochain,
     supertrace,
+    supertrace_product,
 )
 from .mf import MorphismCochain, _split_by_total_parity
 from .connection import total_curvature
@@ -619,14 +619,6 @@ def nabla_bracket(cochain, conn_target, conn_source):
     return out
 
 
-def _curvature_powers(P, conn, trunc, jmax):
-    R = total_curvature(P, conn, with_u=True, u_truncation=trunc).cochain()
-    powers = [identity_cochain(P.scheme, P.bundle, trunc)]
-    for _j in range(jmax):
-        powers.append(acw_product(powers[-1], R))
-    return powers
-
-
 def _j_vectors(count, total_max):
     if count == 0:
         yield ()
@@ -639,9 +631,18 @@ def _j_vectors(count, total_max):
 def tr_nabla(x, connections):
     """Chain-level trace against a connection assignment per object.
 
-    Every string contributes sums over curvature insertions; insertions
-    beyond the scheme dimension vanish because each curvature factor carries
-    at least one form degree.
+    The string a0[a1|...|an] with curvature insertions j0, ..., jn (total J)
+    contributes (-1)^J / (n + J)! times
+    str(a0 R^j0 [nabla, a1] R^j1 ... [nabla, an] R^jn), with R the total
+    curvature of each object.  Insertions beyond the scheme dimension vanish
+    because each curvature factor carries at least one form degree.
+
+    The Alexander-Whitney cup product with the ledger signs is associative,
+    so the composite is grouped for speed: a scalar-identity a0 = q 1_P
+    becomes the factor q, the last product is taken as a trace
+    (``supertrace_product``), and a string without slots whose a0 is a
+    scalar identity takes str(R^J) = str(R^(J//2) R^(J - J//2)), so its
+    object's curvature powers are built only up to ceil(dim/2).
     """
     cat = x.category
     if not isinstance(cat, GeometricCategory):
@@ -652,15 +653,18 @@ def tr_nabla(x, connections):
     power_cache = {}
     bracket_cache = {}
 
-    def powers_of(P):
-        c = power_cache.get(id(P))
-        if c is None:
+    def power(P, j):
+        """R^j for j >= 1, each new power built as R^(j-1) R."""
+        powers = power_cache.get(id(P))
+        if powers is None:
             conn = connections.get(P)
             if conn is None:
                 raise ValueError("missing connection for an object of the chain")
-            c = _curvature_powers(P, conn, trunc, jmax)
-            power_cache[id(P)] = c
-        return c
+            R = total_curvature(P, conn, with_u=True, u_truncation=trunc).cochain()
+            powers = power_cache[id(P)] = [R]
+        while len(powers) < j:
+            powers.append(acw_product(powers[-1], powers[0]))
+        return powers[j - 1]
 
     def bracket_of(a):
         c = bracket_cache.get(id(a))
@@ -676,27 +680,41 @@ def tr_nabla(x, connections):
     out = CechCochain.scalar(scheme, {}, trunc)
     for (u_pow, a0, slots) in x.items():
         n = len(slots)
+        scalar = None
+        if a0.source is a0.target and cat.is_scalar_identity(a0):
+            entry = next(iter(a0.cochain.entries.values()), None)
+            if entry is None:
+                continue
+            scalar = next(iter(entry.terms.values())).as_constant()
         sources = [a0.source] + [s.source for s in slots]
         brackets = [bracket_of(s) for s in slots]
         contribution = CechCochain.scalar(scheme, {}, trunc)
         for jvec in _j_vectors(n + 1, jmax):
             J = sum(jvec)
-            acc = None
-            if jvec[n]:
-                acc = powers_of(sources[n])[jvec[n]]
-            for i in range(n, 0, -1):
-                acc = brackets[i - 1] if acc is None else acw_product(
-                    brackets[i - 1], acc
-                )
-                if jvec[i - 1]:
-                    acc = acw_product(powers_of(sources[i - 1])[jvec[i - 1]], acc)
-            composite = a0.cochain if acc is None else acw_product(a0.cochain, acc)
-            if composite.is_zero():
-                continue
-            term = supertrace(composite).scale(
-                Fraction((-1) ** (J % 2), factorial(n + J))
-            )
-            contribution = contribution + term
+            coeff = Fraction((-1) ** (J % 2), factorial(n + J))
+            if scalar is not None and n == 0 and J > 1:
+                factors = [power(sources[0], J // 2), power(sources[0], J - J // 2)]
+            else:
+                factors = [] if scalar is not None else [a0.cochain]
+                for i, j in enumerate(jvec):
+                    if i:
+                        factors.append(brackets[i - 1])
+                    if j:
+                        factors.append(power(sources[i], j))
+            if not factors:
+                factors = [a0.cochain]
+            elif scalar is not None:
+                coeff *= scalar
+            acc = factors[-1]
+            for f in reversed(factors[1:-1]):
+                acc = acw_product(f, acc)
+            if len(factors) > 1:
+                term = supertrace_product(factors[0], acc)
+            else:
+                term = supertrace(acc)
+            if scalar is not None and a0.cochain.u_truncation < term.u_truncation:
+                term = term.truncate_u(a0.cochain.u_truncation)
+            contribution = contribution + term.scale(coeff)
         out = out + contribution.shift_u(u_pow)
     return out
 

@@ -163,6 +163,25 @@ def test_degree_bookkeeping():
     assert c.homogeneous_total_parity() == 0
 
 
+def test_total_cochain_scalar_is_a_total_cochain():
+    sch = build_scheme(proj_line())
+    plain = scalar_cochain(sch, {(0, 1): [((0,), 1, "z")], (0,): [((), 0, "3")]}, 2)
+    c = TotalCochain.scalar(sch, plain.entries, 2)
+    assert type(c) is TotalCochain
+    assert c == plain and c.u_truncation == 2
+    assert c.total_degrees() == [0, 2]
+    assert type(TotalCochain.zero(sch, 2)) is TotalCochain
+
+
+def test_primitive_at_a_higher_power_of_u():
+    """u d raises the power of u by one, so x dx at u^3 has the primitive
+    x^2/2 at u^2: its column's image is the u^0 image shifted by two."""
+    sch = build_scheme(affine_line_flat())
+    c = scalar_cochain(sch, {(0,): [((0,), 3, "x")]}, 3)
+    prim = cohomologous(c, TotalCochain.zero(sch, 3), degree_bound=2)
+    assert prim == scalar_cochain(sch, {(0,): [((), 2, "x^2")]}, 3).scale(Fraction(1, 2))
+
+
 def test_primitive_polynomial_case():
     sch = build_scheme(affine_line_flat())
     c = TotalCochain(scalar_cochain(sch, {(0,): [((0,), 1, "x")]}, 2))

@@ -12,7 +12,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 CHILD = r'''
 import json
 
-from mfchern.cech import CechCochain, MatrixForm
+from mfchern.cech import TRIVIAL_LINE, CechCochain, MatrixForm, supertrace_product
 from mfchern.cohomology import TotalCochain, coinvariant_project
 from mfchern.geometry import build_scheme
 from mfchern.mf import VectorBundle
@@ -50,6 +50,8 @@ swap_config = {
 }
 plane, other_plane = build_scheme(swap_config), build_scheme(swap_config)
 rank2 = VectorBundle(plane, [0, 0], {})
+on_plane = CechCochain.scalar(plane, {}, 1)
+rank2_endo = CechCochain(plane, rank2, rank2, {}, 1)
 
 CASES = {
     "MatrixForm: row 5, dx index 7 and u^-1 on a 1 x 1 matrix over A[x]":
@@ -141,6 +143,14 @@ CASES = {
         lambda: coinvariant_project({"e": CechCochain.scalar(other_plane, {}, 1)}, plane),
     "coinvariant_project: scheme without a group action":
         lambda: coinvariant_project({}, sch),
+    "supertrace_product: a string as the left factor":
+        lambda: supertrace_product("c", on_plane),
+    "supertrace_product: factors on different schemes":
+        lambda: supertrace_product(on_plane, CechCochain.scalar(other_plane, {}, 1)),
+    "supertrace_product: rank-2 source after a line target":
+        lambda: supertrace_product(rank2_endo, on_plane),
+    "supertrace_product: composite from rank 2 to a line":
+        lambda: supertrace_product(CechCochain(plane, rank2, TRIVIAL_LINE, {}, 1), rank2_endo),
 }
 
 accepted = []
@@ -162,5 +172,5 @@ def test_malformed_inputs_raise_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["cases"] == 43
+    assert report["cases"] == 47
     assert not report["accepted"], "accepted under python -O: " + "; ".join(report["accepted"])
