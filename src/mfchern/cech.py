@@ -4,6 +4,12 @@ Every sign in this module and its clients comes from exactly three rules,
 implemented once below: the Koszul transposition sign, the front-face sign
 (-1)^{p|y|} of the cup product, and the value-level sign (-1)^{|k1||g2|} for
 composing form-valued endomorphisms.  u is even and never contributes.
+
+A cochain's bundles have ``parities()`` and dicts ``transitions`` and
+``inverses``: at an increasing pair (i, j), the MatrixForm over the pair ring
+carrying frame j into frame i, and its inverse.  A missing pair means no
+frame change (the trivial line's dicts are empty).  A bundle with a
+``scheme`` must live on the cochain's scheme.
 """
 
 from __future__ import annotations
@@ -336,14 +342,10 @@ class TrivialLine:
     """The trivial even line bundle; scalar cochains are valued in its
     endomorphisms."""
 
+    transitions = inverses = {}
+
     def parities(self):
         return (0,)
-
-    def transition(self, scheme, ring, i, j):
-        return MatrixForm.identity(ring, (0,))
-
-    def transition_inverse(self, scheme, ring, i, j):
-        return MatrixForm.identity(ring, (0,))
 
     def __repr__(self):
         return "TrivialLine"
@@ -366,6 +368,9 @@ class CechCochain:
         self.source = source
         self.target = target
         self.u_truncation = u_truncation
+        for bundle in (source, target):
+            if getattr(bundle, "scheme", scheme) is not scheme:
+                raise ValueError("a bundle of the cochain lives on another scheme")
         clean = {}
         rows = target.parities()
         cols = source.parities()
@@ -487,13 +492,14 @@ class CechCochain:
             value = self.entries[small]
         if small == big:
             return value
-        rm = self.scheme.restriction(small, big)
-        moved = pullback_matrix(rm, value)
+        moved = pullback_matrix(self.scheme.restriction(small, big), value)
         if small[0] != big[0]:
-            ring = self.scheme.intersection(big).ring
-            g_t = self.target.transition(self.scheme, ring, big[0], small[0])
-            g_s = self.source.transition_inverse(self.scheme, ring, big[0], small[0])
-            moved = g_t.mul(moved).mul(g_s)
+            pair = (big[0], small[0])
+            rm = self.scheme.restriction(pair, big)
+            if pair in self.target.transitions:
+                moved = pullback_matrix(rm, self.target.transitions[pair]).mul(moved)
+            if pair in self.source.inverses:
+                moved = moved.mul(pullback_matrix(rm, self.source.inverses[pair]))
         return moved
 
     def canonical_string(self):

@@ -20,6 +20,7 @@ __all__ = [
     "total_curvature",
     "atiyah_cocycle",
     "apply_connection",
+    "frame_form",
 ]
 
 
@@ -171,17 +172,20 @@ def total_curvature(P, conn, with_u=True, u_truncation=None):
     )
 
 
+def frame_form(bundle, pair):
+    """-g d(g^{-1}) over the ring of the increasing pair, for the bundle's
+    transition g there: d in frame i minus d of frame j seen in frame i."""
+    return bundle.transitions[pair].mul(bundle.inverses[pair].d_form()).scale(-1)
+
+
 def _frame_differences(P, conn, u_truncation):
     scheme = P.scheme
     bundle = P.bundle
     conn_cochain = conn.cochain(u_truncation)
     entries = {}
     for (i, j) in scheme.tuples(2):
-        ring = scheme.intersection((i, j)).ring
-        g = bundle.transition(scheme, ring, i, j)
-        ginv = bundle.transition_inverse(scheme, ring, i, j)
         # nabla_j in the i frame is d + g d(g^{-1}) + g C_j g^{-1}
-        value = g.mul(ginv.d_form()).scale(-1)
+        value = frame_form(bundle, (i, j))
         if (i,) in conn_cochain.entries:
             value = value + conn_cochain.transport((i,), (i, j))
         if (j,) in conn_cochain.entries:

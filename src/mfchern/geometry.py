@@ -48,13 +48,10 @@ class Patch:
 class Intersection:
     """Ordered multiple overlap, presented in the smallest-index patch's coordinates."""
 
-    __slots__ = ("tup", "ring", "restrictions")
+    __slots__ = ("ring",)
 
-    def __init__(self, tup, ring, restrictions):
-        self.tup = tup
+    def __init__(self, ring):
         self.ring = ring
-        # restrictions[i]: RingMap from patch i's ring, for each i in tup
-        self.restrictions = restrictions
 
 
 class GroupAction:
@@ -134,7 +131,6 @@ class CoveredScheme:
         pair_data,
         empty_pairs=(),
         action=None,
-        all_critical_values_zero=False,
     ):
         if grading not in ("Z", "Z2") or dimension < 0:
             raise ValueError(
@@ -148,7 +144,6 @@ class CoveredScheme:
         self.pair_data = dict(pair_data)
         self.empty_pairs = {tuple(sorted(p)) for p in empty_pairs}
         self.action = action
-        self.all_critical_values_zero = all_critical_values_zero
         self._intersections = {}
         self._restrictions = {}
         self._validate()
@@ -197,34 +192,27 @@ class CoveredScheme:
         else:
             name = "&".join(self.patches[k].ring.name for k in tup)
             ring = Ring(name, base.vars, dens)
-        restrictions = {}
-        for j in tup:
-            if j == tup[0]:
-                images = tuple(ring.var(v) for v in base.vars)
-                source = base
-            else:
-                source = self.patches[j].ring
-                raw = self.pair_data[(tup[0], j)][1]
-                images = tuple(reroot(ring, img) for img in raw)
-            restrictions[j] = RingMap(source, ring, images)
-        out = Intersection(tup, ring, restrictions)
+        out = Intersection(ring)
         self._intersections[tup] = out
         return out
 
     def restriction(self, small, big):
-        """RingMap from the small tuple's ring into the big tuple's ring."""
+        """RingMap from the small tuple's ring into the big tuple's ring, built
+        once per pair of tuples: the coordinate inclusion when the leading
+        index stays, the gluing images of pair (big[0], small[0]) otherwise."""
         small, big = tuple(small), tuple(big)
         if (small, big) in self._restrictions:
             return self._restrictions[(small, big)]
         if not set(small) <= set(big):
             raise ValueError(f"{small} is not contained in {big}")
         src = self.intersection(small).ring
-        dst_inter = self.intersection(big)
+        dst = self.intersection(big).ring
         if small[0] == big[0]:
-            images = tuple(dst_inter.ring.var(v) for v in src.vars)
+            images = tuple(dst.var(v) for v in src.vars)
         else:
-            images = dst_inter.restrictions[small[0]].images
-        out = RingMap(src, dst_inter.ring, images)
+            raw = self.pair_data[(big[0], small[0])][1]
+            images = tuple(reroot(dst, img) for img in raw)
+        out = RingMap(src, dst, images)
         self._restrictions[(small, big)] = out
         return out
 
@@ -232,10 +220,10 @@ class CoveredScheme:
         """The g-action transported to the intersection ring of tup."""
         if self.action is None:
             raise ValueError("scheme has no group action")
-        ring = self.intersection(tup).ring
+        inclusion = self.restriction(tup[:1], tup)
         base = self.action.map(g, tup[0])
-        images = tuple(reroot(ring, img) for img in base.images)
-        return RingMap(ring, ring, images)
+        images = tuple(inclusion.apply(img) for img in base.images)
+        return RingMap(inclusion.target, inclusion.target, images)
 
     # -- validation --------------------------------------------------------
 
@@ -259,20 +247,18 @@ class CoveredScheme:
         for (i, j) in sorted(self.pair_data):
             if not self.is_nonempty((i, j)):
                 continue
-            inter = self.intersection((i, j))
-            wi = inter.restrictions[i].apply(self.patches[i].potential)
-            wj = inter.restrictions[j].apply(self.patches[j].potential)
+            wi = self.restriction((i,), (i, j)).apply(self.patches[i].potential)
+            wj = self.restriction((j,), (i, j)).apply(self.patches[j].potential)
             if wi != wj:
                 raise ValueError(
                     f"potential mismatch on overlap ({i},{j}): {wi} vs {wj}"
                 )
         # triple consistency: going through the middle patch agrees
         for (i, j, k) in self.tuples(3):
-            inter = self.intersection((i, j, k))
-            via_j = tuple(reroot(inter.ring, img) for img in self.pair_data[(i, j)][1])
-            for img, direct in zip(self.pair_data[(j, k)][1], inter.restrictions[k].images):
-                if RingMap(img.ring, inter.ring, via_j).apply(img) != direct:
-                    raise ValueError(f"incompatible gluing data on triple ({i},{j},{k})")
+            big = (i, j, k)
+            via_j = self.restriction((j, k), big).compose(self.restriction((k,), (j, k)))
+            if via_j.images != self.restriction((k,), big).images:
+                raise ValueError(f"incompatible gluing data on triple ({i},{j},{k})")
         if self.action is not None:
             self._validate_action()
 
@@ -303,8 +289,7 @@ class CoveredScheme:
         for (i, j) in sorted(self.pair_data):
             if not self.is_nonempty((i, j)):
                 continue
-            inter = self.intersection((i, j))
-            rho_ij = inter.restrictions[j]
+            rho_ij = self.restriction((j,), (i, j))
             for g in act.elements:
                 gi = self.action_on((i, j), g)
                 lhs = [gi.apply(img) for img in rho_ij.images]
@@ -317,16 +302,10 @@ class CoveredScheme:
 
 def reroot(ring, value):
     """Reinterpret a LocalFrac in a ring with the same variables and a
-    superset of the denominator generators."""
+    superset of the denominator generators, by the coordinate inclusion."""
     if value.ring.vars != ring.vars:
         raise ValueError(f"cannot reroot {value.ring.name} into {ring.name}: variables differ")
-    num = ScalarPoly(ring.vars, value.num.terms)
-    out = LocalFrac(ring, num)
-    for g, m in zip(value.ring.denominators, value.den):
-        if m:
-            g2 = ScalarPoly(ring.vars, g.terms)
-            out = out * LocalFrac(ring, g2).unit_inverse() ** m
-    return out
+    return RingMap(value.ring, ring, tuple(ring.var(v) for v in ring.vars)).apply(value)
 
 
 def build_scheme(config, check_covering=False, covering_bound=4):
@@ -379,7 +358,6 @@ def build_scheme(config, check_covering=False, covering_bound=4):
         pair_data,
         empty_pairs=empty_pairs,
         action=action,
-        all_critical_values_zero=config.get("all_critical_values_zero", False),
     )
     if check_covering:
         _covering_check(scheme, covering_bound)
@@ -588,7 +566,6 @@ def fixed_locus(scheme, g):
         pair_data,
         empty_pairs=empty_pairs,
         action=None,
-        all_critical_values_zero=scheme.all_critical_values_zero,
     )
     return FixedLocus(g, locus_scheme, patch_map, restrictions, parametrizations)
 

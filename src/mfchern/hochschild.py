@@ -8,7 +8,8 @@ Chains call their entries directly: an entry ``a`` has ``a.source`` and
 methods:
 
 - ``object_key(P)``: a sortable key of an object;
-- ``validate_entry(a, where)``: raise unless ``a`` may sit in a chain;
+- ``validate_entry(a, where)``: raise unless ``a`` may sit in a chain, and
+  return ``a.parity()``;
 - ``key(a)``: a hashable, sortable key of an entry, equal for equal entries;
 - ``decompose(a)``: (label, rational) pairs over a basis of arrows;
 - ``slot_decompose(a)``: the same in the slot space, where the scalar
@@ -32,11 +33,12 @@ from .cech import (
     MatrixForm,
     acw_product,
     form_derivative,
+    pullback_matrix,
     supertrace,
     supertrace_product,
 )
 from .mf import MorphismCochain, _split_by_total_parity
-from .connection import total_curvature
+from .connection import frame_form, total_curvature
 from .rings import echelon_reduce
 
 __all__ = [
@@ -85,11 +87,13 @@ class GeometricCategory:
                         f"chain entries must be u-free: {where} has a u^{k[3]} "
                         f"term on {tup}"
                     )
-        if not a.is_zero() and a.parity() is None:
+        parity = a.parity()
+        if parity is None and not a.is_zero():
             raise ValueError(
                 f"chain entries must be parity homogeneous: {where} mixes "
                 "even and odd terms"
             )
+        return parity
 
     def key(self, a):
         return (
@@ -290,6 +294,7 @@ class RetractCategory:
     def validate_entry(self, a, where):
         if not isinstance(a, FormalMorphism):
             raise TypeError(f"{where} is a {type(a).__name__}, not a FormalMorphism")
+        return a.parity()
 
     def key(self, a):
         items = tuple(sorted((n, str(c)) for n, c in a.coeffs.items()))
@@ -352,7 +357,8 @@ class HochschildChain:
                     f"tensor degree {len(slots)} above the cap {tensor_cap}"
                 )
             chain_entries = (a0,) + slots
-            for j, a in enumerate(chain_entries):
+            parity = category.validate_entry(a0, "slot 0")
+            for j, a in enumerate(slots, 1):
                 category.validate_entry(a, f"slot {j}")
             for j in range(len(slots)):
                 if chain_entries[j].source != chain_entries[j + 1].target:
@@ -375,7 +381,7 @@ class HochschildChain:
             route = (
                 category.object_key(a0.source),
                 category.object_key(a0.target),
-                a0.parity(),
+                parity,
             )
             key = (u_pow, route) + tuple(category.key(s) for s in slots)
             held = self.strings.get(key)
@@ -604,10 +610,8 @@ def nabla_bracket(cochain, conn_target, conn_source):
         for t, value in part.entries.items():
             if len(t) < 2:
                 continue
-            ring = scheme.intersection(t).ring
-            g = cochain.source.transition(scheme, ring, t[0], t[-1])
-            ginv = cochain.source.transition_inverse(scheme, ring, t[0], t[-1])
-            theta = g.mul(ginv.d_form()).scale(-1)
+            pair = (t[0], t[-1])
+            theta = pullback_matrix(scheme.restriction(pair, t), frame_form(cochain.source, pair))
             term = value.mul(theta, cech_left=len(t) - 1)
             if not term.is_zero():
                 gauge[t] = term

@@ -22,7 +22,6 @@ from .cech import (
     identity_cochain,
     pullback_matrix,
 )
-from .geometry import reroot
 from .rings import _check_same_ring, _subsets, parse_scalar
 
 __all__ = [
@@ -79,16 +78,6 @@ def _differing_entries(a, b):
         yield r, c, a.terms.get((r, c, (), 0), zero), b.terms.get((r, c, (), 0), zero)
 
 
-def _in_ring(ring, m):
-    """m with its entries rerooted into ring when ring is another ring (same
-    variables, more denominator generators); m itself otherwise."""
-    if ring.name == m.ring.name:
-        _check_same_ring(m.ring, ring)
-        return m
-    terms = {key: reroot(ring, f) for key, f in m.terms.items()}
-    return MatrixForm(ring, m.row_parities, m.col_parities, terms)
-
-
 def _check_morphism(x, what):
     if not isinstance(x, MorphismCochain):
         raise TypeError(f"{what} is a {type(x).__name__}, not a MorphismCochain")
@@ -136,7 +125,7 @@ class VectorBundle:
 
     gradings are integers under Z grading and 0/1 under Z2; transitions map
     ordered pairs (i, j), i < j, to matrices over the pair intersection ring
-    carrying frame j into frame i.
+    carrying frame j into frame i, and inverses to their inverses.
     """
 
     def __init__(self, scheme, gradings, transitions, inverses=None):
@@ -171,11 +160,10 @@ class VectorBundle:
     def _check_cocycle(self):
         scheme = self.scheme
         for (i, j, k) in scheme.tuples(3):
-            ring = scheme.intersection((i, j, k)).ring
-            gij = self.transition(scheme, ring, i, j)
-            gik = self.transition(scheme, ring, i, k)
-            rm = scheme.restriction((j, k), (i, j, k))
-            gjk = pullback_matrix(rm, self.transitions[(j, k)])
+            gij, gjk, gik = (
+                pullback_matrix(scheme.restriction(pair, (i, j, k)), self.transitions[pair])
+                for pair in ((i, j), (j, k), (i, k))
+            )
             if gij.mul(gjk) != gik:
                 raise ValueError(f"cocycle fails on triple ({i},{j},{k})")
 
@@ -184,20 +172,6 @@ class VectorBundle:
 
     def parities(self):
         return self._parities
-
-    def _check_pair(self, scheme, i, j):
-        if scheme is not self.scheme:
-            raise ValueError("transition requested on another scheme than the bundle's")
-        if not i < j:
-            raise ValueError(f"transition ({i},{j}) needs i < j")
-
-    def transition(self, scheme, ring, i, j):
-        self._check_pair(scheme, i, j)
-        return _in_ring(ring, self.transitions[(i, j)])
-
-    def transition_inverse(self, scheme, ring, i, j):
-        self._check_pair(scheme, i, j)
-        return _in_ring(ring, self.inverses[(i, j)])
 
 
 class MatrixFactorization:
@@ -252,10 +226,9 @@ def check_mf(P):
         for r, c, got, want in _differing_entries(d.mul(d), w_id.scale(scheme.potential(i))):
             failures.append(f"patch {i}: delta^2 entry ({r},{c}) is {got}, expected {want}")
     for (i, j) in scheme.tuples(2):
-        inter = scheme.intersection((i, j))
         g = P.bundle.transitions[(i, j)]
-        di = pullback_matrix(inter.restrictions[i], P.deltas[i])
-        dj = pullback_matrix(inter.restrictions[j], P.deltas[j])
+        di = pullback_matrix(scheme.restriction((i,), (i, j)), P.deltas[i])
+        dj = pullback_matrix(scheme.restriction((j,), (i, j)), P.deltas[j])
         for r, c, _lhs, _rhs in _differing_entries(g.mul(dj), di.mul(g)):
             failures.append(f"overlap ({i},{j}): g delta_j != delta_i g at ({r},{c})")
     return MFReport(failures)
@@ -563,11 +536,10 @@ class EquivariantStructure:
                     raise ValueError(f"phi_{g} does not intertwine delta on patch {i}")
         # transitions: phi is a morphism of bundles gP -> P
         for (i, j) in scheme.tuples(2):
-            inter = scheme.intersection((i, j))
             gij = P.bundle.transitions[(i, j)]
             for g in act.elements:
-                phi_i = pullback_matrix(inter.restrictions[i], self.phi[g][i])
-                phi_j = pullback_matrix(inter.restrictions[j], self.phi[g][j])
+                phi_i = pullback_matrix(scheme.restriction((i,), (i, j)), self.phi[g][i])
+                phi_j = pullback_matrix(scheme.restriction((j,), (i, j)), self.phi[g][j])
                 moved = pullback_matrix(scheme.action_on((i, j), g), gij)
                 if gij.mul(phi_j) != phi_i.mul(moved):
                     raise ValueError(f"phi_{g} not compatible with transition ({i},{j})")

@@ -24,18 +24,16 @@ from .test_rings import random_frac
 
 
 class ConstantBundle:
-    """Test double: a bundle with identity transitions on every overlap."""
+    """Test double: a bundle with identity transitions on every overlap,
+    which the bundle protocol writes as no frame change at all."""
+
+    transitions = inverses = {}
 
     def __init__(self, parities):
         self._parities = tuple(parities)
 
     def parities(self):
         return self._parities
-
-    def transition(self, scheme, ring, i, j):
-        return MatrixForm.identity(ring, self._parities)
-
-    transition_inverse = transition
 
 
 def random_matrix_form(rng, ring, row_parities, col_parities, parity=None,
@@ -145,39 +143,28 @@ def proj_line_three_patch():
 
 
 class TwistPlusTrivial:
-    """Rank-2 test bundle: a z-power twist summed with a trivial line."""
+    """Rank-2 test bundle on the three-patch projective line: a z-power
+    twist summed with a trivial line."""
 
-    def __init__(self, n):
-        self.n = n
+    def __init__(self, scheme, n):
+        self.transitions = {}
+        self.inverses = {}
+        # g12 is forced by the cocycle rule g02 = g01 g12, written in w = 1/z
+        for pair, var in (((0, 1), "z"), ((0, 2), None), ((1, 2), "w")):
+            ring = scheme.intersection(pair).ring
+            for store, power in ((self.transitions, -n), (self.inverses, n)):
+                g = ring.var(var) ** power if var else ring.one()
+                store[pair] = MatrixForm(ring, (0, 0), (0, 0),
+                                         {(0, 0, (), 0): g, (1, 1, (), 0): ring.one()})
 
     def parities(self):
         return (0, 0)
-
-    def _factor(self, ring, i, j, n):
-        if (i, j) == (0, 1):
-            return ring.var("z") ** n
-        if (i, j) == (0, 2):
-            return ring.one()
-        if (i, j) == (1, 2):
-            # forced by the cocycle rule g02 = g01 g12, written in w = 1/z
-            return ring.var("w") ** n
-        raise AssertionError(f"unexpected transition request ({i},{j})")
-
-    def transition(self, scheme, ring, i, j):
-        g = self._factor(ring, i, j, -self.n)
-        return MatrixForm(ring, (0, 0), (0, 0),
-                          {(0, 0, (), 0): g, (1, 1, (), 0): ring.one()})
-
-    def transition_inverse(self, scheme, ring, i, j):
-        g = self._factor(ring, i, j, self.n)
-        return MatrixForm(ring, (0, 0), (0, 0),
-                          {(0, 0, (), 0): g, (1, 1, (), 0): ring.one()})
 
 
 def test_differential_squares_to_zero_with_frames():
     rng = random.Random(72)
     X = build_scheme(proj_line_three_patch())
-    E = TwistPlusTrivial(2)
+    E = TwistPlusTrivial(X, 2)
     for _ in range(8):
         c = random_cochain(rng, X, E, rng.choice([0, 1]))
         assert cech_differential(cech_differential(c)).is_zero()
@@ -186,7 +173,7 @@ def test_differential_squares_to_zero_with_frames():
 def test_acw_associative_with_frames():
     rng = random.Random(78)
     X = build_scheme(proj_line_three_patch())
-    E = TwistPlusTrivial(1)
+    E = TwistPlusTrivial(X, 1)
     for _ in range(6):
         a = random_cochain(rng, X, E, rng.choice([0, 1]), max_u=0)
         b = random_cochain(rng, X, E, rng.choice([0, 1]), max_u=0)
@@ -375,7 +362,7 @@ def test_supertrace_vanishes_on_graded_commutators():
 
 def test_transport_changes_frame():
     X = build_scheme(proj_line_three_patch())
-    E = TwistPlusTrivial(1)
+    E = TwistPlusTrivial(X, 1)
     ring1 = X.patch_ring(1)
     # strictly upper-triangular value in the frame of patch 1
     c = CechCochain(

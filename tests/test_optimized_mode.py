@@ -71,12 +71,8 @@ CASES = {
     "VectorBundle: wrong declared inverse":
         lambda: VectorBundle(sch, [0], {(0, 1): [[pair.var("z")]]},
                              inverses={(0, 1): [[pair.var("z")]]}),
-    "VectorBundle.transition: requested on another scheme":
-        lambda: bundle.transition(other_sch, pair, 0, 1),
-    "VectorBundle.transition: pair (1, 0) is not increasing":
-        lambda: bundle.transition(sch, pair, 1, 0),
-    "VectorBundle.transition_inverse: pair (0, 0) is not increasing":
-        lambda: bundle.transition_inverse(sch, pair, 0, 0),
+    "CechCochain: bundle on another scheme":
+        lambda: CechCochain(other_sch, bundle, bundle, {}, 1),
     "Ring: denominator generator given as a string":
         lambda: Ring("B", ("x",), ("x",)),
     "Ring: denominator generator in other variables":
@@ -172,5 +168,5 @@ def test_malformed_inputs_raise_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["cases"] == 47
+    assert report["cases"] == 45
     assert not report["accepted"], "accepted under python -O: " + "; ".join(report["accepted"])

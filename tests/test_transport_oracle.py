@@ -1,8 +1,10 @@
 """Differential tests of the overlap-transport kernels against the forms they
 replaced: grlex long division for every divisor, RingMap.apply by
 substitution for every map, forms.pullback recomputing d(image) on every call,
-wedge and de_rham_d adding one piece at a time, and MatrixForm.mul testing
-every pair of terms.
+wedge and de_rham_d adding one piece at a time, MatrixForm.mul testing
+every pair of terms, and frame changes that rerooted each pair transition
+into the bigger overlap's ring instead of pulling it back along
+CoveredScheme.restriction.
 
 The oracles run with ScalarPoly.divide_exact swapped for the long-division
 oracle, so every LocalFrac they build is cancelled as before.  Results are
@@ -16,7 +18,18 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from mfchern.cech import MatrixForm, merge_indices, product_sign
+from mfchern.cech import (
+    TRIVIAL_LINE,
+    CechCochain,
+    MatrixForm,
+    acw_product,
+    cech_differential,
+    form_derivative,
+    merge_indices,
+    product_sign,
+    pullback_matrix,
+)
+from mfchern.connection import atiyah_cocycle, default_connection
 from mfchern.forms import (
     DifferentialForm,
     _dx_pullback,
@@ -25,12 +38,16 @@ from mfchern.forms import (
     pullback,
     wedge,
 )
-from mfchern.geometry import build_scheme
-from mfchern.rings import Ring, RingMap, ScalarPoly
+from mfchern.geometry import build_scheme, reroot
+from mfchern.hochschild import nabla_bracket
+from mfchern.mf import MatrixFactorization, _split_by_total_parity
+from mfchern.rings import LocalFrac, Ring, RingMap, ScalarPoly, _check_same_ring
 
-from .test_cech import random_matrix_form
+from .test_cech import TwistPlusTrivial, proj_line_three_patch, random_matrix_form
 from .test_geometry import three_patch_line
+from .test_hochschild import proj_pool
 from .test_rings import random_frac, random_poly
+from .test_trace_oracle import curved_connection, p2_bundle, twist_p2
 
 P1 = {
     "grading": "Z2",
@@ -167,6 +184,134 @@ def all_pairs_mul(self, other, cech_left=0):
             val = f1 * f2 * sign
             terms[key] = terms[key] + val if key in terms else val
     return MatrixForm(self.ring, self.row_parities, other.col_parities, terms)
+
+
+def oracle_reroot(ring, value):
+    """Reinterpret a LocalFrac in a ring with the same variables and a
+    superset of the denominator generators."""
+    if value.ring.vars != ring.vars:
+        raise ValueError(f"cannot reroot {value.ring.name} into {ring.name}: variables differ")
+    num = ScalarPoly(ring.vars, value.num.terms)
+    out = LocalFrac(ring, num)
+    for g, m in zip(value.ring.denominators, value.den):
+        if m:
+            g2 = ScalarPoly(ring.vars, g.terms)
+            out = out * LocalFrac(ring, g2).unit_inverse() ** m
+    return out
+
+
+def oracle_in_ring(ring, m):
+    """m with its entries rerooted into ring when ring is another ring (same
+    variables, more denominator generators); m itself otherwise."""
+    if ring.name == m.ring.name:
+        _check_same_ring(m.ring, ring)
+        return m
+    terms = {key: oracle_reroot(ring, f) for key, f in m.terms.items()}
+    return MatrixForm(ring, m.row_parities, m.col_parities, terms)
+
+
+def oracle_transition(bundle, ring, i, j):
+    """VectorBundle.transition; the trivial line and the identity test double
+    answered with the identity."""
+    if not bundle.transitions:
+        return MatrixForm.identity(ring, bundle.parities())
+    return oracle_in_ring(ring, bundle.transitions[(i, j)])
+
+
+def oracle_transition_inverse(bundle, ring, i, j):
+    if not bundle.inverses:
+        return MatrixForm.identity(ring, bundle.parities())
+    return oracle_in_ring(ring, bundle.inverses[(i, j)])
+
+
+def oracle_intersection_images(sch, tup, j):
+    """The images of patch j's variables that Intersection.restrictions[j]
+    held for the overlap tup."""
+    ring = sch.intersection(tup).ring
+    if j == tup[0]:
+        return tuple(ring.var(v) for v in sch.patch_ring(j).vars)
+    return tuple(oracle_reroot(ring, img) for img in sch.pair_data[(tup[0], j)][1])
+
+
+def oracle_transport(self, small, big, value=None):
+    """Move the entry at the small tuple into the big tuple's ring and
+    frame: pull back coefficients and forms, then change frames by the
+    bundle transitions when the leading index changes."""
+    small, big = tuple(small), tuple(big)
+    if value is None:
+        value = self.entries[small]
+    if small == big:
+        return value
+    rm = self.scheme.restriction(small, big)
+    moved = pullback_matrix(rm, value)
+    if small[0] != big[0]:
+        ring = self.scheme.intersection(big).ring
+        g_t = oracle_transition(self.target, ring, big[0], small[0])
+        g_s = oracle_transition_inverse(self.source, ring, big[0], small[0])
+        moved = g_t.mul(moved).mul(g_s)
+    return moved
+
+
+@contextlib.contextmanager
+def rerooted_transport_everywhere():
+    fast = CechCochain.transport
+    CechCochain.transport = oracle_transport
+    try:
+        yield
+    finally:
+        CechCochain.transport = fast
+
+
+def oracle_frame_differences(P, conn, u_truncation):
+    scheme = P.scheme
+    bundle = P.bundle
+    conn_cochain = conn.cochain(u_truncation)
+    entries = {}
+    for (i, j) in scheme.tuples(2):
+        ring = scheme.intersection((i, j)).ring
+        g = oracle_transition(bundle, ring, i, j)
+        ginv = oracle_transition_inverse(bundle, ring, i, j)
+        # nabla_j in the i frame is d + g d(g^{-1}) + g C_j g^{-1}
+        value = g.mul(ginv.d_form()).scale(-1)
+        if (i,) in conn_cochain.entries:
+            value = value + conn_cochain.transport((i,), (i, j))
+        if (j,) in conn_cochain.entries:
+            value = value - conn_cochain.transport((j,), (i, j))
+        if not value.is_zero():
+            entries[(i, j)] = value
+    return CechCochain(scheme, bundle, bundle, entries, u_truncation)
+
+
+def oracle_nabla_bracket(cochain, conn_target, conn_source):
+    trunc = cochain.u_truncation
+    scheme = cochain.scheme
+    out = form_derivative(cochain)
+    ct = conn_target.cochain(trunc)
+    cs = conn_source.cochain(trunc)
+    for parity, part in _split_by_total_parity(cochain).items():
+        if part.is_zero():
+            continue
+        if not ct.is_zero():
+            out = out + acw_product(ct, part)
+        if not cs.is_zero():
+            out = out - acw_product(part, cs).scale((-1) ** parity)
+        gauge = {}
+        for t, value in part.entries.items():
+            if len(t) < 2:
+                continue
+            ring = scheme.intersection(t).ring
+            g = oracle_transition(cochain.source, ring, t[0], t[-1])
+            ginv = oracle_transition_inverse(cochain.source, ring, t[0], t[-1])
+            theta = g.mul(ginv.d_form()).scale(-1)
+            term = value.mul(theta, cech_left=len(t) - 1)
+            if not term.is_zero():
+                gauge[t] = term
+        if gauge:
+            correction = CechCochain(
+                scheme, cochain.source, cochain.target, gauge, trunc
+            )
+            out = out + correction.scale((-1) ** parity)
+    return out
 
 
 # -- term-by-term comparison -------------------------------------------------
@@ -440,3 +585,112 @@ def test_accumulating_wedge_and_d_match_piecewise():
 @given(rng=st.randoms(use_true_random=False))
 def test_accumulating_wedge_and_d_property(rng):
     check_forms(rng, rng.choice(mul_rings()))
+
+
+# -- frame changes ------------------------------------------------------------
+
+
+def frame_objects():
+    """(scheme, factorizations): O(n) for n = 1, 2, 3 and O + O(1)[odd] on the
+    three-chart projective plane; the section and the rank-four object on the
+    projective line."""
+    p2 = build_scheme(P2)
+    twists = [twist_p2(p2, n) for n in (1, 2, 3)]
+    yield p2, twists + [MatrixFactorization(p2_bundle(p2, (0, 1), (0, 1)), [[[0, 0], [0, 0]]] * 3)]
+    sch, pool = proj_pool()
+    yield sch, [P for P, _twists in pool[:2]]
+
+
+def frame_bundles():
+    for sch, objects in frame_objects():
+        yield sch, [P.bundle for P in objects]
+    X = build_scheme(proj_line_three_patch())
+    yield X, [TwistPlusTrivial(X, 1), TwistPlusTrivial(X, 2)]
+
+
+def filled_cochain(rng, sch, source, target, sizes):
+    """A random cochain with an entry at every nonempty tuple of the given
+    sizes."""
+    entries = {}
+    for size in sizes:
+        for tup in sch.tuples(size):
+            ring = sch.intersection(tup).ring
+            entries[tup] = random_matrix_form(
+                rng, ring, target.parities(), source.parities(), max_u=1, nterms=4
+            )
+    return CechCochain(sch, source, target, entries, 3)
+
+
+def frame_cochains(rng, sch, bundle):
+    """Cochains of each Cech degree in End(E), Hom(E, O), Hom(O, E), End(O)."""
+    for source, target in itertools.product((bundle, TRIVIAL_LINE), repeat=2):
+        for size in range(1, sch.npatches() + 1):
+            yield filled_cochain(rng, sch, source, target, (size,))
+
+
+def test_restrictions_are_built_once_with_the_old_images():
+    rng = random.Random(91)
+    for config in (P1, P2, MOEBIUS_LINE, three_patch_line(), proj_line_three_patch()):
+        sch = build_scheme(config)
+        for size in range(1, sch.npatches() + 1):
+            for big in sch.tuples(size):
+                for k in range(1, size + 1):
+                    for small in itertools.combinations(big, k):
+                        rm = sch.restriction(small, big)
+                        assert sch.restriction(small, big) is rm
+                        assert rm.source is sch.intersection(small).ring
+                        assert rm.target is sch.intersection(big).ring
+                        old = oracle_intersection_images(sch, big, small[0])
+                        for new_image, old_image in zip(rm.images, old, strict=True):
+                            assert_same_frac(new_image, old_image)
+                        if small[0] == big[0]:
+                            a = random_frac(rng, rm.source, degree=3, den_bound=2)
+                            assert_same_frac(reroot(rm.target, a), oracle_reroot(rm.target, a))
+
+
+def test_transport_and_differential_match_rerooted_transitions():
+    rng = random.Random(92)
+    changed = 0
+    for sch, bundles in frame_bundles():
+        for bundle in bundles:
+            for c in frame_cochains(rng, sch, bundle):
+                for small in c.entries:
+                    for size in range(len(small), sch.npatches() + 1):
+                        for big in sch.tuples(size):
+                            if not set(small) <= set(big):
+                                continue
+                            new = c.transport(small, big)
+                            old = oracle_transport(c, small, big)
+                            assert_same_terms(new, old)
+                            assert str(new) == str(old)
+                            changed += small[0] != big[0] and not new.is_zero()
+                new = cech_differential(c)
+                with rerooted_transport_everywhere():
+                    old = cech_differential(c)
+                assert new.canonical_string() == old.canonical_string()
+    assert changed >= 100, changed
+
+
+def test_frame_forms_match_rerooted_transitions():
+    rng = random.Random(93)
+    nonzero = total = 0
+    for sch, objects in frame_objects():
+        conns = {P: curved_connection(rng, P) for P in objects}
+        for P in objects:
+            for conn in (default_connection(P), conns[P]):
+                new = atiyah_cocycle(P, conn)
+                with rerooted_transport_everywhere():
+                    old = oracle_frame_differences(P, conn, 4)
+                assert new.canonical_string() == old.canonical_string()
+                nonzero += not new.is_zero()
+                total += 1
+        sizes = range(1, sch.npatches() + 1)
+        for source, target in itertools.product(objects, repeat=2):
+            c = filled_cochain(rng, sch, source.bundle, target.bundle, sizes)
+            new = nabla_bracket(c, conns[target], conns[source])
+            with rerooted_transport_everywhere():
+                old = oracle_nabla_bracket(c, conns[target], conns[source])
+            assert new.canonical_string() == old.canonical_string()
+            nonzero += not new.is_zero()
+            total += 1
+    assert nonzero >= total - 2, (nonzero, total)
