@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .forms import DifferentialForm, de_rham_d, merge_indices, pullback
+from .forms import de_rham_d, merge_indices, pullback
 from .rings import LocalFrac, _check_same_ring
 
 __all__ = [
@@ -106,10 +106,6 @@ class MatrixForm:
             else:
                 clean[key] = f
         self.terms = clean
-
-    @classmethod
-    def zero(cls, ring, row_parities, col_parities):
-        return cls(ring, row_parities, col_parities, {})
 
     @classmethod
     def identity(cls, ring, parities):
@@ -276,8 +272,7 @@ class MatrixForm:
         """Exterior derivative on the form factor; it sits leftmost, no sign."""
         terms = {}
         for (r, c, idxs, m), f in self.terms.items():
-            dform = de_rham_d(DifferentialForm(self.ring, {idxs: f}))
-            for nidxs, nf in dform.terms.items():
+            for nidxs, nf in de_rham_d({idxs: f}).items():
                 key = (r, c, nidxs, m)
                 terms[key] = terms[key] + nf if key in terms else nf
         return MatrixForm(self.ring, self.row_parities, self.col_parities, terms)
@@ -328,8 +323,7 @@ def pullback_matrix(ring_map, value):
     _check_same_ring(value.ring, ring_map.source)
     terms = {}
     for (r, c, idxs, m), f in value.terms.items():
-        moved = pullback(ring_map, DifferentialForm(value.ring, {idxs: f}))
-        for nidxs, nf in moved.terms.items():
+        for nidxs, nf in pullback(ring_map, {idxs: f}).items():
             key = (r, c, nidxs, m)
             terms[key] = terms[key] + nf if key in terms else nf
     return MatrixForm(ring_map.target, value.row_parities, value.col_parities, terms)

@@ -234,15 +234,19 @@ class CoveredScheme:
                     raise ValueError(
                         f"grading Z requires zero potential, patch {i} has {p.potential}"
                     )
+        n = self.npatches()
         for (i, j), (dens, images) in self.pair_data.items():
-            if not i < j:
-                raise ValueError(f"gluing pair ({i},{j}) is not increasing")
+            if not 0 <= i < j < n:
+                raise ValueError(f"gluing pair ({i},{j}) is not increasing below {n}")
             base = self.patches[i].ring
             for d in dens:
                 if not isinstance(d, ScalarPoly) or d.vars != base.vars or d.is_zero():
                     raise ValueError(f"bad denominator {d!r} for gluing ({i},{j})")
             if len(images) != len(self.patches[j].ring.vars):
                 raise ValueError(f"gluing ({i},{j}) needs one image per variable")
+        for pair in self.tuples(2):
+            if pair not in self.pair_data:
+                raise ValueError(f"nonempty pair {pair} has no gluing")
         # potentials agree on pairwise overlaps
         for (i, j) in sorted(self.pair_data):
             if not self.is_nonempty((i, j)):
@@ -324,14 +328,14 @@ def build_scheme(config, check_covering=False, covering_bound=4):
             parse_scalar(pre, d).num for d in spec.get("denominators", ())
         )
         rings.append(Ring(spec["name"], variables, dens))
-    patches = []
-    for ring, spec, pot in zip(rings, config["patches"], config["potentials"]):
-        patches.append(Patch(ring, parse_scalar(ring, pot)))
+    if len(config["potentials"]) != len(rings):
+        raise ValueError(f"{len(rings)} patches but {len(config['potentials'])} potentials")
+    patches = [Patch(ring, parse_scalar(ring, w)) for ring, w in zip(rings, config["potentials"])]
     pair_data = {}
     for glue in config.get("gluings", ()):
         i, j = glue["pair"]
-        if not i < j:
-            raise ValueError("gluing pairs must be given with increasing indices")
+        if not 0 <= i < j < len(rings):
+            raise ValueError(f"gluing pair ({i},{j}) is not increasing below {len(rings)}")
         base = rings[i]
         dens = tuple(parse_scalar(base, d).num for d in glue.get("denominators", ()))
         scratch = Ring(f"{base.name}*{j}", base.vars, base.denominators + dens)

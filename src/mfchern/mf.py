@@ -279,7 +279,8 @@ def koszul_mf(scheme, a, b):
         deltas.append(MatrixForm(scheme.patch_ring(i), parities, parities, terms))
     P = MatrixFactorization(bundle, deltas)
     report = check_mf(P)
-    assert report.ok, report.failures
+    if not report.ok:
+        raise ValueError(f"not a matrix factorization: {'; '.join(report.failures)}")
     return P
 
 

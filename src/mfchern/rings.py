@@ -772,7 +772,12 @@ def parse_scalar(ring, text):
         return text
     if isinstance(text, (int, Fraction)):
         return ring.const(text)
-    node = ast.parse(text.replace("^", "**"), mode="eval").body
+    if not isinstance(text, str):
+        raise TypeError(f"cannot parse a {type(text).__name__} as a scalar")
+    try:
+        node = ast.parse(text.replace("^", "**"), mode="eval").body
+    except SyntaxError as err:
+        raise ValueError(f"cannot parse {text!r}: {err.msg}") from None
 
     def ev(n):
         if isinstance(n, ast.Constant):

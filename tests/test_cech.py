@@ -15,7 +15,7 @@ from mfchern.cech import (
     pullback_matrix,
     supertrace,
 )
-from mfchern.forms import DifferentialForm, pullback, wedge
+from mfchern.forms import de_rham_d, pullback, wedge
 from mfchern.geometry import build_scheme
 from mfchern.rings import Ring, ScalarPoly
 
@@ -450,13 +450,22 @@ def test_cochain_and_form_inputs_validated():
         exp_neg(CechCochain(sch, bundle, ConstantBundle((0, 1)), {}, 1))
     ring = sch.patch_ring(0)
     with pytest.raises(ValueError, match="dx index out of range"):
-        DifferentialForm(ring, {(3,): ring.one()})
+        de_rham_d({(3,): ring.one()})
+    with pytest.raises(ValueError, match="strictly increasing"):
+        wedge({(0, 0): ring.one()}, {})
+    with pytest.raises(TypeError, match="is a int"):
+        de_rham_d({(0,): 1})
+    with pytest.raises(TypeError, match="not a form"):
+        wedge({(): ring.one()}, [((), ring.one())])
     with pytest.raises(ValueError, match="ambient ring mismatch"):
-        DifferentialForm(ring, {(): other.one()})
+        de_rham_d({(): ring.one(), (0,): other.one()})
+    # the colliding pair dx ^ dx is never multiplied; the rings still differ
     with pytest.raises(ValueError, match="ambient ring mismatch"):
-        wedge(DifferentialForm.dx(ring, 0), DifferentialForm.dx(other, 0))
+        wedge({(0,): ring.one()}, {(0,): other.one()})
     restriction = sch.restriction((0,), (0, 1))
     with pytest.raises(ValueError, match="ambient ring mismatch"):
-        pullback(restriction, DifferentialForm.dx(other, 0))
+        pullback(restriction, {(0,): other.one()})
+    with pytest.raises(TypeError, match="not a RingMap"):
+        pullback(None, {(0,): ring.one()})
     with pytest.raises(ValueError, match="ambient ring mismatch"):
         pullback_matrix(restriction, MatrixForm.identity(other, (0,)))

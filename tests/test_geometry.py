@@ -116,6 +116,21 @@ def test_potential_mismatch_is_an_error():
         build_scheme(cfg)
 
 
+def test_inconsistent_covers_rejected():
+    fewer_potentials = dict(proj_line(), potentials=["0"])
+    with pytest.raises(ValueError, match="2 patches but 1 potentials"):
+        build_scheme(fewer_potentials)
+    glued_to_nothing = proj_line()
+    glued_to_nothing["gluings"] = [dict(glued_to_nothing["gluings"][0], pair=[0, 2])]
+    with pytest.raises(ValueError, match=r"gluing pair \(0,2\) is not increasing below 2"):
+        build_scheme(glued_to_nothing)
+    with pytest.raises(ValueError, match=r"nonempty pair \(0, 1\) has no gluing"):
+        build_scheme(dict(proj_line(), gluings=[]))
+    # declared empty, the pair needs no gluing
+    X = build_scheme(dict(proj_line(), gluings=[], empty_pairs=[[0, 1]]))
+    assert X.npatches() == 2 and X.tuples(2) == []
+
+
 def test_matching_nonzero_potential_across_patches():
     # w = z^2/(pole at 0): z^2 on U0 matches w^-2 written in U1 coordinates
     cfg = proj_line()

@@ -112,6 +112,13 @@ def test_koszul_rejects_wrong_potential():
         koszul_mf(sch, [["x"]], [["1"]])
 
 
+def test_koszul_rejects_data_that_does_not_glue():
+    # delta = z on U0 and w = 1/z on U1 disagree on the overlap
+    sch = build_scheme(proj_line())
+    with pytest.raises(ValueError, match=r"overlap \(0,1\): g delta_j != delta_i g"):
+        koszul_mf(sch, [["z", "w"]], [["0", "0"]])
+
+
 def test_koszul_two_variables_frozen():
     sch = build_scheme(affine_plane("x^2 + y^2"))
     P = koszul_mf(sch, [["x"], ["y"]], [["x"], ["y"]])

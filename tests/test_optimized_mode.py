@@ -1,7 +1,10 @@
 """Input validation must not depend on ``assert``: one ``python -O`` process
 feeds a table of malformed inputs to the package and reports every input that
-was accepted instead of raising ValueError or TypeError."""
+was accepted instead of raising ValueError or TypeError, and a scan of the
+sources finds ``assert`` only at the listed internal-invariant sites."""
 
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -14,8 +17,9 @@ import json
 
 from mfchern.cech import TRIVIAL_LINE, CechCochain, MatrixForm, supertrace_product
 from mfchern.cohomology import TotalCochain, coinvariant_project
+from mfchern.forms import de_rham_d, pullback, wedge
 from mfchern.geometry import build_scheme
-from mfchern.mf import VectorBundle
+from mfchern.mf import VectorBundle, koszul_mf
 from mfchern.rings import LocalFrac, Ring, RingMap, ScalarPoly, echelon_reduce, parse_scalar
 
 line = Ring("A", ("x",))
@@ -49,6 +53,12 @@ swap_config = {
     },
 }
 plane, other_plane = build_scheme(swap_config), build_scheme(swap_config)
+patch0 = sch.patch_ring(0)
+
+
+def line_variant(**changes):
+    return build_scheme(dict(line_config, **changes))
+
 rank2 = VectorBundle(plane, [0, 0], {})
 on_plane = CechCochain.scalar(plane, {}, 1)
 rank2_endo = CechCochain(plane, rank2, rank2, {}, 1)
@@ -147,6 +157,28 @@ CASES = {
         lambda: supertrace_product(rank2_endo, on_plane),
     "supertrace_product: composite from rank 2 to a line":
         lambda: supertrace_product(CechCochain(plane, rank2, TRIVIAL_LINE, {}, 1), rank2_endo),
+    "koszul_mf: delta z on U0 and w on U1 do not glue":
+        lambda: koszul_mf(sch, [["z", "w"]], [["0", "0"]]),
+    "build_scheme: two patches, one potential":
+        lambda: line_variant(potentials=["0"]),
+    "build_scheme: gluing pair (0, 2) on two patches":
+        lambda: line_variant(gluings=[dict(line_config["gluings"][0], pair=[0, 2])]),
+    "build_scheme: nonempty pair (0, 1) without a gluing":
+        lambda: line_variant(gluings=[]),
+    "parse_scalar: a float":
+        lambda: parse_scalar(line, 1.5),
+    "parse_scalar: unparsable text":
+        lambda: parse_scalar(line, "x +"),
+    "de_rham_d: dx index 1 on a one-variable ring":
+        lambda: de_rham_d({(1,): one}),
+    "wedge: dx indices (0, 0)":
+        lambda: wedge({(0, 0): one}, {(): one}),
+    "de_rham_d: an int coefficient":
+        lambda: de_rham_d({(): 3}),
+    "wedge: dx ^ dx with coefficients from two rings":
+        lambda: wedge({(0,): patch0.one()}, {(0,): line.one()}),
+    "pullback: form on the target ring of the map":
+        lambda: pullback(sch.restriction((0,), (0, 1)), {(0,): pair.one()}),
 }
 
 accepted = []
@@ -168,5 +200,46 @@ def test_malformed_inputs_raise_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["cases"] == 45
+    assert report["cases"] == 56
     assert not report["accepted"], "accepted under python -O: " + "; ".join(report["accepted"])
+
+
+# Functions whose asserts state internal invariants (results the code itself
+# computed), not checks of caller input.
+ASSERT_SITES = {
+    "connection.averaged_connection",
+    "connection.Curvature.cochain",
+    "mf.RetractData.__init__",
+    "geometry.fixed_locus",
+    "geometry._left_inverse",
+    "hochschild._formal_monomials",
+}
+
+
+def assert_sites():
+    """{module.qualified function name: line numbers} of every assert in
+    src/mfchern."""
+    sites = {}
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, scope + [child.name])
+                continue
+            if isinstance(child, ast.Assert):
+                name = ".".join([module] + scope)
+                sites.setdefault(name, []).append(child.lineno)
+            visit(child, module, scope)
+
+    for path in sorted(glob.glob(os.path.join(SRC, "mfchern", "*.py"))):
+        module = os.path.splitext(os.path.basename(path))[0]
+        with open(path) as fh:
+            visit(ast.parse(fh.read(), path), module, [])
+    return sites
+
+
+def test_asserts_only_at_internal_invariant_sites():
+    sites = assert_sites()
+    stray = {name: lines for name, lines in sites.items() if name not in ASSERT_SITES}
+    assert not stray, f"assert outside the internal-invariant sites: {stray}"
+    assert set(sites) == ASSERT_SITES, f"sites without an assert: {ASSERT_SITES - set(sites)}"

@@ -11,6 +11,7 @@ from mfchern.rings import (
     ScalarPoly,
     echelon_reduce,
     monomials_up_to,
+    parse_scalar,
     solve_affine_q,
     solve_linear_graded,
 )
@@ -284,3 +285,12 @@ def test_affine_solver_shape():
     assert len(basis) == 1
     out = solve_affine_q([[1, 0], [1, 0]], [1, 2])
     assert out is None
+
+
+def test_parse_scalar_rejects_bad_input_types_and_text():
+    A = plain_ring()
+    assert parse_scalar(A, "x^2 - 1/1") == A.var("x") ** 2 - 1
+    with pytest.raises(TypeError, match="float"):
+        parse_scalar(A, 1.5)
+    with pytest.raises(ValueError, match=r"cannot parse 'x \+'"):
+        parse_scalar(A, "x +")

@@ -1,8 +1,9 @@
 """Differential tests of the overlap-transport kernels against the forms they
 replaced: grlex long division for every divisor, RingMap.apply by
 substitution for every map, forms.pullback recomputing d(image) on every call,
-wedge and de_rham_d adding one piece at a time, MatrixForm.mul testing
-every pair of terms, and frame changes that rerooted each pair transition
+wedge and de_rham_d adding one piece at a time, MatrixForm.d_form and
+pullback_matrix moving one term at a time through those oracles,
+MatrixForm.mul testing every pair of terms, and frame changes that rerooted each pair transition
 into the bigger overlap's ring instead of pulling it back along
 CoveredScheme.restriction.
 
@@ -30,14 +31,7 @@ from mfchern.cech import (
     pullback_matrix,
 )
 from mfchern.connection import atiyah_cocycle, default_connection
-from mfchern.forms import (
-    DifferentialForm,
-    _dx_pullback,
-    d_of_function,
-    de_rham_d,
-    pullback,
-    wedge,
-)
+from mfchern.forms import _dx_pullback, d_of_function, de_rham_d, pullback, wedge
 from mfchern.geometry import build_scheme, reroot
 from mfchern.hochschild import nabla_bracket
 from mfchern.mf import MatrixFactorization, _split_by_total_parity
@@ -133,39 +127,63 @@ def substitute_apply(ring_map, a):
     return out
 
 
+def nonzero_form(terms):
+    return {idxs: c for idxs, c in terms.items() if not c.is_zero()}
+
+
+def add_forms(a, b):
+    """a + b the way a form container added them: the zero terms of b
+    dropped, then coefficientwise sums, then zero sums dropped."""
+    terms = dict(a)
+    for idxs, c in nonzero_form(b).items():
+        terms[idxs] = terms[idxs] + c if idxs in terms else c
+    return nonzero_form(terms)
+
+
 def piecewise_de_rham_d(form):
-    out = DifferentialForm.zero(form.ring)
-    for idxs, coeff in form.terms.items():
+    out = {}
+    for idxs, coeff in form.items():
         dcoeff = d_of_function(coeff)
-        for (i,), p in dcoeff.terms.items():
+        for (i,), p in dcoeff.items():
             sign, merged = merge_indices((i,), idxs)
             if sign == 0:
                 continue
-            out = out + DifferentialForm(form.ring, {merged: p * sign})
+            out = add_forms(out, {merged: p * sign})
     return out
 
 
 def piecewise_wedge(a, b):
-    out = DifferentialForm.zero(a.ring)
-    for ia, ca in a.terms.items():
-        for ib, cb in b.terms.items():
+    out = {}
+    for ia, ca in a.items():
+        for ib, cb in b.items():
             sign, merged = merge_indices(ia, ib)
             if sign == 0:
                 continue
-            out = out + DifferentialForm(a.ring, {merged: ca * cb * sign})
+            out = add_forms(out, {merged: ca * cb * sign})
     return out
 
 
 def recomputing_pullback(ring_map, form):
-    target = ring_map.target
     image_differentials = [d_of_function(img) for img in ring_map.images]
-    out = DifferentialForm.zero(target)
-    for idxs, coeff in form.terms.items():
-        piece = DifferentialForm.function(substitute_apply(ring_map, coeff))
+    out = {}
+    for idxs, coeff in form.items():
+        piece = nonzero_form({(): substitute_apply(ring_map, coeff)})
         for i in idxs:
             piece = piecewise_wedge(piece, image_differentials[i])
-        out = out + piece
+        out = add_forms(out, piece)
     return out
+
+
+def per_term_matrix(value, ring, move):
+    """The MatrixForm over ring whose entry at (row, col, ., u power) sums
+    move({dx indices: coefficient}) over value's terms at (row, col, ., u
+    power)."""
+    terms = {}
+    for (r, c, idxs, m), f in value.terms.items():
+        for nidxs, nf in move({idxs: f}).items():
+            key = (r, c, nidxs, m)
+            terms[key] = terms[key] + nf if key in terms else nf
+    return MatrixForm(ring, value.row_parities, value.col_parities, terms)
 
 
 def all_pairs_mul(self, other, cech_left=0):
@@ -330,9 +348,11 @@ def assert_same_frac(a, b):
 
 
 def assert_same_terms(x, y):
-    assert set(x.terms) == set(y.terms), f"{x} vs {y}"
-    for key in x.terms:
-        assert_same_frac(x.terms[key], y.terms[key])
+    """x and y are both MatrixForms or both forms (dicts of dx index tuples)."""
+    xt, yt = getattr(x, "terms", x), getattr(y, "terms", y)
+    assert set(xt) == set(yt), f"{x} vs {y}"
+    for key in xt:
+        assert_same_frac(xt[key], yt[key])
 
 
 # -- inputs --------------------------------------------------------------------
@@ -408,7 +428,7 @@ def random_form(rng, ring, nterms=3):
         idxs = tuple(sorted(rng.sample(range(nvars), rng.randint(0, nvars))))
         f = random_frac(rng, ring, degree=2, den_bound=2)
         terms[idxs] = terms[idxs] + f if idxs in terms else f
-    return DifferentialForm(ring, terms)
+    return nonzero_form(terms)
 
 
 def check_map(rng, rm, trials):
@@ -551,7 +571,7 @@ def test_restriction_maps_property(rng):
 def test_dx_pullbacks_cached_per_map():
     sch = build_scheme(P2)
     rm = sch.restriction((1,), (0, 1))
-    form = DifferentialForm(rm.source, {(0, 1): rm.source.one()})
+    form = {(0, 1): rm.source.one()}
     first = pullback(rm, form)
     assert set(rm._dx_pullbacks) == {(0, 1)}
     cached = rm._dx_pullbacks[(0, 1)]
@@ -585,6 +605,26 @@ def test_accumulating_wedge_and_d_match_piecewise():
 @given(rng=st.randoms(use_true_random=False))
 def test_accumulating_wedge_and_d_property(rng):
     check_forms(rng, rng.choice(mul_rings()))
+
+
+def test_matrix_d_form_and_pullback_match_per_term_oracles():
+    rng = random.Random(10)
+    moved = 0
+    for config in (P1, P2):
+        for rm in restriction_maps(config):
+            for parities in ((0,), (0, 1)):
+                value = random_matrix_form(rng, rm.source, parities, parities, max_u=2, nterms=5)
+                with long_division_everywhere():
+                    old_d = per_term_matrix(value, value.ring, piecewise_de_rham_d)
+                    old_pullback = per_term_matrix(
+                        value, rm.target, lambda form: recomputing_pullback(rm, form)
+                    )
+                assert_same_terms(value.d_form(), old_d)
+                new_pullback = pullback_matrix(rm, value)
+                assert new_pullback.ring is rm.target
+                assert_same_terms(new_pullback, old_pullback)
+                moved += not new_pullback.is_zero() and not rm._inclusion
+    assert moved >= 10, moved
 
 
 # -- frame changes ------------------------------------------------------------
