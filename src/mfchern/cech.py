@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .forms import de_rham_d, merge_indices, pullback
+from .forms import _merge_indices, de_rham_d, pullback
 from .rings import LocalFrac, _check_same_ring
 
 __all__ = [
@@ -224,7 +224,7 @@ class MatrixForm:
                 continue
             e1 = (self.row_parities[r1] + self.col_parities[c1]) % 2
             for (r2, c2, i2, m2), f2 in bucket:
-                wsign, merged = merge_indices(i1, i2)
+                wsign, merged = _merge_indices(i1, i2)
                 if wsign == 0:
                     continue
                 e2 = (other.row_parities[r2] + other.col_parities[c2]) % 2

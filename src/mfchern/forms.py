@@ -37,7 +37,7 @@ def _form_ring(form, ring=None):
     return ring
 
 
-def merge_indices(ta, tb):
+def _merge_indices(ta, tb):
     """Merge two strictly increasing index tuples.
 
     Returns (sign, merged tuple), or (0, None) when an index repeats.
@@ -49,7 +49,7 @@ def merge_indices(ta, tb):
     return (-1) ** inversions, merged
 
 
-def d_of_function(value):
+def _d_of_function(value):
     """Exterior derivative of a LocalFrac as a one-form on its ring."""
     terms = {}
     for i in range(len(value.ring.vars)):
@@ -71,8 +71,8 @@ def de_rham_d(form):
     _form_ring(form)
     terms = {}
     for idxs, coeff in form.items():
-        for (i,), p in d_of_function(coeff).items():
-            sign, merged = merge_indices((i,), idxs)
+        for (i,), p in _d_of_function(coeff).items():
+            sign, merged = _merge_indices((i,), idxs)
             if sign == 0:
                 continue
             _accumulate(terms, merged, p * sign)
@@ -84,7 +84,7 @@ def wedge(a, b):
     terms = {}
     for ia, ca in a.items():
         for ib, cb in b.items():
-            sign, merged = merge_indices(ia, ib)
+            sign, merged = _merge_indices(ia, ib)
             if sign == 0:
                 continue
             _accumulate(terms, merged, ca * cb * sign)
@@ -98,7 +98,7 @@ def _dx_pullback(ring_map, idxs):
     if cached is None:
         cached = {(): ring_map.target.one()}
         for i in idxs:
-            cached = wedge(cached, d_of_function(ring_map.images[i]))
+            cached = wedge(cached, _d_of_function(ring_map.images[i]))
         ring_map._dx_pullbacks[idxs] = cached
     return cached
 

@@ -15,13 +15,18 @@ methods:
 - ``slot_decompose(a)``: the same in the slot space, where the scalar
   identities are zero;
 - ``identity(P)``: the identity arrow of an object;
-- ``is_scalar_identity(a)``: whether ``a`` is a scalar multiple of an
-  identity (zero included);
+- ``is_scalar_identity(a)``: whether ``a`` is a scalar multiple of the
+  identity of its object (zero included);
 - ``curvature(P)``: the curvature arrow of an object, or None when flat.
 
 Two backends implement it: a geometric category whose morphisms are Cech
 cochains between matrix factorizations, and a five-dimensional formal
 retract category used for exact bookkeeping checks.
+
+Entries are values: a chain holds the entry objects it was given, and
+nothing may mutate them afterwards.  Each construction of a chain validates,
+keys and tests for dropping every distinct entry object once, however many
+of its strings and slots hold it.
 """
 
 import itertools
@@ -69,6 +74,7 @@ class GeometricCategory:
         self.scheme = scheme
         self.u_truncation = u_truncation
         self._ids = {}
+        self._identities = {}  # id of an object -> its identity, which holds it
 
     def object_key(self, P):
         key = self._ids.get(id(P))
@@ -132,13 +138,16 @@ class GeometricCategory:
         return [(lab, q) for lab, q in pairs.items() if q]
 
     def identity(self, P):
-        return MorphismCochain.identity(P, self.u_truncation)
+        one = self._identities.get(id(P))
+        if one is None:
+            one = self._identities[id(P)] = MorphismCochain.identity(P, self.u_truncation)
+        return one
 
     def is_scalar_identity(self, a):
         c = a.cochain
         if c.is_zero():
             return True
-        if len(c.entries) != self.scheme.npatches():
+        if a.source is not a.target or len(c.entries) != self.scheme.npatches():
             return False
         q = None
         for tup, mf in c.entries.items():
@@ -328,7 +337,14 @@ class HochschildChain:
     """Exact linear combination of strings a0[a1|...|an]; each a_j maps
     P_{j+1} -> P_j cyclically.  Coefficients are absorbed into a0 and strings
     with identical slots merge.  Construction normalizes: any string with a
-    scalar-identity entry in slots 1..n is dropped.
+    scalar-identity entry in slots 1..n is dropped, and so is any string above
+    the u truncation, after its checks have passed.
+
+    Construction checks every string (power of u, tensor cap, composability)
+    and every distinct entry object (``validate_entry``).  The facts of an
+    entry (its parity, its slot key, whether it drops a string) are computed
+    once per construction, so an entry must not be mutated once it is in a
+    chain.
 
     A string is the pure tensor a0 (x) a1 (x) ... (x) an.  The category
     decomposes a0 over a basis of labels (``decompose``) and each slot over
@@ -346,20 +362,22 @@ class HochschildChain:
         self.u_truncation = u_truncation
         self.tensor_cap = tensor_cap
         self.strings = {}
+        # Per distinct entry object, keyed by id; each value holds the entry
+        # so that its id cannot be reused while this construction runs.
+        checked = {}  # id -> (entry, parity)
+        slot_keys = {}  # id -> (entry, key, or None when it drops its string)
         for coeff, u_pow, a0, slots in items:
             if u_pow < 0:
                 raise ValueError(f"negative power of u: u^{u_pow}")
-            if u_pow > u_truncation:
-                continue
             slots = tuple(slots)
             if len(slots) > tensor_cap:
                 raise ValueError(
                     f"tensor degree {len(slots)} above the cap {tensor_cap}"
                 )
             chain_entries = (a0,) + slots
-            parity = category.validate_entry(a0, "slot 0")
-            for j, a in enumerate(slots, 1):
-                category.validate_entry(a, f"slot {j}")
+            for j, a in enumerate(chain_entries):
+                if id(a) not in checked:
+                    checked[id(a)] = (a, category.validate_entry(a, f"slot {j}"))
             for j in range(len(slots)):
                 if chain_entries[j].source != chain_entries[j + 1].target:
                     raise ValueError(
@@ -371,9 +389,18 @@ class HochschildChain:
                     f"string does not close up cyclically: the source of slot "
                     f"{len(slots)} is not the target of slot 0"
                 )
-            if any(s.is_zero() for s in slots):
+            if u_pow > u_truncation:
                 continue
-            if any(category.is_scalar_identity(s) for s in slots):
+            keys = []
+            for s in slots:
+                known = slot_keys.get(id(s))
+                if known is None:
+                    drops = category.is_scalar_identity(s)
+                    known = slot_keys[id(s)] = (s, None if drops else category.key(s))
+                if known[1] is None:
+                    break
+                keys.append(known[1])
+            if len(keys) < len(slots):
                 continue
             scaled = a0.scale(coeff) if coeff != 1 else a0
             if scaled.is_zero():
@@ -381,9 +408,9 @@ class HochschildChain:
             route = (
                 category.object_key(a0.source),
                 category.object_key(a0.target),
-                parity,
+                checked[id(a0)][1],
             )
-            key = (u_pow, route) + tuple(category.key(s) for s in slots)
+            key = (u_pow, route) + tuple(keys)
             held = self.strings.get(key)
             if held is None:
                 self.strings[key] = (u_pow, scaled, slots)
@@ -685,7 +712,7 @@ def tr_nabla(x, connections):
     for (u_pow, a0, slots) in x.items():
         n = len(slots)
         scalar = None
-        if a0.source is a0.target and cat.is_scalar_identity(a0):
+        if cat.is_scalar_identity(a0):
             entry = next(iter(a0.cochain.entries.values()), None)
             if entry is None:
                 continue
@@ -733,7 +760,7 @@ def eta_pi(r, u_truncation, tensor_cap=None):
     if tensor_cap is None:
         # one slot of headroom so B can still be applied at the top weight
         tensor_cap = 2 * u_truncation + 1
-    two_pi_minus_one = r.pi.scale(2) - MorphismCochain.identity(r.N, u_truncation)
+    two_pi_minus_one = r.pi.scale(2) - cat.identity(r.N)
     items = [(1, 0, r.pi, ())]
     for i in range(1, u_truncation + 1):
         if 2 * i > tensor_cap:

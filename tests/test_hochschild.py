@@ -293,9 +293,105 @@ def test_chain_validation_names_the_slot():
         HochschildChain.single(cat, 2, 4, a, (mixed,))
     with pytest.raises(TypeError, match="slot 1 is a str"):
         HochschildChain.single(cat, 2, 4, a, ("x",))
+    # strings above the u truncation are checked before they are dropped
+    with pytest.raises(ValueError, match="tensor degree 9 above the cap 4"):
+        HochschildChain(cat, 2, 4, [(1, 3, "not a morphism", ("junk",) * 9)])
+    with pytest.raises(TypeError, match="slot 0 is a str"):
+        HochschildChain(cat, 2, 4, [(1, 3, "not a morphism", ())])
+    with pytest.raises(ValueError, match="source of slot 0 is not the target of slot 1"):
+        HochschildChain(cat, 2, 4, [(1, 3, a, (c,))])
+    # an entry repeated in a string is checked once, at its first slot
+    with pytest.raises(ValueError, match="u-free: slot 1"):
+        HochschildChain(cat, 2, 4, [(1, 0, a, (with_u, with_u))])
     x = HochschildChain.single(cat, 2, 4, a, ())
     with pytest.raises(ValueError, match="different categories"):
         x + HochschildChain.single(GeometricCategory(sch, 2), 2, 4, a, ())
+
+
+def test_identities_are_per_object():
+    """The category keeps one identity per object, and only a scalar multiple
+    of an object's own identity is degenerate: an identity matrix between
+    two distinct objects stays in its slot."""
+    sch, (P, _Q) = line_objects()
+    P2 = koszul_mf(sch, [["x"]], [["x"]])
+    cat = GeometricCategory(sch, 2)
+    assert cat.identity(P) is cat.identity(P)
+    assert cat.identity(P) == MorphismCochain.identity(P, 2)
+    assert cat.identity(P2) is not cat.identity(P)
+    ones = MatrixForm.identity(sch.patch_ring(0), P.bundle.parities())
+    there = MorphismCochain.from_entries(P, P2, {(0,): ones}, 2)
+    back = MorphismCochain.from_entries(P2, P, {(0,): ones}, 2)
+    assert not cat.is_scalar_identity(there)
+    assert cat.is_scalar_identity(cat.identity(P).scale(3))
+    x = HochschildChain.single(cat, 2, 4, back, (there,))
+    assert len(x.strings) == 1 and not x.is_zero()
+    assert HochschildChain.single(cat, 2, 4, back.compose(there), (cat.identity(P),)).is_zero()
+
+
+def test_each_distinct_entry_checked_and_keyed_once_per_construction(monkeypatch):
+    """Building eta_pi at u = 3 and (b + uB) of it validates every distinct
+    entry object of each construction once and keys each slot entry at most
+    once, although entries repeat across strings and slots."""
+    r = geometric_retract(3)
+    logs = []
+    init = HochschildChain.__init__
+    validate = GeometricCategory.validate_entry
+    key = GeometricCategory.key
+
+    def spy_init(self, category, u_truncation, tensor_cap, items=()):
+        items = list(items)
+        log = {"validated": [], "keyed": [], "entries": set(), "slots": set()}
+        for (_c, _m, a0, slots) in items:
+            log["entries"].update(id(a) for a in (a0,) + tuple(slots))
+            log["slots"].update(id(a) for a in slots)
+        logs.append(log)
+        init(self, category, u_truncation, tensor_cap, items)
+        log["kept"] = {id(a) for (_m, _a0, slots) in self.strings.values() for a in slots}
+        log["positions"] = sum(1 + len(slots) for (_c, _m, _a0, slots) in items)
+
+    def spy_validate(self, a, where):
+        logs[-1]["validated"].append(id(a))
+        return validate(self, a, where)
+
+    def spy_key(self, a):
+        logs[-1]["keyed"].append(id(a))
+        return key(self, a)
+
+    monkeypatch.setattr(HochschildChain, "__init__", spy_init)
+    monkeypatch.setattr(GeometricCategory, "validate_entry", spy_validate)
+    monkeypatch.setattr(GeometricCategory, "key", spy_key)
+    eta = eta_pi(r, 3)
+    image = hochschild_b(eta) + connes_B(eta).shift_u(1)
+    assert image.is_zero()
+    assert len(logs) == 5  # eta_pi, b, B, shift_u and the sum
+    for log in logs:
+        assert sorted(log["validated"]) == sorted(log["entries"])
+        assert len(log["keyed"]) == len(set(log["keyed"]))
+        assert log["kept"] <= set(log["keyed"]) <= log["slots"]
+    assert sum(log["positions"] for log in logs) > 2 * sum(len(log["entries"]) for log in logs)
+
+
+def test_chain_from_fresh_temporaries_matches_list_built():
+    """Entries made on the fly and freed after use (merged away, zero, or
+    above the truncation) must not lend their ids to later entries."""
+    sch, (P, Q) = line_objects()
+    cat = GeometricCategory(sch, 2)
+    rng = random.Random(13)
+    a = random_morphism(rng, P, P, 0, 2)
+    b = random_morphism(rng, P, P, 1, 2)
+    assert not a.is_zero() and not b.is_zero()
+
+    def spec():
+        for k in range(24):
+            yield (1, 0, a.scale(k % 5 + 1), (b.scale(k % 4),))
+            yield (1, 3, a.scale(k), (b.scale(k),))
+
+    listed = list(spec())
+    x = HochschildChain(cat, 2, 4, spec())
+    y = HochschildChain(cat, 2, 4, listed)
+    assert len(y.strings) == 3
+    assert x == y
+    assert x.canonical_string() == y.canonical_string()
 
 
 def test_formal_arrows_validated():

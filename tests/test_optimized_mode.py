@@ -19,7 +19,8 @@ from mfchern.cech import TRIVIAL_LINE, CechCochain, MatrixForm, supertrace_produ
 from mfchern.cohomology import TotalCochain, coinvariant_project
 from mfchern.forms import de_rham_d, pullback, wedge
 from mfchern.geometry import build_scheme
-from mfchern.mf import VectorBundle, koszul_mf
+from mfchern.hochschild import GeometricCategory, HochschildChain
+from mfchern.mf import MorphismCochain, VectorBundle, koszul_mf
 from mfchern.rings import LocalFrac, Ring, RingMap, ScalarPoly, echelon_reduce, parse_scalar
 
 line = Ring("A", ("x",))
@@ -62,6 +63,34 @@ def line_variant(**changes):
 rank2 = VectorBundle(plane, [0, 0], {})
 on_plane = CechCochain.scalar(plane, {}, 1)
 rank2_endo = CechCochain(plane, rank2, rank2, {}, 1)
+
+kos, other_kos = koszul_mf(plane, [["x"]], [["0"]]), koszul_mf(plane, [["y"]], [["0"]])
+plane_cat = GeometricCategory(plane, 2)
+plane0 = plane.patch_ring(0)
+
+
+def morphism(source, target, terms):
+    mf = MatrixForm(plane0, target.bundle.parities(), source.bundle.parities(), terms)
+    return MorphismCochain.from_entries(source, target, {(0,): mf}, 2)
+
+
+def chain(*items):
+    return HochschildChain(plane_cat, 2, 4, items)
+
+
+def naming(text, build):
+    """Raise what build raises only when its message names text."""
+    try:
+        build()
+    except (ValueError, TypeError) as exc:
+        if text in str(exc):
+            raise
+
+
+even = morphism(kos, kos, {(0, 0, (), 0): plane0.var("x")})
+u_term = morphism(kos, kos, {(0, 0, (), 1): plane0.one()})
+mixed = morphism(kos, kos, {(0, 0, (), 0): plane0.one(), (0, 1, (), 0): plane0.one()})
+to_other = morphism(kos, other_kos, {(0, 0, (), 0): plane0.one()})
 
 CASES = {
     "MatrixForm: row 5, dx index 7 and u^-1 on a 1 x 1 matrix over A[x]":
@@ -179,6 +208,14 @@ CASES = {
         lambda: wedge({(0,): patch0.one()}, {(0,): line.one()}),
     "pullback: form on the target ring of the map":
         lambda: pullback(sch.restriction((0,), (0, 1)), {(0,): pair.one()}),
+    "HochschildChain: one u term in slots 1 and 2, message names slot 1":
+        lambda: naming("slot 1", lambda: chain((1, 0, even, (u_term, u_term)))),
+    "HochschildChain: slot 1 mixes even and odd terms":
+        lambda: chain((1, 0, even, (mixed,))),
+    "HochschildChain: a str in slot 0 of a string above the u truncation":
+        lambda: chain((1, 3, "not a morphism", ())),
+    "HochschildChain: slot 1 maps into another object than slot 0 leaves":
+        lambda: chain((1, 0, even, (to_other,))),
 }
 
 accepted = []
@@ -200,7 +237,7 @@ def test_malformed_inputs_raise_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["cases"] == 56
+    assert report["cases"] == 60
     assert not report["accepted"], "accepted under python -O: " + "; ".join(report["accepted"])
 
 

@@ -26,12 +26,18 @@ from mfchern.cech import (
     acw_product,
     cech_differential,
     form_derivative,
-    merge_indices,
     product_sign,
     pullback_matrix,
 )
 from mfchern.connection import atiyah_cocycle, default_connection
-from mfchern.forms import _dx_pullback, d_of_function, de_rham_d, pullback, wedge
+from mfchern.forms import (
+    _d_of_function,
+    _dx_pullback,
+    _merge_indices,
+    de_rham_d,
+    pullback,
+    wedge,
+)
 from mfchern.geometry import build_scheme, reroot
 from mfchern.hochschild import nabla_bracket
 from mfchern.mf import MatrixFactorization, _split_by_total_parity
@@ -143,9 +149,9 @@ def add_forms(a, b):
 def piecewise_de_rham_d(form):
     out = {}
     for idxs, coeff in form.items():
-        dcoeff = d_of_function(coeff)
+        dcoeff = _d_of_function(coeff)
         for (i,), p in dcoeff.items():
-            sign, merged = merge_indices((i,), idxs)
+            sign, merged = _merge_indices((i,), idxs)
             if sign == 0:
                 continue
             out = add_forms(out, {merged: p * sign})
@@ -156,7 +162,7 @@ def piecewise_wedge(a, b):
     out = {}
     for ia, ca in a.items():
         for ib, cb in b.items():
-            sign, merged = merge_indices(ia, ib)
+            sign, merged = _merge_indices(ia, ib)
             if sign == 0:
                 continue
             out = add_forms(out, {merged: ca * cb * sign})
@@ -164,7 +170,7 @@ def piecewise_wedge(a, b):
 
 
 def recomputing_pullback(ring_map, form):
-    image_differentials = [d_of_function(img) for img in ring_map.images]
+    image_differentials = [_d_of_function(img) for img in ring_map.images]
     out = {}
     for idxs, coeff in form.items():
         piece = nonzero_form({(): substitute_apply(ring_map, coeff)})
@@ -193,7 +199,7 @@ def all_pairs_mul(self, other, cech_left=0):
         for (r2, c2, i2, m2), f2 in other.terms.items():
             if c1 != r2:
                 continue
-            wsign, merged = merge_indices(i1, i2)
+            wsign, merged = _merge_indices(i1, i2)
             if wsign == 0:
                 continue
             e2 = (other.row_parities[r2] + other.col_parities[c2]) % 2
