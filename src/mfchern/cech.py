@@ -10,6 +10,11 @@ A cochain's bundles have ``parities()`` and dicts ``transitions`` and
 carrying frame j into frame i, and its inverse.  A missing pair means no
 frame change (the trivial line's dicts are empty).  A bundle with a
 ``scheme`` must live on the cochain's scheme.
+
+Public constructors check all they are given.  Values built here from checked
+values (sums, products, derivatives, pullbacks, u shifts and cuts) are not
+re-checked: the private ``_of`` constructors only drop zero terms or entries.
+Arguments from the caller, such as a u shift or a scalar, are still checked.
 """
 
 from __future__ import annotations
@@ -108,6 +113,21 @@ class MatrixForm:
         self.terms = clean
 
     @classmethod
+    def _of(cls, ring, row_parities, col_parities, terms):
+        """The value with the nonzero ones of terms, which were built here from
+        checked values: nothing else is checked."""
+        out = cls.__new__(cls)
+        out.ring = ring
+        out.row_parities = row_parities
+        out.col_parities = col_parities
+        out.terms = {k: f for k, f in terms.items() if not f.is_zero()}
+        return out
+
+    def _like(self, terms):
+        """``_of`` with this value's ring and parities."""
+        return MatrixForm._of(self.ring, self.row_parities, self.col_parities, terms)
+
+    @classmethod
     def identity(cls, ring, parities):
         one = ring.one()
         return cls(
@@ -160,53 +180,31 @@ class MatrixForm:
         terms = dict(self.terms)
         for k, f in other.terms.items():
             terms[k] = terms[k] + f if k in terms else f
-        return MatrixForm(self.ring, self.row_parities, self.col_parities, terms)
+        return self._like(terms)
 
     def __neg__(self):
-        return MatrixForm(
-            self.ring,
-            self.row_parities,
-            self.col_parities,
-            {k: -f for k, f in self.terms.items()},
-        )
+        return self._like({k: -f for k, f in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, scalar):
-        """Multiply every term by a function (degree-zero scalar), no signs."""
-        if isinstance(scalar, (int, Fraction)):
+        """Multiply every term by a function (degree-zero scalar), no signs; a
+        scalar that is not a LocalFrac must be an int or a Fraction."""
+        if not isinstance(scalar, LocalFrac):
             scalar = self.ring.const(scalar)
-        return MatrixForm(
-            self.ring,
-            self.row_parities,
-            self.col_parities,
-            {k: f * scalar for k, f in self.terms.items()},
-        )
+        return self._like({k: f * scalar for k, f in self.terms.items()})
 
     def shift_u(self, k):
-        return MatrixForm(
-            self.ring,
-            self.row_parities,
-            self.col_parities,
-            {(r, c, idxs, m + k): f for (r, c, idxs, m), f in self.terms.items()},
-        )
+        """Multiply by u^k for an int k >= 0."""
+        _check_u_shift(k)
+        return self._like({(r, c, i, m + k): f for (r, c, i, m), f in self.terms.items()})
 
     def truncate_u(self, bound):
-        return MatrixForm(
-            self.ring,
-            self.row_parities,
-            self.col_parities,
-            {k: f for k, f in self.terms.items() if k[3] <= bound},
-        )
+        return self._like({k: f for k, f in self.terms.items() if k[3] <= bound})
 
     def u_component(self, m):
-        return MatrixForm(
-            self.ring,
-            self.row_parities,
-            self.col_parities,
-            {k: f for k, f in self.terms.items() if k[3] == m},
-        )
+        return self._like({k: f for k, f in self.terms.items() if k[3] == m})
 
     def _check_factor(self, other):
         self._check_operand(other)
@@ -247,7 +245,7 @@ class MatrixForm:
             other, cech_left, lambda r1, c1: by_row.get(c1)
         ):
             terms[key] = terms[key] + val if key in terms else val
-        return MatrixForm(self.ring, self.row_parities, other.col_parities, terms)
+        return MatrixForm._of(self.ring, self.row_parities, other.col_parities, terms)
 
     def _supertrace_mul(self, other, cech_left=0):
         """self.mul(other, cech_left).supertrace(), pairing only the terms
@@ -266,7 +264,7 @@ class MatrixForm:
                 val = -val
             key = (0, 0, idxs, m)
             terms[key] = terms[key] + val if key in terms else val
-        return MatrixForm(self.ring, (0,), (0,), terms)
+        return MatrixForm._of(self.ring, (0,), (0,), terms)
 
     def d_form(self):
         """Exterior derivative on the form factor; it sits leftmost, no sign."""
@@ -275,7 +273,7 @@ class MatrixForm:
             for nidxs, nf in de_rham_d({idxs: f}).items():
                 key = (r, c, nidxs, m)
                 terms[key] = terms[key] + nf if key in terms else nf
-        return MatrixForm(self.ring, self.row_parities, self.col_parities, terms)
+        return self._like(terms)
 
     def supertrace(self):
         """Scalar value (-1)^{|row|} times the diagonal sum."""
@@ -288,7 +286,7 @@ class MatrixForm:
             val = f if self.row_parities[r] == 0 else -f
             key = (0, 0, idxs, m)
             terms[key] = terms[key] + val if key in terms else val
-        return MatrixForm(self.ring, (0,), (0,), terms)
+        return MatrixForm._of(self.ring, (0,), (0,), terms)
 
     def __eq__(self, other):
         self._check_operand(other)
@@ -315,6 +313,13 @@ class MatrixForm:
     __repr__ = __str__
 
 
+def _check_u_shift(k):
+    if not isinstance(k, int):
+        raise TypeError(f"u shift {k!r} is not an int")
+    if k < 0:
+        raise ValueError(f"negative u shift {k}")
+
+
 def pullback_matrix(ring_map, value):
     """Move a MatrixForm along a RingMap, pulling back both the coefficients
     and the dx factors."""
@@ -326,7 +331,7 @@ def pullback_matrix(ring_map, value):
         for nidxs, nf in pullback(ring_map, {idxs: f}).items():
             key = (r, c, nidxs, m)
             terms[key] = terms[key] + nf if key in terms else nf
-    return MatrixForm(ring_map.target, value.row_parities, value.col_parities, terms)
+    return MatrixForm._of(ring_map.target, value.row_parities, value.col_parities, terms)
 
 
 # -- bundle stand-in for scalar-valued cochains ------------------------------
@@ -384,6 +389,18 @@ class CechCochain:
         self.entries = clean
 
     @classmethod
+    def _of(cls, scheme, source, target, entries, u_truncation):
+        """The cochain with the nonzero ones of entries, which were built here
+        from checked cochains: nothing else is checked."""
+        out = cls.__new__(cls)
+        out.scheme = scheme
+        out.source = source
+        out.target = target
+        out.u_truncation = u_truncation
+        out.entries = {t: mf for t, mf in entries.items() if not mf.is_zero()}
+        return out
+
+    @classmethod
     def scalar(cls, scheme, entries, u_truncation):
         return cls(scheme, TRIVIAL_LINE, TRIVIAL_LINE, entries, u_truncation)
 
@@ -420,56 +437,33 @@ class CechCochain:
         for t, mf in other.entries.items():
             mf = mf.truncate_u(trunc)
             entries[t] = entries[t] + mf if t in entries else mf
-        return CechCochain(self.scheme, self.source, self.target, entries, trunc)
+        return CechCochain._of(self.scheme, self.source, self.target, entries, trunc)
 
     def __neg__(self):
-        return CechCochain(
-            self.scheme,
-            self.source,
-            self.target,
-            {t: -mf for t, mf in self.entries.items()},
-            self.u_truncation,
-        )
+        entries = {t: -mf for t, mf in self.entries.items()}
+        return CechCochain._of(self.scheme, self.source, self.target, entries, self.u_truncation)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, scalar):
-        return CechCochain(
-            self.scheme,
-            self.source,
-            self.target,
-            {t: mf.scale(scalar) for t, mf in self.entries.items()},
-            self.u_truncation,
-        )
+        entries = {t: mf.scale(scalar) for t, mf in self.entries.items()}
+        return CechCochain._of(self.scheme, self.source, self.target, entries, self.u_truncation)
 
     def shift_u(self, k):
-        entries = {}
-        for t, mf in self.entries.items():
-            moved = mf.shift_u(k).truncate_u(self.u_truncation)
-            if not moved.is_zero():
-                entries[t] = moved
-        return CechCochain(
-            self.scheme, self.source, self.target, entries, self.u_truncation
-        )
+        """Multiply by u^k for an int k >= 0, cut at the u truncation."""
+        _check_u_shift(k)
+        trunc = self.u_truncation
+        entries = {t: mf.shift_u(k).truncate_u(trunc) for t, mf in self.entries.items()}
+        return CechCochain._of(self.scheme, self.source, self.target, entries, trunc)
 
     def truncate_u(self, bound):
-        entries = {}
-        for t, mf in self.entries.items():
-            cut = mf.truncate_u(bound)
-            if not cut.is_zero():
-                entries[t] = cut
-        return CechCochain(self.scheme, self.source, self.target, entries, bound)
+        entries = {t: mf.truncate_u(bound) for t, mf in self.entries.items()}
+        return CechCochain._of(self.scheme, self.source, self.target, entries, bound)
 
     def u_component(self, m):
-        entries = {}
-        for t, mf in self.entries.items():
-            part = mf.u_component(m)
-            if not part.is_zero():
-                entries[t] = part
-        return CechCochain(
-            self.scheme, self.source, self.target, entries, self.u_truncation
-        )
+        entries = {t: mf.u_component(m) for t, mf in self.entries.items()}
+        return CechCochain._of(self.scheme, self.source, self.target, entries, self.u_truncation)
 
     def __eq__(self, other):
         self._compatible(other)
@@ -543,32 +537,23 @@ def cech_differential(c):
                 value = c.entries.get(small)
                 if value is None:
                     continue
-                signed = MatrixForm(
-                    value.ring,
-                    value.row_parities,
-                    value.col_parities,
-                    {
-                        key: f * ((-1) ** k) * differential_sign(len(key[2]),
-                                                                 value.term_endo_parity(key))
-                        for key, f in value.terms.items()
-                    },
-                )
+                signed = value._like({
+                    key: f * ((-1) ** k) * differential_sign(len(key[2]),
+                                                             value.term_endo_parity(key))
+                    for key, f in value.terms.items()
+                })
                 moved = c.transport(small, big, signed)
                 acc = moved if acc is None else acc + moved
-            if acc is not None and not acc.is_zero():
+            if acc is not None:
                 out[big] = acc
-    return CechCochain(scheme, c.source, c.target, out, c.u_truncation)
+    return CechCochain._of(scheme, c.source, c.target, out, c.u_truncation)
 
 
 def form_derivative(c):
     """Entrywise exterior derivative in each tuple's leading frame."""
     _check_cochain(c)
-    entries = {}
-    for tup, mf in c.entries.items():
-        d = mf.d_form()
-        if not d.is_zero():
-            entries[tup] = d
-    return CechCochain(c.scheme, c.source, c.target, entries, c.u_truncation)
+    entries = {tup: mf.d_form() for tup, mf in c.entries.items()}
+    return CechCochain._of(c.scheme, c.source, c.target, entries, c.u_truncation)
 
 
 def _check_factors(a, b):
@@ -606,14 +591,14 @@ def _cup(a, b, product):
                 if value.is_zero():
                     continue
                 out[big] = out[big] + value if big in out else value
-    return {t: v for t, v in out.items() if not v.is_zero()}, trunc
+    return out, trunc
 
 
 def acw_product(a, b):
     """Front-face/back-face cup product; a composes after b on values."""
     _check_factors(a, b)
     entries, trunc = _cup(a, b, MatrixForm.mul)
-    return CechCochain(a.scheme, b.source, a.target, entries, trunc)
+    return CechCochain._of(a.scheme, b.source, a.target, entries, trunc)
 
 
 def supertrace_product(a, b):
@@ -623,7 +608,7 @@ def supertrace_product(a, b):
     if b.source.parities() != a.target.parities():
         raise ValueError("supertrace needs square values")
     entries, trunc = _cup(a, b, MatrixForm._supertrace_mul)
-    return CechCochain.scalar(a.scheme, entries, trunc)
+    return CechCochain._of(a.scheme, TRIVIAL_LINE, TRIVIAL_LINE, entries, trunc)
 
 
 def exp_neg(c):
@@ -655,9 +640,5 @@ def supertrace(c):
     _check_cochain(c)
     if c.source.parities() != c.target.parities():
         raise ValueError("supertrace needs square values")
-    entries = {}
-    for tup, mf in c.entries.items():
-        tr = mf.supertrace()
-        if not tr.is_zero():
-            entries[tup] = tr
-    return CechCochain.scalar(c.scheme, entries, c.u_truncation)
+    entries = {tup: mf.supertrace() for tup, mf in c.entries.items()}
+    return CechCochain._of(c.scheme, TRIVIAL_LINE, TRIVIAL_LINE, entries, c.u_truncation)

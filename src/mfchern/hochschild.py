@@ -75,6 +75,7 @@ class GeometricCategory:
         self.u_truncation = u_truncation
         self._ids = {}
         self._identities = {}  # id of an object -> its identity, which holds it
+        self._identity_labels = {}  # id of an object -> its identity's labels
 
     def object_key(self, P):
         key = self._ids.get(id(P))
@@ -126,7 +127,10 @@ class GeometricCategory:
         for lab, q in self.decompose(a):
             pairs[lab] = pairs.get(lab, Fraction(0)) + q
         if a.source is a.target:
-            ident = [lab for lab, _q in self.decompose(self.identity(a.source))]
+            ident = self._identity_labels.get(id(a.source))
+            if ident is None:
+                ident = [lab for lab, _q in self.decompose(self.identity(a.source))]
+                self._identity_labels[id(a.source)] = ident
             lam = pairs.get(min(ident))
             if lam:
                 for lab in ident:

@@ -225,13 +225,20 @@ def check_mf(P):
         w_id = MatrixForm.identity(scheme.patch_ring(i), P.bundle.parities())
         for r, c, got, want in _differing_entries(d.mul(d), w_id.scale(scheme.potential(i))):
             failures.append(f"patch {i}: delta^2 entry ({r},{c}) is {got}, expected {want}")
+    return MFReport(failures + _overlap_failures(P))
+
+
+def _overlap_failures(P):
+    """The overlaps (i, j) where g delta_j != delta_i g, one message per entry."""
+    failures = []
+    scheme = P.scheme
     for (i, j) in scheme.tuples(2):
         g = P.bundle.transitions[(i, j)]
         di = pullback_matrix(scheme.restriction((i,), (i, j)), P.deltas[i])
         dj = pullback_matrix(scheme.restriction((j,), (i, j)), P.deltas[j])
         for r, c, _lhs, _rhs in _differing_entries(g.mul(dj), di.mul(g)):
             failures.append(f"overlap ({i},{j}): g delta_j != delta_i g at ({r},{c})")
-    return MFReport(failures)
+    return failures
 
 
 def koszul_mf(scheme, a, b):
@@ -239,6 +246,10 @@ def koszul_mf(scheme, a, b):
 
     a and b are lists over the index j of per-patch scalars; the underlying
     bundle is the exterior algebra on m generators with identity transitions.
+    Raises ValueError unless sum a_j b_j is the potential on every patch and
+    the deltas glue on every overlap.  delta^2 = (sum a_j b_j) id holds for
+    the exterior-algebra differential by construction, so it is not squared
+    here; ``check_mf`` still squares it.
     """
     m = len(a)
     if len(b) != m:
@@ -278,9 +289,9 @@ def koszul_mf(scheme, a, b):
                 terms[(row, col, (), 0)] = value * sign
         deltas.append(MatrixForm(scheme.patch_ring(i), parities, parities, terms))
     P = MatrixFactorization(bundle, deltas)
-    report = check_mf(P)
-    if not report.ok:
-        raise ValueError(f"not a matrix factorization: {'; '.join(report.failures)}")
+    failures = _overlap_failures(P)
+    if failures:
+        raise ValueError(f"not a matrix factorization: {'; '.join(failures)}")
     return P
 
 

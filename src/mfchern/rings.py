@@ -19,7 +19,7 @@ zero test all go through it.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 
 __all__ = [
     "Fraction",
@@ -315,14 +315,17 @@ class ScalarPoly:
 
 
 class Ring:
-    """A patch or intersection ring: Q[vars] localized at denominator generators."""
+    """A patch or intersection ring: Q[vars] localized at denominator generators.
+    ``_monomials`` holds (e, c, the nonzero (i, e_i)) per generator when each
+    is one term c*x^e, and None otherwise."""
 
-    __slots__ = ("name", "vars", "denominators")
+    __slots__ = ("name", "vars", "denominators", "_monomials")
 
     def __init__(self, name, variables, denominators=()):
         self.name = name
         self.vars = tuple(variables)
         dens = tuple(denominators)
+        monomials = []
         for g in dens:
             if not isinstance(g, ScalarPoly):
                 raise TypeError(f"denominator generator of ring {name} is a {type(g).__name__}")
@@ -333,19 +336,25 @@ class Ring:
                 )
             if g.is_zero():
                 raise ValueError(f"zero denominator generator in ring {name}")
+            if len(g.terms) == 1:
+                (e, c), = g.terms.items()
+                monomials.append((e, c, tuple((i, k) for i, k in enumerate(e) if k)))
         self.denominators = dens
+        self._monomials = tuple(monomials) if len(monomials) == len(dens) else None
 
     def zero(self):
-        return LocalFrac(self, ScalarPoly.zero(self.vars))
+        return self.const(0)
 
     def one(self):
         return self.const(1)
 
     def const(self, c):
-        return LocalFrac(self, ScalarPoly.const(self.vars, c))
+        num = ScalarPoly.const(self.vars, c)
+        return LocalFrac._of(self, num, (0,) * len(self.denominators))
 
     def var(self, name):
-        return LocalFrac(self, ScalarPoly.variable(self.vars, name))
+        num = ScalarPoly.variable(self.vars, name)
+        return LocalFrac._of(self, num, (0,) * len(self.denominators))
 
     def den_power(self, mults):
         """The product of the denominator generators to the multiplicities
@@ -371,11 +380,62 @@ def _check_same_ring(a, b):
         raise ValueError(f"ambient ring mismatch: two different rings are named {a.name}")
 
 
+def _cancel(ring, num, limits):
+    """(quotient, counts): the nonzero num divided exactly by generator j of
+    ring counts[j] times, as often as it divides but at most limits[j] times
+    (no limit when limits is None).
+
+    When every generator is one term c*x^e, one pass in ring order takes k as
+    the least floor(exponent_i / e_i) over the terms and the variables i of e,
+    shifts the exponents by k*e and divides the coefficients by c^k (a
+    constant divides up to its limit; with no limit, not at all).  This is
+    what repeated trial division gives: a monomial division shifts every term
+    by the same vector, so it can only make a later division impossible, never
+    possible.  Other rings divide by trial with ``divide_exact``.
+    """
+    counts = [0] * len(ring.denominators)
+    if ring._monomials is None:
+        changed = True
+        while changed:
+            changed = False
+            for j, g in enumerate(ring.denominators):
+                while limits is None or counts[j] < limits[j]:
+                    q = num.divide_exact(g)
+                    if q is None:
+                        break
+                    num = q
+                    counts[j] += 1
+                    changed = True
+        return num, counts
+    terms = num.terms
+    for j, (exps, c, support) in enumerate(ring._monomials):
+        k = None if limits is None else limits[j]
+        for i, ei in support:
+            if k == 0:
+                break
+            least = min(t[i] for t in terms) // ei
+            k = least if k is None else min(k, least)
+        if not k:
+            continue
+        ck = c ** k
+        shift = tuple(k * e for e in exps)
+        terms = {
+            tuple(map(sub, t, shift)): v if ck == 1 else Fraction(v, ck)
+            for t, v in terms.items()
+        }
+        counts[j] = k
+    if any(counts):
+        num = ScalarPoly._of_sums(num.vars, terms)
+    return num, counts
+
+
 class LocalFrac:
     """numerator / product of declared denominator generators, canonicalized.
 
     The denominator is a multiplicity tuple over the ring's generator list;
-    canonical form cancels generators only by exact polynomial division.
+    the canonical form cancels each generator as often as it divides the
+    numerator exactly (see ``_cancel``): by exponents when every generator is
+    one term, by trial division otherwise.
     """
 
     __slots__ = ("ring", "num", "den")
@@ -397,26 +457,29 @@ class LocalFrac:
             )
         if den and min(den) < 0:
             raise ValueError(f"negative denominator multiplicity in {den}")
+        self._settle(ring, num, den)
+
+    @classmethod
+    def _of(cls, ring, num, den):
+        """num / den in canonical form, for results the arithmetic here built
+        from checked values: ring, numerator variables and the multiplicity
+        tuple are right by construction, so the constructor's checks are
+        skipped."""
+        out = cls.__new__(cls)
+        out._settle(ring, num, den)
+        return out
+
+    def _settle(self, ring, num, den):
         self.ring = ring
         if num.is_zero():
             self.num = num
             self.den = (0,) * len(den)
-            return
-        # cancellation by exact division only
-        mults = list(den)
-        changed = True
-        while changed:
-            changed = False
-            for j, g in enumerate(ring.denominators):
-                while mults[j] > 0:
-                    q = num.divide_exact(g)
-                    if q is None:
-                        break
-                    num = q
-                    mults[j] -= 1
-                    changed = True
-        self.num = num
-        self.den = tuple(mults)
+        elif any(den):
+            self.num, counts = _cancel(ring, num, den)
+            self.den = tuple(map(sub, den, counts))
+        else:
+            self.num = num
+            self.den = den
 
     def is_zero(self):
         return self.num.is_zero()
@@ -437,11 +500,11 @@ class LocalFrac:
             other = self.ring.const(other)
         self._same_ring(other)
         if self.den == other.den:
-            return LocalFrac(self.ring, self.num + other.num, self.den)
+            return LocalFrac._of(self.ring, self.num + other.num, self.den)
         common = tuple(max(a, b) for a, b in zip(self.den, other.den))
         n1 = self._lift(common)
         n2 = other._lift(common)
-        return LocalFrac(self.ring, n1 + n2, common)
+        return LocalFrac._of(self.ring, n1 + n2, common)
 
     def _lift(self, den):
         """The numerator over the larger denominator multiplicities den."""
@@ -451,7 +514,7 @@ class LocalFrac:
     __radd__ = __add__
 
     def __neg__(self):
-        return LocalFrac(self.ring, -self.num, self.den)
+        return LocalFrac._of(self.ring, -self.num, self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -463,9 +526,9 @@ class LocalFrac:
 
     def __mul__(self, other):
         if not isinstance(other, LocalFrac):
-            return LocalFrac(self.ring, self.num * _exact(other), self.den)
+            return LocalFrac._of(self.ring, self.num * _exact(other), self.den)
         self._same_ring(other)
-        return LocalFrac(
+        return LocalFrac._of(
             self.ring,
             self.num * other.num,
             tuple(a + b for a, b in zip(self.den, other.den)),
@@ -502,23 +565,12 @@ class LocalFrac:
         denominator generators); None otherwise."""
         if self.is_zero():
             return None
-        num = self.num
-        powers = [0] * len(self.ring.denominators)
-        changed = True
-        while changed:
-            changed = False
-            for j, g in enumerate(self.ring.denominators):
-                q = num.divide_exact(g)
-                while q is not None:
-                    num = q
-                    powers[j] += 1
-                    changed = True
-                    q = num.divide_exact(g)
+        num, powers = _cancel(self.ring, self.num, None)
         c = num.as_constant()
         if c is None or c == 0:
             return None
         inv_num = self.ring.den_power(self.den) * Fraction(1, c)
-        return LocalFrac(self.ring, inv_num, tuple(powers))
+        return LocalFrac._of(self.ring, inv_num, tuple(powers))
 
     def unit_inverse(self):
         inv = self.inverse()
@@ -528,7 +580,7 @@ class LocalFrac:
 
     def partial(self, var_index):
         """Partial derivative, with d(1/g) = -dg/g^2 on denominator generators."""
-        out = LocalFrac(self.ring, self.num.partial(var_index), self.den)
+        out = LocalFrac._of(self.ring, self.num.partial(var_index), self.den)
         for j, g in enumerate(self.ring.denominators):
             m = self.den[j]
             if m == 0:
@@ -536,7 +588,7 @@ class LocalFrac:
             bump = tuple(
                 x + 1 if k == j else x for k, x in enumerate(self.den)
             )
-            out = out + LocalFrac(self.ring, self.num * g.partial(var_index) * (-m), bump)
+            out = out + LocalFrac._of(self.ring, self.num * g.partial(var_index) * (-m), bump)
         return out
 
     def __str__(self):
@@ -625,7 +677,9 @@ class RingMap:
         if a.ring is not self.source:
             _check_same_ring(self.source, a.ring)
         if self._inclusion:
-            out = LocalFrac(self.target, ScalarPoly(self.target.vars, a.num.terms))
+            target = self.target
+            num = ScalarPoly._of_sums(target.vars, a.num.terms)
+            out = LocalFrac._of(target, num, (0,) * len(target.denominators))
         else:
             out = a.num.substitute(self.images, self.target)
         for j, m in enumerate(a.den):

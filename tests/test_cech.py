@@ -469,3 +469,25 @@ def test_cochain_and_form_inputs_validated():
         pullback(None, {(0,): ring.one()})
     with pytest.raises(ValueError, match="ambient ring mismatch"):
         pullback_matrix(restriction, MatrixForm.identity(other, (0,)))
+
+
+def test_caller_arguments_checked_on_built_values():
+    """Results built from checked values skip the constructor's checks, but
+    a u shift and a scalar come from the caller and are still checked, also
+    on zero values, where no term would catch them."""
+    sch = build_scheme(proj_line())
+    ring = sch.patch_ring(0)
+    u_one = MatrixForm(ring, (0,), (0,), {(0, 0, (), 1): ring.one()})
+    bundle = ConstantBundle((0,))
+    cochains = tuple(CechCochain(sch, bundle, bundle, e, 2) for e in ({(0,): u_one}, {}))
+    for value in (u_one, MatrixForm(ring, (0,), (0,), {})) + cochains:
+        with pytest.raises(ValueError, match="negative u shift"):
+            value.shift_u(-1)
+        with pytest.raises(TypeError, match="not an int"):
+            value.shift_u(1.0)
+    for value in (u_one, MatrixForm(ring, (0,), (0,), {})):
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            value.scale(2.5)
+    assert u_one.shift_u(2).terms == {(0, 0, (), 3): ring.one()}
+    assert cochains[0].shift_u(2).is_zero()
+    assert (u_one - u_one).terms == {}

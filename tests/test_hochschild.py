@@ -235,6 +235,32 @@ def test_normalization_drops_identity_slots():
     assert HochschildChain(cat, 2, 4, [(1, m, a, s) for (m, a, s) in y.items()]) == y
 
 
+def test_slot_decompose_decomposes_each_identity_once(monkeypatch):
+    """slot_decompose keeps the identity's labels per object: repeated calls
+    decompose each object's identity once and give what a fresh category
+    gives."""
+    sch, (P, Q) = line_objects()
+    cat = GeometricCategory(sch, 2)
+    calls = []
+    decompose = GeometricCategory.decompose
+
+    def spy(self, a):
+        calls.append(a)
+        return decompose(self, a)
+
+    monkeypatch.setattr(GeometricCategory, "decompose", spy)
+    a, b = diagonal_endo(P, ["x", "2*x"], 2), diagonal_endo(Q, ["1", "x"], 2)
+    first = [cat.slot_decompose(v) for v in (a, b, a, b, a.scale(3))]
+    assert sum(1 for v in calls if v is cat.identity(P)) == 1
+    assert sum(1 for v in calls if v is cat.identity(Q)) == 1
+    for v, got in zip((a, b, a, b, a.scale(3)), first):
+        fresh = GeometricCategory(sch, 2)
+        fresh.object_key(P)
+        fresh.object_key(Q)
+        assert got == fresh.slot_decompose(v)
+    assert first[0] == first[2] and first[0]
+
+
 def test_strings_merge_and_scale():
     sch, (P, Q) = line_objects()
     cat = GeometricCategory(sch, 2)

@@ -1,8 +1,10 @@
 """Differential tests of the integer exact core against the Fraction-only
 kernels it replaced: the ScalarPoly constructor that made every coefficient a
 Fraction, +, * and ** starting from the constant 1, Ring.den_power starting
-from the constant 1, LocalFrac + and == lifting through den_power always, and
-ScalarPoly.substitute raising every image to every power afresh.
+from the constant 1, LocalFrac + and == lifting through den_power always,
+ScalarPoly.substitute raising every image to every power afresh, and the
+LocalFrac canonical form and inverse that cancelled every generator by trial
+division.
 
 The oracles work on plain term dicts.  Results are compared term by term, in
 insertion order, and every polynomial the package builds must keep the
@@ -123,6 +125,49 @@ def oracle_substitute(poly, images, target_ring):
                 term = term * oracle_frac_pow(img, exp)
         out = out + term
     return out
+
+
+def oracle_canonical(ring, num, den):
+    """(numerator, multiplicities) of the replaced LocalFrac constructor:
+    cancellation by exact division only."""
+    if num.is_zero():
+        return num, (0,) * len(den)
+    mults = list(den)
+    changed = True
+    while changed:
+        changed = False
+        for j, g in enumerate(ring.denominators):
+            while mults[j] > 0:
+                q = num.divide_exact(g)
+                if q is None:
+                    break
+                num = q
+                mults[j] -= 1
+                changed = True
+    return num, tuple(mults)
+
+
+def oracle_inverse(value):
+    """The replaced LocalFrac.inverse, as (numerator, multiplicities)."""
+    if value.is_zero():
+        return None
+    num = value.num
+    powers = [0] * len(value.ring.denominators)
+    changed = True
+    while changed:
+        changed = False
+        for j, g in enumerate(value.ring.denominators):
+            q = num.divide_exact(g)
+            while q is not None:
+                num = q
+                powers[j] += 1
+                changed = True
+                q = num.divide_exact(g)
+    c = num.as_constant()
+    if c is None or c == 0:
+        return None
+    inv_num = value.ring.den_power(value.den) * Fraction(1, c)
+    return oracle_canonical(value.ring, inv_num, tuple(powers))
 
 
 # -- checks ------------------------------------------------------------------
@@ -290,3 +335,66 @@ def test_substitute_matches_oracle(ta, images):
     check_substitute(
         ta, tuple(LocalFrac(TARGET, ScalarPoly(("z",), t), (m,)) for t, m in images)
     )
+
+
+# Rings for the cancellation oracle: one-term generators, cancelled by
+# exponents (a plain variable, one with a coefficient, a square next to a
+# variable, and overlapping pairs where the result depends on generator
+# order), and the mixed ring, which keeps trial division.
+CANCEL_RINGS = (
+    Ring("C1", VARS, (X,)),
+    Ring("C2", VARS, (X * 2,)),
+    Ring("C3", VARS, (X * X, Y)),
+    Ring("C4", VARS, (X, X * Y)),
+    Ring("C5", VARS, (X * Y, X)),
+    LOCALIZED,
+)
+# In the overlapping rings a unit need not be found: in (x*y, x) the
+# canonical y = x*y / x has no inverse by trial division, in both kernels.
+OVERLAPPING = (3, 4)
+EXPS4 = st.tuples(st.integers(0, 4), st.integers(0, 4))
+MULTS = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+
+def assert_canonical(value, oracle):
+    num, den = oracle
+    assert value.den == den
+    assert_matches(value.num, num.terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    which=st.integers(0, len(CANCEL_RINGS) - 1),
+    ta=st.dictionaries(EXPS4, COEFFS, max_size=4),
+    tb=st.dictionaries(EXPS4, COEFFS, max_size=3),
+    boost=MULTS,
+    da=MULTS,
+    db=MULTS,
+    c=st.sampled_from((1, -1, 3, Fraction(-2, 3))),
+)
+def test_cancellation_matches_trial_division_oracle(which, ta, tb, boost, da, db, c):
+    """The constructor, arithmetic results and inverse agree with trial
+    division term by term, in insertion order.  Numerators are multiplied by
+    generator powers (boost) so that cancellation happens often, and a
+    constant times a product of generators over any denominator is a unit."""
+    ring = CANCEL_RINGS[which]
+    k = len(ring.denominators)
+    boost, da, db = boost[:k], da[:k], db[:k]
+    num = ScalarPoly(VARS, ta) * ring.den_power(boost)
+    a = LocalFrac(ring, num, da)
+    assert_canonical(a, oracle_canonical(ring, num, da))
+    b = LocalFrac(ring, ScalarPoly(VARS, tb), db)
+    den = tuple(p + q for p, q in zip(a.den, b.den))
+    assert_canonical(a * b, oracle_canonical(ring, a.num * b.num, den))
+    assert_canonical(-a, oracle_canonical(ring, -a.num, a.den))
+    for value in (a + b, a - b, a.partial(0), a.partial(1)):
+        assert_canonical(value, oracle_canonical(ring, value.num, value.den))
+    unit = LocalFrac(ring, ring.den_power(boost) * c, da)
+    for value in (a, b, unit, a * b):
+        got, want = value.inverse(), oracle_inverse(value)
+        if want is None:
+            assert got is None
+        else:
+            assert_canonical(got, want)
+    if which not in OVERLAPPING:
+        assert unit.inverse() is not None

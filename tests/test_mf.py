@@ -19,7 +19,7 @@ from mfchern.mf import (
     shift,
     twist_by_character,
 )
-from mfchern.rings import Fraction, parse_scalar
+from mfchern.rings import Fraction, LocalFrac, Ring, parse_scalar
 
 from .test_cech import proj_line_three_patch, random_matrix_form
 from .test_geometry import (
@@ -28,7 +28,7 @@ from .test_geometry import (
     z2_on_proj_line,
     z2_reflection_on_line,
 )
-from .test_rings import plain_ring, punctured_line
+from .test_rings import plain_ring, punctured_line, random_poly
 
 
 def affine_plane(potential):
@@ -556,3 +556,52 @@ def test_delta_cochain_round_trip():
     ring = P.scheme.patch_ring(0)
     mf = d.entry((0,))
     assert mf.terms[(0, 1, (), 0)] == ring.var("z")
+
+
+def affine_space(n, potential):
+    return {
+        "grading": "Z2",
+        "dimension": n,
+        "patches": [
+            {"name": f"A{n}", "variables": [f"x{k}" for k in range(1, n + 1)], "denominators": []}
+        ],
+        "gluings": [],
+        "potentials": [potential],
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_koszul_outputs_pass_the_full_check_on_affine_space(n):
+    """koszul_mf does not square its deltas, since delta^2 = sum a_j b_j by
+    construction; check_mf still does, and must pass on its outputs: the
+    workload shape a_j = x_j, b_j = c_j x_j and random a_j, b_j, with up to
+    four generators (rank 16).  Data whose sum a_j b_j is not W still raises."""
+    rng = random.Random(8100 + n)
+    ring = Ring("T", [f"x{k}" for k in range(1, n + 1)])
+    xs = [ring.var(v) for v in ring.vars]
+    cases = [(xs, [x * (k + 2) for k, x in enumerate(xs)])]
+    for m in (1, n):
+        cases.append([[LocalFrac(ring, random_poly(rng, ring)) for _ in range(m)] for _ in "ab"])
+    for a, b in cases:
+        w = sum((aj * bj for aj, bj in zip(a, b)), ring.zero())
+        sch = build_scheme(affine_space(n, str(w)))
+        rows = [[[str(v)] for v in side] for side in (a, b)]
+        P = koszul_mf(sch, *rows)
+        assert check_mf(P).ok
+        wrong = build_scheme(affine_space(n, str(w + ring.var("x1"))))
+        with pytest.raises(ValueError, match="differs from the potential"):
+            koszul_mf(wrong, *rows)
+
+
+@pytest.mark.parametrize("config", [proj_line(), proj_line_three_patch()])
+def test_koszul_outputs_pass_the_full_check_on_proj_line(config):
+    """The overlap checks still run in koszul_mf, and its outputs pass
+    check_mf on the two-chart and the redundant three-chart cover of P^1."""
+    sch = build_scheme(config)
+    n = sch.npatches()
+    P = koszul_mf(sch, [["1"] * n, ["-2"] * n], [["0"] * n, ["0"] * n])
+    assert check_mf(P).ok
+    with pytest.raises(ValueError, match="differs from the potential"):
+        koszul_mf(sch, [["1"] * n], [["1"] * n])
+    with pytest.raises(ValueError, match=r"g delta_j != delta_i g"):
+        koszul_mf(sch, [["1"] + ["2"] * (n - 1)], [["0"] * n])

@@ -208,6 +208,14 @@ CASES = {
         lambda: wedge({(0,): patch0.one()}, {(0,): line.one()}),
     "pullback: form on the target ring of the map":
         lambda: pullback(sch.restriction((0,), (0, 1)), {(0,): pair.one()}),
+    "MatrixForm.shift_u(-1) of a u^1 term":
+        lambda: MatrixForm(line, (0,), (0,), {(0, 0, (), 1): one}).shift_u(-1),
+    "CechCochain.shift_u(-1) of the zero cochain":
+        lambda: on_plane.shift_u(-1),
+    "MatrixForm.scale by a float":
+        lambda: MatrixForm.identity(line, (0,)).scale(2.5),
+    "MatrixForm + MatrixForm over another ring":
+        lambda: MatrixForm.identity(line, (0,)) + MatrixForm.identity(patch0, (0,)),
     "HochschildChain: one u term in slots 1 and 2, message names slot 1":
         lambda: naming("slot 1", lambda: chain((1, 0, even, (u_term, u_term)))),
     "HochschildChain: slot 1 mixes even and odd terms":
@@ -237,7 +245,7 @@ def test_malformed_inputs_raise_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["cases"] == 60
+    assert report["cases"] == 64
     assert not report["accepted"], "accepted under python -O: " + "; ".join(report["accepted"])
 
 
