@@ -105,9 +105,13 @@ def total_differential(c):
     potential differentials.
     """
     _check_scalar(c)
+    return _total_differential(c, _minus_dw_cochain(c.scheme, c.u_truncation))
+
+
+def _total_differential(c, dw):
+    """total_differential(c), with dw the -dw cochain at c's u truncation."""
     out = cech_differential(c)
     out = out + form_derivative(c).shift_u(1)
-    dw = _minus_dw_cochain(c.scheme, c.u_truncation)
     if not dw.is_zero():
         out = out + acw_product(dw, c)
     return out
@@ -140,6 +144,7 @@ def cohomologous(c1, c2, degree_bound, den_bound=1):
 
     # total_differential keeps the power of u except on u d, which raises it
     # by one, so a column at u^m has its family's u^0 image shifted by m.
+    dw = _minus_dw_cochain(scheme, trunc)
     columns = []
     contributions = {}
     for size in range(1, scheme.npatches() + 1):
@@ -164,16 +169,17 @@ def cohomologous(c1, c2, degree_bound, den_bound=1):
                             {tup: MatrixForm(ring, (0,), (0,), {(0, 0, idxs, 0): value})},
                             trunc,
                         )
-                        family.append((value, total_differential(elem)))
+                        family.append((value, _total_differential(elem, dw)))
                 for m in range(trunc + 1):
                     for value, image in family:
                         col = len(columns)
                         columns.append((tup, idxs, m, value))
-                        for out_tup, mf in (image.shift_u(m) if m else image).entries.items():
+                        for out_tup, mf in image.entries.items():
                             for (_r, _c, out_idxs, out_m), f in mf.terms.items():
-                                contributions.setdefault(
-                                    (out_tup, out_idxs, out_m), []
-                                ).append((col, f))
+                                if out_m + m <= trunc:
+                                    contributions.setdefault(
+                                        (out_tup, out_idxs, out_m + m), []
+                                    ).append((col, f))
 
     rhs_values = {}
     for tup, mf in diff.entries.items():
@@ -198,7 +204,7 @@ def cohomologous(c1, c2, degree_bound, den_bound=1):
         add = MatrixForm(ring, (0,), (0,), {(0, 0, idxs, m): value * coeff})
         entries[tup] = entries[tup] + add if tup in entries else add
     primitive = CechCochain.scalar(scheme, entries, trunc)
-    if total_differential(primitive) == diff:
+    if _total_differential(primitive, dw) == diff:
         return primitive
     return None
 

@@ -68,14 +68,18 @@ def _nonzero(terms):
 
 
 def de_rham_d(form):
+    """Exterior derivative.  On a term f dx_I only the partials of f by the
+    variables outside I are computed: dx_i ^ dx_I vanishes for i in I."""
     _form_ring(form)
     terms = {}
     for idxs, coeff in form.items():
-        for (i,), p in _d_of_function(coeff).items():
-            sign, merged = _merge_indices((i,), idxs)
-            if sign == 0:
+        for i in range(len(coeff.ring.vars)):
+            if i in idxs:
                 continue
-            _accumulate(terms, merged, p * sign)
+            p = coeff.partial(i)
+            if not p.is_zero():
+                sign, merged = _merge_indices((i,), idxs)
+                _accumulate(terms, merged, p * sign)
     return _nonzero(terms)
 
 

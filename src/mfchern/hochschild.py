@@ -536,10 +536,11 @@ def hochschild_b(x, curved=False):
     cat = x.category
     items = []
     differentials = {}  # id of an entry of x -> its differential
+    known = {}  # id of an entry of x -> its parity
     for (u_pow, a0, slots) in x.strings.values():
         n = len(slots)
         entries = (a0,) + slots
-        parities = [a.parity() for a in entries]
+        parities = _parities(entries, known)
 
         for i in range(n):
             sign = (-1) ** ((sum(parities[: i + 1]) - i) % 2)
@@ -582,22 +583,35 @@ def hochschild_b(x, curved=False):
     return HochschildChain(cat, x.u_truncation, x.tensor_cap, items)
 
 
-def _rotated(a0, slots):
-    """The string a0[slots] with its last-written entry rotated to the front:
-    a0 moves into the last slot, and the cyclic Koszul sign on shifted
-    degrees scales the new front entry."""
+def _parities(entries, known):
+    """The parity of each entry, computed once per distinct entry: known maps
+    the id of an entry of one chain to its parity, for one call on it."""
+    for a in entries:
+        if id(a) not in known:
+            known[id(a)] = a.parity()
+    return [known[id(a)] for a in entries]
+
+
+def _rotated(a0, slots, parities):
+    """The string a0[slots], its entries of the given parities, with its
+    last-written entry rotated to the front, as (a0, slots, parities): a0
+    moves into the last slot, and the cyclic Koszul sign on shifted degrees
+    scales the new front entry."""
     if not slots:
-        return a0, slots
-    rest = sum(s.parity() - 1 for s in slots)
-    if ((a0.parity() - 1) * rest) % 2:
-        return slots[0].scale(-1), slots[1:] + (a0,)
-    return slots[0], slots[1:] + (a0,)
+        return a0, slots, parities
+    rotated = parities[1:] + parities[:1]
+    rest = sum(parities[1:]) - len(slots)
+    if ((parities[0] - 1) * rest) % 2:
+        return slots[0].scale(-1), slots[1:] + (a0,), rotated
+    return slots[0], slots[1:] + (a0,), rotated
 
 
 def cyclic_t(x):
     """Rotate the last-written entry to the front of every string."""
+    known = {}
     items = [
-        (1, u_pow) + _rotated(a0, slots) for (u_pow, a0, slots) in x.strings.values()
+        (1, u_pow) + _rotated(a0, slots, _parities((a0,) + slots, known))[:2]
+        for (u_pow, a0, slots) in x.strings.values()
     ]
     return HochschildChain(x.category, x.u_truncation, x.tensor_cap, items)
 
@@ -608,10 +622,12 @@ def connes_B(x):
     vanishes when the sum is built."""
     cat = x.category
     items = []
+    known = {}
     for (u_pow, a0, slots) in x.strings.values():
+        parities = _parities((a0,) + slots, known)
         for _i in range(len(slots) + 1):
             items.append((1, u_pow, cat.identity(a0.target), (a0,) + slots))
-            a0, slots = _rotated(a0, slots)
+            a0, slots, parities = _rotated(a0, slots, parities)
     return HochschildChain(cat, x.u_truncation, x.tensor_cap, items)
 
 

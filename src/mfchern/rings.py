@@ -317,7 +317,9 @@ class ScalarPoly:
 class Ring:
     """A patch or intersection ring: Q[vars] localized at denominator generators.
     ``_monomials`` holds (e, c, the nonzero (i, e_i)) per generator when each
-    is one term c*x^e, and None otherwise."""
+    is one term c*x^e, and None otherwise.  Two one-term generators may not
+    share a variable, so that cancelling one of them never changes whether
+    another divides, and every value has one canonical form."""
 
     __slots__ = ("name", "vars", "denominators", "_monomials")
 
@@ -326,7 +328,8 @@ class Ring:
         self.vars = tuple(variables)
         dens = tuple(denominators)
         monomials = []
-        for g in dens:
+        owners = {}  # variable index -> index of the one-term generator using it
+        for j, g in enumerate(dens):
             if not isinstance(g, ScalarPoly):
                 raise TypeError(f"denominator generator of ring {name} is a {type(g).__name__}")
             if g.vars != self.vars:
@@ -338,7 +341,15 @@ class Ring:
                 raise ValueError(f"zero denominator generator in ring {name}")
             if len(g.terms) == 1:
                 (e, c), = g.terms.items()
-                monomials.append((e, c, tuple((i, k) for i, k in enumerate(e) if k)))
+                support = tuple((i, k) for i, k in enumerate(e) if k)
+                for i, _k in support:
+                    if owners.setdefault(i, j) != j:
+                        raise ValueError(
+                            f"denominator generators {dens[owners[i]]} and {g} of ring {name} share "
+                            f"the variable {self.vars[i]}; localize at one-term generators in "
+                            f"disjoint variables instead, e.g. (x, y) for (x, x*y)"
+                        )
+                monomials.append((e, c, support))
         self.denominators = dens
         self._monomials = tuple(monomials) if len(monomials) == len(dens) else None
 
@@ -579,16 +590,20 @@ class LocalFrac:
         return inv
 
     def partial(self, var_index):
-        """Partial derivative, with d(1/g) = -dg/g^2 on denominator generators."""
+        """Partial derivative, with d(1/g) = -dg/g^2 on denominator generators;
+        a generator free of the variable adds nothing."""
         out = LocalFrac._of(self.ring, self.num.partial(var_index), self.den)
         for j, g in enumerate(self.ring.denominators):
             m = self.den[j]
             if m == 0:
                 continue
+            dg = g.partial(var_index)
+            if dg.is_zero():
+                continue
             bump = tuple(
                 x + 1 if k == j else x for k, x in enumerate(self.den)
             )
-            out = out + LocalFrac._of(self.ring, self.num * g.partial(var_index) * (-m), bump)
+            out = out + LocalFrac._of(self.ring, self.num * dg * (-m), bump)
         return out
 
     def __str__(self):
@@ -611,21 +626,32 @@ class LocalFrac:
     __repr__ = __str__
 
 
+def _one_term(value):
+    """(coefficient, exponent tuple, denominator) of a value whose numerator
+    is one term."""
+    (e, c), = value.num.terms.items()
+    return c, e, value.den
+
+
 class RingMap:
     """Variable-wise substitution from one ring into another.
 
     Well-definedness on the multiplicative set is enforced lazily: the image
     of each source denominator generator must be a unit of the target.
 
-    A map caches, for as long as the map itself lives: whether it is a
-    coordinate inclusion (same variables, image k is variable k with no
-    denominator), decided at construction; the inverse of each source
-    denominator's image, on first use; and, filled by ``forms.pullback``, the
-    pulled-back dx-monomial of each index tuple.  A coordinate inclusion
-    moves a numerator by copying its terms instead of substituting.
+    A map is monomial when every generator of source and target and the
+    numerator of every image is one term, as on the standard covers of
+    projective space.  It moves each term c*x^t/g^m by exponent arithmetic,
+    lifts the terms to their common denominator and canonicalises once; the
+    target's generators are one term in disjoint variables, so each value has
+    one canonical form and the result is the one substitution gives.  Other
+    maps substitute.  A map caches, for as long as it lives: its images as
+    (coefficient, exponents, denominator) when it is monomial; the inverse of
+    each source denominator's image, on first use; and, filled by
+    ``forms.pullback``, the pulled-back dx-monomial of each index tuple.
     """
 
-    __slots__ = ("source", "target", "images", "_den_inverses", "_inclusion", "_dx_pullbacks")
+    __slots__ = ("source", "target", "images", "_den_inverses", "_monomial", "_dx_pullbacks")
 
     def __init__(self, source, target, images):
         if not isinstance(source, Ring) or not isinstance(target, Ring):
@@ -646,10 +672,10 @@ class RingMap:
         self.target = target
         self.images = images
         self._den_inverses = None
-        self._inclusion = source.vars == target.vars and all(
-            not any(img.den) and img.num == ScalarPoly.variable(target.vars, v)
-            for img, v in zip(images, target.vars)
+        monomial = None not in (source._monomials, target._monomials) and all(
+            len(img.num.terms) == 1 for img in images
         )
+        self._monomial = tuple(map(_one_term, images)) if monomial else None
         self._dx_pullbacks = {}
 
     @classmethod
@@ -676,16 +702,34 @@ class RingMap:
             raise TypeError(f"not a LocalFrac: {a!r}")
         if a.ring is not self.source:
             _check_same_ring(self.source, a.ring)
-        if self._inclusion:
-            target = self.target
-            num = ScalarPoly._of_sums(target.vars, a.num.terms)
-            out = LocalFrac._of(target, num, (0,) * len(target.denominators))
-        else:
+        if self._monomial is None:
             out = a.num.substitute(self.images, self.target)
-        for j, m in enumerate(a.den):
-            if m:
-                out = out * self._denominator_inverse(j) ** m
-        return out
+            for j, m in enumerate(a.den):
+                if m:
+                    out = out * self._denominator_inverse(j) ** m
+            return out
+        target = self.target
+        if a.is_zero():
+            return target.zero()
+        inverses = [(_one_term(self._denominator_inverse(j)), m) for j, m in enumerate(a.den) if m]
+        moved = []
+        for t, c in a.num.terms.items():
+            e, d = (0,) * len(target.vars), (0,) * len(target.denominators)
+            for (ck, ek, dk), n in inverses + [(self._monomial[k], n) for k, n in enumerate(t) if n]:
+                c = c * ck ** n
+                e = [x + n * y for x, y in zip(e, ek)]
+                d = [x + n * y for x, y in zip(d, dk)]
+            moved.append((c, e, d))
+        common = tuple(map(max, zip(*(d for _c, _e, d in moved))))
+        sums = {}
+        for c, e, d in moved:
+            for (ge, gc, _support), k in zip(target._monomials, map(sub, common, d)):
+                if k:
+                    c = c * gc ** k
+                    e = [x + k * y for x, y in zip(e, ge)]
+            e = tuple(e)
+            sums[e] = sums.get(e, 0) + c
+        return LocalFrac._of(target, ScalarPoly._of_sums(target.vars, sums), common)
 
     def __call__(self, a):
         return self.apply(a)

@@ -182,6 +182,17 @@ def test_primitive_at_a_higher_power_of_u():
     assert prim == scalar_cochain(sch, {(0,): [((), 2, "x^2")]}, 3).scale(Fraction(1, 2))
 
 
+def test_primitive_at_the_top_power_of_u():
+    """With W = x^2, -dw keeps the power of u and u d raises it past the
+    truncation: x at u^2 is the primitive of its image -dw x at u^2, and the
+    u dx it would add at u^3 is cut, not required to vanish."""
+    sch = build_scheme(affine_line_squared())
+    prim = scalar_cochain(sch, {(0,): [((), 2, "x")]}, 2)
+    c = total_differential(prim)
+    assert c.entries[(0,)].terms.keys() == {(0, 0, (0,), 2)}
+    assert cohomologous(c, TotalCochain.zero(sch, 2), degree_bound=1) == prim
+
+
 def test_primitive_polynomial_case():
     sch = build_scheme(affine_line_flat())
     c = TotalCochain(scalar_cochain(sch, {(0,): [((0,), 1, "x")]}, 2))

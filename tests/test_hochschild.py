@@ -354,6 +354,38 @@ def test_identities_are_per_object():
     assert HochschildChain.single(cat, 2, 4, back.compose(there), (cat.identity(P),)).is_zero()
 
 
+def test_parity_asked_once_per_distinct_entry(monkeypatch):
+    """hochschild_b, connes_B and cyclic_t ask each distinct entry of their
+    argument for its parity at most once outside the construction of their
+    result, and reuse a string's parities across its rotations, although
+    entries repeat across strings and slots."""
+    eta = eta_pi(geometric_retract(3), 3)
+    entries = {id(a) for (_m, a0, slots) in eta.strings.values() for a in (a0,) + slots}
+    asked, building = [], []
+    init = HochschildChain.__init__
+    parity = MorphismCochain.parity
+
+    def spy_init(self, *args):
+        building.append(True)
+        try:
+            init(self, *args)
+        finally:
+            building.pop()
+
+    def spy_parity(self):
+        if not building:
+            asked.append(id(self))
+        return parity(self)
+
+    monkeypatch.setattr(HochschildChain, "__init__", spy_init)
+    monkeypatch.setattr(MorphismCochain, "parity", spy_parity)
+    for op in (hochschild_b, connes_B, cyclic_t):
+        asked.clear()
+        op(eta)
+        assert asked and len(asked) == len(set(asked)) and set(asked) <= entries, op
+    assert sum(1 + len(slots) for (_m, _a0, slots) in eta.strings.values()) > len(entries)
+
+
 def test_each_distinct_entry_checked_and_keyed_once_per_construction(monkeypatch):
     """Building eta_pi at u = 3 and (b + uB) of it validates every distinct
     entry object of each construction once and keys each slot entry at most

@@ -118,6 +118,8 @@ CASES = {
         lambda: Ring("B", ("x",), (z,)),
     "Ring: zero denominator generator":
         lambda: Ring("B", ("x",), (ScalarPoly.zero(("x",)),)),
+    "Ring: one-term denominator generators x and x^2 share a variable":
+        lambda: Ring("B", ("x",), (x, x * x)),
     "RingMap: source is not a Ring":
         lambda: RingMap(("x",), line, (one,)),
     "RingMap: two images for one source variable":
@@ -245,7 +247,7 @@ def test_malformed_inputs_raise_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["cases"] == 64
+    assert report["cases"] == 65
     assert not report["accepted"], "accepted under python -O: " + "; ".join(report["accepted"])
 
 

@@ -1,7 +1,9 @@
 """Differential tests of the overlap-transport kernels against the forms they
 replaced: grlex long division for every divisor, RingMap.apply by
-substitution for every map, forms.pullback recomputing d(image) on every call,
-wedge and de_rham_d adding one piece at a time, MatrixForm.d_form and
+substitution for every map (monomial maps now move values by exponents),
+forms.pullback recomputing d(image) on every call, wedge and de_rham_d adding
+one piece at a time, de_rham_d taking every partial and LocalFrac.partial
+adding a term for every generator in the denominator, MatrixForm.d_form and
 pullback_matrix moving one term at a time through those oracles,
 MatrixForm.mul testing every pair of terms, and frame changes that rerooted each pair transition
 into the bigger overlap's ring instead of pulling it back along
@@ -31,7 +33,6 @@ from mfchern.cech import (
 )
 from mfchern.connection import atiyah_cocycle, default_connection
 from mfchern.forms import (
-    _d_of_function,
     _dx_pullback,
     _merge_indices,
     de_rham_d,
@@ -133,6 +134,29 @@ def substitute_apply(ring_map, a):
     return out
 
 
+def oracle_partial(value, i):
+    """LocalFrac.partial adding -m * num * dg / g^(m+1) for every generator g
+    in the denominator, also when dg is zero."""
+    ring = value.ring
+    out = LocalFrac(ring, value.num.partial(i), value.den)
+    for j, g in enumerate(ring.denominators):
+        m = value.den[j]
+        if m:
+            bump = tuple(x + (k == j) for k, x in enumerate(value.den))
+            out = out + LocalFrac(ring, value.num * g.partial(i) * (-m), bump)
+    return out
+
+
+def oracle_d_of_function(value):
+    """The exterior derivative of a function with every partial taken."""
+    terms = {}
+    for i in range(len(value.ring.vars)):
+        p = oracle_partial(value, i)
+        if not p.is_zero():
+            terms[(i,)] = p
+    return terms
+
+
 def nonzero_form(terms):
     return {idxs: c for idxs, c in terms.items() if not c.is_zero()}
 
@@ -149,7 +173,7 @@ def add_forms(a, b):
 def piecewise_de_rham_d(form):
     out = {}
     for idxs, coeff in form.items():
-        dcoeff = _d_of_function(coeff)
+        dcoeff = oracle_d_of_function(coeff)
         for (i,), p in dcoeff.items():
             sign, merged = _merge_indices((i,), idxs)
             if sign == 0:
@@ -170,7 +194,7 @@ def piecewise_wedge(a, b):
 
 
 def recomputing_pullback(ring_map, form):
-    image_differentials = [_d_of_function(img) for img in ring_map.images]
+    image_differentials = [oracle_d_of_function(img) for img in ring_map.images]
     out = {}
     for idxs, coeff in form.items():
         piece = nonzero_form({(): substitute_apply(ring_map, coeff)})
@@ -530,21 +554,40 @@ def test_division_property(data, lead, coeff, rest, multiply):
     assert_same_division(p, d)
 
 
-def test_inclusions_detected_by_their_images():
-    maps = cover_restriction_maps()
-    inclusions = [rm for rm in maps if rm._inclusion]
-    assert inclusions and len(inclusions) < len(maps)
-    for rm in maps:
-        plain = rm.source.vars == rm.target.vars and all(
-            str(img) == v for img, v in zip(rm.images, rm.target.vars)
-        )
-        assert rm._inclusion == plain, rm.images
+def one_term(polys):
+    return all(len(p.terms) == 1 for p in polys)
+
+
+def is_inclusion(rm):
+    return rm.source.vars == rm.target.vars and all(
+        str(img) == v for img, v in zip(rm.images, rm.target.vars)
+    )
+
+
+def test_monomial_maps_detected_by_their_images():
+    """A map moves values by exponents exactly when every generator of both
+    rings and the numerator of every image is one term: every restriction of
+    the covers of P^1 and P^2, and a coordinate inclusion between such rings,
+    but no map into a ring localized at x - 1 or z + 1."""
+    for config in (P1, P2, MOEBIUS_LINE, three_patch_line()):
+        for rm in restriction_maps(config):
+            expected = one_term(rm.source.denominators + rm.target.denominators) and one_term(
+                img.num for img in rm.images
+            )
+            assert (rm._monomial is not None) == expected, rm.images
+            if config in (P1, P2):
+                assert expected
+            elif not one_term(rm.target.denominators):
+                assert not expected
     A = Ring("A", ("x", "y"))
-    assert RingMap.identity(A)._inclusion
-    assert not RingMap(A, A, (A.var("y"), A.var("x")))._inclusion
-    assert not RingMap(A, A, (A.var("x"), A.var("y") * 2))._inclusion
-    swapped = Ring("S", ("y", "x"))
-    assert not RingMap(A, swapped, (swapped.var("x"), swapped.var("y")))._inclusion
+    assert RingMap.identity(A)._monomial == ((1, (1, 0), ()), (1, (0, 1), ()))
+    assert RingMap(A, A, (A.var("y"), A.var("x") * Fraction(-1, 2)))._monomial is not None
+    assert RingMap(A, A, (A.var("x") + A.var("y"), A.var("y")))._monomial is None
+    assert RingMap(A, A, (A.zero(), A.var("y")))._monomial is None
+    x = ScalarPoly.variable(("x", "y"), "x")
+    shifted = Ring("D", ("x", "y"), (x - ScalarPoly.const(("x", "y"), 1),))
+    assert RingMap(A, shifted, (shifted.var("x"), shifted.var("y")))._monomial is None
+    assert RingMap(shifted, A, (A.var("y"), A.var("x")))._monomial is None
 
 
 def test_restriction_maps_match_substitution():
@@ -572,6 +615,108 @@ def test_non_inclusion_maps_on_one_ring_match_substitution():
 def test_restriction_maps_property(rng):
     maps = cover_restriction_maps()
     check_map(rng, rng.choice(maps), trials=2)
+
+
+def coefficient_maps():
+    """Monomial maps whose generators and images carry coefficients other
+    than 1, so that moving a term and lifting it to the common denominator
+    scale its coefficient."""
+    vs, ts = ("x", "y"), ("u", "v")
+    x, y = (ScalarPoly.variable(vs, v) for v in vs)
+    u, v = (ScalarPoly.variable(ts, t) for t in ts)
+    S = Ring("S", vs, (x * 2, y * y * -3))
+    T = Ring("T", ts, (u * Fraction(1, 2), v * 3))
+    inv_u = T.var("u").unit_inverse()
+    return [
+        RingMap(S, T, (inv_u * Fraction(3, 2), T.var("v") * inv_u * Fraction(-1, 2))),
+        RingMap(S, S, (S.var("x") ** -1, S.var("y") * S.var("x") ** 2 * 5)),
+        RingMap(Ring("A", vs), S, (S.var("x"), S.var("y"))),
+    ]
+
+
+MONOMIAL_MAPS = restriction_maps(P1) + restriction_maps(P2) + coefficient_maps()
+VALUE_COEFFS = st.one_of(
+    st.integers(-4, 4), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_monomial_apply_matches_substitution_property(data):
+    """Along every restriction of the covers of P^1 and P^2 and the maps with
+    coefficients, moving by exponents gives the numerator terms and
+    denominator that substitution and the denominator inverses give, on
+    values with denominators, zero and constants."""
+    rm = data.draw(st.sampled_from(MONOMIAL_MAPS))
+    assert rm._monomial is not None
+    src = rm.source
+    exps = st.tuples(*[st.integers(0, 3)] * len(src.vars))
+    num = ScalarPoly(src.vars, data.draw(st.dictionaries(exps, VALUE_COEFFS, max_size=4)))
+    den = data.draw(st.tuples(*[st.integers(0, 2)] * len(src.denominators)))
+    a = LocalFrac(src, num, den)
+    new = rm.apply(a)
+    with long_division_everywhere():
+        old = substitute_apply(rm, a)
+    assert_same_frac(new, old)
+    for c in new.num.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+def test_substitution_only_off_monomial_maps(monkeypatch):
+    """The covers of P^1 and P^2 never substitute once the denominator
+    inverses are cached; on the A^1 cover localized at x - 1 and the P^1
+    glued by z/(z + 1), every map into a ring with a generator of more than
+    one term does."""
+    calls = []
+    real = ScalarPoly.substitute
+
+    def spy(self, images, target_ring):
+        calls.append(target_ring.name)
+        return real(self, images, target_ring)
+
+    monkeypatch.setattr(ScalarPoly, "substitute", spy)
+    for config in (P1, P2, MOEBIUS_LINE, three_patch_line()):
+        substituted = 0
+        for rm in restriction_maps(config):
+            src = rm.source
+            num = ScalarPoly.variable(src.vars, src.vars[0]) * 3 + ScalarPoly.const(src.vars, 2)
+            a = LocalFrac(src, num, (1,) * len(src.denominators))
+            rm.apply(a)
+            calls.clear()
+            rm.apply(a)
+            assert bool(calls) == (rm._monomial is None), rm.images
+            if not one_term(rm.target.denominators):
+                assert calls
+            substituted += bool(calls)
+        assert (substituted == 0) == (config in (P1, P2)), substituted
+
+
+def check_skipped_partials(rng, ring):
+    """partial and de_rham_d against the oracles that take every partial and
+    every generator term: on top-degree forms, on forms dx_i whose index
+    tuple holds the variable differentiated, and on random forms."""
+    nvars = len(ring.vars)
+    top = tuple(range(nvars))
+    f = random_frac(rng, ring, degree=3, den_bound=2)
+    for i in range(nvars):
+        with long_division_everywhere():
+            old = oracle_partial(f, i)
+        assert_same_frac(f.partial(i), old)
+    forms = [{top: f}, random_form(rng, ring)] + [{(i,): f} for i in range(nvars)]
+    for form in forms:
+        with long_division_everywhere():
+            old = piecewise_de_rham_d(nonzero_form(form))
+        assert_same_terms(de_rham_d(nonzero_form(form)), old)
+    assert de_rham_d(nonzero_form({top: f})) == {}
+
+
+def test_skipped_partials_match_oracles():
+    rng = random.Random(2109143)
+    triple = build_scheme(P2).intersection((0, 1, 2)).ring
+    assert triple.vars == ("y", "z") and len(triple.denominators) == 2
+    for ring in [triple] + mul_rings():
+        for _ in range(40):
+            check_skipped_partials(rng, ring)
 
 
 def test_dx_pullbacks_cached_per_map():
@@ -629,7 +774,7 @@ def test_matrix_d_form_and_pullback_match_per_term_oracles():
                 new_pullback = pullback_matrix(rm, value)
                 assert new_pullback.ring is rm.target
                 assert_same_terms(new_pullback, old_pullback)
-                moved += not new_pullback.is_zero() and not rm._inclusion
+                moved += not new_pullback.is_zero() and not is_inclusion(rm)
     assert moved >= 10, moved
 
 
