@@ -568,29 +568,26 @@ def _check_factors(a, b):
 def _cup(a, b, product):
     """Entries and u truncation of a front-face/back-face cup product whose
     values are composed by product(front value, back value, Cech degree of
-    the front), both values moved into the ring and frame of their tuple."""
+    the front), both values moved into the ring and frame of their tuple.
+    Only the entries present are paired: a front and a back that share their
+    joint index give the tuple front + back[1:] when it is nonempty."""
     trunc = min(a.u_truncation, b.u_truncation)
-    by_size_a = {}
-    for t in a.entries:
-        by_size_a.setdefault(len(t), set()).add(t)
-    by_size_b = {}
-    for t in b.entries:
-        by_size_b.setdefault(len(t), set()).add(t)
+    scheme = a.scheme
+    backs_from = {}  # first index -> the tuples of b's entries starting there
+    for back in b.entries:
+        backs_from.setdefault(back[0], []).append(back)
     out = {}
-    for size_a, fronts in by_size_a.items():
-        for size_b, backs in by_size_b.items():
-            size = size_a + size_b - 1
-            for big in a.scheme.tuples(size):
-                front = big[: size_a]
-                back = big[size_a - 1 :]
-                if front not in fronts or back not in backs:
-                    continue
-                left = a.transport(front, big)
-                right = b.transport(back, big)
-                value = product(left, right, size_a - 1).truncate_u(trunc)
-                if value.is_zero():
-                    continue
-                out[big] = out[big] + value if big in out else value
+    for front in a.entries:
+        for back in backs_from.get(front[-1], ()):
+            big = front + back[1:]
+            if not scheme.is_nonempty(big):
+                continue
+            left = a.transport(front, big)
+            right = b.transport(back, big)
+            value = product(left, right, len(front) - 1).truncate_u(trunc)
+            if value.is_zero():
+                continue
+            out[big] = out[big] + value if big in out else value
     return out, trunc
 
 

@@ -44,7 +44,7 @@ from .cech import (
 )
 from .mf import MorphismCochain, _split_by_total_parity
 from .connection import frame_form, total_curvature
-from .rings import echelon_reduce
+from .rings import _exact, echelon_reduce
 
 __all__ = [
     "GeometricCategory",
@@ -122,10 +122,12 @@ class GeometricCategory:
 
     def slot_decompose(self, a):
         """Decomposition in the degenerate quotient: the constant-identity
-        direction of an endomorphism slot is projected away."""
+        direction of an endomorphism slot is projected away.  Values follow
+        the rule of ``ScalarPoly``: an integral value is an int, and a
+        Fraction appears only where a value is not integral."""
         pairs = {}
         for lab, q in self.decompose(a):
-            pairs[lab] = pairs.get(lab, Fraction(0)) + q
+            pairs[lab] = pairs.get(lab, 0) + q
         if a.source is a.target:
             ident = self._identity_labels.get(id(a.source))
             if ident is None:
@@ -134,7 +136,7 @@ class GeometricCategory:
             lam = pairs.get(min(ident))
             if lam:
                 for lab in ident:
-                    left = pairs.get(lab, Fraction(0)) - lam
+                    left = _exact(pairs.get(lab, 0) - lam)
                     if left:
                         pairs[lab] = left
                     else:
@@ -445,7 +447,8 @@ class HochschildChain:
         and pivot tuple, the a0 label vectors summed with these weights
         vanish.  The work grows with the number of strings times the product
         of the slot values' coordinate counts, not with the product of the
-        strings' term counts."""
+        strings' term counts.  The sums start from the int 0, so integral
+        coefficients stay ints and only non-integral ones are Fractions."""
         cat = self.category
         by_length = {}
         for key, string in self.strings.items():
@@ -462,7 +465,7 @@ class HochschildChain:
                     row = {}
                     for lab, q in cat.slot_decompose(slots[j]):
                         col = columns.setdefault(lab, len(columns))
-                        row[col] = row.get(col, Fraction(0)) + q
+                        row[col] = row.get(col, 0) + q
                     at_j[slot_keys[j]] = list(echelon_reduce(pivots, row)[0].items())
                 coords.append(at_j)
             for slot_keys, (m, a0, _slots) in members:
@@ -473,7 +476,7 @@ class HochschildChain:
                     head = (m, tuple(p for p, _q in combo))
                     for lab, q in parts:
                         key = (head, lab)
-                        total[key] = total.get(key, Fraction(0)) + weight * q
+                        total[key] = total.get(key, 0) + weight * q
         return not any(total.values())
 
     def _combine(self, other, flip):
@@ -532,11 +535,17 @@ class HochschildChain:
 
 def hochschild_b(x, curved=False):
     """b = b2 + b1 (+ b0 when curved): composition of neighbours including
-    the wrap-around, entrywise differentials, and curvature insertions."""
+    the wrap-around, entrywise differentials, and curvature insertions.
+
+    Each pair of entry objects is composed once per call, whichever of
+    a0 after slot 0, slot i-1 after slot i or the wrap-around slot n-1
+    after a0 asks for it, so a chain that repeats its entries (as eta_pi
+    does) yields one object per distinct composite."""
     cat = x.category
     items = []
     differentials = {}  # id of an entry of x -> its differential
     known = {}  # id of an entry of x -> its parity
+    composites = {}  # (id(a), id(b)) of entries of x -> (a, b, a after b)
     for (u_pow, a0, slots) in x.strings.values():
         n = len(slots)
         entries = (a0,) + slots
@@ -545,17 +554,17 @@ def hochschild_b(x, curved=False):
         for i in range(n):
             sign = (-1) ** ((sum(parities[: i + 1]) - i) % 2)
             if i == 0:
-                new_a0 = a0.compose(slots[0])
+                new_a0 = _composite(a0, slots[0], composites)
                 new_slots = slots[1:]
             else:
                 new_a0 = a0
-                merged = slots[i - 1].compose(slots[i])
+                merged = _composite(slots[i - 1], slots[i], composites)
                 new_slots = slots[: i - 1] + (merged,) + slots[i + 1 :]
             items.append((sign, u_pow, new_a0, new_slots))
 
         if n >= 1:
             exponent = (parities[n] - 1) * (sum(parities[:n]) - (n - 1)) + 1
-            new_a0 = slots[n - 1].compose(a0)
+            new_a0 = _composite(slots[n - 1], a0, composites)
             items.append(((-1) ** (exponent % 2), u_pow, new_a0, slots[: n - 1]))
 
         for j in range(n + 1):
@@ -581,6 +590,16 @@ def hochschild_b(x, curved=False):
                 items.append((sign, u_pow, a0, new_slots))
 
     return HochschildChain(cat, x.u_truncation, x.tensor_cap, items)
+
+
+def _composite(a, b, composites):
+    """a after b, computed once per pair of entry objects: composites maps
+    (id(a), id(b)) to (a, b, a.compose(b)) for one call and holds a and b,
+    so that their ids cannot be reused while it is alive."""
+    held = composites.get((id(a), id(b)))
+    if held is None:
+        held = composites[(id(a), id(b))] = (a, b, a.compose(b))
+    return held[2]
 
 
 def _parities(entries, known):

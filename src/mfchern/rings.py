@@ -321,7 +321,7 @@ class Ring:
     share a variable, so that cancelling one of them never changes whether
     another divides, and every value has one canonical form."""
 
-    __slots__ = ("name", "vars", "denominators", "_monomials")
+    __slots__ = ("name", "vars", "denominators", "_monomials", "_den_powers")
 
     def __init__(self, name, variables, denominators=()):
         self.name = name
@@ -352,6 +352,7 @@ class Ring:
                 monomials.append((e, c, support))
         self.denominators = dens
         self._monomials = tuple(monomials) if len(monomials) == len(dens) else None
+        self._den_powers = {}  # multiplicity tuple -> its den_power
 
     def zero(self):
         return self.const(0)
@@ -369,12 +370,16 @@ class Ring:
 
     def den_power(self, mults):
         """The product of the denominator generators to the multiplicities
-        mults, built from its first factor."""
-        out = None
-        for g, m in zip(self.denominators, mults):
-            if m:
-                out = g ** m if out is None else out * g ** m
-        return ScalarPoly.const(self.vars, 1) if out is None else out
+        mults (a tuple), built from its first factor once per tuple."""
+        out = self._den_powers.get(mults)
+        if out is None:
+            for g, m in zip(self.denominators, mults):
+                if m:
+                    out = g ** m if out is None else out * g ** m
+            if out is None:
+                out = ScalarPoly.const(self.vars, 1)
+            self._den_powers[mults] = out
+        return out
 
     def __repr__(self):
         return f"Ring({self.name})"
@@ -569,6 +574,10 @@ class LocalFrac:
         return lhs == rhs
 
     def __hash__(self):
+        # With a multi-term generator a value has several forms that are
+        # equal (1/(x - 1) and (x + 1)/(x^2 - 1)), so only the ring is hashed.
+        if self.ring._monomials is None:
+            return hash((self.ring.name, self.ring.vars))
         return hash((self.ring.name, self.num, self.den))
 
     def inverse(self):
@@ -923,7 +932,8 @@ def _add_monomial_rows(system, parts, rhs):
     for col, value in parts + [(None, rhs)]:
         if value.ring is not ring:
             _check_same_ring(ring, value.ring)
-        lift = value.num * ring.den_power(tuple(c - d for c, d in zip(common, value.den)))
+        shift = tuple(c - d for c, d in zip(common, value.den))
+        lift = value.num * ring.den_power(shift) if any(shift) else value.num
         for exps, q in lift.terms.items():
             row = rows.setdefault(exps, {})
             row[col] = row.get(col, 0) + q

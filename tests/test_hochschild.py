@@ -12,6 +12,7 @@ from mfchern.hochschild import (
     GeometricCategory,
     HochschildChain,
     RetractCategory,
+    _composite,
     connes_B,
     cyclic_t,
     eta_pi,
@@ -762,6 +763,52 @@ def test_eta_pi_is_cycle_at_u7():
     )
     assert len(cut.strings) == len(eta.strings) - 1
     assert not (hochschild_b(cut) + connes_B(cut).shift_u(1)).is_zero()
+
+
+def test_composite_computed_once_per_pair(monkeypatch):
+    """hochschild_b composes each pair of entry objects of its argument once,
+    whichever site asks (a0 after slot 0, neighbouring slots, the
+    wrap-around), although eta_pi repeats one pi in every slot; the result
+    is what the same chain with a distinct object in every position gives."""
+    r = geometric_retract(3)
+    eta = eta_pi(r, 3)
+    spread = HochschildChain(
+        eta.category,
+        eta.u_truncation,
+        eta.tensor_cap,
+        [(1, m, a0.scale(1), tuple(s.scale(1) for s in slots)) for (m, a0, slots) in eta.items()],
+    )
+    expected = hochschild_b(spread)
+    entries = {id(a) for (_m, a0, slots) in eta.strings.values() for a in (a0,) + slots}
+    pairs = []
+    compose = MorphismCochain.compose
+
+    def spy(self, other):
+        pairs.append((id(self), id(other)))
+        return compose(self, other)
+
+    monkeypatch.setattr(MorphismCochain, "compose", spy)
+    image = hochschild_b(eta)
+    monkeypatch.undo()
+    sites = sum(len(slots) + 1 for (_m, _a0, slots) in eta.strings.values() if slots)
+    assert pairs and len(pairs) == len(set(pairs)) < sites
+    assert {i for pair in pairs for i in pair} <= entries
+    assert image.canonical_string() == expected.canonical_string()
+    assert (image + connes_B(eta).shift_u(1)).is_zero()
+
+
+def test_composite_memo_holds_its_factors():
+    """The composite memo of hochschild_b holds both factors, so factors made
+    on the fly and freed after the call cannot lend their ids to later ones."""
+    sch, (P, Q) = line_objects()
+    a = diagonal_endo(P, ["x", "2*x"], 2)
+    b = diagonal_endo(P, ["1", "x + 3"], 2)
+    ab = a.compose(b)
+    assert not ab.is_zero()
+    composites = {}
+    for k in range(1, 13):
+        assert _composite(a.scale(k), b.scale(k + 1), composites) == ab.scale(k * (k + 1))
+    assert len(composites) == 12
 
 
 def test_xi_values():

@@ -162,6 +162,34 @@ def test_rings_compared_by_structure_not_name():
     assert punctured.var("z") == twin.var("z")
 
 
+def test_equal_values_hash_equal_when_generators_share_a_factor():
+    """On generators x - 1 and x^2 - 1, 1/(x - 1) and (x + 1)/(x^2 - 1) are
+    two canonical forms of one value: they compare equal, so they hash
+    equal and a set holds one of them."""
+    x = ScalarPoly.variable(("x",), "x")
+    one = ScalarPoly.const(("x",), 1)
+    B = Ring("B", ("x",), (x - one, x * x - one))
+    a = LocalFrac(B, one, (1, 0))
+    b = LocalFrac(B, x + one, (0, 1))
+    assert a.den != b.den
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    # one-term generators keep one form per value and the full hash
+    U = punctured_line()
+    z = U.var("z")
+    assert len({z, z * z * z ** -1, z + 1}) == 2
+
+
+def test_den_power_built_once_per_multiplicities():
+    x, y = (ScalarPoly.variable(("x", "y"), v) for v in ("x", "y"))
+    U = Ring("U", ("x", "y"), (x, y + ScalarPoly.const(("x", "y"), 1)))
+    p = U.den_power((2, 1))
+    assert U.den_power((2, 1)) is p
+    assert p == U.denominators[0] ** 2 * U.denominators[1]
+    assert U.den_power((0, 0)) == ScalarPoly.const(("x", "y"), 1)
+
+
 def test_divide_exact():
     A = plain_ring()
     x = ScalarPoly.variable(A.vars, "x")

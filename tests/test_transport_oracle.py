@@ -25,6 +25,7 @@ from mfchern.cech import (
     TRIVIAL_LINE,
     CechCochain,
     MatrixForm,
+    _cup,
     acw_product,
     cech_differential,
     form_derivative,
@@ -298,6 +299,35 @@ def oracle_transport(self, small, big, value=None):
         g_s = oracle_transition_inverse(self.source, ring, big[0], small[0])
         moved = g_t.mul(moved).mul(g_s)
     return moved
+
+
+def scanning_cup(a, b, product):
+    """cech._cup as it was: for each pair of entry sizes, scan every nonempty
+    tuple of the joint size and keep those whose front and back faces are
+    entries."""
+    trunc = min(a.u_truncation, b.u_truncation)
+    by_size_a = {}
+    for t in a.entries:
+        by_size_a.setdefault(len(t), set()).add(t)
+    by_size_b = {}
+    for t in b.entries:
+        by_size_b.setdefault(len(t), set()).add(t)
+    out = {}
+    for size_a, fronts in by_size_a.items():
+        for size_b, backs in by_size_b.items():
+            size = size_a + size_b - 1
+            for big in a.scheme.tuples(size):
+                front = big[: size_a]
+                back = big[size_a - 1 :]
+                if front not in fronts or back not in backs:
+                    continue
+                left = a.transport(front, big)
+                right = b.transport(back, big)
+                value = product(left, right, size_a - 1).truncate_u(trunc)
+                if value.is_zero():
+                    continue
+                out[big] = out[big] + value if big in out else value
+    return out, trunc
 
 
 @contextlib.contextmanager
@@ -885,3 +915,58 @@ def test_frame_forms_match_rerooted_transitions():
             nonzero += not new.is_zero()
             total += 1
     assert nonzero >= total - 2, (nonzero, total)
+
+
+def sparse_cochain(rng, sch, source, target, keep=0.5):
+    """A random cochain with an entry at about half of the nonempty tuples
+    of every size."""
+    entries = {}
+    for size in range(1, sch.npatches() + 1):
+        for tup in sch.tuples(size):
+            if rng.random() < keep:
+                ring = sch.intersection(tup).ring
+                entries[tup] = random_matrix_form(
+                    rng, ring, target.parities(), source.parities(), max_u=1, nterms=3
+                )
+    return CechCochain(sch, source, target, entries, rng.randint(1, 3))
+
+
+def check_cup(rng, sch, bundles):
+    """(pairs compared, nonzero products) for random cochains a: F -> G and
+    b: E -> F over bundles and the trivial line, with the present-entry cup
+    against the scan, as products and as supertraces of products."""
+    compared = nonzero = 0
+    for E, F, G in itertools.product(bundles + [TRIVIAL_LINE], repeat=3):
+        a = sparse_cochain(rng, sch, F, G)
+        b = sparse_cochain(rng, sch, E, F)
+        products = [MatrixForm.mul]
+        if E.parities() == G.parities():
+            products.append(MatrixForm._supertrace_mul)
+        for product in products:
+            new, new_trunc = _cup(a, b, product)
+            old, old_trunc = scanning_cup(a, b, product)
+            assert new_trunc == old_trunc
+            assert set(new) == set(old)
+            for big in new:
+                assert_same_terms(new[big], old[big])
+            compared += 1
+            nonzero += bool(new)
+    return compared, nonzero
+
+
+def test_cup_pairs_present_entries_like_the_scan():
+    rng = random.Random(95)
+    compared = nonzero = 0
+    for sch, bundles in frame_bundles():
+        got = check_cup(rng, sch, bundles[:2])
+        compared += got[0]
+        nonzero += got[1]
+    assert nonzero >= compared // 2 and compared >= 60, (nonzero, compared)
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_cup_pairs_present_entries_property(seed):
+    rng = random.Random(seed)
+    sch = build_scheme(P2)
+    check_cup(rng, sch, [twist_p2(sch, rng.randint(1, 2)).bundle])

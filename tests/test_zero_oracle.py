@@ -46,6 +46,28 @@ def expanded(x):
     return out
 
 
+def fraction_slot_decompose(self, a):
+    """GeometricCategory.slot_decompose as it was when its sums started from
+    Fraction(0), so that every value it returns is a Fraction."""
+    pairs = {}
+    for lab, q in self.decompose(a):
+        pairs[lab] = pairs.get(lab, Fraction(0)) + q
+    if a.source is a.target:
+        ident = self._identity_labels.get(id(a.source))
+        if ident is None:
+            ident = [lab for lab, _q in self.decompose(self.identity(a.source))]
+            self._identity_labels[id(a.source)] = ident
+        lam = pairs.get(min(ident))
+        if lam:
+            for lab in ident:
+                left = pairs.get(lab, Fraction(0)) - lam
+                if left:
+                    pairs[lab] = left
+                else:
+                    pairs.pop(lab, None)
+    return [(lab, q) for lab, q in pairs.items() if q]
+
+
 def verdicts(x):
     """(new verdict, oracle verdict)."""
     return x.is_zero(), not expanded(x)
@@ -198,3 +220,65 @@ def test_geometric_chains_agree_with_expansion(rng):
     for x in geometric_cases(rng, cat, objects):
         new, old = verdicts(x)
         assert new == old, x.canonical_string()
+
+
+def slot_values(rng, cat, objects):
+    """Random slot values, some scaled by 3/4 and some shifted by a
+    non-integral multiple of the identity, so that the identity's
+    coefficient and the values left after projecting it away are integral
+    for some and not for others."""
+    x = random_chain(rng, cat, objects, 2, 6, max_n=2, nterms=3)
+    for (_m, a0, slots) in x.items():
+        for s in (a0,) + slots:
+            yield s
+            yield s.scale(Fraction(3, 4))
+            if s.source is s.target and s.parity() == 0:
+                one = cat.identity(s.source)
+                yield s + one.scale(Fraction(3, 4))
+                yield s.scale(Fraction(3, 4)) + one.scale(Fraction(rng.randint(-7, 7), 4))
+                yield one.scale(Fraction(3, 4))
+
+
+def test_slot_decompose_matches_fraction_sums():
+    """slot_decompose gives the labels and values of the Fraction-based
+    version, with each integral value an int and each other one a
+    Fraction."""
+    rng = random.Random(20261019)
+    proj, twisted = proj_pool()
+    pools = [line_objects(), (proj, [P for P, _tw in twisted])]
+    kinds = {int: 0, Fraction: 0}
+    for trial in range(10):
+        sch, objects = pools[trial % 2]
+        cat = GeometricCategory(sch, 2)
+        for s in slot_values(rng, cat, objects):
+            new = cat.slot_decompose(s)
+            old = fraction_slot_decompose(cat, s)
+            assert [lab for lab, _q in new] == [lab for lab, _q in old]
+            for (_lab, q), (_lab_old, q_old) in zip(new, old):
+                assert q == q_old
+                assert type(q) is (int if q_old.denominator == 1 else Fraction), (q, q_old)
+                kinds[type(q)] += 1
+    assert kinds[int] >= 50 and kinds[Fraction] >= 50, kinds
+
+
+def test_non_integral_chains_agree_with_expansion():
+    """is_zero, whose sums start from the int 0, agrees with the expansion
+    on chains whose strings carry the coefficient 3/4 and slots shifted by
+    non-integral multiples of the identity."""
+    rng = random.Random(34)
+    sch, objects = line_objects()
+    cat = GeometricCategory(sch, 2)
+    seen = {True: 0, False: 0}
+    for _trial in range(6):
+        x = random_chain(rng, cat, objects, 2, 6, max_n=2, nterms=3).scale(Fraction(3, 4))
+        for y in (x, x - x.shift_u(1), hochschild_b(hochschild_b(x))):
+            new, old = verdicts(y)
+            assert new == old, y.canonical_string()
+            seen[new] += 1
+        zero = split_slot(rng, x, lambda rng, s: draw_geometric(rng, s).scale(Fraction(3, 4)))
+        if zero is not None:
+            for y in (zero, zero + x):
+                new, old = verdicts(y)
+                assert new == old, y.canonical_string()
+                seen[new] += 1
+    assert seen[True] >= 4 and seen[False] >= 4, seen
