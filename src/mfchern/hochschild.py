@@ -19,9 +19,11 @@ methods:
   identity of its object (zero included);
 - ``curvature(P)``: the curvature arrow of an object, or None when flat.
 
-Two backends implement it: a geometric category whose morphisms are Cech
-cochains between matrix factorizations, and a five-dimensional formal
-retract category used for exact bookkeeping checks.
+``GeometricCategory`` implements it: its morphisms are Cech cochains between
+matrix factorizations.  The second implementation is a test fake, the
+five-arrow formal retract category in ``tests/formal_retract.py``, on which
+the tests check b, B, the zero test and the coefficients of eta_pi exactly.
+Chains combine only over one category object.
 
 Entries are values: a chain holds the entry objects it was given, and
 nothing may mutate them afterwards.  Each construction of a chain validates,
@@ -48,8 +50,6 @@ from .rings import _exact, echelon_reduce
 
 __all__ = [
     "GeometricCategory",
-    "RetractCategory",
-    "FormalMorphism",
     "HochschildChain",
     "hochschild_b",
     "cyclic_t",
@@ -57,8 +57,6 @@ __all__ = [
     "tr_nabla",
     "nabla_bracket",
     "eta_pi",
-    "xi_sequence",
-    "xi_recursion_check",
 ]
 
 
@@ -190,150 +188,6 @@ class GeometricCategory:
             self.scheme, P.bundle, P.bundle, entries, self.u_truncation
         )
         return MorphismCochain(P, P, cochain)
-
-
-# -- formal retract backend --------------------------------------------------
-
-
-_BASIS = ("1P", "g", "f", "1N", "pi")
-_SOURCE = {"1P": "P", "g": "P", "f": "N", "1N": "N", "pi": "N"}
-_TARGET = {"1P": "P", "g": "N", "f": "P", "1N": "N", "pi": "N"}
-# left factor composed after right factor; structure constants are all 1
-_TABLE = {
-    ("1P", "1P"): "1P",
-    ("1P", "f"): "f",
-    ("g", "1P"): "g",
-    ("g", "f"): "pi",
-    ("f", "g"): "1P",
-    ("f", "1N"): "f",
-    ("f", "pi"): "f",
-    ("1N", "g"): "g",
-    ("pi", "g"): "g",
-    ("1N", "1N"): "1N",
-    ("1N", "pi"): "pi",
-    ("pi", "1N"): "pi",
-    ("pi", "pi"): "pi",
-}
-
-
-class FormalMorphism:
-    """Exact linear combination of the five basis arrows between P and N."""
-
-    __slots__ = ("source", "target", "coeffs")
-
-    def __init__(self, source, target, coeffs):
-        if source not in ("P", "N") or target not in ("P", "N"):
-            raise ValueError(f"unknown objects {source!r} -> {target!r}")
-        clean = {}
-        for name, c in coeffs.items():
-            if name not in _BASIS:
-                raise ValueError(f"unknown arrow {name!r}")
-            if _SOURCE[name] != source or _TARGET[name] != target:
-                raise ValueError(f"{name} is not an arrow {source} -> {target}")
-            c = Fraction(c)
-            if c != 0:
-                clean[name] = c
-        self.source = source
-        self.target = target
-        self.coeffs = clean
-
-    @classmethod
-    def basis(cls, name):
-        return cls(_SOURCE[name], _TARGET[name], {name: Fraction(1)})
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def parity(self):
-        return 0
-
-    def differential(self):
-        return FormalMorphism(self.source, self.target, {})
-
-    def __add__(self, other):
-        if not isinstance(other, FormalMorphism):
-            raise TypeError(f"cannot add a {type(other).__name__} to a FormalMorphism")
-        if other.source != self.source or other.target != self.target:
-            raise ValueError(
-                f"cannot add an arrow {other.source} -> {other.target} to an "
-                f"arrow {self.source} -> {self.target}"
-            )
-        out = dict(self.coeffs)
-        for name, c in other.coeffs.items():
-            out[name] = out.get(name, Fraction(0)) + c
-        return FormalMorphism(self.source, self.target, out)
-
-    def __neg__(self):
-        return FormalMorphism(
-            self.source, self.target, {n: -c for n, c in self.coeffs.items()}
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, q):
-        q = Fraction(q)
-        return FormalMorphism(
-            self.source, self.target, {n: c * q for n, c in self.coeffs.items()}
-        )
-
-    def compose(self, other):
-        """self after other."""
-        if not isinstance(other, FormalMorphism):
-            raise TypeError(f"cannot compose a FormalMorphism with a {type(other).__name__}")
-        if other.target != self.source:
-            raise ValueError(
-                f"composition shape mismatch: {self.source} -> {self.target} "
-                f"after {other.source} -> {other.target}"
-            )
-        out = {}
-        for na, ca in self.coeffs.items():
-            for nb, cb in other.coeffs.items():
-                name = _TABLE[(na, nb)]
-                out[name] = out.get(name, Fraction(0)) + ca * cb
-        return FormalMorphism(other.source, self.target, out)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return f"0:{self.source}->{self.target}"
-        return " + ".join(f"{c}*{n}" for n, c in sorted(self.coeffs.items()))
-
-
-class RetractCategory:
-    """The two-object category with fg = 1_P and gf = pi; every arrow is
-    even and closed."""
-
-    def object_key(self, obj):
-        return obj
-
-    def validate_entry(self, a, where):
-        if not isinstance(a, FormalMorphism):
-            raise TypeError(f"{where} is a {type(a).__name__}, not a FormalMorphism")
-        return a.parity()
-
-    def key(self, a):
-        items = tuple(sorted((n, str(c)) for n, c in a.coeffs.items()))
-        return (a.source, a.target, items)
-
-    def decompose(self, a):
-        for name in sorted(a.coeffs):
-            yield (a.source, a.target, name), a.coeffs[name]
-
-    def slot_decompose(self, a):
-        return [
-            (lab, q)
-            for lab, q in self.decompose(a)
-            if lab[2] not in ("1P", "1N")
-        ]
-
-    def identity(self, obj):
-        return FormalMorphism.basis("1P" if obj == "P" else "1N")
-
-    def is_scalar_identity(self, a):
-        return set(a.coeffs) <= {"1P"} or set(a.coeffs) <= {"1N"}
-
-    def curvature(self, obj):
-        return None
 
 
 # -- chains ------------------------------------------------------------------
@@ -482,10 +336,7 @@ class HochschildChain:
     def _combine(self, other, flip):
         if not isinstance(other, HochschildChain):
             raise TypeError(f"cannot combine a HochschildChain with a {type(other).__name__}")
-        if other.category is not self.category and not (
-            isinstance(self.category, RetractCategory)
-            and isinstance(other.category, RetractCategory)
-        ):
+        if other.category is not self.category:
             raise ValueError("chains live over different categories")
         items = [(1, m, a, s) for (m, a, s) in self.strings.values()]
         sign = -1 if flip else 1
@@ -811,87 +662,3 @@ def eta_pi(r, u_truncation, tensor_cap=None):
 def _eta_coefficient(i):
     """The coefficient (-1)^i (2i)! / (2 i!) of u^i (2 pi - 1)[pi|...|pi]."""
     return Fraction((-1) ** i * factorial(2 * i), 2 * factorial(i))
-
-
-def xi_sequence(i, u_truncation=0, tensor_cap=None):
-    """The degree 2i-1 comparison chains of the retract category."""
-    if i < 1:
-        raise ValueError(f"xi_i needs i >= 1, got {i}")
-    cat = RetractCategory()
-    if tensor_cap is None:
-        tensor_cap = 2 * i + 1
-    g = FormalMorphism.basis("g")
-    f = FormalMorphism.basis("f")
-    pi = FormalMorphism.basis("pi")
-    one_n = FormalMorphism.basis("1N")
-    lead = Fraction(factorial(i - 1) * (-1) ** (i - 1))
-    items = [(lead, 0, g, (f,) + (g, f) * (i - 1))]
-    for j in range(1, i):
-        items.append((-lead, 0, one_n, (pi,) * (2 * j - 1) + (g, f) * (i - j)))
-    return HochschildChain(cat, u_truncation, tensor_cap, items)
-
-
-def _formal_monomials(x):
-    for (u_pow, a0, slots) in x.items():
-        names = []
-        slot_scale = Fraction(1)
-        for s in slots:
-            assert len(s.coeffs) == 1, "slots must be single basis arrows here"
-            (name, c), = s.coeffs.items()
-            slot_scale *= c
-            names.append(name)
-        for name0, c0 in sorted(a0.coeffs.items()):
-            yield (u_pow, (name0,) + tuple(names), c0 * slot_scale)
-
-
-def _merged_monomials(x):
-    out = {}
-    for (u_pow, names, c) in _formal_monomials(x):
-        key = (u_pow, names)
-        out[key] = out.get(key, Fraction(0)) + c
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _in_pi_span(names):
-    return names[0] in ("pi", "1N") and all(nm == "pi" for nm in names[1:])
-
-
-def _has_cyclic_f_pi(names):
-    n = len(names)
-    return any(
-        names[i] == "f" and names[(i + 1) % n] == "pi" for i in range(n)
-    )
-
-
-def xi_recursion_check(i_max):
-    """Verify b(xi_{i+1}) = eta_i - B(xi_i) modulo the two spanning
-    subspaces, and b(xi_{i+1}) = -B(xi_i) in the double quotient."""
-    from .mf import MFReport
-
-    if i_max < 1:
-        raise ValueError(f"the check needs i_max >= 1, got {i_max}")
-    failures = []
-    for i in range(1, i_max + 1):
-        cap = 2 * (i + 1) + 1
-        xi_i = xi_sequence(i, tensor_cap=cap)
-        xi_next = xi_sequence(i + 1, tensor_cap=cap)
-        eta_a0 = FormalMorphism("N", "N", {"pi": Fraction(2), "1N": Fraction(-1)})
-        eta_i = HochschildChain(
-            xi_i.category,
-            0,
-            cap,
-            [(_eta_coefficient(i), 0, eta_a0, (FormalMorphism.basis("pi"),) * (2 * i))],
-        )
-        resid = hochschild_b(xi_next) - eta_i + connes_B(xi_i)
-        for (_m, names), c in sorted(_merged_monomials(resid).items()):
-            if _in_pi_span(names) or _has_cyclic_f_pi(names):
-                continue
-            failures.append(
-                f"i={i}: residual monomial {names} with coefficient {c}"
-            )
-        quotient = hochschild_b(xi_next) + connes_B(xi_i)
-        for (_m, names), c in sorted(_merged_monomials(quotient).items()):
-            if _in_pi_span(names) or _has_cyclic_f_pi(names):
-                continue
-            failures.append(f"i={i}: double quotient keeps {names} -> {c}")
-    return MFReport(failures)

@@ -6,7 +6,6 @@ import random
 from fractions import Fraction
 
 from mfchern.hochschild import (
-    FormalMorphism,
     GeometricCategory,
     HochschildChain,
     connes_B,
@@ -15,6 +14,7 @@ from mfchern.hochschild import (
 )
 from mfchern.mf import MorphismCochain
 
+from .formal_retract import FormalMorphism
 from .test_hochschild import line_objects, proj_pool, random_chain, random_morphism
 from .test_zero_oracle import random_formal, random_formal_chain
 

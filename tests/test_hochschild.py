@@ -3,15 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from mfchern import hochschild
 from mfchern.cech import CechCochain, MatrixForm, acw_product, exp_neg, supertrace
 from mfchern.cohomology import total_differential
 from mfchern.connection import Connection, default_connection, total_curvature
 from mfchern.geometry import build_scheme
 from mfchern.hochschild import (
-    FormalMorphism,
     GeometricCategory,
     HochschildChain,
-    RetractCategory,
     _composite,
     connes_B,
     cyclic_t,
@@ -19,8 +18,6 @@ from mfchern.hochschild import (
     hochschild_b,
     nabla_bracket,
     tr_nabla,
-    xi_recursion_check,
-    xi_sequence,
 )
 from mfchern.mf import (
     MatrixFactorization,
@@ -33,6 +30,14 @@ from mfchern.mf import (
 )
 from mfchern.rings import parse_scalar
 
+from .formal_retract import (
+    RETRACT,
+    FormalMorphism,
+    RetractCategory,
+    monomials,
+    xi_recursion_check,
+    xi_sequence,
+)
 from .test_cech import random_matrix_form
 from .test_connection import random_one_form_matrix
 from .test_geometry import affine_line_squared
@@ -331,8 +336,16 @@ def test_chain_validation_names_the_slot():
     with pytest.raises(ValueError, match="u-free: slot 1"):
         HochschildChain(cat, 2, 4, [(1, 0, a, (with_u, with_u))])
     x = HochschildChain.single(cat, 2, 4, a, ())
-    with pytest.raises(ValueError, match="different categories"):
-        x + HochschildChain.single(GeometricCategory(sch, 2), 2, 4, a, ())
+    pi = FormalMorphism.basis("pi")
+    for left, right in [
+        (x, HochschildChain.single(GeometricCategory(sch, 2), 2, 4, a, ())),
+        (
+            HochschildChain.single(RetractCategory(), 0, 1, pi),
+            HochschildChain.single(RetractCategory(), 0, 1, pi),
+        ),
+    ]:
+        with pytest.raises(ValueError, match="different categories"):
+            left + right
 
 
 def test_identities_are_per_object():
@@ -653,6 +666,12 @@ def test_trace_missing_connection_errors():
         tr_nabla(x, {})
 
 
+def test_trace_needs_geometric_chains():
+    x = HochschildChain.single(RETRACT, 0, 1, FormalMorphism.basis("pi"))
+    with pytest.raises(TypeError, match="trace needs geometric chains"):
+        tr_nabla(x, {})
+
+
 # -- the chain-map identity ---------------------------------------------------
 
 
@@ -812,29 +831,51 @@ def test_composite_memo_holds_its_factors():
 
 
 def test_xi_values():
-    x1 = xi_sequence(1)
-    mono = [(names, c) for (_m, names, c) in _monomials(x1)]
-    assert mono == [(("g", "f"), Fraction(1))]
-    x2 = xi_sequence(2)
-    got = sorted((names, c) for (_m, names, c) in _monomials(x2))
-    assert got == [
-        (("1N", "pi", "g", "f"), Fraction(1)),
-        (("g", "f", "g", "f"), Fraction(-1)),
-    ]
+    assert monomials(xi_sequence(1)) == {(0, ("g", "f")): Fraction(1)}
+    assert monomials(xi_sequence(2)) == {
+        (0, ("1N", "pi", "g", "f")): Fraction(1),
+        (0, ("g", "f", "g", "f")): Fraction(-1),
+    }
     for i in (1, 2, 3, 4):
         for (_m, a0, slots) in xi_sequence(i).items():
             assert len(slots) == 2 * i - 1
 
 
-def _monomials(x):
-    from mfchern.hochschild import _formal_monomials
-
-    return list(_formal_monomials(x))
-
-
 def test_xi_recursion():
-    report = xi_recursion_check(3)
-    assert report.ok, report.failures
+    failures = xi_recursion_check(3)
+    assert not failures, failures
+
+
+def formal_eta_image(top, coefficient):
+    """(b + uB) eta for eta = pi + sum over i <= top of
+    coefficient(i) u^i (2 pi - 1)[pi|...|pi] over the formal retract
+    category, with eta_pi's truncation and tensor cap."""
+    pi = FormalMorphism.basis("pi")
+    two_pi_minus_one = FormalMorphism("N", "N", {"pi": 2, "1N": -1})
+    items = [(1, 0, pi, ())]
+    items += [(coefficient(i), i, two_pi_minus_one, (pi,) * (2 * i)) for i in range(1, top + 1)]
+    eta = HochschildChain(RETRACT, top, 2 * top + 1, items)
+    return hochschild_b(eta) + connes_B(eta).shift_u(1)
+
+
+def test_eta_coefficient_closed_form():
+    # (-1)^i (2i)! / (2 i!) for i = 1..6
+    assert [hochschild._eta_coefficient(i) for i in range(1, 7)] == [
+        -1, 6, -60, 840, -15120, 332640
+    ]
+
+
+def test_eta_coefficients_make_a_formal_cycle():
+    """(b + uB) eta vanishes over the formal retract category with the
+    coefficients of eta_pi, and doubling any one of them breaks it."""
+    for top in range(1, 7):
+        image = formal_eta_image(top, hochschild._eta_coefficient)
+        assert image.is_zero(), (top, image.canonical_string())
+        for k in range(1, top + 1):
+            image = formal_eta_image(
+                top, lambda i: hochschild._eta_coefficient(i) * (2 if i == k else 1)
+            )
+            assert not image.is_zero(), (top, k)
 
 
 def test_formal_composition_table():

@@ -7,43 +7,11 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from mfchern.hochschild import (
-    FormalMorphism,
-    GeometricCategory,
-    HochschildChain,
-    RetractCategory,
-    connes_B,
-    hochschild_b,
-)
+from mfchern.hochschild import GeometricCategory, HochschildChain, connes_B, hochschild_b
 from mfchern.mf import MorphismCochain
 
+from .formal_retract import RETRACT, FormalMorphism, expanded
 from .test_hochschild import line_objects, proj_pool, random_chain, random_morphism
-
-
-def expanded(x):
-    """Reference oracle: expand every string multilinearly over the labels of
-    ``decompose`` (entry a0) and ``slot_decompose`` (slots), and sum the
-    coefficients of equal label tuples.  The chain is zero iff nothing is
-    left."""
-    cat = x.category
-    out = {}
-    for (m, a0, slots) in x.strings.values():
-        parts = [list(cat.decompose(a0))]
-        for s in slots:
-            parts.append(list(cat.slot_decompose(s)))
-        for combo in itertools.product(*parts):
-            coeff = Fraction(1)
-            labels = [m]
-            for lab, q in combo:
-                coeff *= q
-                labels.append(lab)
-            key = tuple(labels)
-            total = out.get(key, Fraction(0)) + coeff
-            if total:
-                out[key] = total
-            else:
-                out.pop(key, None)
-    return out
 
 
 def fraction_slot_decompose(self, a):
@@ -134,7 +102,7 @@ def random_formal_chain(rng, cap=6, nstrings=3, max_n=4):
         )
         a0 = random_formal(rng, route[1] if n else route[0], route[0])
         items.append((1, rng.randint(0, 1), a0, slots))
-    return HochschildChain(RetractCategory(), 1, cap, items)
+    return HochschildChain(RETRACT, 1, cap, items)
 
 
 def geometric_cases(rng, cat, objects):
@@ -184,7 +152,7 @@ def test_dependent_slot_values_cancel():
     g, f = FormalMorphism.basis("g"), FormalMorphism.basis("f")
     pi, one = FormalMorphism.basis("pi"), FormalMorphism.basis("1N")
     # 1_N is a scalar identity, so pi + 1_N equals pi in a slot
-    z = HochschildChain(RetractCategory(), 0, 4, [(1, 0, g, (f, pi)), (-1, 0, g, (f, pi + one))])
+    z = HochschildChain(RETRACT, 0, 4, [(1, 0, g, (f, pi)), (-1, 0, g, (f, pi + one))])
     assert len(z.strings) == 2
     assert verdicts(z) == (True, True)
 
