@@ -21,7 +21,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .forms import _merge_indices, de_rham_d, pullback
+# pullback is not used here, but stays importable from this module:
+# benchmarks/spans.py wraps the layer functions other modules import by name.
+from .forms import _merge_indices, _pullback_term, de_rham_d, pullback  # noqa: F401
 from .rings import LocalFrac, _check_same_ring
 
 __all__ = [
@@ -322,13 +324,18 @@ def _check_u_shift(k):
 
 def pullback_matrix(ring_map, value):
     """Move a MatrixForm along a RingMap, pulling back both the coefficients
-    and the dx factors."""
+    and the dx factors.
+
+    The value's terms were checked when it was built, so each one goes
+    through the pullback kernel of ``forms.pullback`` without that
+    function's form check: its coefficient moves once and multiplies the
+    map's cached pulled-back dx-monomial."""
     if not isinstance(value, MatrixForm):
         raise TypeError(f"a {type(value).__name__} is not a MatrixForm")
     _check_same_ring(value.ring, ring_map.source)
     terms = {}
     for (r, c, idxs, m), f in value.terms.items():
-        for nidxs, nf in pullback(ring_map, {idxs: f}).items():
+        for nidxs, nf in _pullback_term(ring_map, idxs, f):
             key = (r, c, nidxs, m)
             terms[key] = terms[key] + nf if key in terms else nf
     return MatrixForm._of(ring_map.target, value.row_parities, value.col_parities, terms)
@@ -474,7 +481,10 @@ class CechCochain:
     def transport(self, small, big, value=None):
         """Move the entry at the small tuple into the big tuple's ring and
         frame: pull back coefficients and forms, then change frames by the
-        bundle transitions when the leading index changes."""
+        bundle transitions when the leading index changes.  The transition
+        and inverse at the pair (big[0], small[0]) are pulled back into the
+        big tuple's ring, except when that pair is the big tuple itself: they
+        already live in its ring and are used as they are."""
         small, big = tuple(small), tuple(big)
         if value is None:
             value = self.entries[small]
@@ -483,11 +493,15 @@ class CechCochain:
         moved = pullback_matrix(self.scheme.restriction(small, big), value)
         if small[0] != big[0]:
             pair = (big[0], small[0])
-            rm = self.scheme.restriction(pair, big)
-            if pair in self.target.transitions:
-                moved = pullback_matrix(rm, self.target.transitions[pair]).mul(moved)
-            if pair in self.source.inverses:
-                moved = moved.mul(pullback_matrix(rm, self.source.inverses[pair]))
+            frames = [self.target.transitions.get(pair), self.source.inverses.get(pair)]
+            if pair != big:
+                rm = self.scheme.restriction(pair, big)
+                frames = [f if f is None else pullback_matrix(rm, f) for f in frames]
+            transition, inverse = frames
+            if transition is not None:
+                moved = transition.mul(moved)
+            if inverse is not None:
+                moved = moved.mul(inverse)
         return moved
 
     def canonical_string(self):

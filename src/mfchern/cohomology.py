@@ -20,10 +20,12 @@ from .cech import (
     CechCochain,
     MatrixForm,
     cech_differential,
+    differential_sign,
     form_derivative,
     acw_product,
     pullback_matrix,
 )
+from .forms import _merge_indices, _pullback_term, de_rham_d
 
 __all__ = [
     "TotalCochain",
@@ -121,13 +123,57 @@ def is_cocycle(c):
     return total_differential(c).is_zero()
 
 
+def _cofaces(scheme, tup):
+    """(big, k, restriction into big) for every nonempty tuple big one index
+    larger than tup, with k the position of the added index."""
+    out = []
+    for big in scheme.tuples(len(tup) + 1):
+        for k in range(len(big)):
+            if big[:k] + big[k + 1 :] == tup:
+                out.append((big, k, scheme.restriction(tup, big)))
+    return out
+
+
+def _column_image(tup, idxs, value, cofaces, minus_dw):
+    """total_differential of the cochain value dx_idxs at tup and u^0, as
+    ((tuple, dx indices, u power), coefficient) pairs with distinct keys and
+    nonzero coefficients, built from its three parts:
+
+    - the Cech part: value signed by (-1)^k differential_sign(|I|, 0) and
+      pulled back into each coface that adds an index at position k;
+    - u d(value dx_I) at tup and u^1;
+    - minus_dw, the form -dw of patch tup[0] restricted to tup (or None when
+      it is zero), wedged on the left of value dx_I; the left factor sits in
+      Cech degree 0 and is even, so only the wedge sign enters.
+    """
+    out = []
+    sign = differential_sign(len(idxs), 0)
+    for big, k, rm in cofaces:
+        signed = value * (sign if k % 2 == 0 else -sign)
+        out.extend(((big, nidxs, 0), f) for nidxs, f in _pullback_term(rm, idxs, signed))
+    out.extend(((tup, nidxs, 1), f) for nidxs, f in de_rham_d({idxs: value}).items())
+    if minus_dw is not None:
+        for (_r, _c, dx, _m), f in minus_dw.terms.items():
+            wsign, merged = _merge_indices(dx, idxs)
+            if wsign:
+                f = f * value
+                out.append(((tup, merged, 0), f if wsign > 0 else -f))
+    return out
+
+
 def cohomologous(c1, c2, degree_bound, den_bound=1):
     """Search for a primitive p with total_differential(p) = c1 - c2.
 
     The primitive is sought with polynomial numerators of degree at most
-    degree_bound and denominator multiplicities at most den_bound; a found
-    primitive is verified by substitution before being returned.  None means
+    degree_bound and denominator multiplicities at most den_bound; None means
     undecided within the bound, not a proof of inequality.
+
+    The search space has one column per basis element x^a/g^m dx_I at a
+    tuple and a power of u.  Each column's image is built in closed form
+    (see ``_column_image``).  A found primitive is checked by substitution
+    with total_differential before it is returned, and that check does not
+    use the closed form: a wrong column could at worst turn "found" into
+    "undecided", never return a wrong primitive.
     """
     _check_scalar(c1)
     _check_scalar(c2)
@@ -151,6 +197,8 @@ def cohomologous(c1, c2, degree_bound, den_bound=1):
         for tup in scheme.tuples(size):
             ring = scheme.intersection(tup).ring
             nvars = len(ring.vars)
+            cofaces = _cofaces(scheme, tup)
+            minus_dw = dw.transport(tup[:1], tup) if tup[:1] in dw.entries else None
             for idxs in _subsets(nvars):
                 if (size - 1 + len(idxs)) % 2 != target_parity:
                     continue
@@ -164,22 +212,17 @@ def cohomologous(c1, c2, degree_bound, den_bound=1):
                             tuple(mono): Fraction(1)
                         }:
                             continue
-                        elem = CechCochain.scalar(
-                            scheme,
-                            {tup: MatrixForm(ring, (0,), (0,), {(0, 0, idxs, 0): value})},
-                            trunc,
-                        )
-                        family.append((value, _total_differential(elem, dw)))
+                        image = _column_image(tup, idxs, value, cofaces, minus_dw)
+                        family.append((value, image))
                 for m in range(trunc + 1):
                     for value, image in family:
                         col = len(columns)
                         columns.append((tup, idxs, m, value))
-                        for out_tup, mf in image.entries.items():
-                            for (_r, _c, out_idxs, out_m), f in mf.terms.items():
-                                if out_m + m <= trunc:
-                                    contributions.setdefault(
-                                        (out_tup, out_idxs, out_m + m), []
-                                    ).append((col, f))
+                        for (out_tup, out_idxs, out_m), f in image:
+                            if out_m + m <= trunc:
+                                contributions.setdefault(
+                                    (out_tup, out_idxs, out_m + m), []
+                                ).append((col, f))
 
     rhs_values = {}
     for tup, mf in diff.entries.items():

@@ -107,6 +107,19 @@ def _dx_pullback(ring_map, idxs):
     return cached
 
 
+def _pullback_term(ring_map, idxs, coeff):
+    """The pullback of the checked term coeff dx_idxs, a coefficient of the
+    map's source ring, as (dx indices, nonzero coefficient) pairs with
+    distinct indices: the coefficient moves once and multiplies the cached
+    pulled-back dx-monomial."""
+    moved = ring_map.apply(coeff)
+    if moved.is_zero():
+        return ()
+    if not idxs:
+        return (((), moved),)
+    return [(merged, moved * c) for merged, c in _dx_pullback(ring_map, idxs).items()]
+
+
 def pullback(ring_map, form):
     """Pull a form on Spec(source) back along the scheme map given by ring_map.
 
@@ -118,10 +131,6 @@ def pullback(ring_map, form):
     _form_ring(form, ring_map.source)
     terms = {}
     for idxs, coeff in form.items():
-        moved = ring_map.apply(coeff)
-        if not idxs:
-            _accumulate(terms, (), moved)
-            continue
-        for merged, c in _dx_pullback(ring_map, idxs).items():
-            _accumulate(terms, merged, moved * c)
+        for merged, c in _pullback_term(ring_map, idxs, coeff):
+            _accumulate(terms, merged, c)
     return _nonzero(terms)

@@ -589,7 +589,10 @@ class LocalFrac:
         c = num.as_constant()
         if c is None or c == 0:
             return None
-        inv_num = self.ring.den_power(self.den) * Fraction(1, c)
+        if any(self.den):
+            inv_num = self.ring.den_power(self.den) * Fraction(1, c)
+        else:
+            inv_num = ScalarPoly.const(self.ring.vars, Fraction(1, c))
         return LocalFrac._of(self.ring, inv_num, tuple(powers))
 
     def unit_inverse(self):
@@ -657,7 +660,8 @@ class RingMap:
     maps substitute.  A map caches, for as long as it lives: its images as
     (coefficient, exponents, denominator) when it is monomial; the inverse of
     each source denominator's image, on first use; and, filled by
-    ``forms.pullback``, the pulled-back dx-monomial of each index tuple.
+    the pullback kernel of ``forms``, the pulled-back dx-monomial of each
+    index tuple.
     """
 
     __slots__ = ("source", "target", "images", "_den_inverses", "_monomial", "_dx_pullbacks")

@@ -2,16 +2,28 @@ import random
 
 import pytest
 
+from mfchern import cohomology
 from mfchern.cech import CechCochain, MatrixForm
 from mfchern.cohomology import (
     TotalCochain,
+    _cofaces,
+    _column_image,
+    _minus_dw_cochain,
+    _total_differential,
     cohomologous,
     coinvariant_project,
     is_cocycle,
     total_differential,
 )
 from mfchern.geometry import build_scheme
-from mfchern.rings import Fraction, parse_scalar
+from mfchern.rings import (
+    Fraction,
+    LocalFrac,
+    ScalarPoly,
+    _subsets,
+    monomials_up_to,
+    parse_scalar,
+)
 
 from .test_geometry import (
     affine_line_squared,
@@ -20,6 +32,7 @@ from .test_geometry import (
     z2_swap_on_plane,
 )
 from .test_rings import random_frac
+from .test_trace_oracle import P2
 
 
 def scalar_cochain(scheme, spec, u_truncation):
@@ -228,6 +241,77 @@ def test_distinct_classes_stay_undecided():
     sch = build_scheme(proj_line())
     res_class = TotalCochain(scalar_cochain(sch, {(0, 1): [((0,), 0, "1/z")]}, 2))
     assert cohomologous(res_class, TotalCochain.zero(sch, 2), 3, den_bound=2) is None
+
+
+def basis_values(ring, degree_bound, den_bound):
+    """The values x^a/g^m that cohomologous takes as column bases: those
+    whose canonical form keeps the monomial and the multiplicities."""
+    for den in monomials_up_to(len(ring.denominators), den_bound):
+        for mono in monomials_up_to(len(ring.vars), degree_bound):
+            value = LocalFrac(ring, ScalarPoly(ring.vars, {mono: 1}), den)
+            if value.den == tuple(den) and value.num.terms == {tuple(mono): 1}:
+                yield value
+
+
+def test_column_images_match_the_total_differential():
+    """Each column image that cohomologous builds in closed form equals the
+    terms of total_differential of its one-entry cochain, numerators and
+    multiplicities included: every tuple, every dx index set (both parities),
+    degree <= 3 and multiplicity <= 2 at u^0, on the two-chart P^1, the
+    three-chart P^2 (monomial gluings) and the three-patch line with W = x^2
+    (gluings through x - 1, and a nonzero -dw)."""
+    trunc = 1  # keeps the u d part
+    for config in (proj_line(), P2, three_patch_squared()):
+        sch = build_scheme(config)
+        dw = _minus_dw_cochain(sch, trunc)
+        parts = set()
+        for size in range(1, sch.npatches() + 1):
+            for tup in sch.tuples(size):
+                ring = sch.intersection(tup).ring
+                cofaces = _cofaces(sch, tup)
+                minus_dw = dw.transport(tup[:1], tup) if tup[:1] in dw.entries else None
+                for idxs in _subsets(len(ring.vars)):
+                    for value in basis_values(ring, 3, 2):
+                        image = _column_image(tup, idxs, value, cofaces, minus_dw)
+                        got = dict(image)
+                        assert len(got) == len(image)
+                        one = MatrixForm(ring, (0,), (0,), {(0, 0, idxs, 0): value})
+                        full = _total_differential(CechCochain.scalar(sch, {tup: one}, trunc), dw)
+                        expected = {
+                            (t, key[2], key[3]): f
+                            for t, mf in full.entries.items()
+                            for key, f in mf.terms.items()
+                        }
+                        assert got.keys() == expected.keys(), (tup, idxs, value)
+                        for key, f in got.items():
+                            assert (f.num.terms, f.den) == (
+                                expected[key].num.terms,
+                                expected[key].den,
+                            ), (tup, idxs, value, key)
+                        parts.update(
+                            "cech" if len(t) > len(tup) else "d" if m else "dw"
+                            for t, _i, m in got
+                        )
+        assert parts == ({"cech", "d", "dw"} if dw.entries else {"cech", "d"})
+
+
+def test_cohomologous_runs_the_total_differential_only_to_check(monkeypatch):
+    """Columns are built in closed form, so total_differential runs once on
+    a found primitive (the check by substitution) and not at all when the
+    search is undecided."""
+    checked = []
+    real = cohomology._total_differential
+    monkeypatch.setattr(
+        cohomology, "_total_differential", lambda c, dw: checked.append(c) or real(c, dw)
+    )
+    sch = build_scheme(proj_line())
+    zero = TotalCochain.zero(sch, 2)
+    c = TotalCochain(scalar_cochain(sch, {(0, 1): [((0,), 0, "1/z^2")]}, 2))
+    prim = cohomologous(c, zero, degree_bound=2, den_bound=2)
+    assert prim is not None and len(checked) == 1 and checked[0] is prim
+    res_class = TotalCochain(scalar_cochain(sch, {(0, 1): [((0,), 0, "1/z")]}, 2))
+    assert cohomologous(res_class, zero, 3, den_bound=2) is None
+    assert len(checked) == 1
 
 
 def test_equal_cocycles_give_zero_primitive():

@@ -104,6 +104,37 @@ def test_inverse_units_only():
         (z + 1) ** -2
 
 
+def test_inverse_of_a_denominator_free_unit_skips_den_power(monkeypatch):
+    """A unit with no denominator (a constant, or 3z^2 in a ring that inverts
+    z) is inverted as the constant 1/c over the cancelled generators;
+    Ring.den_power is asked only when the value has a denominator."""
+    asked = []
+    den_power = Ring.den_power
+    monkeypatch.setattr(
+        Ring, "den_power", lambda self, mults: asked.append(mults) or den_power(self, mults)
+    )
+    U = punctured_line()
+    z = U.var("z")
+    A = plain_ring()
+    cases = [
+        (3 * z ** 2, {(0,): Fraction(1, 3)}, (2,)),
+        (z * Fraction(-2, 5), {(0,): Fraction(-5, 2)}, (1,)),
+        (U.const(4), {(0,): Fraction(1, 4)}, (0,)),
+        (A.const(Fraction(-2, 7)), {(0, 0): Fraction(-7, 2)}, ()),
+        (A.const(Fraction(1, 2)), {(0, 0): 2}, ()),
+    ]
+    for value, num_terms, den in cases:
+        inv = value.inverse()
+        assert (inv.num.terms, inv.den) == (num_terms, den), value
+        assert [type(c) for c in inv.num.terms.values()] == [type(c) for c in num_terms.values()]
+        assert inv * value == value.ring.one()
+    assert asked == []
+    over_z = LocalFrac(U, ScalarPoly.const(("z",), 3), (1,))
+    inv = over_z.inverse()
+    assert (inv.num.terms, inv.den) == ({(1,): Fraction(1, 3)}, (0,))
+    assert asked == [(1,)]
+
+
 def test_partial_derivative_on_fractions():
     U = punctured_line()
     z = U.var("z")

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from mfchern import cech, cohomology, connection, hochschild, mf
 from mfchern.cech import (
     TRIVIAL_LINE,
     CechCochain,
@@ -41,8 +42,8 @@ from mfchern.forms import (
     wedge,
 )
 from mfchern.geometry import build_scheme, reroot
-from mfchern.hochschild import nabla_bracket
-from mfchern.mf import MatrixFactorization, _split_by_total_parity
+from mfchern.hochschild import GeometricCategory, HochschildChain, nabla_bracket, tr_nabla
+from mfchern.mf import MatrixFactorization, MorphismCochain, _split_by_total_parity
 from mfchern.rings import LocalFrac, Ring, RingMap, ScalarPoly, _check_same_ring
 
 from .test_cech import TwistPlusTrivial, proj_line_three_patch, random_matrix_form
@@ -808,6 +809,25 @@ def test_matrix_d_form_and_pullback_match_per_term_oracles():
     assert moved >= 10, moved
 
 
+def test_one_pass_pullback_matrix_matches_termwise_forms_pullback():
+    """pullback_matrix moves each checked term once through the kernel of
+    forms.pullback; the result is the sum of forms.pullback over the terms,
+    along every restriction of P^2 (monomial maps, two-index dx terms) and of
+    the three-patch line (substitution through x - 1)."""
+    rng = random.Random(16)
+    wide = 0
+    for config in (P2, three_patch_line()):
+        for rm in restriction_maps(config):
+            for parities in ((0,), (0, 1), (1, 0, 1)):
+                value = random_matrix_form(rng, rm.source, parities, parities, max_u=3, nterms=6)
+                expected = per_term_matrix(value, rm.target, lambda form: pullback(rm, form))
+                got = pullback_matrix(rm, value)
+                assert got.ring is rm.target
+                assert_same_terms(got, expected)
+                wide += any(len(key[2]) > 1 and key[3] > 0 for key in value.terms)
+    assert wide >= 10, wide
+
+
 # -- frame changes ------------------------------------------------------------
 
 
@@ -915,6 +935,29 @@ def test_frame_forms_match_rerooted_transitions():
             nonzero += not new.is_zero()
             total += 1
     assert nonzero >= total - 2, (nonzero, total)
+
+
+def test_transport_uses_pair_frames_as_they_are(monkeypatch):
+    """Transport into a pair uses the pair's transition and inverse as they
+    are: over one tr_nabla of O(2) on the three-chart P^2 with a random
+    connection, no pullback_matrix call runs along an identity restriction."""
+    along = []
+    real = cech.pullback_matrix
+
+    def spy(ring_map, value):
+        along.append(ring_map.source is ring_map.target)
+        return real(ring_map, value)
+
+    for module in (cech, cohomology, connection, hochschild, mf):
+        monkeypatch.setattr(module, "pullback_matrix", spy)
+    sch = build_scheme(P2)
+    P = twist_p2(sch, 2)
+    conn = curved_connection(random.Random(3), P)
+    chain = HochschildChain.single(
+        GeometricCategory(sch, 4), 4, 2, MorphismCochain.identity(P, 4), ()
+    )
+    assert not tr_nabla(chain, {P: conn}).is_zero()
+    assert along and not any(along), along
 
 
 def sparse_cochain(rng, sch, source, target, keep=0.5):
