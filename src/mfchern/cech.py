@@ -15,16 +15,21 @@ Public constructors check all they are given.  Values built here from checked
 values (sums, products, derivatives, pullbacks, u shifts and cuts) are not
 re-checked: the private ``_of`` constructors only drop zero terms or entries.
 Arguments from the caller, such as a u shift or a scalar, are still checked.
+
+A product of values multiplies numerator term dicts: each entry of the result
+is canonicalised once per output key and summed denominator tuple, not once
+per pair of terms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 # pullback is not used here, but stays importable from this module:
 # benchmarks/spans.py wraps the layer functions other modules import by name.
-from .forms import _merge_indices, _pullback_term, de_rham_d, pullback  # noqa: F401
-from .rings import LocalFrac, _check_same_ring
+from .forms import _d_term, _merge_indices, _pullback_term, pullback  # noqa: F401
+from .rings import LocalFrac, ScalarPoly, _check_same_ring
 
 __all__ = [
     "MatrixForm",
@@ -213,40 +218,55 @@ class MatrixForm:
         if self.col_parities != other.row_parities:
             raise ValueError("shape mismatch")
 
-    def _signed_products(self, other, cech_left, partners):
-        """Yield (row, col, dx indices, u power), value for every composing
-        pair of a term of self and a term of other, with the ledger signs;
-        partners(r1, c1) lists the terms of other paired with self's terms
-        at (r1, c1)."""
+    def _product_terms(self, other, cech_left, trace):
+        """The terms of self.mul(other, cech_left) for a checked factor
+        other, or with trace those of its supertrace at (0, 0).
+
+        Each composing pair of terms multiplies its numerators' term dicts,
+        with the ledger sign (and the supertrace's row sign), into one
+        coefficient dict per output key and summed denominator tuple.  Each
+        dict is canonicalised once, and then the denominator groups of one
+        key are added."""
+        partners = {}  # row of other, or (row, col) with trace -> its terms
+        for (r2, c2, i2, m2), f2 in other.terms.items():
+            e2 = (other.row_parities[r2] + other.col_parities[c2]) % 2
+            partners.setdefault((r2, c2) if trace else r2, []).append(
+                (c2, i2, m2, e2, f2.den, f2.num.terms)
+            )
+        groups = {}  # (output key, denominator tuple) -> coefficient sums
         for (r1, c1, i1, m1), f1 in self.terms.items():
-            bucket = partners(r1, c1)
+            bucket = partners.get((c1, r1) if trace else c1)
             if not bucket:
                 continue
             e1 = (self.row_parities[r1] + self.col_parities[c1]) % 2
-            for (r2, c2, i2, m2), f2 in bucket:
+            row_sign = -1 if trace and self.row_parities[r1] else 1
+            for c2, i2, m2, e2, den2, terms2 in bucket:
                 wsign, merged = _merge_indices(i1, i2)
                 if wsign == 0:
                     continue
-                e2 = (other.row_parities[r2] + other.col_parities[c2]) % 2
-                sign = wsign * product_sign(cech_left, e1, len(i2), e2)
-                val = f1 * f2
-                yield (r1, c2, merged, m1 + m2), (val if sign > 0 else -val)
+                sign = row_sign * wsign * product_sign(cech_left, e1, len(i2), e2)
+                key = (0, 0, merged, m1 + m2) if trace else (r1, c2, merged, m1 + m2)
+                sums = groups.setdefault((key, tuple(map(add, f1.den, den2))), {})
+                for ea, ca in f1.num.terms.items():
+                    ca *= sign
+                    for eb, cb in terms2.items():
+                        e = tuple(map(add, ea, eb))
+                        sums[e] = sums.get(e, 0) + ca * cb
+        terms = {}
+        for (key, den), sums in groups.items():
+            val = LocalFrac._of(self.ring, ScalarPoly._of_sums(self.ring.vars, sums), den)
+            terms[key] = terms[key] + val if key in terms else val
+        return terms
 
     def mul(self, other, cech_left=0):
         """Compose: self acting after other, with the ledger signs.
 
         cech_left is the Cech degree of the cochain the left factor came
-        from; it feeds rule 2.
+        from; it feeds rule 2.  Each entry of the product is canonicalised
+        once per summed denominator tuple (see ``_product_terms``).
         """
         self._check_factor(other)
-        by_row = {}
-        for key, f2 in other.terms.items():
-            by_row.setdefault(key[0], []).append((key, f2))
-        terms = {}
-        for key, val in self._signed_products(
-            other, cech_left, lambda r1, c1: by_row.get(c1)
-        ):
-            terms[key] = terms[key] + val if key in terms else val
+        terms = self._product_terms(other, cech_left, False)
         return MatrixForm._of(self.ring, self.row_parities, other.col_parities, terms)
 
     def _supertrace_mul(self, other, cech_left=0):
@@ -255,24 +275,13 @@ class MatrixForm:
         self._check_factor(other)
         if self.row_parities != other.col_parities:
             raise ValueError("supertrace needs square shape")
-        by_entry = {}
-        for key, f2 in other.terms.items():
-            by_entry.setdefault(key[:2], []).append((key, f2))
-        terms = {}
-        for (r, _c, idxs, m), val in self._signed_products(
-            other, cech_left, lambda r1, c1: by_entry.get((c1, r1))
-        ):
-            if self.row_parities[r]:
-                val = -val
-            key = (0, 0, idxs, m)
-            terms[key] = terms[key] + val if key in terms else val
-        return MatrixForm._of(self.ring, (0,), (0,), terms)
+        return MatrixForm._of(self.ring, (0,), (0,), self._product_terms(other, cech_left, True))
 
     def d_form(self):
         """Exterior derivative on the form factor; it sits leftmost, no sign."""
         terms = {}
         for (r, c, idxs, m), f in self.terms.items():
-            for nidxs, nf in de_rham_d({idxs: f}).items():
+            for nidxs, nf in _d_term(idxs, f):
                 key = (r, c, nidxs, m)
                 terms[key] = terms[key] + nf if key in terms else nf
         return self._like(terms)

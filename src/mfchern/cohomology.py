@@ -25,7 +25,7 @@ from .cech import (
     acw_product,
     pullback_matrix,
 )
-from .forms import _merge_indices, _pullback_term, de_rham_d
+from .forms import _d_term, _merge_indices, _pullback_term
 
 __all__ = [
     "TotalCochain",
@@ -89,11 +89,7 @@ def _minus_dw_cochain(scheme, u_truncation):
     for (i,) in scheme.tuples(1):
         ring = scheme.intersection((i,)).ring
         w = scheme.potential(i)
-        terms = {}
-        for j in range(len(ring.vars)):
-            dj = w.partial(j)
-            if not dj.is_zero():
-                terms[(0, 0, (j,), 0)] = -dj
+        terms = {(0, 0, (j,), 0): -dj for j, dj in w.gradient().items()}
         if terms:
             entries[(i,)] = MatrixForm(ring, (0,), (0,), terms)
     return CechCochain.scalar(scheme, entries, u_truncation)
@@ -151,7 +147,7 @@ def _column_image(tup, idxs, value, cofaces, minus_dw):
     for big, k, rm in cofaces:
         signed = value * (sign if k % 2 == 0 else -sign)
         out.extend(((big, nidxs, 0), f) for nidxs, f in _pullback_term(rm, idxs, signed))
-    out.extend(((tup, nidxs, 1), f) for nidxs, f in de_rham_d({idxs: value}).items())
+    out.extend(((tup, nidxs, 1), f) for nidxs, f in _d_term(idxs, value))
     if minus_dw is not None:
         for (_r, _c, dx, _m), f in minus_dw.terms.items():
             wsign, merged = _merge_indices(dx, idxs)

@@ -5,7 +5,10 @@ coefficients over one ring: {(i1, ..., ik): f, ...} is the sum of the terms
 f dx_{i1} ^ ... ^ dx_{ik}, and {} is the zero form.  An index tuple longer
 than the number of variables cannot be strictly increasing, so anything above
 the top degree is structurally zero.  The kernels check the forms they are
-given and return new dicts without zero coefficients.
+given and return new dicts without zero coefficients.  Values that were
+checked when they were built go through the unchecked per-term kernels
+instead: ``_pullback_term`` for the pullback of one term and ``_d_term`` for
+its exterior derivative.
 """
 
 from __future__ import annotations
@@ -51,12 +54,19 @@ def _merge_indices(ta, tb):
 
 def _d_of_function(value):
     """Exterior derivative of a LocalFrac as a one-form on its ring."""
-    terms = {}
-    for i in range(len(value.ring.vars)):
-        p = value.partial(i)
-        if not p.is_zero():
-            terms[(i,)] = p
-    return terms
+    return {(i,): p for i, p in value.gradient().items()}
+
+
+def _d_term(idxs, coeff):
+    """d of the checked term coeff dx_idxs, as (dx indices, nonzero
+    coefficient) pairs with distinct indices: the partials of coeff by the
+    variables outside idxs, from one pass over its numerator, each wedged on
+    the left (dx_i ^ dx_I vanishes for i in I)."""
+    out = []
+    for i, p in coeff.gradient(skip=idxs).items():
+        sign, merged = _merge_indices((i,), idxs)
+        out.append((merged, p if sign > 0 else -p))
+    return out
 
 
 def _accumulate(terms, idxs, value):
@@ -68,18 +78,12 @@ def _nonzero(terms):
 
 
 def de_rham_d(form):
-    """Exterior derivative.  On a term f dx_I only the partials of f by the
-    variables outside I are computed: dx_i ^ dx_I vanishes for i in I."""
+    """Exterior derivative, term by term through ``_d_term``."""
     _form_ring(form)
     terms = {}
     for idxs, coeff in form.items():
-        for i in range(len(coeff.ring.vars)):
-            if i in idxs:
-                continue
-            p = coeff.partial(i)
-            if not p.is_zero():
-                sign, merged = _merge_indices((i,), idxs)
-                _accumulate(terms, merged, p * sign)
+        for merged, p in _d_term(idxs, coeff):
+            _accumulate(terms, merged, p)
     return _nonzero(terms)
 
 

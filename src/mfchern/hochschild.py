@@ -510,12 +510,15 @@ def nabla_bracket(cochain, conn_target, conn_source):
 
     On tuples of length two or more the source connection matrix has to move
     into the leading frame affinely, T C T^{-1} - dT T^{-1}; transport only
-    supplies the conjugation, so the dT T^{-1} part is restored here."""
+    supplies the conjugation, so the dT T^{-1} part is restored here.  Each
+    pair's frame form is built once per call and used as it is on the pair
+    itself; on a longer tuple it is pulled back once."""
     trunc = cochain.u_truncation
     scheme = cochain.scheme
     out = form_derivative(cochain)
     ct = conn_target.cochain(trunc)
     cs = conn_source.cochain(trunc)
+    thetas = {}  # tuple t -> frame form of (t[0], t[-1]) in the ring of t
     for parity, part in _split_by_total_parity(cochain).items():
         if part.is_zero():
             continue
@@ -527,8 +530,14 @@ def nabla_bracket(cochain, conn_target, conn_source):
         for t, value in part.entries.items():
             if len(t) < 2:
                 continue
-            pair = (t[0], t[-1])
-            theta = pullback_matrix(scheme.restriction(pair, t), frame_form(cochain.source, pair))
+            theta = thetas.get(t)
+            if theta is None:
+                pair = (t[0], t[-1])
+                theta = thetas.get(pair)
+                if theta is None:
+                    theta = thetas[pair] = frame_form(cochain.source, pair)
+                if t != pair:
+                    theta = thetas[t] = pullback_matrix(scheme.restriction(pair, t), theta)
             term = value.mul(theta, cech_left=len(t) - 1)
             if not term.is_zero():
                 gauge[t] = term

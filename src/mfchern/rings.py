@@ -601,22 +601,48 @@ class LocalFrac:
             raise ValueError(f"not a unit in {self.ring.name}: {self}")
         return inv
 
-    def partial(self, var_index):
-        """Partial derivative, with d(1/g) = -dg/g^2 on denominator generators;
-        a generator free of the variable adds nothing."""
-        out = LocalFrac._of(self.ring, self.num.partial(var_index), self.den)
-        for j, g in enumerate(self.ring.denominators):
-            m = self.den[j]
-            if m == 0:
+    def gradient(self, skip=()):
+        """{i: partial derivative by variable i} for the variables not in skip
+        whose partial is nonzero, in variable order.  One pass over the
+        numerator's terms takes every partial of the numerator; then each
+        generator g in the denominator, in ring order, adds -m*num*dg/g^(m+1)
+        to the partials that dg has (d(1/g) = -dg/g^2)."""
+        ring = self.ring
+        sums = {}  # variable index -> coefficient sums of the numerator's partial
+        for e, c in self.num.terms.items():
+            for i, k in enumerate(e):
+                if k and i not in skip:
+                    s = sums.setdefault(i, {})
+                    ne = e[:i] + (k - 1,) + e[i + 1 :]
+                    s[ne] = s.get(ne, 0) + c * k
+        out = {}
+        for i in range(len(ring.vars)):
+            if i in skip:
                 continue
-            dg = g.partial(var_index)
-            if dg.is_zero():
-                continue
-            bump = tuple(
-                x + 1 if k == j else x for k, x in enumerate(self.den)
-            )
-            out = out + LocalFrac._of(self.ring, self.num * dg * (-m), bump)
+            value = None
+            if i in sums:
+                value = LocalFrac._of(ring, ScalarPoly._of_sums(ring.vars, sums[i]), self.den)
+            for j, (g, m) in enumerate(zip(ring.denominators, self.den)):
+                if not m:
+                    continue
+                dg = g.partial(i)
+                if dg.is_zero():
+                    continue
+                bump = self.den[:j] + (m + 1,) + self.den[j + 1 :]
+                term = LocalFrac._of(ring, self.num * dg * (-m), bump)
+                value = term if value is None else value + term
+            if value is not None and not value.is_zero():
+                out[i] = value
         return out
+
+    def partial(self, var_index):
+        """Partial derivative by one variable (see ``gradient``)."""
+        n = len(self.ring.vars)
+        if not 0 <= var_index < n:
+            raise IndexError(f"no variable {var_index} in {self.ring.name}")
+        skip = tuple(k for k in range(n) if k != var_index)
+        out = self.gradient(skip).get(var_index)
+        return self.ring.zero() if out is None else out
 
     def __str__(self):
         num = str(self.num)

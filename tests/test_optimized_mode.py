@@ -220,6 +220,14 @@ CASES = {
         lambda: MatrixForm.identity(line, (0,)).scale(2.5),
     "MatrixForm + MatrixForm over another ring":
         lambda: MatrixForm.identity(line, (0,)) + MatrixForm.identity(patch0, (0,)),
+    "MatrixForm.mul: factor from a same-named ring with other denominators":
+        lambda: MatrixForm.identity(plain, (0,)).mul(MatrixForm.identity(punctured, (0,))),
+    "MatrixForm.mul: 1 x 1 after 2 x 2":
+        lambda: MatrixForm.identity(line, (0,)).mul(MatrixForm.identity(line, (0, 1))),
+    "MatrixForm._supertrace_mul: 1 x 1 after 1 x 2 is not square":
+        lambda: MatrixForm.identity(line, (0,))._supertrace_mul(
+            MatrixForm(line, (0,), (0, 1), {(0, 1, (), 0): one})
+        ),
     "HochschildChain: one u term in slots 1 and 2, message names slot 1":
         lambda: naming("slot 1", lambda: chain((1, 0, even, (u_term, u_term)))),
     "HochschildChain: slot 1 mixes even and odd terms":
@@ -249,7 +257,7 @@ def test_malformed_inputs_raise_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["cases"] == 65
+    assert report["cases"] == 68
     assert not report["accepted"], "accepted under python -O: " + "; ".join(report["accepted"])
 
 

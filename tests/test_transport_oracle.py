@@ -5,9 +5,10 @@ forms.pullback recomputing d(image) on every call, wedge and de_rham_d adding
 one piece at a time, de_rham_d taking every partial and LocalFrac.partial
 adding a term for every generator in the denominator, MatrixForm.d_form and
 pullback_matrix moving one term at a time through those oracles,
-MatrixForm.mul testing every pair of terms, and frame changes that rerooted each pair transition
+MatrixForm.mul testing every pair of terms, frame changes that rerooted each pair transition
 into the bigger overlap's ring instead of pulling it back along
-CoveredScheme.restriction.
+CoveredScheme.restriction, and nabla_bracket pulling each pair's frame form
+back along every restriction, the identity included.
 
 The oracles run with ScalarPoly.divide_exact swapped for the long-division
 oracle, so every LocalFrac they build is cancelled as before.  Results are
@@ -33,7 +34,7 @@ from mfchern.cech import (
     product_sign,
     pullback_matrix,
 )
-from mfchern.connection import atiyah_cocycle, default_connection
+from mfchern.connection import atiyah_cocycle, default_connection, frame_form
 from mfchern.forms import (
     _dx_pullback,
     _merge_indices,
@@ -937,10 +938,9 @@ def test_frame_forms_match_rerooted_transitions():
     assert nonzero >= total - 2, (nonzero, total)
 
 
-def test_transport_uses_pair_frames_as_they_are(monkeypatch):
-    """Transport into a pair uses the pair's transition and inverse as they
-    are: over one tr_nabla of O(2) on the three-chart P^2 with a random
-    connection, no pullback_matrix call runs along an identity restriction."""
+def spy_pullbacks(monkeypatch):
+    """Record, for every pullback_matrix call in the layers, whether it runs
+    along an identity restriction."""
     along = []
     real = cech.pullback_matrix
 
@@ -950,6 +950,14 @@ def test_transport_uses_pair_frames_as_they_are(monkeypatch):
 
     for module in (cech, cohomology, connection, hochschild, mf):
         monkeypatch.setattr(module, "pullback_matrix", spy)
+    return along
+
+
+def test_transport_uses_pair_frames_as_they_are(monkeypatch):
+    """Transport into a pair uses the pair's transition and inverse as they
+    are: over one tr_nabla of O(2) on the three-chart P^2 with a random
+    connection, no pullback_matrix call runs along an identity restriction."""
+    along = spy_pullbacks(monkeypatch)
     sch = build_scheme(P2)
     P = twist_p2(sch, 2)
     conn = curved_connection(random.Random(3), P)
@@ -958,6 +966,70 @@ def test_transport_uses_pair_frames_as_they_are(monkeypatch):
     )
     assert not tr_nabla(chain, {P: conn}).is_zero()
     assert along and not any(along), along
+
+
+def pulled_frame_nabla_bracket(cochain, conn_target, conn_source):
+    """nabla_bracket as it was: every tuple of every parity part pulls the
+    frame form of its pair back along restriction(pair, t), also when t is
+    the pair itself."""
+    trunc = cochain.u_truncation
+    scheme = cochain.scheme
+    out = form_derivative(cochain)
+    ct = conn_target.cochain(trunc)
+    cs = conn_source.cochain(trunc)
+    for parity, part in _split_by_total_parity(cochain).items():
+        if part.is_zero():
+            continue
+        if not ct.is_zero():
+            out = out + acw_product(ct, part)
+        if not cs.is_zero():
+            out = out - acw_product(part, cs).scale((-1) ** parity)
+        gauge = {}
+        for t, value in part.entries.items():
+            if len(t) < 2:
+                continue
+            pair = (t[0], t[-1])
+            theta = cech.pullback_matrix(
+                scheme.restriction(pair, t), frame_form(cochain.source, pair)
+            )
+            term = value.mul(theta, cech_left=len(t) - 1)
+            if not term.is_zero():
+                gauge[t] = term
+        if gauge:
+            correction = CechCochain(scheme, cochain.source, cochain.target, gauge, trunc)
+            out = out + correction.scale((-1) ** parity)
+    return out
+
+
+def test_nabla_bracket_uses_pair_frames_as_they_are(monkeypatch):
+    """For a degree-1 cochain of Hom(O(1), O(2)) on the three-chart P^2, with
+    random connections, nabla_bracket pulls no frame form back along an
+    identity restriction, builds each pair's frame form once, and gives the
+    canonical string of the route that pulled every frame form back along
+    restriction(pair, t), one identity pullback per pair and parity part."""
+    rng = random.Random(171)
+    sch = build_scheme(P2)
+    source, target = twist_p2(sch, 1), twist_p2(sch, 2)
+    conns = {P: curved_connection(rng, P) for P in (source, target)}
+    c = filled_cochain(rng, sch, source.bundle, target.bundle, (2,))
+    parts = _split_by_total_parity(c)
+    assert set(parts) == {0, 1}
+    along = spy_pullbacks(monkeypatch)
+    expected = pulled_frame_nabla_bracket(c, conns[target], conns[source])
+    assert sum(along) == sum(len(part.entries) for part in parts.values()) > 3, along
+    along.clear()
+    frames = []
+    real_frame_form = hochschild.frame_form
+
+    def counted_frame_form(bundle, pair):
+        frames.append(pair)
+        return real_frame_form(bundle, pair)
+
+    monkeypatch.setattr(hochschild, "frame_form", counted_frame_form)
+    got = nabla_bracket(c, conns[target], conns[source])
+    assert along and not any(along), along
+    assert sorted(frames) == [(0, 1), (0, 2), (1, 2)]
+    assert got.canonical_string() == expected.canonical_string() != "0"
 
 
 def sparse_cochain(rng, sch, source, target, keep=0.5):
