@@ -210,9 +210,6 @@ class MatrixForm:
     def truncate_u(self, bound):
         return self._like({k: f for k, f in self.terms.items() if k[3] <= bound})
 
-    def u_component(self, m):
-        return self._like({k: f for k, f in self.terms.items() if k[3] == m})
-
     def _check_factor(self, other):
         self._check_operand(other)
         if self.col_parities != other.row_parities:
@@ -476,10 +473,6 @@ class CechCochain:
     def truncate_u(self, bound):
         entries = {t: mf.truncate_u(bound) for t, mf in self.entries.items()}
         return CechCochain._of(self.scheme, self.source, self.target, entries, bound)
-
-    def u_component(self, m):
-        entries = {t: mf.u_component(m) for t, mf in self.entries.items()}
-        return CechCochain._of(self.scheme, self.source, self.target, entries, self.u_truncation)
 
     def __eq__(self, other):
         self._compatible(other)

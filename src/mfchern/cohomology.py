@@ -1,9 +1,9 @@
-"""Total complex of scalar Cech cochains: degree bookkeeping, the full
-differential, primitive solving, and conjugation averaging of families.
+"""Total complex of scalar Cech cochains: the full differential, primitive
+solving, and conjugation averaging of families.
 
 Scalar cochains are plain ``CechCochain``s whose source and target bundles
 are even lines; every function here takes and returns them.
-``TotalCochain`` is such a cochain with degree queries added.
+``TotalCochain`` is such a cochain, checked to be scalar when it is built.
 """
 
 from fractions import Fraction
@@ -30,7 +30,6 @@ from .forms import _d_term, _merge_indices, _pullback_term
 __all__ = [
     "TotalCochain",
     "total_differential",
-    "is_cocycle",
     "cohomologous",
     "coinvariant_project",
 ]
@@ -44,13 +43,9 @@ def _check_scalar(c):
 
 
 class TotalCochain(CechCochain):
-    """A scalar cochain with (Cech p, form q, u-power m) bookkeeping.
-
-    Total degree is p - q + 2m: the exterior derivative has degree -1, u has
-    degree 2, and the Cech direction has degree +1.  Only the parity of the
-    total degree is homogeneous for the cochains produced by trace maps, so
-    degree queries return sets.  The given cochain's bundles are kept, so an
-    even line bundle still transports by its own transitions.
+    """A CechCochain checked to be scalar: its source and target bundles are
+    even lines.  The given cochain's bundles are kept, so an even line bundle
+    still transports by its own transitions.
     """
 
     __slots__ = ()
@@ -72,16 +67,6 @@ class TotalCochain(CechCochain):
     @classmethod
     def zero(cls, scheme, u_truncation):
         return cls.scalar(scheme, {}, u_truncation)
-
-    def components(self):
-        out = set()
-        for tup, mf in self.entries.items():
-            for (_r, _c, idxs, m) in mf.terms:
-                out.add((len(tup) - 1, len(idxs), m))
-        return sorted(out)
-
-    def total_degrees(self):
-        return sorted({p - q + 2 * m for (p, q, m) in self.components()})
 
 
 def _minus_dw_cochain(scheme, u_truncation):
@@ -113,10 +98,6 @@ def _total_differential(c, dw):
     if not dw.is_zero():
         out = out + acw_product(dw, c)
     return out
-
-
-def is_cocycle(c):
-    return total_differential(c).is_zero()
 
 
 def _cofaces(scheme, tup):

@@ -1,4 +1,4 @@
-"""Patchwise connections, total curvature, and the Atiyah cocycle.
+"""Patchwise connections and their total curvature.
 
 A connection on a trivialized patch is d plus a matrix of 1-forms.  The
 total curvature collects three families: the u-weighted square dC + C^2,
@@ -18,8 +18,6 @@ __all__ = [
     "group_transformed_connection",
     "averaged_connection",
     "total_curvature",
-    "atiyah_cocycle",
-    "apply_connection",
     "frame_form",
 ]
 
@@ -77,13 +75,6 @@ class Connection:
 def default_connection(P):
     """d in every local frame."""
     return Connection(P, None)
-
-
-def apply_connection(conn, i, section):
-    """(d + C_i) applied to a column of forms over patch i."""
-    C = conn.matrix(i)
-    _check_same_ring(section.ring, C.ring)
-    return section.d_form() + C.mul(section)
 
 
 def group_transformed_connection(conn, structure, g):
@@ -193,19 +184,3 @@ def _frame_differences(P, conn, u_truncation):
         if not value.is_zero():
             entries[(i, j)] = value
     return CechCochain(scheme, bundle, bundle, entries, u_truncation)
-
-
-def atiyah_cocycle(E, conn=None, u_truncation=4):
-    """Cech 1-cochain of frame differences nabla_i - nabla_j; delta is not
-    involved, so a bare bundle works via a zero factorization."""
-    if isinstance(E, MatrixFactorization):
-        P = E
-    else:
-        rank = len(E.parities())
-        zero_rows = [[0] * rank for _ in range(rank)]
-        P = MatrixFactorization(E, [zero_rows for _ in range(E.scheme.npatches())])
-    if conn is None:
-        conn = default_connection(P)
-    if conn.mf.bundle is not P.bundle:
-        raise ValueError("connection is on a different bundle")
-    return _frame_differences(P, conn, u_truncation)

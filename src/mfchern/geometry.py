@@ -8,7 +8,6 @@ intersections are presented in the coordinates of their smallest-index patch.
 from __future__ import annotations
 
 import itertools
-import warnings
 from fractions import Fraction
 
 from .rings import (
@@ -19,7 +18,6 @@ from .rings import (
     _check_same_ring,
     parse_scalar,
     solve_affine_q,
-    solve_linear_graded,
 )
 
 __all__ = [
@@ -312,11 +310,13 @@ def reroot(ring, value):
     return RingMap(value.ring, ring, tuple(ring.var(v) for v in ring.vars)).apply(value)
 
 
-def build_scheme(config, check_covering=False, covering_bound=4):
-    """Assemble and validate a CoveredScheme from a structured description.
+def build_scheme(config):
+    """Build a CoveredScheme from a structured description.
 
     The description is a plain dict; polynomials and substitutions are given
-    as expression strings in the patch variables.
+    as expression strings in the patch variables.  CoveredScheme checks the
+    gluing data: potentials agree on overlaps, the triple overlaps glue
+    consistently, and a group action respects both.
     """
     grading = config["grading"]
     dimension = config["dimension"]
@@ -355,7 +355,7 @@ def build_scheme(config, check_covering=False, covering_bound=4):
                 for ring, images in zip(rings, per_patch)
             ]
         action = GroupAction(elements, gspec["table"], maps)
-    scheme = CoveredScheme(
+    return CoveredScheme(
         grading,
         dimension,
         patches,
@@ -363,34 +363,6 @@ def build_scheme(config, check_covering=False, covering_bound=4):
         empty_pairs=empty_pairs,
         action=action,
     )
-    if check_covering:
-        _covering_check(scheme, covering_bound)
-    return scheme
-
-
-def _covering_check(scheme, bound):
-    """Try to certify that the declared denominators generate the unit ideal
-    on each patch; warn when inconclusive within the degree bound."""
-    for i, patch in enumerate(scheme.patches):
-        gens = [d for (a, b), (dens, _) in scheme.pair_data.items() if a == i for d in dens]
-        if not gens:
-            continue
-        plain = Ring(patch.ring.name + "#", patch.ring.vars)
-        eqs = [
-            (
-                [
-                    (LocalFrac(plain, ScalarPoly(plain.vars, g.terms)), f"c{k}")
-                    for k, g in enumerate(gens)
-                ],
-                plain.one(),
-            )
-        ]
-        if solve_linear_graded(eqs, degree_bound=bound) is None:
-            warnings.warn(
-                f"covering completeness inconclusive on patch {i} "
-                f"(degree bound {bound})",
-                stacklevel=3,
-            )
 
 
 class FixedLocus:

@@ -52,7 +52,6 @@ __all__ = [
     "GeometricCategory",
     "HochschildChain",
     "hochschild_b",
-    "cyclic_t",
     "connes_B",
     "tr_nabla",
     "nabla_bracket",
@@ -474,16 +473,6 @@ def _rotated(a0, slots, parities):
     if ((parities[0] - 1) * rest) % 2:
         return slots[0].scale(-1), slots[1:] + (a0,), rotated
     return slots[0], slots[1:] + (a0,), rotated
-
-
-def cyclic_t(x):
-    """Rotate the last-written entry to the front of every string."""
-    known = {}
-    items = [
-        (1, u_pow) + _rotated(a0, slots, _parities((a0,) + slots, known))[:2]
-        for (u_pow, a0, slots) in x.strings.values()
-    ]
-    return HochschildChain(x.category, x.u_truncation, x.tensor_cap, items)
 
 
 def connes_B(x):

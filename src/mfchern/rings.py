@@ -1,8 +1,8 @@
 """Exact scalar arithmetic over Q.
 
 Multivariate polynomials, localizations at declared denominator generators,
-ring maps, and exact linear solving in graded pieces.  All values are
-immutable after construction and all comparisons are exact.
+ring maps, and exact linear systems over Q.  All values are immutable after
+construction and all comparisons are exact.
 
 A scalar is an ``int`` or a ``Fraction``; anything else (a float, a string)
 raises TypeError.  A polynomial stores each coefficient as a plain ``int``
@@ -29,7 +29,6 @@ __all__ = [
     "RingMap",
     "QLinearSystem",
     "echelon_reduce",
-    "solve_linear_graded",
     "solve_affine_q",
     "monomials_up_to",
     "parse_scalar",
@@ -582,18 +581,31 @@ class LocalFrac:
 
     def inverse(self):
         """Exact inverse when the value is a unit (constant times declared
-        denominator generators); None otherwise."""
+        denominator generators); None otherwise.
+
+        When every generator is one term, cancellation leaves a constant
+        numerator on a unit.  Otherwise it may leave a factor of a generator
+        (x + 1 on generators x - 1, x^2 - 1): a numerator of total degree N is
+        then a unit exactly when it divides G^N, for G the product of the
+        generators."""
         if self.is_zero():
             return None
-        num, powers = _cancel(self.ring, self.num, None)
+        ring = self.ring
+        num, powers = _cancel(ring, self.num, None)
         c = num.as_constant()
-        if c is None or c == 0:
-            return None
+        if c is None:
+            if ring._monomials is not None:
+                return None
+            n = max(map(sum, num.terms))
+            q = ring.den_power((n,) * len(powers)).divide_exact(num)
+            if q is None:
+                return None
+            return LocalFrac(ring, ring.den_power(self.den) * q, tuple(p + n for p in powers))
         if any(self.den):
-            inv_num = self.ring.den_power(self.den) * Fraction(1, c)
+            inv_num = ring.den_power(self.den) * Fraction(1, c)
         else:
-            inv_num = ScalarPoly.const(self.ring.vars, Fraction(1, c))
-        return LocalFrac._of(self.ring, inv_num, tuple(powers))
+            inv_num = ScalarPoly.const(ring.vars, Fraction(1, c))
+        return LocalFrac._of(ring, inv_num, tuple(powers))
 
     def unit_inverse(self):
         inv = self.inverse()
@@ -971,59 +983,3 @@ def _add_monomial_rows(system, parts, rhs):
         row = rows[exps]
         rhs_q = row.pop(None, 0)
         system.add_row(row, rhs_q)
-
-
-def solve_linear_graded(equations, degree_bound, den_bound=0):
-    """Solve linear equations over LocalFrac unknowns by monomial expansion.
-
-    equations: list of (terms, rhs) where terms is a list of
-    (LocalFrac coefficient, unknown name) and rhs a LocalFrac, all in one
-    ring per equation; every unknown is sought in the ring of its first
-    occurrence, as a fraction with numerator degree <= degree_bound and total
-    denominator multiplicity <= den_bound.
-
-    Returns {unknown: LocalFrac} or None ("none within bound": not a proof
-    of non-existence beyond the bound).
-    """
-    unknown_ring = {}
-    for terms, _rhs in equations:
-        for coeff, name in terms:
-            unknown_ring.setdefault(name, coeff.ring)
-    names = sorted(unknown_ring)
-    basis = {}
-    columns = []
-    for name in names:
-        ring = unknown_ring[name]
-        elems = []
-        for den in monomials_up_to(len(ring.denominators), den_bound):
-            for mono in monomials_up_to(len(ring.vars), degree_bound):
-                elems.append(
-                    LocalFrac(ring, ScalarPoly(ring.vars, {mono: 1}), den)
-                )
-        basis[name] = elems
-        for k in range(len(elems)):
-            columns.append((name, k))
-    col_index = {key: i for i, key in enumerate(columns)}
-
-    system = QLinearSystem()
-    for terms, rhs in equations:
-        parts = [
-            (col_index[(name, k)], coeff * e)
-            for coeff, name in terms
-            for k, e in enumerate(basis[name])
-        ]
-        _add_monomial_rows(system, parts, rhs)
-
-    solution = system.solve(len(columns))
-    if solution is None:
-        return None
-    out = {}
-    for name in names:
-        ring = unknown_ring[name]
-        val = ring.zero()
-        for k, e in enumerate(basis[name]):
-            c = solution[col_index[(name, k)]]
-            if c != 0:
-                val = val + e * c
-        out[name] = val
-    return out

@@ -1,5 +1,4 @@
 import random
-import warnings
 
 import pytest
 
@@ -159,23 +158,6 @@ def test_triple_inconsistency_detected():
     cfg["gluings"][2]["images"] = ["x + 1"]
     with pytest.raises(ValueError, match="triple|incompatible"):
         build_scheme(cfg)
-
-
-def test_covering_check_warns_when_inconclusive():
-    cfg = proj_line()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        build_scheme(cfg, check_covering=True, covering_bound=3)
-    assert any("covering" in str(w.message) for w in caught)
-
-
-def test_covering_check_quiet_when_certified():
-    cfg = three_patch_line()
-    # on V0 the denominators x and x-1 generate the unit ideal
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        build_scheme(cfg, check_covering=True, covering_bound=3)
-    assert not any("patch 0" in str(w.message) for w in caught)
 
 
 def test_action_group_law_enforced():

@@ -13,7 +13,6 @@ from mfchern.hochschild import (
     HochschildChain,
     _composite,
     connes_B,
-    cyclic_t,
     eta_pi,
     hochschild_b,
     nabla_bracket,
@@ -369,7 +368,7 @@ def test_identities_are_per_object():
 
 
 def test_parity_asked_once_per_distinct_entry(monkeypatch):
-    """hochschild_b, connes_B and cyclic_t ask each distinct entry of their
+    """hochschild_b and connes_B ask each distinct entry of their
     argument for its parity at most once outside the construction of their
     result, and reuse a string's parities across its rotations, although
     entries repeat across strings and slots."""
@@ -393,7 +392,7 @@ def test_parity_asked_once_per_distinct_entry(monkeypatch):
 
     monkeypatch.setattr(HochschildChain, "__init__", spy_init)
     monkeypatch.setattr(MorphismCochain, "parity", spy_parity)
-    for op in (hochschild_b, connes_B, cyclic_t):
+    for op in (hochschild_b, connes_B):
         asked.clear()
         op(eta)
         assert asked and len(asked) == len(set(asked)) and set(asked) <= entries, op
@@ -581,16 +580,21 @@ def test_B_of_point_chain():
 
 
 def test_cyclic_rotation_sign():
+    """B(a0[a1]) = 1[a0|a1] + sign 1[a1|a0], with the cyclic Koszul sign of
+    the rotation on shifted degrees."""
     sch, (P, Q) = line_objects()
     cat = GeometricCategory(sch, 2)
+    one = MorphismCochain.identity(P, 2)
     rng = random.Random(9)
     for p0, p1 in [(0, 0), (0, 1), (1, 0), (1, 1)]:
         a0 = random_morphism(rng, P, P, p0, 2)
         a1 = random_morphism(rng, P, P, p1, 2)
         x = HochschildChain.single(cat, 2, 4, a0, (a1,))
         sign = (-1) ** (((p0 - 1) * (p1 - 1)) % 2)
-        expected = HochschildChain.single(cat, 2, 4, a1.scale(sign), (a0,))
-        assert cyclic_t(x) == expected, (p0, p1)
+        expected = HochschildChain.single(cat, 2, 4, one, (a0, a1)) + HochschildChain.single(
+            cat, 2, 4, one, (a1.scale(sign), a0)
+        )
+        assert connes_B(x) == expected, (p0, p1)
 
 
 # -- trace map ----------------------------------------------------------------
@@ -654,7 +658,7 @@ def test_trace_identity_u0_component_balanced():
     got = tr_nabla(x, {P: default_connection(P)})
     for tup, mf in got.entries.items():
         if len(tup) == 1:
-            assert mf.u_component(0).terms.get((0, 0, (), 0)) is None
+            assert mf.truncate_u(0).terms.get((0, 0, (), 0)) is None
 
 
 def test_trace_missing_connection_errors():

@@ -2,7 +2,8 @@
 feeds a table of malformed inputs to the package and reports every input that
 was accepted instead of raising ValueError or TypeError, and a scan of the
 sources finds ``assert`` only at the listed internal-invariant sites.  Every
-name a layer module exports in ``__all__`` must exist."""
+name a layer module exports in ``__all__`` must exist, and must have a caller
+in the package or the benchmark harness."""
 
 import ast
 import glob
@@ -12,7 +13,8 @@ import os
 import subprocess
 import sys
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 CHILD = r'''
 import json
@@ -312,3 +314,72 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"mfchern.{layer}")
         missing += [f"{layer}.{name}" for name in module.__all__ if not hasattr(module, name)]
     assert not missing, f"exported but not defined: {missing}"
+
+
+# Exported names that nothing in src/ or benchmarks/ calls, and why they stay.
+UNCALLED_EXPORTS = {
+    "averaged_connection": "equivariant Chern character, ROADMAP item 3",
+    "coinvariant_project": "equivariant Chern character, ROADMAP item 3",
+    "fixed_locus": "equivariant Chern character, ROADMAP item 3",
+    "group_twist": "equivariant Chern character, ROADMAP item 3",
+    "twist_by_character": "equivariant Chern character, ROADMAP item 3",
+    "check_mf": "checked entry point for a caller's factorization",
+    "de_rham_d": "checked entry point for a caller's forms; a benchmark span source",
+}
+
+
+def _defined_names(stmt):
+    """The names a top-level statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+        return {(a.asname or a.name).split(".")[0] for a in stmt.names}
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def _referenced_names(stmt):
+    """The names a statement reads: loaded names, attribute names and
+    imported names.  Strings are not read, so neither a docstring nor an
+    __all__ entry counts."""
+    out = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(a.name for a in node.names)
+    return out
+
+
+def test_every_exported_name_has_a_pipeline_caller():
+    paths = sorted(
+        glob.glob(os.path.join(SRC, "mfchern", "*.py"))
+        + glob.glob(os.path.join(ROOT, "benchmarks", "*.py"))
+    )
+    exported = {}  # name -> the module file that exports it
+    statements = []  # (file, names the statement binds, names it reads)
+    for path in paths:
+        with open(path) as f:
+            tree = ast.parse(f.read(), path)
+        for stmt in tree.body:
+            defined = _defined_names(stmt)
+            if "__all__" in defined and path.startswith(SRC):
+                exported.update((name, path) for name in ast.literal_eval(stmt.value))
+            statements.append((path, defined, _referenced_names(stmt)))
+    assert len(exported) > 50, sorted(exported)
+    uncalled = sorted(
+        name
+        for name, home in exported.items()
+        if not any(
+            name in reads and not (path == home and name in defined)
+            for path, defined, reads in statements
+        )
+    )
+    assert uncalled == sorted(UNCALLED_EXPORTS), (
+        f"exported without a caller in src/ or benchmarks/: "
+        f"{sorted(set(uncalled) - set(UNCALLED_EXPORTS))}; "
+        f"listed as uncalled but called or not exported: "
+        f"{sorted(set(UNCALLED_EXPORTS) - set(uncalled))}"
+    )

@@ -12,6 +12,8 @@ import random
 from fractions import Fraction
 from math import factorial
 
+import pytest
+
 from mfchern.cech import (
     CechCochain,
     MatrixForm,
@@ -20,7 +22,8 @@ from mfchern.cech import (
     supertrace,
     supertrace_product,
 )
-from mfchern.connection import Connection, total_curvature
+from mfchern.cohomology import TotalCochain, cohomologous, total_differential
+from mfchern.connection import Connection, default_connection, total_curvature
 from mfchern.geometry import build_scheme
 from mfchern.hochschild import (
     GeometricCategory,
@@ -30,8 +33,10 @@ from mfchern.hochschild import (
     tr_nabla,
 )
 from mfchern.mf import MatrixFactorization, MorphismCochain, VectorBundle, koszul_mf
+from mfchern.rings import parse_scalar
 
 from .test_cech import random_matrix_form
+from .test_mf import affine_plane
 from .test_rings import random_frac
 from .test_hochschild import (
     line_objects,
@@ -317,3 +322,35 @@ def test_cup_product_is_associative_on_odd_entries():
     rng = random.Random(3)
     for a, b, c in p2_cochains(rng):
         assert acw_product(acw_product(a, b), c) == acw_product(a, acw_product(b, c))
+
+
+@pytest.mark.parametrize(
+    "a, b, det",
+    [
+        ("x", "y", "1"),
+        ("x + y", "x^2 - x*y + y^2", "3*y - 3*x"),
+        ("y", "x^2 + y^2", "-2*x"),
+    ],
+)
+def test_affine_koszul_class_is_the_jacobian(a, b, det):
+    """On A^2 with W = ab, tr_nabla(1_P) for the default connection is
+    det d(a, b)/d(x, y) dx^dy at u^0, a nonzero class.  cohomologous finds
+    a primitive against +det dx^dy and none within degree bound 3 against
+    -det dx^dy or 0; None means "none within bound", not "disproved"."""
+    sch = build_scheme(affine_plane(f"({a})*({b})"))
+    P = koszul_mf(sch, [[a]], [[b]])
+    cat = GeometricCategory(sch, 2)
+    one = MorphismCochain.identity(P, 2)
+    ch = tr_nabla(HochschildChain.single(cat, 2, 2, one, ()), {P: default_connection(P)})
+    ring = sch.patch_ring(0)
+
+    def jacobian(sign):
+        value = parse_scalar(ring, det) * sign
+        entry = MatrixForm(ring, (0,), (0,), {(0, 0, (0, 1), 0): value})
+        return TotalCochain.scalar(sch, {(0,): entry}, 2)
+
+    assert ch == jacobian(1)
+    assert total_differential(ch).is_zero()
+    assert cohomologous(ch, jacobian(1), 3) is not None
+    assert cohomologous(ch, jacobian(-1), 3) is None
+    assert cohomologous(ch, TotalCochain.zero(sch, 2), 3) is None

@@ -34,7 +34,7 @@ from mfchern.cech import (
     product_sign,
     pullback_matrix,
 )
-from mfchern.connection import atiyah_cocycle, default_connection, frame_form
+from mfchern.connection import default_connection, frame_form, total_curvature
 from mfchern.forms import (
     _dx_pullback,
     _merge_indices,
@@ -920,7 +920,7 @@ def test_frame_forms_match_rerooted_transitions():
         conns = {P: curved_connection(rng, P) for P in objects}
         for P in objects:
             for conn in (default_connection(P), conns[P]):
-                new = atiyah_cocycle(P, conn)
+                new = total_curvature(P, conn, u_truncation=4).frame_difference
                 with rerooted_transport_everywhere():
                     old = oracle_frame_differences(P, conn, 4)
                 assert new.canonical_string() == old.canonical_string()
