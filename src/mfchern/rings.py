@@ -580,22 +580,18 @@ class LocalFrac:
         return hash((self.ring.name, self.num, self.den))
 
     def inverse(self):
-        """Exact inverse when the value is a unit (constant times declared
-        denominator generators); None otherwise.
+        """Exact inverse when the value is a unit; None otherwise.
 
-        When every generator is one term, cancellation leaves a constant
-        numerator on a unit.  Otherwise it may leave a factor of a generator
-        (x + 1 on generators x - 1, x^2 - 1): a numerator of total degree N is
-        then a unit exactly when it divides G^N, for G the product of the
-        generators."""
+        Cancellation takes whole generators out of the numerator, so it can
+        leave a factor of a generator (x on the generator x^2, x + 1 on
+        generators x - 1, x^2 - 1).  A numerator of total degree N is a unit
+        exactly when it divides G^N, for G the product of the generators."""
         if self.is_zero():
             return None
         ring = self.ring
         num, powers = _cancel(ring, self.num, None)
         c = num.as_constant()
         if c is None:
-            if ring._monomials is not None:
-                return None
             n = max(map(sum, num.terms))
             q = ring.den_power((n,) * len(powers)).divide_exact(num)
             if q is None:

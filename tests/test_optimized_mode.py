@@ -339,17 +339,18 @@ def _defined_names(stmt):
 
 
 def _referenced_names(stmt):
-    """The names a statement reads: loaded names, attribute names and
-    imported names.  Strings are not read, so neither a docstring nor an
-    __all__ entry counts."""
+    """The names a statement reads: loaded names and attribute names.  An
+    import binds a name without reading it, so a name only imported does not
+    count; nor do strings, so neither a docstring nor an __all__ entry counts.
+    An attribute is matched by its name alone, on any object, so the check is
+    a lower bound: it catches an export that nothing names, not one whose name
+    is only an unrelated attribute."""
     out = set()
     for node in ast.walk(stmt):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            out.update(a.name for a in node.names)
     return out
 
 

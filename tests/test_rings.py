@@ -214,7 +214,8 @@ def test_equal_values_hash_equal_when_generators_share_a_factor():
 def test_inverse_of_a_factor_of_a_generator():
     """On generators x - 1 and x^2 - 1, cancelling by x - 1 first leaves
     x^2 - 1 or x + 1 with no generator that divides it; both are units all
-    the same.  x and x + 2 divide no power of the generators."""
+    the same.  x and x + 2 divide no power of the generators.  On the
+    one-term generators x^2 and x*y, x is a unit that is not a generator."""
     x = ScalarPoly.variable(("x",), "x")
     one = ScalarPoly.const(("x",), 1)
     S = Ring("S", ("x",), (x - one, x * x - one))
@@ -224,6 +225,16 @@ def test_inverse_of_a_factor_of_a_generator():
         assert v * v ** -1 == S.one(), v
     assert X.inverse() is None
     assert (X + 2).inverse() is None
+    R = Ring("R", ("x",), (x * x,))
+    X = R.var("x")
+    assert X * X ** -1 == R.one()
+    assert (X + 1).inverse() is None
+    x, y = (ScalarPoly.variable(("x", "y"), v) for v in ("x", "y"))
+    R2 = Ring("R2", ("x", "y"), (x * y,))
+    X, Y = R2.var("x"), R2.var("y")
+    for v in (X, 3 * X * Y ** 2):
+        assert v * v ** -1 == R2.one(), v
+    assert (X + Y).inverse() is None
 
 
 def test_den_power_built_once_per_multiplicities():
