@@ -169,12 +169,6 @@ class MatrixForm:
     def term_total_parity(self, key):
         return (len(key[2]) + self.term_endo_parity(key)) % 2
 
-    def homogeneous_total_parity(self):
-        parities = {self.term_total_parity(k) for k in self.terms}
-        if len(parities) == 1:
-            return parities.pop()
-        return None
-
     def _check_operand(self, other):
         if not isinstance(other, MatrixForm):
             raise TypeError(f"a {type(other).__name__} is not a MatrixForm")
@@ -433,6 +427,18 @@ class CechCochain:
             return parities.pop()
         return None
 
+    def parity_sign(self):
+        """The grading involution: each term times (-1)^(Cech degree + total
+        parity).  For an odd x, the graded commutator [x, c] is x c minus
+        (parity_sign c) x."""
+        entries = {}
+        for tup, mf in self.entries.items():
+            p = len(tup) - 1
+            entries[tup] = mf._like({
+                k: -f if (p + mf.term_total_parity(k)) % 2 else f for k, f in mf.terms.items()
+            })
+        return CechCochain._of(self.scheme, self.source, self.target, entries, self.u_truncation)
+
     def _compatible(self, other):
         _check_cochain(other)
         if other.scheme is not self.scheme:
@@ -554,8 +560,8 @@ def cech_differential(c):
                 if value is None:
                     continue
                 signed = value._like({
-                    key: f * ((-1) ** k) * differential_sign(len(key[2]),
-                                                             value.term_endo_parity(key))
+                    key: f if (-1) ** k * differential_sign(
+                        len(key[2]), value.term_endo_parity(key)) > 0 else -f
                     for key, f in value.terms.items()
                 })
                 moved = c.transport(small, big, signed)

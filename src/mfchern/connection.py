@@ -7,7 +7,7 @@ the commutator with delta, and the frame differences across overlaps.
 
 from __future__ import annotations
 
-from .cech import CechCochain, MatrixForm, pullback_matrix
+from .cech import CechCochain, MatrixForm, cech_differential, pullback_matrix
 from .mf import MatrixFactorization, invert_matrix
 from .rings import Fraction, _check_same_ring
 
@@ -166,21 +166,18 @@ def total_curvature(P, conn, with_u=True, u_truncation=None):
 def frame_form(bundle, pair):
     """-g d(g^{-1}) over the ring of the increasing pair, for the bundle's
     transition g there: d in frame i minus d of frame j seen in frame i."""
-    return bundle.transitions[pair].mul(bundle.inverses[pair].d_form()).scale(-1)
+    return -bundle.transitions[pair].mul(bundle.inverses[pair].d_form())
 
 
 def _frame_differences(P, conn, u_truncation):
+    """The Cech part of the total curvature: on each pair (i, j), nabla_i
+    minus nabla_j seen in the i frame, d + g d(g^{-1}) + g C_j g^{-1}.  That
+    is Theta + cech_differential(C), for Theta the degree-1 cochain of frame
+    forms: on 1-forms with even endomorphism part the Cech differential gives
+    C_i - T(C_j), T the transport into the i frame."""
     scheme = P.scheme
     bundle = P.bundle
-    conn_cochain = conn.cochain(u_truncation)
-    entries = {}
-    for (i, j) in scheme.tuples(2):
-        # nabla_j in the i frame is d + g d(g^{-1}) + g C_j g^{-1}
-        value = frame_form(bundle, (i, j))
-        if (i,) in conn_cochain.entries:
-            value = value + conn_cochain.transport((i,), (i, j))
-        if (j,) in conn_cochain.entries:
-            value = value - conn_cochain.transport((j,), (i, j))
-        if not value.is_zero():
-            entries[(i, j)] = value
-    return CechCochain(scheme, bundle, bundle, entries, u_truncation)
+    theta = {pair: frame_form(bundle, pair) for pair in scheme.tuples(2)}
+    return CechCochain(scheme, bundle, bundle, theta, u_truncation) + cech_differential(
+        conn.cochain(u_truncation)
+    )

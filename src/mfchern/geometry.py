@@ -95,48 +95,23 @@ class GroupAction:
     def map(self, g, patch_index):
         return self.maps[g][patch_index]
 
-    def affine_data(self, g, patch_index):
-        """The (matrix, shift) of the linear substitution, or an error."""
-        rm = self.map(g, patch_index)
-        return _affine_data_of_map(rm)
-
-
-def _affine_data_of_map(rm):
-    nvars = len(rm.source.vars)
-    matrix = [[Fraction(0)] * nvars for _ in range(nvars)]
-    shift = [Fraction(0)] * nvars
-    for m, img in enumerate(rm.images):
-        if any(img.den):
-            raise ValueError("unsupported action: image has denominators")
-        for exps, c in img.num.terms.items():
-            total = sum(exps)
-            if total == 0:
-                shift[m] = c
-            elif total == 1:
-                matrix[m][exps.index(1)] = c
-            else:
-                raise ValueError("unsupported action: nonlinear substitution")
-    return matrix, shift
-
 
 class CoveredScheme:
+    """Its dimension is the largest number of chart variables."""
 
     def __init__(
         self,
         grading,
-        dimension,
         patches,
         pair_data,
         empty_pairs=(),
         action=None,
     ):
-        if grading not in ("Z", "Z2") or dimension < 0:
-            raise ValueError(
-                f"need grading Z or Z2 and dimension >= 0: {grading!r}, {dimension}"
-            )
+        if grading not in ("Z", "Z2"):
+            raise ValueError(f"need grading Z or Z2: {grading!r}")
         self.grading = grading
-        self.dimension = dimension
         self.patches = list(patches)
+        self.dimension = max((len(p.ring.vars) for p in self.patches), default=0)
         # pair_data[(i, j)] = (denominator polys in patch-i coordinates,
         #                      images of patch-j variables) for i < j
         self.pair_data = dict(pair_data)
@@ -316,10 +291,10 @@ def build_scheme(config):
     The description is a plain dict; polynomials and substitutions are given
     as expression strings in the patch variables.  CoveredScheme checks the
     gluing data: potentials agree on overlaps, the triple overlaps glue
-    consistently, and a group action respects both.
+    consistently, and a group action respects both.  The declared dimension
+    must be the largest number of chart variables.
     """
     grading = config["grading"]
-    dimension = config["dimension"]
     rings = []
     for spec in config["patches"]:
         variables = tuple(spec["variables"])
@@ -355,14 +330,13 @@ def build_scheme(config):
                 for ring, images in zip(rings, per_patch)
             ]
         action = GroupAction(elements, gspec["table"], maps)
-    return CoveredScheme(
-        grading,
-        dimension,
-        patches,
-        pair_data,
-        empty_pairs=empty_pairs,
-        action=action,
-    )
+    scheme = CoveredScheme(grading, patches, pair_data, empty_pairs=empty_pairs, action=action)
+    if config["dimension"] != scheme.dimension:
+        raise ValueError(
+            f"declared dimension {config['dimension']} differs from the "
+            f"{scheme.dimension} variables of the largest chart"
+        )
+    return scheme
 
 
 class FixedLocus:
@@ -370,50 +344,31 @@ class FixedLocus:
 
     patch_map sends an ambient patch index to the locus patch index, or None
     when the fixed locus misses that patch.  restrictions[i] is the RingMap
-    from ambient patch i onto its locus piece; parametrizations[i] = (x0, L)
-    over Q with ambient coordinates x = x0 + L t on the piece.
+    from ambient patch i onto its locus piece, which describes the piece: it
+    sends each ambient coordinate to an affine function of the locus
+    coordinates t, and some ambient coordinate exactly to each t_k.
     """
 
-    __slots__ = ("element", "scheme", "patch_map", "restrictions", "parametrizations")
+    __slots__ = ("element", "scheme", "patch_map", "restrictions")
 
-    def __init__(self, element, scheme, patch_map, restrictions, parametrizations):
+    def __init__(self, element, scheme, patch_map, restrictions):
         self.element = element
         self.scheme = scheme
         self.patch_map = patch_map
         self.restrictions = restrictions
-        self.parametrizations = parametrizations
 
 
-def _affine_substitute(matrix, shift, values, ring):
-    """Evaluate x -> matrix.x + shift at a vector of LocalFracs."""
-    out = []
-    for row, s in zip(matrix, shift):
-        acc = ring.const(s)
-        for c, v in zip(row, values):
-            if c != 0:
-                acc = acc + v * c
-        out.append(acc)
-    return out
-
-
-def _left_inverse(columns):
-    """Rows m_k with m_k . columns[j] = [j == k]: a rational left inverse of
-    the matrix with the given independent columns, one solve per column."""
-    out = []
-    for k in range(len(columns)):
-        sol = solve_affine_q(columns, [int(j == k) for j in range(len(columns))])
-        assert sol is not None, "kernel basis columns must be independent"
-        out.append(sol[0])
-    return out
-
-
-def _locus_coordinates(ring, x0, columns, values, failure):
-    """Coordinates t over ring with values = x0 + L t, L the matrix with the
-    given columns; raises ValueError(failure) when values are off the piece."""
-    diffs = [v - c for v, c in zip(values, x0)]
-    t = _affine_substitute(_left_inverse(columns), [0] * len(columns), diffs, ring)
-    rows = [[col[r] for col in columns] for r in range(len(x0))]
-    if _affine_substitute(rows, x0, t, ring) != values:
+def _locus_coordinates(restriction, ring, values, failure):
+    """The locus coordinates t over ring of the point whose ambient
+    coordinates are values, for the restriction of an ambient patch onto its
+    locus piece.  Each t_k is read off values at an ambient coordinate whose
+    restriction image is t_k; raises ValueError(failure) when the
+    restriction at t does not give back values, so values are off the piece."""
+    locus = restriction.target
+    images = restriction.images
+    t = tuple(values[images.index(locus.var(v))] for v in locus.vars)
+    point = RingMap(locus, ring, t)
+    if [point.apply(img) for img in images] != list(values):
         raise ValueError(failure)
     return t
 
@@ -426,23 +381,31 @@ def fixed_locus(scheme, g):
     n = scheme.npatches()
     patch_map = {}
     restrictions = {}
-    parametrizations = {}
     locus_patches = []
     locus_rings = []
     for i in range(n):
         ring = scheme.patch_ring(i)
         nvars = len(ring.vars)
-        matrix, shift = act.affine_data(g, i)
-        rows = [
-            [matrix[r][c] - (1 if r == c else 0) for c in range(nvars)]
-            for r in range(nvars)
-        ]
-        sol = solve_affine_q(rows, [-s for s in shift])
+        # g acts by x -> A x + s, so its fixed points solve (A - 1) x = -s
+        rows = [[Fraction(-int(r == c)) for c in range(nvars)] for r in range(nvars)]
+        rhs = [Fraction(0)] * nvars
+        for r, img in enumerate(act.map(g, i).images):
+            if any(img.den):
+                raise ValueError("unsupported action: image has denominators")
+            for exps, c in img.num.terms.items():
+                if sum(exps) == 0:
+                    rhs[r] = -c
+                elif sum(exps) == 1:
+                    rows[r][exps.index(1)] += c
+                else:
+                    raise ValueError("unsupported action: nonlinear substitution")
+        sol = solve_affine_q(rows, rhs)
         if sol is None:
             patch_map[i] = None
             continue
-        x0, basis = sol
-        columns = basis  # each entry is a length-nvars column
+        # x = x0 + L t; solve_affine_q makes x exactly t_k at the k-th free
+        # column, which _locus_coordinates relies on
+        x0, columns = sol
         tvars = tuple(f"t{k}" for k in range(len(columns)))
         pre = Ring(f"{ring.name}^{g}", tvars)
         # parametrization x = x0 + L t as polynomials in t
@@ -486,7 +449,6 @@ def fixed_locus(scheme, g):
         patch_map[i] = len(locus_patches)
         locus_rings.append(locus_ring)
         restrictions[i] = restr
-        parametrizations[i] = (x0, columns)
         locus_patches.append(Patch(locus_ring, restr.apply(scheme.potential(i))))
 
     pair_data = {}
@@ -528,22 +490,15 @@ def fixed_locus(scheme, g):
                 f"gluing ({ai},{aj}) does not restrict to the locus of {g}"
             ) from err
         images = _locus_coordinates(
+            restrictions[aj],
             pair_ring,
-            *parametrizations[aj],
             restricted,
             f"gluing ({ai},{aj}) does not carry the locus of {g} to itself",
         )
         pair_data[(li, lj)] = (tuple(dens), tuple(images))
 
-    locus_scheme = CoveredScheme(
-        scheme.grading,
-        max((len(r.vars) for r in locus_rings), default=0),
-        locus_patches,
-        pair_data,
-        empty_pairs=empty_pairs,
-        action=None,
-    )
-    return FixedLocus(g, locus_scheme, patch_map, restrictions, parametrizations)
+    locus_scheme = CoveredScheme(scheme.grading, locus_patches, pair_data, empty_pairs=empty_pairs)
+    return FixedLocus(g, locus_scheme, patch_map, restrictions)
 
 
 def locus_transport(scheme, locus_src, locus_dst, h):
@@ -563,14 +518,12 @@ def locus_transport(scheme, locus_src, locus_dst, h):
         if di is None:
             raise ValueError(f"transport by {h} hits an empty piece on patch {i}")
         ring_src = locus_src.scheme.patch_ring(si)
-        matrix, shift = act.affine_data(hinv, i)
+        restr = locus_src.restrictions[i]
         # image of ambient coordinates under the point map, on the g-locus
-        moved = _affine_substitute(
-            matrix, shift, list(locus_src.restrictions[i].images), ring_src
-        )
+        moved = [restr.apply(img) for img in act.map(hinv, i).images]
         images = _locus_coordinates(
+            locus_dst.restrictions[i],
             ring_src,
-            *locus_dst.parametrizations[i],
             moved,
             f"transport by {h} does not map the locus correctly on patch {i}",
         )

@@ -44,9 +44,9 @@ from .cech import (
     supertrace,
     supertrace_product,
 )
-from .mf import MorphismCochain, _split_by_total_parity
+from .mf import MorphismCochain
 from .connection import frame_form, total_curvature
-from .rings import _exact, echelon_reduce
+from .rings import _exact, echelon_reduce, monomials_up_to
 
 __all__ = [
     "GeometricCategory",
@@ -494,57 +494,45 @@ def connes_B(x):
 
 
 def nabla_bracket(cochain, conn_target, conn_source):
-    """Graded commutator of a connection pair with a Hom-valued cochain:
-    entrywise exterior derivative plus the connection terms.
+    """Graded commutator of a connection pair with a Hom-valued cochain c:
+    form_derivative(c) + C_target c - (parity_sign c) C_source, plus the
+    gauge term below.  It is linear in c, so c may mix parities.
 
     On tuples of length two or more the source connection matrix has to move
     into the leading frame affinely, T C T^{-1} - dT T^{-1}; transport only
-    supplies the conjugation, so the dT T^{-1} part is restored here.  Each
-    pair's frame form is built once per call and used as it is on the pair
-    itself; on a longer tuple it is pulled back once."""
+    supplies the conjugation, so the dT T^{-1} part is restored here, as
+    (parity_sign c) times the frame form of the tuple's outer pair.  One
+    pass over the tuples builds each pair's frame form once, uses it as it
+    is on the pair itself, and pulls it back once on a longer tuple."""
     trunc = cochain.u_truncation
     scheme = cochain.scheme
+    signed = cochain.parity_sign()
     out = form_derivative(cochain)
     ct = conn_target.cochain(trunc)
     cs = conn_source.cochain(trunc)
+    if not ct.is_zero():
+        out = out + acw_product(ct, cochain)
+    if not cs.is_zero():
+        out = out - acw_product(signed, cs)
     thetas = {}  # tuple t -> frame form of (t[0], t[-1]) in the ring of t
-    for parity, part in _split_by_total_parity(cochain).items():
-        if part.is_zero():
+    gauge = {}
+    for t, value in signed.entries.items():
+        if len(t) < 2:
             continue
-        if not ct.is_zero():
-            out = out + acw_product(ct, part)
-        if not cs.is_zero():
-            out = out - acw_product(part, cs).scale((-1) ** parity)
-        gauge = {}
-        for t, value in part.entries.items():
-            if len(t) < 2:
-                continue
-            theta = thetas.get(t)
+        theta = thetas.get(t)
+        if theta is None:
+            pair = (t[0], t[-1])
+            theta = thetas.get(pair)
             if theta is None:
-                pair = (t[0], t[-1])
-                theta = thetas.get(pair)
-                if theta is None:
-                    theta = thetas[pair] = frame_form(cochain.source, pair)
-                if t != pair:
-                    theta = thetas[t] = pullback_matrix(scheme.restriction(pair, t), theta)
-            term = value.mul(theta, cech_left=len(t) - 1)
-            if not term.is_zero():
-                gauge[t] = term
-        if gauge:
-            correction = CechCochain(
-                scheme, cochain.source, cochain.target, gauge, trunc
-            )
-            out = out + correction.scale((-1) ** parity)
+                theta = thetas[pair] = frame_form(cochain.source, pair)
+            if t != pair:
+                theta = thetas[t] = pullback_matrix(scheme.restriction(pair, t), theta)
+        term = value.mul(theta, cech_left=len(t) - 1)
+        if not term.is_zero():
+            gauge[t] = term
+    if gauge:
+        out = out + CechCochain(scheme, cochain.source, cochain.target, gauge, trunc)
     return out
-
-
-def _j_vectors(count, total_max):
-    if count == 0:
-        yield ()
-        return
-    for first in range(total_max + 1):
-        for rest in _j_vectors(count - 1, total_max - first):
-            yield (first,) + rest
 
 
 def tr_nabla(x, connections):
@@ -608,7 +596,7 @@ def tr_nabla(x, connections):
         sources = [a0.source] + [s.source for s in slots]
         brackets = [bracket_of(s) for s in slots]
         contribution = CechCochain.scalar(scheme, {}, trunc)
-        for jvec in _j_vectors(n + 1, jmax):
+        for jvec in monomials_up_to(n + 1, jmax):
             J = sum(jvec)
             coeff = Fraction((-1) ** (J % 2), factorial(n + J))
             if scalar is not None and n == 0 and J > 1:
@@ -641,20 +629,16 @@ def tr_nabla(x, connections):
 # -- retract chains -----------------------------------------------------------
 
 
-def eta_pi(r, u_truncation, tensor_cap=None):
+def eta_pi(r, u_truncation):
     """The idempotent cycle: pi plus the alternating double-factorial tail
-    on (2 pi - 1)."""
+    on (2 pi - 1).  Its tensor cap 2u + 1 leaves one slot of headroom above
+    the top string, so B can still be applied there."""
     cat = GeometricCategory(r.N.scheme, u_truncation)
-    if tensor_cap is None:
-        # one slot of headroom so B can still be applied at the top weight
-        tensor_cap = 2 * u_truncation + 1
     two_pi_minus_one = r.pi.scale(2) - cat.identity(r.N)
     items = [(1, 0, r.pi, ())]
     for i in range(1, u_truncation + 1):
-        if 2 * i > tensor_cap:
-            break
         items.append((_eta_coefficient(i), i, two_pi_minus_one, (r.pi,) * (2 * i)))
-    return HochschildChain(cat, u_truncation, tensor_cap, items)
+    return HochschildChain(cat, u_truncation, 2 * u_truncation + 1, items)
 
 
 def _eta_coefficient(i):

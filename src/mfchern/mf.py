@@ -370,54 +370,18 @@ class MorphismCochain:
         return f"MorphismCochain({self.cochain.canonical_string()!r})"
 
 
-def _split_by_total_parity(cochain):
-    parts = {0: {}, 1: {}}
-    for tup, mf in cochain.entries.items():
-        for key, f in mf.terms.items():
-            p = (len(tup) - 1 + mf.term_total_parity(key)) % 2
-            parts[p].setdefault(tup, {})[key] = f
-    out = {}
-    for p, entries in parts.items():
-        if entries:
-            out[p] = CechCochain(
-                cochain.scheme,
-                cochain.source,
-                cochain.target,
-                {
-                    tup: MatrixForm(
-                        cochain.scheme.intersection(tup).ring,
-                        cochain.target.parities(),
-                        cochain.source.parities(),
-                        terms,
-                    )
-                    for tup, terms in entries.items()
-                },
-                cochain.u_truncation,
-            )
-    return out
-
-
 def hom_differential(phi):
-    """delta_target after phi, minus (-1)^{|phi|} phi after delta_source,
-    plus the Cech differential of phi; squares to zero in the curved sense."""
+    """The Cech differential of phi plus the graded commutator
+    delta_target phi - (parity_sign phi) delta_source; squares to zero in
+    the curved sense.  It is linear in phi, so phi may mix parities."""
     _check_morphism(phi, "phi")
-    trunc = phi.cochain.u_truncation
-    dQ = phi.target.delta_cochain(trunc)
-    dP = phi.source.delta_cochain(trunc)
-    out = None
-    for parity, part in _split_by_total_parity(phi.cochain).items():
-        piece = cech_differential(part)
-        piece = piece + acw_product(dQ, part)
-        piece = piece + acw_product(part, dP).scale(-((-1) ** parity))
-        out = piece if out is None else out + piece
-    if out is None:
-        out = CechCochain(
-            phi.cochain.scheme,
-            phi.source.bundle,
-            phi.target.bundle,
-            {},
-            trunc,
-        )
+    c = phi.cochain
+    trunc = c.u_truncation
+    out = (
+        cech_differential(c)
+        + acw_product(phi.target.delta_cochain(trunc), c)
+        - acw_product(c.parity_sign(), phi.source.delta_cochain(trunc))
+    )
     return MorphismCochain(phi.source, phi.target, out)
 
 

@@ -12,8 +12,8 @@ division goes through ``Fraction`` and never yields a float.
 
 Every linear system over Q, sparse or dense, is reduced by one eliminator,
 ``echelon_reduce``, and solved by one back-substitution; ``QLinearSystem``,
-``solve_affine_q`` (fixed loci and their left inverses) and the Hochschild
-zero test all go through it.
+``solve_affine_q`` (fixed loci) and the Hochschild zero test all go through
+it.
 """
 
 from __future__ import annotations
@@ -885,8 +885,10 @@ def solve_affine_q(matrix, rhs):
     Returns (particular solution, kernel basis) with entries as Fractions,
     or None when inconsistent.  The particular solution has every free
     column at 0, and the kernel vector of a free column is 1 there and 0 at
-    the other free columns, so both are unique.  Used for fixed-locus
-    computations.
+    the other free columns, so both are unique.  On the solution set
+    x = particular + sum t_k basis[k], the k-th free column of x is exactly
+    t_k: a fixed locus reads its coordinates off the ambient coordinates
+    there.
     """
     ncols = len(matrix[0]) if matrix else 0
     pivots = _reduce_rows(

@@ -1,9 +1,18 @@
+import itertools
 import random
 
 import pytest
 
-from mfchern.geometry import build_scheme, fixed_locus, locus_transport
-from mfchern.rings import Fraction
+from mfchern.geometry import (
+    CoveredScheme,
+    FixedLocus,
+    Patch,
+    build_scheme,
+    fixed_locus,
+    locus_transport,
+    reroot,
+)
+from mfchern.rings import Fraction, LocalFrac, Ring, RingMap, ScalarPoly, solve_affine_q
 
 from .test_rings import random_frac
 
@@ -260,3 +269,290 @@ def test_locus_transport_identity_element():
     for i in (0, 1):
         ring = loc.scheme.patch_ring(loc.patch_map[i])
         assert transport[i].apply(ring.one()) == ring.one()
+
+
+# -- fixed loci against the left-inverse route they replaced ----------------------
+
+
+def _affine_data_of_map(rm):
+    """The (matrix, shift) of an affine substitution, or an error."""
+    nvars = len(rm.source.vars)
+    matrix = [[Fraction(0)] * nvars for _ in range(nvars)]
+    shift = [Fraction(0)] * nvars
+    for m, img in enumerate(rm.images):
+        if any(img.den):
+            raise ValueError("unsupported action: image has denominators")
+        for exps, c in img.num.terms.items():
+            total = sum(exps)
+            if total == 0:
+                shift[m] = c
+            elif total == 1:
+                matrix[m][exps.index(1)] = c
+            else:
+                raise ValueError("unsupported action: nonlinear substitution")
+    return matrix, shift
+
+
+def _affine_substitute(matrix, shift, values, ring):
+    """Evaluate x -> matrix.x + shift at a vector of LocalFracs."""
+    out = []
+    for row, s in zip(matrix, shift):
+        acc = ring.const(s)
+        for c, v in zip(row, values):
+            if c != 0:
+                acc = acc + v * c
+        out.append(acc)
+    return out
+
+
+def _left_inverse(columns):
+    """Rows m_k with m_k . columns[j] = [j == k]: a rational left inverse of
+    the matrix with the given independent columns, one solve per column."""
+    out = []
+    for k in range(len(columns)):
+        sol = solve_affine_q(columns, [int(j == k) for j in range(len(columns))])
+        assert sol is not None, "kernel basis columns must be independent"
+        out.append(sol[0])
+    return out
+
+
+def _locus_coordinates(ring, x0, columns, values, failure):
+    """Coordinates t over ring with values = x0 + L t, L the matrix with the
+    given columns; raises ValueError(failure) when values are off the piece."""
+    diffs = [v - c for v, c in zip(values, x0)]
+    t = _affine_substitute(_left_inverse(columns), [0] * len(columns), diffs, ring)
+    rows = [[col[r] for col in columns] for r in range(len(x0))]
+    if _affine_substitute(rows, x0, t, ring) != values:
+        raise ValueError(failure)
+    return t
+
+
+def oracle_fixed_locus(scheme, g):
+    """fixed_locus as it was, returning the locus and its parametrizations
+    {ambient patch: (x0, L)} with x = x0 + L t.  The affine data comes from
+    _affine_data_of_map, as GroupAction.affine_data gave it, and the locus
+    scheme's dimension from its charts."""
+    act = scheme.action
+    if act is None:
+        raise ValueError("scheme has no group action")
+    n = scheme.npatches()
+    patch_map = {}
+    restrictions = {}
+    parametrizations = {}
+    locus_patches = []
+    locus_rings = []
+    for i in range(n):
+        ring = scheme.patch_ring(i)
+        nvars = len(ring.vars)
+        matrix, shift = _affine_data_of_map(act.map(g, i))
+        rows = [
+            [matrix[r][c] - (1 if r == c else 0) for c in range(nvars)]
+            for r in range(nvars)
+        ]
+        sol = solve_affine_q(rows, [-s for s in shift])
+        if sol is None:
+            patch_map[i] = None
+            continue
+        x0, basis = sol
+        columns = basis  # each entry is a length-nvars column
+        tvars = tuple(f"t{k}" for k in range(len(columns)))
+        pre = Ring(f"{ring.name}^{g}", tvars)
+        # parametrization x = x0 + L t as polynomials in t
+        param = []
+        for r in range(nvars):
+            terms = {}
+            if x0[r] != 0:
+                terms[(0,) * len(tvars)] = x0[r]
+            for c, col in enumerate(columns):
+                if col[r] != 0:
+                    e = tuple(1 if k == c else 0 for k in range(len(tvars)))
+                    terms[e] = terms.get(e, Fraction(0)) + col[r]
+            param.append(ScalarPoly(tvars, terms))
+        # ambient denominators restricted to the piece; zero means empty
+        dens = []
+        empty = False
+        for d in ring.denominators:
+            rd = d.substitute(
+                [LocalFrac(pre, p) for p in param], pre
+            )
+            if rd.is_zero():
+                empty = True
+                break
+            if rd.as_constant() is None:
+                assert not any(rd.den)
+                dens.append(rd.num)
+        if empty:
+            patch_map[i] = None
+            continue
+        locus_ring = Ring(f"{ring.name}^{g}", tvars, tuple(dens))
+        restr = RingMap(
+            ring,
+            locus_ring,
+            tuple(LocalFrac(locus_ring, ScalarPoly(tvars, p.terms)) for p in param),
+        )
+        # the locus must actually be fixed
+        for v, img in zip(ring.vars, restr.images):
+            assert restr.apply(act.map(g, i).apply(ring.var(v))) == img, (
+                f"parametrized locus not fixed by {g} on patch {i}"
+            )
+        patch_map[i] = len(locus_patches)
+        locus_rings.append(locus_ring)
+        restrictions[i] = restr
+        parametrizations[i] = (x0, columns)
+        locus_patches.append(Patch(locus_ring, restr.apply(scheme.potential(i))))
+
+    pair_data = {}
+    empty_pairs = []
+    ambient_alive = [i for i in range(n) if patch_map[i] is not None]
+    for ai, aj in itertools.combinations(ambient_alive, 2):
+        if not scheme.is_nonempty((ai, aj)):
+            empty_pairs.append((patch_map[ai], patch_map[aj]))
+            continue
+        li, lj = patch_map[ai], patch_map[aj]
+        ring_i = locus_rings[li]
+        restr_i = restrictions[ai]
+        # gluing denominators restricted to the locus piece
+        dens = []
+        empty = False
+        for d in scheme.pair_data[(ai, aj)][0]:
+            rd = d.substitute(restr_i.images, ring_i)
+            assert not any(rd.den)
+            if rd.num.is_zero():
+                empty = True
+                break
+            if rd.num.as_constant() is None:
+                dens.append(rd.num)
+        if empty:
+            empty_pairs.append((li, lj))
+            continue
+        pair_ring = Ring(
+            f"{ring_i.name}&{lj}", ring_i.vars, ring_i.denominators + tuple(dens)
+        )
+        # ambient transition functions restricted to the locus
+        lifted = tuple(reroot(pair_ring, v) for v in restr_i.images)
+        try:
+            restricted = [
+                RingMap(img.ring, pair_ring, lifted).apply(img)
+                for img in scheme.pair_data[(ai, aj)][1]
+            ]
+        except ValueError as err:
+            raise ValueError(
+                f"gluing ({ai},{aj}) does not restrict to the locus of {g}"
+            ) from err
+        images = _locus_coordinates(
+            pair_ring,
+            *parametrizations[aj],
+            restricted,
+            f"gluing ({ai},{aj}) does not carry the locus of {g} to itself",
+        )
+        pair_data[(li, lj)] = (tuple(dens), tuple(images))
+
+    locus_scheme = CoveredScheme(
+        scheme.grading,
+        locus_patches,
+        pair_data,
+        empty_pairs=empty_pairs,
+        action=None,
+    )
+    return FixedLocus(g, locus_scheme, patch_map, restrictions), parametrizations
+
+
+def oracle_locus_transport(scheme, locus_src, locus_dst, params_dst, h):
+    """locus_transport as it was, given the parametrizations of locus_dst."""
+    act = scheme.action
+    hinv = act.inverse(h)
+    out = {}
+    for i in range(scheme.npatches()):
+        si = locus_src.patch_map.get(i)
+        di = locus_dst.patch_map.get(i)
+        if si is None:
+            continue
+        if di is None:
+            raise ValueError(f"transport by {h} hits an empty piece on patch {i}")
+        ring_src = locus_src.scheme.patch_ring(si)
+        matrix, shift = _affine_data_of_map(act.map(hinv, i))
+        # image of ambient coordinates under the point map, on the g-locus
+        moved = _affine_substitute(
+            matrix, shift, list(locus_src.restrictions[i].images), ring_src
+        )
+        images = _locus_coordinates(
+            ring_src,
+            *params_dst[i],
+            moved,
+            f"transport by {h} does not map the locus correctly on patch {i}",
+        )
+        out[i] = RingMap(locus_dst.scheme.patch_ring(di), ring_src, tuple(images))
+    return out
+
+
+def s3_permuting_a3():
+    """S_3 permuting the coordinates of A^3, W = x1^2 + x2^2 + x3^2; the
+    element p sends x_i to x_{p[i]}, so p after q is i -> p[q[i]]."""
+    perms = list(itertools.permutations(range(3)))
+    names = ["".join(map(str, p)) for p in perms]
+    table = [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms] for p in perms]
+    return {
+        "grading": "Z2",
+        "dimension": 3,
+        "patches": [{"name": "A3", "variables": ["x1", "x2", "x3"], "denominators": []}],
+        "gluings": [],
+        "potentials": ["x1^2 + x2^2 + x3^2"],
+        "group": {
+            "elements": names,
+            "table": table,
+            "action": [[[f"x{p[i] + 1}" for i in range(3)]] for p in perms],
+        },
+    }
+
+
+def assert_same_locus(new, old):
+    assert new.element == old.element and new.patch_map == old.patch_map
+    assert set(new.restrictions) == set(old.restrictions)
+    for i, restr in new.restrictions.items():
+        assert [str(v) for v in restr.images] == [str(v) for v in old.restrictions[i].images]
+        assert restr.images == old.restrictions[i].images
+    ns, olds = new.scheme, old.scheme
+    assert ns.dimension == olds.dimension and ns.npatches() == olds.npatches()
+    for k in range(ns.npatches()):
+        a, b = ns.patch_ring(k), olds.patch_ring(k)
+        assert (a.name, a.vars, a.denominators) == (b.name, b.vars, b.denominators)
+        assert ns.potential(k) == olds.potential(k)
+    assert ns.empty_pairs == olds.empty_pairs
+    assert set(ns.pair_data) == set(olds.pair_data)
+    for pair, (dens, images) in ns.pair_data.items():
+        assert dens == olds.pair_data[pair][0]
+        assert [str(v) for v in images] == [str(v) for v in olds.pair_data[pair][1]]
+
+
+@pytest.mark.parametrize("config", [z2_on_proj_line(), z2_swap_on_plane(), s3_permuting_a3()])
+def test_fixed_loci_and_transport_match_the_left_inverse_route(config):
+    """fixed_locus and locus_transport read locus coordinates off the
+    restriction RingMaps; they give the loci and the transport maps of the
+    left-inverse route for every g and every pair (g, h), and transport by h
+    carries restr_dst(x) to restr_src(h^-1 x) for every ambient coordinate
+    x.  For S_3 on A^3 that is 36 pairs, 18 of them between distinct loci."""
+    X = build_scheme(config)
+    act = X.action
+    loci, params = {}, {}
+    for g in act.elements:
+        loci[g] = fixed_locus(X, g)
+        old, params[g] = oracle_fixed_locus(X, g)
+        assert_same_locus(loci[g], old)
+    moved = 0
+    for g, h in itertools.product(act.elements, repeat=2):
+        conj = act.mult(act.mult(h, g), act.inverse(h))
+        src, dst = loci[g], loci[conj]
+        transport = locus_transport(X, src, dst, h)
+        expected = oracle_locus_transport(X, src, dst, params[conj], h)
+        assert set(transport) == set(expected)
+        for i, rm in transport.items():
+            assert rm.source is expected[i].source and rm.target is expected[i].target
+            assert [str(v) for v in rm.images] == [str(v) for v in expected[i].images]
+            hinv = act.map(act.inverse(h), i)
+            for v in X.patch_ring(i).vars:
+                x = X.patch_ring(i).var(v)
+                got = rm.apply(dst.restrictions[i].apply(x))
+                assert got == src.restrictions[i].apply(hinv.apply(x))
+            moved += rm.images != tuple(rm.target.var(v) for v in rm.target.vars)
+    if len(act.elements) == 6:
+        assert moved >= 12, moved

@@ -200,6 +200,8 @@ CASES = {
         lambda: line_variant(gluings=[dict(line_config["gluings"][0], pair=[0, 2])]),
     "build_scheme: nonempty pair (0, 1) without a gluing":
         lambda: line_variant(gluings=[]),
+    "build_scheme: dimension 1 declared for the chart A^2 with W = xy":
+        lambda: build_scheme(dict(swap_config, dimension=1, potentials=["x*y"])),
     "parse_scalar: a float":
         lambda: parse_scalar(line, 1.5),
     "parse_scalar: unparsable text":
@@ -259,7 +261,7 @@ def test_malformed_inputs_raise_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["cases"] == 68
+    assert report["cases"] == 69
     assert not report["accepted"], "accepted under python -O: " + "; ".join(report["accepted"])
 
 
@@ -270,7 +272,6 @@ ASSERT_SITES = {
     "connection.Curvature.cochain",
     "mf.RetractData.__init__",
     "geometry.fixed_locus",
-    "geometry._left_inverse",
 }
 
 

@@ -1,12 +1,12 @@
 """Differential tests of the exact Q solvers built on echelon_reduce against
-the dense Gauss-Jordan eliminations they replaced, kept here as oracles."""
+the dense Gauss-Jordan elimination they replaced, kept here as an oracle,
+and of the free-column property that fixed loci read coordinates by."""
 
 import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from mfchern.geometry import _left_inverse
 from mfchern.rings import solve_affine_q
 
 
@@ -52,33 +52,6 @@ def dense_solve_affine_q(matrix, rhs):
             vec[c] = -aug[i][fc]
         basis.append(vec)
     return particular, basis
-
-
-def dense_left_inverse(columns, nrows):
-    """Reference oracle: reduce [L | I] and read a left inverse off the pivot
-    rows."""
-    ncols = len(columns)
-    rows = [[columns[c][r] for c in range(ncols)] for r in range(nrows)]
-    aug = [rows[r] + [Fraction(1 if k == r else 0) for k in range(nrows)] for r in range(nrows)]
-    r = 0
-    pivot_rows = []
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if aug[i][c] != 0:
-                pivot = i
-                break
-        assert pivot is not None, "kernel basis columns must be independent"
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        lead = aug[r][c]
-        aug[r] = [v / lead for v in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        pivot_rows.append(r)
-        r += 1
-    return [[aug[i][ncols + k] for k in range(nrows)] for i in pivot_rows]
 
 
 # -- system generators --------------------------------------------------------
@@ -127,8 +100,8 @@ def apply(rows, vec):
 
 
 def check_system(matrix, rhs):
-    """The new and old (particular, kernel basis) agree; when the system
-    has a kernel, the new left inverse of the kernel basis inverts it."""
+    """The new and old (particular, kernel basis) agree, and the solution
+    has the free-column property."""
     new = solve_affine_q(matrix, rhs)
     assert new == dense_solve_affine_q(matrix, rhs)
     if new is None:
@@ -137,23 +110,27 @@ def check_system(matrix, rhs):
     assert apply(matrix, particular) == [Fraction(r) for r in rhs]
     for vec in basis:
         assert not any(apply(matrix, vec))
-    if basis:
-        check_left_inverse(basis)
+    check_free_columns(particular, basis)
     return "kernel" if basis else "unique"
 
 
-def check_left_inverse(columns):
-    nrows = len(columns[0])
-    inv = _left_inverse(columns)
-    identity = [[Fraction(int(r == c)) for c in range(len(columns))] for r in range(len(columns))]
-    # row j of the product list is inv applied to column j, i.e. column j of M L
-    assert [apply(inv, col) for col in columns] == identity
-    # Any two left inverses agree on the column span, which is where the
-    # locus code applies them.
-    old = dense_left_inverse(columns, nrows)
-    t = [Fraction(k + 1, 2) for k in range(len(columns))]
-    point = [sum((col[r] * q for col, q in zip(columns, t)), Fraction(0)) for r in range(nrows)]
-    assert apply(inv, point) == apply(old, point) == t
+def check_free_columns(particular, basis):
+    """Kernel vector k has a free column f_k where it is 1, every other kernel
+    vector is 0 and the particular solution is 0.  So on the solution set
+    x = particular + sum t_k basis[k], the coordinate x[f_k] is exactly t_k:
+    fixed_locus sends that ambient coordinate to t_k, and _locus_coordinates
+    reads t_k off there."""
+    free = []
+    for k, vec in enumerate(basis):
+        free.append(next(
+            f for f in range(len(vec))
+            if vec[f] == 1 and particular[f] == 0
+            and all(other[f] == 0 for j, other in enumerate(basis) if j != k)
+        ))
+    t = [Fraction(k + 1, 2) for k in range(len(basis))]
+    point = [p + sum((q * vec[r] for q, vec in zip(t, basis)), Fraction(0))
+             for r, p in enumerate(particular)]
+    assert [point[f] for f in free] == t
 
 
 def test_solvers_agree_with_dense_elimination():
@@ -164,19 +141,6 @@ def test_solvers_agree_with_dense_elimination():
         seen.add((kind, check_system(*random_system(rng, kind))))
     assert {("random", "inconsistent"), ("consistent", "kernel"), ("full", "unique"),
             ("full", "kernel"), ("empty", "unique")} <= seen
-
-
-def test_left_inverse_of_full_rank_columns():
-    rng = random.Random(5)
-    for _ in range(200):
-        nrows = rng.randint(1, 5)
-        ncols = rng.randint(1, nrows)
-        while True:
-            columns = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(nrows)]
-                       for _ in range(ncols)]
-            if rank_of(columns) == ncols:
-                break
-        check_left_inverse(columns)
 
 
 @settings(max_examples=200, deadline=None, database=None)

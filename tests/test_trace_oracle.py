@@ -28,7 +28,6 @@ from mfchern.geometry import build_scheme
 from mfchern.hochschild import (
     GeometricCategory,
     HochschildChain,
-    _j_vectors,
     nabla_bracket,
     tr_nabla,
 )
@@ -66,6 +65,15 @@ P2_UNITS = {(0, 1): "y", (0, 2): "z", (1, 2): "z"}
 
 
 # -- the replaced trace, verbatim ----------------------------------------------
+
+
+def _j_vectors(count, total_max):
+    if count == 0:
+        yield ()
+        return
+    for first in range(total_max + 1):
+        for rest in _j_vectors(count - 1, total_max - first):
+            yield (first,) + rest
 
 
 def _curvature_powers(P, conn, trunc, jmax):
@@ -354,3 +362,21 @@ def test_affine_koszul_class_is_the_jacobian(a, b, det):
     assert cohomologous(ch, jacobian(1), 3) is not None
     assert cohomologous(ch, jacobian(-1), 3) is None
     assert cohomologous(ch, TotalCochain.zero(sch, 2), 3) is None
+
+
+def test_declared_dimension_must_match_the_charts():
+    """tr_nabla inserts curvature up to the scheme dimension, so a dimension
+    declared below the chart size once cut the trace: on A^2 with W = xy,
+    tr_nabla(1_P) read 1 dx^dy with dimension 2 but 0 with dimension 1 or 0.
+    The dimension is now the chart size, and build_scheme refuses another."""
+    config = affine_plane("x*y")
+    sch = build_scheme(config)
+    assert sch.dimension == 2
+    P = koszul_mf(sch, [["x"]], [["y"]])
+    cat = GeometricCategory(sch, 4)
+    one = MorphismCochain.identity(P, 4)
+    ch = tr_nabla(HochschildChain.single(cat, 4, 2, one, ()), {P: default_connection(P)})
+    assert ch.canonical_string() == "(0,) u^0 dx^dy [0,0] = 1"
+    for wrong in (0, 1, 3):
+        with pytest.raises(ValueError, match=f"declared dimension {wrong} differs from the 2"):
+            build_scheme(dict(config, dimension=wrong))

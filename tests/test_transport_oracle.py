@@ -7,8 +7,9 @@ adding a term for every generator in the denominator, MatrixForm.d_form and
 pullback_matrix moving one term at a time through those oracles,
 MatrixForm.mul testing every pair of terms, frame changes that rerooted each pair transition
 into the bigger overlap's ring instead of pulling it back along
-CoveredScheme.restriction, and nabla_bracket pulling each pair's frame form
-back along every restriction, the identity included.
+CoveredScheme.restriction, nabla_bracket pulling each pair's frame form
+back along every restriction, the identity included, and hom_differential
+and nabla_bracket splitting their argument by total parity.
 
 The oracles run with ScalarPoly.divide_exact swapped for the long-division
 oracle, so every LocalFrac they build is cancelled as before.  Results are
@@ -44,7 +45,7 @@ from mfchern.forms import (
 )
 from mfchern.geometry import build_scheme, reroot
 from mfchern.hochschild import GeometricCategory, HochschildChain, nabla_bracket, tr_nabla
-from mfchern.mf import MatrixFactorization, MorphismCochain, _split_by_total_parity
+from mfchern.mf import MatrixFactorization, MorphismCochain, hom_differential
 from mfchern.rings import LocalFrac, Ring, RingMap, ScalarPoly, _check_same_ring
 
 from .test_cech import TwistPlusTrivial, proj_line_three_patch, random_matrix_form
@@ -94,6 +95,33 @@ MOEBIUS_LINE = {
 
 
 # -- the replaced kernels, as they were ------------------------------------
+
+
+def _split_by_total_parity(cochain):
+    parts = {0: {}, 1: {}}
+    for tup, mf in cochain.entries.items():
+        for key, f in mf.terms.items():
+            p = (len(tup) - 1 + mf.term_total_parity(key)) % 2
+            parts[p].setdefault(tup, {})[key] = f
+    out = {}
+    for p, entries in parts.items():
+        if entries:
+            out[p] = CechCochain(
+                cochain.scheme,
+                cochain.source,
+                cochain.target,
+                {
+                    tup: MatrixForm(
+                        cochain.scheme.intersection(tup).ring,
+                        cochain.target.parities(),
+                        cochain.source.parities(),
+                        terms,
+                    )
+                    for tup, terms in entries.items()
+                },
+                cochain.u_truncation,
+            )
+    return out
 
 
 def long_division(self, divisor):
@@ -999,6 +1027,54 @@ def pulled_frame_nabla_bracket(cochain, conn_target, conn_source):
             correction = CechCochain(scheme, cochain.source, cochain.target, gauge, trunc)
             out = out + correction.scale((-1) ** parity)
     return out
+
+
+def split_hom_differential(phi):
+    """hom_differential as it was: split phi by total parity and sign each
+    part's product with delta_source by its parity."""
+    trunc = phi.cochain.u_truncation
+    dQ = phi.target.delta_cochain(trunc)
+    dP = phi.source.delta_cochain(trunc)
+    out = None
+    for parity, part in _split_by_total_parity(phi.cochain).items():
+        piece = cech_differential(part)
+        piece = piece + acw_product(dQ, part)
+        piece = piece + acw_product(part, dP).scale(-((-1) ** parity))
+        out = piece if out is None else out + piece
+    if out is None:
+        out = CechCochain(
+            phi.cochain.scheme,
+            phi.source.bundle,
+            phi.target.bundle,
+            {},
+            trunc,
+        )
+    return MorphismCochain(phi.source, phi.target, out)
+
+
+def test_hom_differential_on_mixed_parities_matches_the_split():
+    """hom_differential takes (parity_sign phi) once instead of splitting phi
+    by total parity.  On random morphisms with entries in every Cech degree,
+    mixing both parities, it gives the canonical string of the split route:
+    between the section and the rank-four object on P^1, and for
+    Hom(O(1), O(2)) on the three-chart P^2."""
+    rng = random.Random(194)
+    sch, pool = proj_pool()
+    cases = [(sch, P, Q) for (P, _), (Q, _) in itertools.product(pool[:2], repeat=2)]
+    p2 = build_scheme(P2)
+    cases.append((p2, twist_p2(p2, 1), twist_p2(p2, 2)))
+    with_delta = 0
+    for sch, source, target in cases:
+        sizes = range(1, sch.npatches() + 1)
+        for _trial in range(3):
+            c = filled_cochain(rng, sch, source.bundle, target.bundle, sizes)
+            assert set(_split_by_total_parity(c)) == {0, 1}
+            phi = MorphismCochain(source, target, c)
+            got, expected = hom_differential(phi), split_hom_differential(phi)
+            assert got.cochain.u_truncation == expected.cochain.u_truncation
+            assert got.cochain.canonical_string() == expected.cochain.canonical_string() != "0"
+            with_delta += not source.delta_cochain(3).is_zero()
+    assert with_delta >= 6, with_delta
 
 
 def test_nabla_bracket_uses_pair_frames_as_they_are(monkeypatch):
