@@ -365,15 +365,17 @@ TRIVIAL_LINE = TrivialLine()
 
 class CechCochain:
     """Entries at nonempty strictly increasing patch tuples, in the tuple's
-    smallest-index coordinates and frames."""
+    smallest-index coordinates and frames.  A value is immutable, so
+    ``canonical_string`` computes its text once and keeps it while it lives."""
 
-    __slots__ = ("scheme", "source", "target", "entries", "u_truncation")
+    __slots__ = ("scheme", "source", "target", "entries", "u_truncation", "_text")
 
     def __init__(self, scheme, source, target, entries, u_truncation):
         self.scheme = scheme
         self.source = source
         self.target = target
         self.u_truncation = u_truncation
+        self._text = None
         for bundle in (source, target):
             if getattr(bundle, "scheme", scheme) is not scheme:
                 raise ValueError("a bundle of the cochain lives on another scheme")
@@ -404,6 +406,7 @@ class CechCochain:
         out.source = source
         out.target = target
         out.u_truncation = u_truncation
+        out._text = None
         out.entries = {t: mf for t, mf in entries.items() if not mf.is_zero()}
         return out
 
@@ -513,16 +516,16 @@ class CechCochain:
         return moved
 
     def canonical_string(self):
-        lines = []
-        for tup in sorted(self.entries):
-            mf = self.entries[tup]
-            for key in sorted(mf.terms, key=lambda k: (k[3], k[2], k[0], k[1])):
-                r, c, idxs, m = key
-                dx = "^".join(f"d{mf.ring.vars[i]}" for i in idxs) or "1"
-                lines.append(
-                    f"{tup} u^{m} {dx} [{r},{c}] = {mf.terms[key]}"
-                )
-        return "\n".join(lines) if lines else "0"
+        if self._text is None:
+            lines = []
+            for tup in sorted(self.entries):
+                mf = self.entries[tup]
+                for key in sorted(mf.terms, key=lambda k: (k[3], k[2], k[0], k[1])):
+                    r, c, idxs, m = key
+                    dx = "^".join(f"d{mf.ring.vars[i]}" for i in idxs) or "1"
+                    lines.append(f"{tup} u^{m} {dx} [{r},{c}] = {mf.terms[key]}")
+            self._text = "\n".join(lines) if lines else "0"
+        return self._text
 
     def __str__(self):
         return self.canonical_string()

@@ -26,9 +26,11 @@ the tests check b, B, the zero test and the coefficients of eta_pi exactly.
 Chains combine only over one category object.
 
 Entries are values: a chain holds the entry objects it was given, and
-nothing may mutate them afterwards.  Each construction of a chain validates,
-keys and tests for dropping every distinct entry object once, however many
-of its strings and slots hold it.
+nothing may mutate them afterwards: a ``MorphismCochain`` keeps its parity,
+differential, composites and key text while it lives, so b and B reuse them
+across calls and chains.  Each construction of a chain validates, keys and
+tests for dropping every distinct entry object once, however many of its
+strings and slots hold it.
 """
 
 import itertools
@@ -199,11 +201,11 @@ class HochschildChain:
     scalar-identity entry in slots 1..n is dropped, and so is any string above
     the u truncation, after its checks have passed.
 
-    Construction checks every string (power of u, tensor cap, composability)
-    and every distinct entry object (``validate_entry``).  The facts of an
-    entry (its parity, its slot key, whether it drops a string) are computed
-    once per construction, so an entry must not be mutated once it is in a
-    chain.
+    Construction checks the u truncation (an int >= 0), every string (power
+    of u, tensor cap, composability) and every distinct entry object
+    (``validate_entry``), once per construction.  An entry must not be
+    mutated once it is in a chain: a geometric entry keeps its parity, its
+    differential, its composites and its key text for its lifetime.
 
     A string is the pure tensor a0 (x) a1 (x) ... (x) an.  The category
     decomposes a0 over a basis of labels (``decompose``) and each slot over
@@ -217,6 +219,7 @@ class HochschildChain:
     __slots__ = ("category", "u_truncation", "tensor_cap", "strings")
 
     def __init__(self, category, u_truncation, tensor_cap, items=()):
+        _check_u_truncation(u_truncation)
         self.category = category
         self.u_truncation = u_truncation
         self.tensor_cap = tensor_cap
@@ -365,6 +368,8 @@ class HochschildChain:
         return HochschildChain(self.category, self.u_truncation, self.tensor_cap, items)
 
     def __eq__(self, other):
+        if not isinstance(other, HochschildChain):
+            return NotImplemented
         return (self - other).is_zero()
 
     def canonical_string(self):
@@ -387,40 +392,35 @@ def hochschild_b(x, curved=False):
     """b = b2 + b1 (+ b0 when curved): composition of neighbours including
     the wrap-around, entrywise differentials, and curvature insertions.
 
-    Each pair of entry objects is composed once per call, whichever of
-    a0 after slot 0, slot i-1 after slot i or the wrap-around slot n-1
-    after a0 asks for it, so a chain that repeats its entries (as eta_pi
-    does) yields one object per distinct composite."""
+    Entries keep their composites, so each pair of entry objects is composed
+    once, in this call or a later one, whichever of a0 after slot 0, slot
+    i-1 after slot i or the wrap-around slot n-1 after a0 asks for it; a
+    chain that repeats its entries (as eta_pi does) yields one per pair."""
     cat = x.category
     items = []
-    differentials = {}  # id of an entry of x -> its differential
-    known = {}  # id of an entry of x -> its parity
-    composites = {}  # (id(a), id(b)) of entries of x -> (a, b, a after b)
     for (u_pow, a0, slots) in x.strings.values():
         n = len(slots)
         entries = (a0,) + slots
-        parities = _parities(entries, known)
+        parities = [a.parity() for a in entries]
 
         for i in range(n):
             sign = (-1) ** ((sum(parities[: i + 1]) - i) % 2)
             if i == 0:
-                new_a0 = _composite(a0, slots[0], composites)
+                new_a0 = a0.compose(slots[0])
                 new_slots = slots[1:]
             else:
                 new_a0 = a0
-                merged = _composite(slots[i - 1], slots[i], composites)
+                merged = slots[i - 1].compose(slots[i])
                 new_slots = slots[: i - 1] + (merged,) + slots[i + 1 :]
             items.append((sign, u_pow, new_a0, new_slots))
 
         if n >= 1:
             exponent = (parities[n] - 1) * (sum(parities[:n]) - (n - 1)) + 1
-            new_a0 = _composite(slots[n - 1], a0, composites)
+            new_a0 = slots[n - 1].compose(a0)
             items.append(((-1) ** (exponent % 2), u_pow, new_a0, slots[: n - 1]))
 
         for j in range(n + 1):
-            da = differentials.get(id(entries[j]))
-            if da is None:
-                da = differentials[id(entries[j])] = entries[j].differential()
+            da = entries[j].differential()
             if da.is_zero():
                 continue
             sign = (-1) ** ((sum(parities[:j]) - j) % 2)
@@ -440,25 +440,6 @@ def hochschild_b(x, curved=False):
                 items.append((sign, u_pow, a0, new_slots))
 
     return HochschildChain(cat, x.u_truncation, x.tensor_cap, items)
-
-
-def _composite(a, b, composites):
-    """a after b, computed once per pair of entry objects: composites maps
-    (id(a), id(b)) to (a, b, a.compose(b)) for one call and holds a and b,
-    so that their ids cannot be reused while it is alive."""
-    held = composites.get((id(a), id(b)))
-    if held is None:
-        held = composites[(id(a), id(b))] = (a, b, a.compose(b))
-    return held[2]
-
-
-def _parities(entries, known):
-    """The parity of each entry, computed once per distinct entry: known maps
-    the id of an entry of one chain to its parity, for one call on it."""
-    for a in entries:
-        if id(a) not in known:
-            known[id(a)] = a.parity()
-    return [known[id(a)] for a in entries]
 
 
 def _rotated(a0, slots, parities):
@@ -481,9 +462,8 @@ def connes_B(x):
     vanishes when the sum is built."""
     cat = x.category
     items = []
-    known = {}
     for (u_pow, a0, slots) in x.strings.values():
-        parities = _parities((a0,) + slots, known)
+        parities = [a.parity() for a in (a0,) + slots]
         for _i in range(len(slots) + 1):
             items.append((1, u_pow, cat.identity(a0.target), (a0,) + slots))
             a0, slots, parities = _rotated(a0, slots, parities)
@@ -633,12 +613,20 @@ def eta_pi(r, u_truncation):
     """The idempotent cycle: pi plus the alternating double-factorial tail
     on (2 pi - 1).  Its tensor cap 2u + 1 leaves one slot of headroom above
     the top string, so B can still be applied there."""
+    _check_u_truncation(u_truncation)
     cat = GeometricCategory(r.N.scheme, u_truncation)
     two_pi_minus_one = r.pi.scale(2) - cat.identity(r.N)
     items = [(1, 0, r.pi, ())]
     for i in range(1, u_truncation + 1):
         items.append((_eta_coefficient(i), i, two_pi_minus_one, (r.pi,) * (2 * i)))
     return HochschildChain(cat, u_truncation, 2 * u_truncation + 1, items)
+
+
+def _check_u_truncation(u_truncation):
+    if type(u_truncation) is not int:
+        raise TypeError(f"u truncation {u_truncation!r} is not an int")
+    if u_truncation < 0:
+        raise ValueError(f"negative u truncation {u_truncation}")
 
 
 def _eta_coefficient(i):

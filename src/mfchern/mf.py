@@ -295,10 +295,19 @@ def koszul_mf(scheme, a, b):
     return P
 
 
-class MorphismCochain:
-    """A Cech cochain of Hom-valued entries between two factorizations."""
+_UNSET = object()  # a parity not computed yet; None is the parity of a mixed value
 
-    __slots__ = ("source", "target", "cochain")
+
+class MorphismCochain:
+    """A Cech cochain of Hom-valued entries between two factorizations.
+
+    A value is immutable, so it computes its parity and differential once
+    and keeps them, and keeps each ``self.compose(other)`` in a memo keyed
+    by ``id(other)`` that holds ``other`` (so the id is not reused) and
+    lives as long as ``self``.  Results of ``scale``, ``+``, ``-`` and
+    ``compose`` are new values with empty memos."""
+
+    __slots__ = ("source", "target", "cochain", "_parity", "_differential", "_composites")
 
     def __init__(self, source, target, cochain):
         if not isinstance(source, MatrixFactorization) or not isinstance(
@@ -312,6 +321,7 @@ class MorphismCochain:
         self.source = source
         self.target = target
         self.cochain = cochain
+        self._parity, self._differential, self._composites = _UNSET, None, {}
 
     @classmethod
     def from_entries(cls, source, target, entries, u_truncation):
@@ -328,7 +338,9 @@ class MorphismCochain:
         return self.cochain.is_zero()
 
     def parity(self):
-        return self.cochain.homogeneous_total_parity()
+        if self._parity is _UNSET:
+            self._parity = self.cochain.homogeneous_total_parity()
+        return self._parity
 
     def __add__(self, other):
         _check_morphism(other, "summand")
@@ -347,15 +359,19 @@ class MorphismCochain:
 
     def compose(self, other):
         """self after other."""
-        _check_morphism(other, "composed morphism")
-        if other.target is not self.source:
-            raise ValueError("composition shape mismatch")
-        return MorphismCochain(
-            other.source, self.target, acw_product(self.cochain, other.cochain)
-        )
+        held = self._composites.get(id(other))
+        if held is None:
+            _check_morphism(other, "composed morphism")
+            if other.target is not self.source:
+                raise ValueError("composition shape mismatch")
+            c = MorphismCochain(other.source, self.target, acw_product(self.cochain, other.cochain))
+            held = self._composites[id(other)] = (other, c)
+        return held[1]
 
     def differential(self):
-        return hom_differential(self)
+        if self._differential is None:
+            self._differential = hom_differential(self)
+        return self._differential
 
     def __eq__(self, other):
         if not isinstance(other, MorphismCochain):

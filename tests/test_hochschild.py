@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from mfchern.geometry import build_scheme
 from mfchern.hochschild import (
     GeometricCategory,
     HochschildChain,
-    _composite,
     connes_B,
     eta_pi,
     hochschild_b,
@@ -347,6 +347,45 @@ def test_chain_validation_names_the_slot():
             left + right
 
 
+def test_u_truncation_must_be_a_non_negative_int():
+    """A chain and eta_pi reject a u truncation that is not an int >= 0,
+    bools included, and name the value: -1 used to give the zero chain
+    silently, 1.5 was accepted, and eta_pi failed inside on "2"."""
+    sch, (P, Q) = line_objects()
+    cat = GeometricCategory(sch, 3)
+    one = MorphismCochain.identity(P, 3)
+    r = RetractData(P, P, one, one)
+    for bad in (1.5, True, "2", None, Fraction(2)):
+        with pytest.raises(TypeError, match=re.escape(f"u truncation {bad!r} is not an int")):
+            HochschildChain(cat, bad, 3, [(1, 0, one, ())])
+        with pytest.raises(TypeError, match=re.escape(f"u truncation {bad!r} is not an int")):
+            eta_pi(r, bad)
+    for bad in (-1, -7):
+        with pytest.raises(ValueError, match=f"negative u truncation {bad}"):
+            HochschildChain(cat, bad, 3, [(1, 0, one, ())])
+        with pytest.raises(ValueError, match=f"negative u truncation {bad}"):
+            eta_pi(r, bad)
+    assert not HochschildChain(cat, 0, 3, [(1, 0, one, ())]).is_zero()
+    formal = HochschildChain.single(RetractCategory(), 0, 1, FormalMorphism.basis("pi"))
+    assert formal.u_truncation == 0 and not formal.is_zero()
+
+
+def test_chain_equality_with_other_types_is_false():
+    """== and in compare a chain with values of other types as unequal
+    instead of raising; + and - still raise."""
+    sch, (P, Q) = line_objects()
+    cat = GeometricCategory(sch, 2)
+    x = HochschildChain.single(cat, 2, 4, MorphismCochain.identity(P, 2).scale(2), ())
+    assert not x == 0 and x != 0 and x != None  # noqa: E711
+    assert x not in [None, 0, "x"] and x in [None, x]
+    assert x == HochschildChain.single(cat, 2, 4, MorphismCochain.identity(P, 2).scale(2), ())
+    for other in (0, None):
+        with pytest.raises(TypeError, match="cannot combine a HochschildChain"):
+            x + other
+        with pytest.raises(TypeError, match="cannot combine a HochschildChain"):
+            x - other
+
+
 def test_identities_are_per_object():
     """The category keeps one identity per object, and only a scalar multiple
     of an object's own identity is degenerate: an identity matrix between
@@ -368,34 +407,25 @@ def test_identities_are_per_object():
 
 
 def test_parity_asked_once_per_distinct_entry(monkeypatch):
-    """hochschild_b and connes_B ask each distinct entry of their
-    argument for its parity at most once outside the construction of their
-    result, and reuse a string's parities across its rotations, although
-    entries repeat across strings and slots."""
-    eta = eta_pi(geometric_retract(3), 3)
-    entries = {id(a) for (_m, a0, slots) in eta.strings.values() for a in (a0,) + slots}
-    asked, building = [], []
-    init = HochschildChain.__init__
-    parity = MorphismCochain.parity
+    """The parity of each distinct entry of eta_pi is computed at most once
+    over its construction, hochschild_b and connes_B (which rotates each
+    string's parities along with its entries), although entries repeat
+    across strings and slots."""
+    r = geometric_retract(3)
+    computed = []  # the cochains whose parity was computed, held
+    parity = CechCochain.homogeneous_total_parity
 
-    def spy_init(self, *args):
-        building.append(True)
-        try:
-            init(self, *args)
-        finally:
-            building.pop()
-
-    def spy_parity(self):
-        if not building:
-            asked.append(id(self))
+    def spy(self):
+        computed.append(self)
         return parity(self)
 
-    monkeypatch.setattr(HochschildChain, "__init__", spy_init)
-    monkeypatch.setattr(MorphismCochain, "parity", spy_parity)
+    monkeypatch.setattr(CechCochain, "homogeneous_total_parity", spy)
+    eta = eta_pi(r, 3)
+    entries = {id(a.cochain) for (_m, a0, slots) in eta.strings.values() for a in (a0,) + slots}
     for op in (hochschild_b, connes_B):
-        asked.clear()
         op(eta)
-        assert asked and len(asked) == len(set(asked)) and set(asked) <= entries, op
+    asked = [id(c) for c in computed if id(c) in entries]
+    assert asked and len(asked) == len(set(asked))
     assert sum(1 + len(slots) for (_m, _a0, slots) in eta.strings.values()) > len(entries)
 
 
@@ -802,36 +832,37 @@ def test_composite_computed_once_per_pair(monkeypatch):
         [(1, m, a0.scale(1), tuple(s.scale(1) for s in slots)) for (m, a0, slots) in eta.items()],
     )
     expected = hochschild_b(spread)
-    entries = {id(a) for (_m, a0, slots) in eta.strings.values() for a in (a0,) + slots}
-    pairs = []
-    compose = MorphismCochain.compose
+    entries = {id(a.cochain) for (_m, a0, slots) in eta.strings.values() for a in (a0,) + slots}
+    products = []  # the factors of each product, held
 
-    def spy(self, other):
-        pairs.append((id(self), id(other)))
-        return compose(self, other)
+    def spy(a, b):
+        products.append((a, b))
+        return acw_product(a, b)
 
-    monkeypatch.setattr(MorphismCochain, "compose", spy)
+    monkeypatch.setattr("mfchern.mf.acw_product", spy)
     image = hochschild_b(eta)
     monkeypatch.undo()
+    pairs = [(id(a), id(b)) for a, b in products if id(a) in entries and id(b) in entries]
     sites = sum(len(slots) + 1 for (_m, _a0, slots) in eta.strings.values() if slots)
     assert pairs and len(pairs) == len(set(pairs)) < sites
-    assert {i for pair in pairs for i in pair} <= entries
+    assert len(products) == len({(id(a), id(b)) for a, b in products})
     assert image.canonical_string() == expected.canonical_string()
     assert (image + connes_B(eta).shift_u(1)).is_zero()
 
 
 def test_composite_memo_holds_its_factors():
-    """The composite memo of hochschild_b holds both factors, so factors made
-    on the fly and freed after the call cannot lend their ids to later ones."""
+    """The compose memo of a morphism holds each right factor, so factors
+    made on the fly and freed after the call cannot lend their ids to later
+    ones."""
     sch, (P, Q) = line_objects()
     a = diagonal_endo(P, ["x", "2*x"], 2)
     b = diagonal_endo(P, ["1", "x + 3"], 2)
     ab = a.compose(b)
     assert not ab.is_zero()
-    composites = {}
     for k in range(1, 13):
-        assert _composite(a.scale(k), b.scale(k + 1), composites) == ab.scale(k * (k + 1))
-    assert len(composites) == 12
+        assert a.compose(b.scale(k + 1)) == ab.scale(k + 1)
+    assert len(a._composites) == 13
+    assert all(id(other) == key for key, (other, _c) in a._composites.items())
 
 
 def test_xi_values():

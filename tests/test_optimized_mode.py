@@ -23,8 +23,8 @@ from mfchern.cech import TRIVIAL_LINE, CechCochain, MatrixForm, supertrace_produ
 from mfchern.cohomology import TotalCochain, coinvariant_project
 from mfchern.forms import de_rham_d, pullback, wedge
 from mfchern.geometry import build_scheme
-from mfchern.hochschild import GeometricCategory, HochschildChain
-from mfchern.mf import MorphismCochain, VectorBundle, koszul_mf
+from mfchern.hochschild import GeometricCategory, HochschildChain, eta_pi
+from mfchern.mf import MorphismCochain, RetractData, VectorBundle, koszul_mf
 from mfchern.rings import LocalFrac, Ring, RingMap, ScalarPoly, echelon_reduce, parse_scalar
 
 line = Ring("A", ("x",))
@@ -95,6 +95,8 @@ even = morphism(kos, kos, {(0, 0, (), 0): plane0.var("x")})
 u_term = morphism(kos, kos, {(0, 0, (), 1): plane0.one()})
 mixed = morphism(kos, kos, {(0, 0, (), 0): plane0.one(), (0, 1, (), 0): plane0.one()})
 to_other = morphism(kos, other_kos, {(0, 0, (), 0): plane0.one()})
+kos_one = MorphismCochain.identity(kos, 2)
+kos_retract = RetractData(kos, kos, kos_one, kos_one)
 
 CASES = {
     "MatrixForm: row 5, dx index 7 and u^-1 on a 1 x 1 matrix over A[x]":
@@ -240,6 +242,16 @@ CASES = {
         lambda: chain((1, 3, "not a morphism", ())),
     "HochschildChain: slot 1 maps into another object than slot 0 leaves":
         lambda: chain((1, 0, even, (to_other,))),
+    "HochschildChain: u truncation -1, message names it":
+        lambda: naming("-1", lambda: HochschildChain(plane_cat, -1, 3, [(1, 0, even, ())])),
+    "HochschildChain: u truncation 1.5, message names it":
+        lambda: naming("1.5", lambda: HochschildChain(plane_cat, 1.5, 3, [(1, 0, even, ())])),
+    "HochschildChain: u truncation True, message names it":
+        lambda: naming("True", lambda: HochschildChain(plane_cat, True, 3, [(1, 0, even, ())])),
+    "eta_pi: u truncation '2', message names it":
+        lambda: naming("'2'", lambda: eta_pi(kos_retract, "2")),
+    "eta_pi: u truncation -1, message names it":
+        lambda: naming("-1", lambda: eta_pi(kos_retract, -1)),
 }
 
 accepted = []
@@ -261,7 +273,7 @@ def test_malformed_inputs_raise_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["cases"] == 69
+    assert report["cases"] == 74
     assert not report["accepted"], "accepted under python -O: " + "; ".join(report["accepted"])
 
 
