@@ -29,7 +29,7 @@ from operator import add
 # pullback is not used here, but stays importable from this module:
 # benchmarks/spans.py wraps the layer functions other modules import by name.
 from .forms import _d_term, _merge_indices, _pullback_term, pullback  # noqa: F401
-from .rings import LocalFrac, ScalarPoly, _check_same_ring
+from .rings import LocalFrac, ScalarPoly, _check_same_ring, _exact
 
 __all__ = [
     "MatrixForm",
@@ -193,12 +193,12 @@ class MatrixForm:
         """Multiply every term by a function (degree-zero scalar), no signs; a
         scalar that is not a LocalFrac must be an int or a Fraction."""
         if not isinstance(scalar, LocalFrac):
-            scalar = self.ring.const(scalar)
+            scalar = _exact(scalar)
         return self._like({k: f * scalar for k, f in self.terms.items()})
 
     def shift_u(self, k):
         """Multiply by u^k for an int k >= 0."""
-        _check_u_shift(k)
+        _check_count("u shift", k)
         return self._like({(r, c, i, m + k): f for (r, c, i, m), f in self.terms.items()})
 
     def truncate_u(self, bound):
@@ -315,11 +315,12 @@ class MatrixForm:
     __repr__ = __str__
 
 
-def _check_u_shift(k):
-    if not isinstance(k, int):
-        raise TypeError(f"u shift {k!r} is not an int")
-    if k < 0:
-        raise ValueError(f"negative u shift {k}")
+def _check_count(what, n):
+    """Raise unless n is an int >= 0; a bool is not a count."""
+    if type(n) is not int:
+        raise TypeError(f"{what} {n!r} is not an int")
+    if n < 0:
+        raise ValueError(f"negative {what} {n}")
 
 
 def pullback_matrix(ring_map, value):
@@ -329,7 +330,8 @@ def pullback_matrix(ring_map, value):
     The value's terms were checked when it was built, so each one goes
     through the pullback kernel of ``forms.pullback`` without that
     function's form check: its coefficient moves once and multiplies the
-    map's cached pulled-back dx-monomial."""
+    map's cached pulled-back dx-monomial, or, along a coordinate inclusion,
+    keeps its key and only re-indexes its denominator."""
     if not isinstance(value, MatrixForm):
         raise TypeError(f"a {type(value).__name__} is not a MatrixForm")
     _check_same_ring(value.ring, ring_map.source)
@@ -474,7 +476,7 @@ class CechCochain:
 
     def shift_u(self, k):
         """Multiply by u^k for an int k >= 0, cut at the u truncation."""
-        _check_u_shift(k)
+        _check_count("u shift", k)
         trunc = self.u_truncation
         entries = {t: mf.shift_u(k).truncate_u(trunc) for t, mf in self.entries.items()}
         return CechCochain._of(self.scheme, self.source, self.target, entries, trunc)

@@ -19,6 +19,7 @@ from .rings import (
 from .cech import (
     CechCochain,
     MatrixForm,
+    _check_count,
     cech_differential,
     differential_sign,
     form_derivative,
@@ -152,6 +153,8 @@ def cohomologous(c1, c2, degree_bound, den_bound=1):
     use the closed form: a wrong column could at worst turn "found" into
     "undecided", never return a wrong primitive.
     """
+    _check_count("degree bound", degree_bound)
+    _check_count("denominator bound", den_bound)
     _check_scalar(c1)
     _check_scalar(c2)
     diff = c1 - c2  # raises ValueError when the schemes differ

@@ -115,12 +115,13 @@ def _pullback_term(ring_map, idxs, coeff):
     """The pullback of the checked term coeff dx_idxs, a coefficient of the
     map's source ring, as (dx indices, nonzero coefficient) pairs with
     distinct indices: the coefficient moves once and multiplies the cached
-    pulled-back dx-monomial."""
+    pulled-back dx-monomial.  Along an inclusion dx_idxs pulls back to
+    itself, so the moved term is the whole answer."""
     moved = ring_map.apply(coeff)
     if moved.is_zero():
         return ()
-    if not idxs:
-        return (((), moved),)
+    if not idxs or ring_map._inclusion is not None:
+        return ((idxs, moved),)
     return [(merged, moved * c) for merged, c in _dx_pullback(ring_map, idxs).items()]
 
 

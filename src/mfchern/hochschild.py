@@ -40,6 +40,7 @@ from math import factorial, prod
 from .cech import (
     CechCochain,
     MatrixForm,
+    _check_count,
     acw_product,
     form_derivative,
     pullback_matrix,
@@ -219,7 +220,8 @@ class HochschildChain:
     __slots__ = ("category", "u_truncation", "tensor_cap", "strings")
 
     def __init__(self, category, u_truncation, tensor_cap, items=()):
-        _check_u_truncation(u_truncation)
+        _check_count("u truncation", u_truncation)
+        _check_count("tensor cap", tensor_cap)
         self.category = category
         self.u_truncation = u_truncation
         self.tensor_cap = tensor_cap
@@ -613,20 +615,13 @@ def eta_pi(r, u_truncation):
     """The idempotent cycle: pi plus the alternating double-factorial tail
     on (2 pi - 1).  Its tensor cap 2u + 1 leaves one slot of headroom above
     the top string, so B can still be applied there."""
-    _check_u_truncation(u_truncation)
+    _check_count("u truncation", u_truncation)
     cat = GeometricCategory(r.N.scheme, u_truncation)
     two_pi_minus_one = r.pi.scale(2) - cat.identity(r.N)
     items = [(1, 0, r.pi, ())]
     for i in range(1, u_truncation + 1):
         items.append((_eta_coefficient(i), i, two_pi_minus_one, (r.pi,) * (2 * i)))
     return HochschildChain(cat, u_truncation, 2 * u_truncation + 1, items)
-
-
-def _check_u_truncation(u_truncation):
-    if type(u_truncation) is not int:
-        raise TypeError(f"u truncation {u_truncation!r} is not an int")
-    if u_truncation < 0:
-        raise ValueError(f"negative u truncation {u_truncation}")
 
 
 def _eta_coefficient(i):

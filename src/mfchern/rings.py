@@ -2,7 +2,9 @@
 
 Multivariate polynomials, localizations at declared denominator generators,
 ring maps, and exact linear systems over Q.  All values are immutable after
-construction and all comparisons are exact.
+construction and all comparisons are exact.  A ``RingMap`` is a coordinate
+inclusion, which only re-indexes denominators, a monomial map, which moves
+terms by exponents, or a substitution.
 
 A scalar is an ``int`` or a ``Fraction``; anything else (a float, a string)
 raises TypeError.  A polynomial stores each coefficient as a plain ``int``
@@ -450,7 +452,9 @@ class LocalFrac:
     The denominator is a multiplicity tuple over the ring's generator list;
     the canonical form cancels each generator as often as it divides the
     numerator exactly (see ``_cancel``): by exponents when every generator is
-    one term, by trial division otherwise.
+    one term, by trial division otherwise.  Negation, scaling by a nonzero
+    rational and coordinate inclusions skip ``_settle``: they change no
+    divisibility by a generator, so a canonical value stays canonical.
     """
 
     __slots__ = ("ring", "num", "den")
@@ -482,6 +486,13 @@ class LocalFrac:
         skipped."""
         out = cls.__new__(cls)
         out._settle(ring, num, den)
+        return out
+
+    @classmethod
+    def _canonical(cls, ring, num, den):
+        """num / den, already canonical: nothing is checked or cancelled."""
+        out = cls.__new__(cls)
+        out.ring, out.num, out.den = ring, num, den
         return out
 
     def _settle(self, ring, num, den):
@@ -529,7 +540,7 @@ class LocalFrac:
     __radd__ = __add__
 
     def __neg__(self):
-        return LocalFrac._of(self.ring, -self.num, self.den)
+        return LocalFrac._canonical(self.ring, -self.num, self.den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -541,7 +552,8 @@ class LocalFrac:
 
     def __mul__(self, other):
         if not isinstance(other, LocalFrac):
-            return LocalFrac._of(self.ring, self.num * _exact(other), self.den)
+            c = _exact(other)
+            return LocalFrac._canonical(self.ring, self.num * c, self.den) if c else self.ring.zero()
         self._same_ring(other)
         return LocalFrac._of(
             self.ring,
@@ -679,26 +691,45 @@ def _one_term(value):
     return c, e, value.den
 
 
+def _inclusion_positions(source, target, images):
+    """Target position of each source generator for an inclusion, else None."""
+    dens, n, gens = target.denominators, len(target.vars), source.denominators
+    if source.vars != target.vars or not all(g in dens for g in gens) or any(
+        any(img.den) or img.num.terms != {tuple(int(k == i) for k in range(n)): 1}
+        for i, img in enumerate(images)
+    ):
+        return None
+    out = tuple(dens.index(g) for g in gens)
+    if target._monomials is None and any(
+        g.divide_exact(h) is not None for g, p in zip(gens, out) for h in dens[:p]
+    ):
+        return None
+    return out
+
+
 class RingMap:
     """Variable-wise substitution from one ring into another.
 
     Well-definedness on the multiplicative set is enforced lazily: the image
     of each source denominator generator must be a unit of the target.
 
-    A map is monomial when every generator of source and target and the
-    numerator of every image is one term, as on the standard covers of
-    projective space.  It moves each term c*x^t/g^m by exponent arithmetic,
-    lifts the terms to their common denominator and canonicalises once; the
-    target's generators are one term in disjoint variables, so each value has
-    one canonical form and the result is the one substitution gives.  Other
-    maps substitute.  A map caches, for as long as it lives: its images as
-    (coefficient, exponents, denominator) when it is monomial; the inverse of
-    each source denominator's image, on first use; and, filled by
-    the pullback kernel of ``forms``, the pulled-back dx-monomial of each
-    index tuple.
+    A map is one of three kinds.  An inclusion has the same variables on both
+    sides, each variable as its own image, and each source generator among
+    the target's with no earlier target generator dividing it (one-term
+    generators in disjoint variables never do); a value keeps its numerator
+    object and canonical form, and its multiplicities move to cached target
+    positions.  A monomial map, whose generators and image numerators are
+    all one term (the covers of projective space), moves each term
+    c*x^t/g^m by exponents, lifts to the common denominator and
+    canonicalises once; its cached images as (coefficient, exponents,
+    denominator) give what substitution gives.  Any other map substitutes.
+    Off an inclusion a map caches the inverse of each source denominator's
+    image on first use; every map caches, filled by ``forms``, the
+    pulled-back dx-monomial of each index tuple.
     """
 
-    __slots__ = ("source", "target", "images", "_den_inverses", "_monomial", "_dx_pullbacks")
+    __slots__ = ("source", "target", "images", "_den_inverses", "_inclusion", "_monomial",
+                 "_dx_pullbacks")
 
     def __init__(self, source, target, images):
         if not isinstance(source, Ring) or not isinstance(target, Ring):
@@ -719,6 +750,7 @@ class RingMap:
         self.target = target
         self.images = images
         self._den_inverses = None
+        self._inclusion = _inclusion_positions(source, target, images)
         monomial = None not in (source._monomials, target._monomials) and all(
             len(img.num.terms) == 1 for img in images
         )
@@ -749,6 +781,11 @@ class RingMap:
             raise TypeError(f"not a LocalFrac: {a!r}")
         if a.ring is not self.source:
             _check_same_ring(self.source, a.ring)
+        if self._inclusion is not None:
+            den = [0] * len(self.target.denominators)
+            for p, m in zip(self._inclusion, a.den):
+                den[p] = m
+            return LocalFrac._canonical(self.target, a.num, tuple(den))
         if self._monomial is None:
             out = a.num.substitute(self.images, self.target)
             for j, m in enumerate(a.den):

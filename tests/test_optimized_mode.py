@@ -20,7 +20,7 @@ CHILD = r'''
 import json
 
 from mfchern.cech import TRIVIAL_LINE, CechCochain, MatrixForm, supertrace_product
-from mfchern.cohomology import TotalCochain, coinvariant_project
+from mfchern.cohomology import TotalCochain, coinvariant_project, cohomologous
 from mfchern.forms import de_rham_d, pullback, wedge
 from mfchern.geometry import build_scheme
 from mfchern.hochschild import GeometricCategory, HochschildChain, eta_pi
@@ -248,6 +248,26 @@ CASES = {
         lambda: naming("1.5", lambda: HochschildChain(plane_cat, 1.5, 3, [(1, 0, even, ())])),
     "HochschildChain: u truncation True, message names it":
         lambda: naming("True", lambda: HochschildChain(plane_cat, True, 3, [(1, 0, even, ())])),
+    "HochschildChain: tensor cap -1, message names it":
+        lambda: naming("-1", lambda: HochschildChain(plane_cat, 2, -1, [(1, 0, even, ())])),
+    "HochschildChain: tensor cap 1.5, message names it":
+        lambda: naming("1.5", lambda: HochschildChain(plane_cat, 2, 1.5, [(1, 0, even, ())])),
+    "HochschildChain: tensor cap True, message names it":
+        lambda: naming("True", lambda: HochschildChain(plane_cat, 2, True, [(1, 0, even, ())])),
+    "HochschildChain: tensor cap '3', message names it":
+        lambda: naming("'3'", lambda: HochschildChain(plane_cat, 2, "3", [(1, 0, even, ())])),
+    "cohomologous: degree bound -1, message names it":
+        lambda: naming("-1", lambda: cohomologous(on_plane, on_plane, -1)),
+    "cohomologous: denominator bound -1, message names it":
+        lambda: naming("-1", lambda: cohomologous(on_plane, on_plane, 2, den_bound=-1)),
+    "cohomologous: degree bound 1.5, message names it":
+        lambda: naming("1.5", lambda: cohomologous(on_plane, on_plane, 1.5)),
+    "cohomologous: denominator bound 1.5, message names it":
+        lambda: naming("1.5", lambda: cohomologous(on_plane, on_plane, 2, den_bound=1.5)),
+    "cohomologous: degree bound True, message names it":
+        lambda: naming("True", lambda: cohomologous(on_plane, on_plane, True)),
+    "cohomologous: denominator bound False, message names it":
+        lambda: naming("False", lambda: cohomologous(on_plane, on_plane, 2, den_bound=False)),
     "eta_pi: u truncation '2', message names it":
         lambda: naming("'2'", lambda: eta_pi(kos_retract, "2")),
     "eta_pi: u truncation -1, message names it":
@@ -273,7 +293,7 @@ def test_malformed_inputs_raise_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["cases"] == 74
+    assert report["cases"] == 84
     assert not report["accepted"], "accepted under python -O: " + "; ".join(report["accepted"])
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from mfchern import cech, cohomology, connection, hochschild, mf
+from mfchern import cech, cohomology, connection, hochschild, mf, rings
 from mfchern.cech import (
     TRIVIAL_LINE,
     CechCochain,
@@ -39,6 +39,7 @@ from mfchern.connection import default_connection, frame_form, total_curvature
 from mfchern.forms import (
     _dx_pullback,
     _merge_indices,
+    _pullback_term,
     de_rham_d,
     pullback,
     wedge,
@@ -726,7 +727,8 @@ def test_substitution_only_off_monomial_maps(monkeypatch):
     """The covers of P^1 and P^2 never substitute once the denominator
     inverses are cached; on the A^1 cover localized at x - 1 and the P^1
     glued by z/(z + 1), every map into a ring with a generator of more than
-    one term does."""
+    one term substitutes unless it is a coordinate inclusion, and no
+    inclusion does."""
     calls = []
     real = ScalarPoly.substitute
 
@@ -744,11 +746,241 @@ def test_substitution_only_off_monomial_maps(monkeypatch):
             rm.apply(a)
             calls.clear()
             rm.apply(a)
-            assert bool(calls) == (rm._monomial is None), rm.images
+            off_path = rm._monomial is None and rm._inclusion is None
+            assert bool(calls) == off_path, rm.images
             if not one_term(rm.target.denominators):
-                assert calls
+                assert bool(calls) != is_inclusion(rm)
             substituted += bool(calls)
-        assert (substituted == 0) == (config in (P1, P2)), substituted
+        # the gluings of the three-patch line send x to x: only inclusions
+        assert (substituted == 0) == (config is not MOEBIUS_LINE), substituted
+
+
+# -- values that are already canonical ------------------------------------------
+
+
+def shared_factor_rings():
+    """Rings in x localized at x - 1, x^2 - 1 and x^2 + 1, the first two of
+    which share the factor x - 1, with their generators in several orders."""
+    vs = ("x",)
+    x, one = ScalarPoly.variable(vs, "x"), ScalarPoly.const(vs, 1)
+    a, b, c = x - one, x * x - one, x * x + one
+    orders = [(), (a,), (b,), (c,), (a, b), (b, a), (b, c), (a, c, b), (c, b, a)]
+    return [Ring(f"L{k}", vs, gens) for k, gens in enumerate(orders)]
+
+
+def shared_factor_maps():
+    """The map x -> x between every two of shared_factor_rings() whose
+    source generators are all target generators."""
+    rs = shared_factor_rings()
+    return [
+        RingMap(s, t, (t.var("x"),))
+        for s in rs
+        for t in rs
+        if all(g in t.denominators for g in s.denominators)
+    ]
+
+
+def inclusion_maps():
+    maps = cover_restriction_maps() + shared_factor_maps()
+    return [rm for rm in maps if rm._inclusion is not None]
+
+
+def draw_value(data, ring, max_den=2):
+    exps = st.tuples(*[st.integers(0, 3)] * len(ring.vars))
+    num = ScalarPoly(ring.vars, data.draw(st.dictionaries(exps, VALUE_COEFFS, max_size=4)))
+    den = data.draw(st.tuples(*[st.integers(0, max_den)] * len(ring.denominators)))
+    return LocalFrac(ring, num, den)
+
+
+def assert_same_as_substitution(rm, a):
+    """rm.apply(a) equals substitution, prints the same and has the same
+    numerator terms and multiplicities."""
+    new = rm.apply(a)
+    with long_division_everywhere():
+        old = substitute_apply(rm, a)
+    assert new == old and str(new) == str(old), (rm.images, a, new, old)
+    assert_same_frac(new, old)
+    return new
+
+
+def test_inclusions_detected():
+    """Every restriction that keeps the leading index is an inclusion, on the
+    covers with one-term and with multi-term generators; x -> x between the
+    shared-factor rings is one exactly when no target generator listed
+    before a source generator divides it."""
+    for rm in cover_restriction_maps():
+        assert (rm._inclusion is not None) == is_inclusion(rm), rm.images
+    for rm in shared_factor_maps():
+        dens = rm.target.denominators
+        expected = all(
+            long_division(g, h) is None
+            for g in rm.source.denominators
+            for h in dens[: dens.index(g)]
+        )
+        assert (rm._inclusion is not None) == expected, (rm.source.denominators, dens)
+        if expected:
+            assert [dens[p] for p in rm._inclusion] == list(rm.source.denominators)
+    assert len(inclusion_maps()) >= 40
+
+
+INCLUSIONS = inclusion_maps()
+SHARED_FACTOR_MAPS = shared_factor_maps()
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_inclusion_apply_matches_substitution_property(data):
+    """Along every inclusion, and along x -> x between rings sharing the
+    factor x - 1 whether it is an inclusion or not, the value equals what
+    substitution gives and prints the same; an inclusion keeps the numerator
+    object and only moves the multiplicities."""
+    rm = data.draw(st.sampled_from(INCLUSIONS + SHARED_FACTOR_MAPS))
+    a = draw_value(data, rm.source)
+    new = assert_same_as_substitution(rm, a)
+    if rm._inclusion is not None:
+        assert new.ring is rm.target and new.num is a.num
+        assert sum(new.den) == sum(a.den)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_reroot_matches_substitution_property(data):
+    """reroot into every overlap ring of the covers, from the patch ring of
+    the tuple's leading index, goes through an inclusion; it gives the value
+    and string that substitution gives and that the old reroot oracle gives."""
+    config = data.draw(st.sampled_from([P1, P2, MOEBIUS_LINE, three_patch_line()]))
+    sch = build_scheme(config)
+    tup = data.draw(st.sampled_from([t for n in (2, 3) for t in sch.tuples(n)]))
+    small, big = sch.patch_ring(tup[0]), sch.intersection(tup).ring
+    a = draw_value(data, small)
+    new = reroot(big, a)
+    with long_division_everywhere():
+        old = substitute_apply(RingMap(small, big, tuple(big.var(v) for v in big.vars)), a)
+        oracle = oracle_reroot(big, a)
+    assert new.num is a.num
+    assert new == old == oracle and str(new) == str(old) == str(oracle)
+
+
+def test_pullback_term_along_an_inclusion_keeps_the_term():
+    rng = random.Random(2121)
+    for rm in INCLUSIONS:
+        nvars = len(rm.source.vars)
+        for idxs in [()] + [tuple(range(k, nvars)) for k in range(nvars)]:
+            coeff = random_frac(rng, rm.source, degree=2, den_bound=2)
+            got = _pullback_term(rm, idxs, coeff)
+            if coeff.is_zero():
+                assert got == ()
+                continue
+            ((key, moved),) = got
+            assert key == idxs and moved.num is coeff.num
+            with long_division_everywhere():
+                expected = recomputing_pullback(rm, {idxs: coeff})
+            assert_same_terms({key: moved}, expected)
+
+
+def test_inclusions_never_cancel_substitute_or_invert(monkeypatch):
+    """Applying an inclusion, pulling a term back along it and rerooting call
+    none of _cancel, ScalarPoly.substitute and RingMap._denominator_inverse."""
+    rng = random.Random(212)
+    values = {
+        id(rm): [random_frac(rng, rm.source, degree=3, den_bound=2) for _ in range(4)]
+        for rm in INCLUSIONS
+    }
+    calls = []
+
+    def spy(name, real):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(rings, "_cancel", spy("_cancel", rings._cancel))
+    monkeypatch.setattr(ScalarPoly, "substitute", spy("substitute", ScalarPoly.substitute))
+    monkeypatch.setattr(
+        RingMap, "_denominator_inverse", spy("_denominator_inverse", RingMap._denominator_inverse)
+    )
+    for rm in INCLUSIONS:
+        for a in values[id(rm)]:
+            rm.apply(a)
+            _pullback_term(rm, (0,), a)
+            reroot(rm.target, a)
+    assert calls == []
+    rm = split_map()
+    rm.apply(rm.source.var("x") * 3)
+    assert "substitute" in calls
+
+
+def split_map():
+    """x -> x from the ring localized at x^2 - 1 into the one localized at
+    x - 1, x + 1 and x^2 - 1 in that order, where x - 1 divides x^2 - 1 before
+    it is reached: substitution inverts x^2 - 1 there as 1/((x - 1)(x + 1)),
+    which moving the multiplicity would not give, so it is no inclusion."""
+    vs = ("x",)
+    x, one = ScalarPoly.variable(vs, "x"), ScalarPoly.const(vs, 1)
+    square = Ring("Q", vs, (x * x - one,))
+    split = Ring("S", vs, (x - one, x + one, x * x - one))
+    return RingMap(square, split, (split.var("x"),))
+
+
+def test_non_inclusions_stay_on_their_old_path():
+    """x -> 2x and the swap (x, y) -> (y, x), identity-looking maps into
+    rings that lack a source generator, and split_map() are no inclusions,
+    and still agree with substitution term by term."""
+    rng = random.Random(21)
+    vs = ("x", "y")
+    x, y = (ScalarPoly.variable(vs, v) for v in vs)
+    B = Ring("B", vs, (x, y))
+    D = Ring("D", vs, (x * y,))
+    ws = ("x",)
+    w, w1 = ScalarPoly.variable(ws, "x"), ScalarPoly.const(ws, 1)
+    square = Ring("Q", ws, (w * w - w1,))
+    pair = Ring("P", ws, (w - w1, w + w1))
+    monomial = [
+        RingMap(B, B, (B.var("x") * 2, B.var("y"))),
+        RingMap(B, B, (B.var("y"), B.var("x"))),
+        RingMap(B, D, (D.var("x"), D.var("y"))),
+    ]
+    other = [RingMap(square, pair, (pair.var("x"),)), split_map()]
+    for rm in monomial + other:
+        assert rm._inclusion is None, rm.images
+    assert all(rm._monomial is not None for rm in monomial)
+    a = LocalFrac(split_map().source, w1, (1,))
+    assert str(split_map().apply(a)) == "1/(x - 1)*(x + 1)"
+    for rm in monomial:
+        check_map(rng, rm, trials=8)
+    for rm in other:
+        for _ in range(30):
+            assert_same_as_substitution(rm, random_frac(rng, rm.source, degree=3, den_bound=2))
+
+
+CANONICAL_RINGS = (
+    mul_rings() + shared_factor_rings()[4:] + [build_scheme(P2).intersection((0, 1, 2)).ring]
+)
+SCALARS = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, max_denominator=5)
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_negation_and_scaling_match_canonicalisation_property(data):
+    """-a, a * q and q * a for an int or Fraction q, zero included, have the
+    terms and multiplicities that canonicalising the new numerator gives;
+    MatrixForm.scale(q) has those of multiplying every term by the constant
+    q as a value of the ring."""
+    ring = data.draw(st.sampled_from(CANONICAL_RINGS))
+    a = draw_value(data, ring)
+    q = data.draw(SCALARS)
+    with long_division_everywhere():
+        neg = LocalFrac._of(ring, -a.num, a.den)
+        scaled = LocalFrac._of(ring, a.num * q, a.den)
+    assert_same_frac(-a, neg)
+    assert_same_frac(a * q, scaled)
+    assert_same_frac(q * a, scaled)
+    m = MatrixForm(ring, (0, 1), (0, 1), {(0, 0, (), 0): a, (1, 0, (), 1): -a + 1})
+    expected = {k: f * ring.const(q) for k, f in m.terms.items()}
+    assert_same_terms(m.scale(q), nonzero_form(expected))
 
 
 def check_skipped_partials(rng, ring):
@@ -842,7 +1074,8 @@ def test_one_pass_pullback_matrix_matches_termwise_forms_pullback():
     """pullback_matrix moves each checked term once through the kernel of
     forms.pullback; the result is the sum of forms.pullback over the terms,
     along every restriction of P^2 (monomial maps, two-index dx terms) and of
-    the three-patch line (substitution through x - 1)."""
+    the three-patch line (coordinate inclusions into rings localized at
+    x - 1)."""
     rng = random.Random(16)
     wide = 0
     for config in (P2, three_patch_line()):
