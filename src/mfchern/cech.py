@@ -18,12 +18,16 @@ Arguments from the caller, such as a u shift or a scalar, are still checked.
 
 A product of values multiplies numerator term dicts: each entry of the result
 is canonicalised once per output key and summed denominator tuple, not once
-per pair of terms.
+per pair of terms.  The numerator products are summed in ints, each factor
+scaled by the lcm of its coefficient denominators, and each summed
+coefficient is divided once by the two scales, so a Fraction is built only
+for an output coefficient that is not integral.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import add
 
 # pullback is not used here, but stays importable from this module:
@@ -73,6 +77,32 @@ def differential_sign(form_deg, endo_parity):
 
 
 # -- matrix-of-forms values --------------------------------------------------
+
+
+def _lcm_denominators(scale, terms):
+    """The lcm of scale and the denominators of the coefficients in terms."""
+    for c in terms.values():
+        if type(c) is not int and scale % c.denominator:
+            scale = lcm(scale, c.denominator)
+    return scale
+
+
+def _scaled_terms(terms, scale):
+    """The numerator terms times scale, a multiple of every coefficient
+    denominator: a dict of ints."""
+    if scale == 1:
+        return terms
+    return {
+        e: c * scale if type(c) is int else c.numerator * (scale // c.denominator)
+        for e, c in terms.items()
+    }
+
+
+def _divided(c, scale):
+    """The int c divided by the int scale > 0: an int when it divides and a
+    Fraction otherwise."""
+    q, r = divmod(c, scale)
+    return Fraction(c, scale) if r else q
 
 
 class MatrixForm:
@@ -213,38 +243,72 @@ class MatrixForm:
         """The terms of self.mul(other, cech_left) for a checked factor
         other, or with trace those of its supertrace at (0, 0).
 
-        Each composing pair of terms multiplies its numerators' term dicts,
-        with the ledger sign (and the supertrace's row sign), into one
-        coefficient dict per output key and summed denominator tuple.  Each
-        dict is canonicalised once, and then the denominator groups of one
-        key are added."""
+        Each factor is scaled to integer coefficients by the lcm of the
+        coefficient denominators of its values in composing pairs, so each
+        composing pair multiplies its numerators' term dicts in ints, with
+        the ledger sign (and the supertrace's row sign), into one sum dict
+        per output key and summed denominator tuple.  Signs and merged dx
+        tuples are taken once per distinct (dx tuples, parities), and each
+        value is scaled once, both within the call.  Each summed
+        coefficient is divided once by the two scales, an int when it
+        divides and a Fraction otherwise; each dict is canonicalised once,
+        and then the denominator groups of one key are added."""
+        if not self.terms or not other.terms:
+            return {}
         partners = {}  # row of other, or (row, col) with trace -> its terms
         for (r2, c2, i2, m2), f2 in other.terms.items():
             e2 = (other.row_parities[r2] + other.col_parities[c2]) % 2
-            partners.setdefault((r2, c2) if trace else r2, []).append(
-                (c2, i2, m2, e2, f2.den, f2.num.terms)
-            )
-        groups = {}  # (output key, denominator tuple) -> coefficient sums
+            partners.setdefault((r2, c2) if trace else r2, []).append((c2, i2, m2, e2, f2))
+        signs = {}  # (dx tuples, parities) -> (ledger sign or 0, merged dx tuple)
+        pairs = []  # (value of self, output key, value of other, sign) per composing pair
+        scale1 = 1
         for (r1, c1, i1, m1), f1 in self.terms.items():
             bucket = partners.get((c1, r1) if trace else c1)
             if not bucket:
                 continue
             e1 = (self.row_parities[r1] + self.col_parities[c1]) % 2
             row_sign = -1 if trace and self.row_parities[r1] else 1
-            for c2, i2, m2, e2, den2, terms2 in bucket:
-                wsign, merged = _merge_indices(i1, i2)
-                if wsign == 0:
-                    continue
-                sign = row_sign * wsign * product_sign(cech_left, e1, len(i2), e2)
-                key = (0, 0, merged, m1 + m2) if trace else (r1, c2, merged, m1 + m2)
-                sums = groups.setdefault((key, tuple(map(add, f1.den, den2))), {})
-                for ea, ca in f1.num.terms.items():
-                    ca *= sign
-                    for eb, cb in terms2.items():
-                        e = tuple(map(add, ea, eb))
-                        sums[e] = sums.get(e, 0) + ca * cb
+            before = len(pairs)
+            for c2, i2, m2, e2, f2 in bucket:
+                pair = (i1, e1, i2, e2)
+                found = signs.get(pair)
+                if found is None:
+                    wsign, merged = _merge_indices(i1, i2)
+                    if wsign:
+                        wsign *= product_sign(cech_left, e1, len(i2), e2)
+                    found = signs[pair] = (wsign, merged)
+                sign, merged = found
+                if sign:
+                    key = (0, 0, merged, m1 + m2) if trace else (r1, c2, merged, m1 + m2)
+                    pairs.append((f1, key, f2, sign * row_sign))
+            if len(pairs) > before:
+                scale1 = _lcm_denominators(scale1, f1.num.terms)
+        scale2 = 1
+        for _, _, f2, _ in pairs:
+            scale2 = _lcm_denominators(scale2, f2.num.terms)
+        groups = {}  # (output key, denominator tuple) -> coefficient sums
+        scaled2 = {}  # id of a value of other -> its scaled numerator terms
+        last1 = None
+        for f1, key, f2, sign in pairs:
+            if f1 is not last1:  # the pairs of one term of self are consecutive
+                last1, terms1 = f1, _scaled_terms(f1.num.terms, scale1)
+            if scale2 == 1:
+                terms2 = f2.num.terms
+            else:
+                terms2 = scaled2.get(id(f2))
+                if terms2 is None:
+                    terms2 = scaled2[id(f2)] = _scaled_terms(f2.num.terms, scale2)
+            sums = groups.setdefault((key, tuple(map(add, f1.den, f2.den))), {})
+            for ea, ca in terms1.items():
+                ca *= sign
+                for eb, cb in terms2.items():
+                    e = tuple(map(add, ea, eb))
+                    sums[e] = sums.get(e, 0) + ca * cb
+        scale = scale1 * scale2
         terms = {}
         for (key, den), sums in groups.items():
+            if scale != 1:
+                sums = {e: _divided(c, scale) for e, c in sums.items() if c}
             val = LocalFrac._of(self.ring, ScalarPoly._of_sums(self.ring.vars, sums), den)
             terms[key] = terms[key] + val if key in terms else val
         return terms
@@ -253,8 +317,9 @@ class MatrixForm:
         """Compose: self acting after other, with the ledger signs.
 
         cech_left is the Cech degree of the cochain the left factor came
-        from; it feeds rule 2.  Each entry of the product is canonicalised
-        once per summed denominator tuple (see ``_product_terms``).
+        from; it feeds rule 2.  Each entry of the product is summed in ints
+        and canonicalised once per summed denominator tuple (see
+        ``_product_terms``).
         """
         self._check_factor(other)
         terms = self._product_terms(other, cech_left, False)

@@ -45,6 +45,8 @@ def _merge_indices(ta, tb):
 
     Returns (sign, merged tuple), or (0, None) when an index repeats.
     """
+    if not ta or not tb:
+        return 1, ta or tb
     if set(ta) & set(tb):
         return 0, None
     inversions = sum(1 for i in ta for j in tb if i > j)

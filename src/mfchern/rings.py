@@ -320,7 +320,9 @@ class Ring:
     ``_monomials`` holds (e, c, the nonzero (i, e_i)) per generator when each
     is one term c*x^e, and None otherwise.  Two one-term generators may not
     share a variable, so that cancelling one of them never changes whether
-    another divides, and every value has one canonical form."""
+    another divides, and every value has one canonical form.  A constant
+    generator is rejected: it is already a unit, and trial division by it
+    would never stop."""
 
     __slots__ = ("name", "vars", "denominators", "_monomials", "_den_powers")
 
@@ -340,6 +342,11 @@ class Ring:
                 )
             if g.is_zero():
                 raise ValueError(f"zero denominator generator in ring {name}")
+            if g.as_constant() is not None:
+                raise ValueError(
+                    f"constant denominator generator {g} in ring {name}: a nonzero "
+                    f"constant is already a unit"
+                )
             if len(g.terms) == 1:
                 (e, c), = g.terms.items()
                 support = tuple((i, k) for i, k in enumerate(e) if k)
@@ -404,8 +411,8 @@ def _cancel(ring, num, limits):
 
     When every generator is one term c*x^e, one pass in ring order takes k as
     the least floor(exponent_i / e_i) over the terms and the variables i of e,
-    shifts the exponents by k*e and divides the coefficients by c^k (a
-    constant divides up to its limit; with no limit, not at all).  This is
+    shifts the exponents by k*e and divides the coefficients by c^k (``Ring``
+    rejects constant generators, so every e has a variable).  This is
     what repeated trial division gives: a monomial division shifts every term
     by the same vector, so it can only make a later division impossible, never
     possible.  Other rings divide by trial with ``divide_exact``.

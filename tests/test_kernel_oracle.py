@@ -2,10 +2,14 @@
 they replaced.
 
 Products: ``MatrixForm.mul`` and ``MatrixForm._supertrace_mul`` share
-``_product_terms``, which sums the numerator products of every composing pair
-per output key and summed denominator tuple and canonicalises each sum once.
-The oracle is the per-pair route, kept here verbatim: ``_signed_products``
-builds one ``LocalFrac`` per pair of terms and the callers add them.
+``_product_terms``, which scales each factor to integer coefficients, sums the
+numerator products of every composing pair in ints per output key and summed
+denominator tuple, divides each sum once and canonicalises it once.  The
+oracle is the per-pair route, kept here verbatim: ``_signed_products`` builds
+one ``LocalFrac`` per pair of terms and the callers add them.  The factors mix
+coefficient denominators (also 5, 7, 11 and 13), all-integer factors, pairs
+whose products cancel to integers, and the curvature of the first seed-1
+``koszul_affine`` job.
 
 Derivatives: ``LocalFrac.gradient`` takes every nonzero partial in one pass
 over the numerator's terms, and ``forms._d_term`` is the unchecked kernel of
@@ -19,19 +23,24 @@ canonical string and term by term.  On (x - 1, x^2 - 1), whose generators
 share a factor, the representative may differ and results are compared
 with ``==``."""
 
+import cProfile
 import itertools
+import os
+import pstats
 import random
+import sys
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from mfchern import cohomology
 from mfchern.cech import MatrixForm, product_sign
+from mfchern.connection import total_curvature
 from mfchern.forms import _d_of_function, _d_term, _form_ring, _merge_indices, de_rham_d
 from mfchern.geometry import build_scheme
 from mfchern.hochschild import GeometricCategory, HochschildChain, tr_nabla
 from mfchern.mf import MorphismCochain
-from mfchern.rings import LocalFrac, Ring, ScalarPoly
+from mfchern.rings import LocalFrac, Ring, ScalarPoly, monomials_up_to
 
 from .test_geometry import three_patch_line
 from .test_rings import random_frac
@@ -120,6 +129,38 @@ def checked_de_rham_d(form):
     return {idxs: c for idxs, c in terms.items() if not c.is_zero()}
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCHMARKS = os.path.join(ROOT, "benchmarks")
+if BENCHMARKS not in sys.path:
+    sys.path.insert(0, BENCHMARKS)
+
+import run  # noqa: E402
+import workloads  # noqa: E402
+
+
+def fraction_constructions(fn):
+    """fn() and the number of Fractions it constructed, counted by cProfile."""
+    profile = cProfile.Profile()
+    out = profile.runcall(fn)
+    calls = sum(
+        stat[1]
+        for (path, _line, name), stat in pstats.Stats(profile).stats.items()
+        if os.path.basename(path) == "fractions.py" and name in ("__new__", "_from_coprime_ints")
+    )
+    return out, calls
+
+
+def koszul_curvature():
+    """The curvature matrix R of the first seed-1 koszul_affine job: 71 terms
+    in a 16 x 16 matrix over A^4, with the potential's rational coefficients."""
+    workload = run.WORKLOADS["koszul_affine"]
+    out = workload.run(run.import_api(), workload.make_inputs(1)[0])
+    R = total_curvature(
+        out["P"], out["conn"], with_u=True, u_truncation=workloads.KOSZUL_TRUNC
+    ).cochain()
+    return R.entries[(0,)]
+
+
 # -- rings and values ------------------------------------------------------------
 
 
@@ -179,10 +220,29 @@ def mixed_value(rng, ring):
     return generator_value(rng, ring)
 
 
-def mixed_matrix_form(rng, ring, rows, cols, nterms, max_u=3):
-    """A random MatrixForm whose terms mix dense fractions, monomial units
-    and powers of generators, with u powers up to max_u and random dx index
-    tuples."""
+PRIME_DENOMINATORS = (1, 5, 7, 11, 13)
+
+
+def dense_value(rng, ring, denominators=PRIME_DENOMINATORS):
+    """A value of three terms of degree <= 2 whose coefficients have
+    denominators drawn from denominators, by default 1, 5, 7, 11 and 13."""
+    monos = monomials_up_to(len(ring.vars), 2)
+    terms = {
+        rng.choice(monos): Fraction(rng.randint(-9, 9), rng.choice(denominators))
+        for _ in range(3)
+    }
+    den = tuple(rng.randint(0, 1) for _ in ring.denominators)
+    return LocalFrac(ring, ScalarPoly(ring.vars, terms), den)
+
+
+def integer_value(rng, ring):
+    return dense_value(rng, ring, (1,))
+
+
+def mixed_matrix_form(rng, ring, rows, cols, nterms, max_u=3, value=mixed_value):
+    """A random MatrixForm whose terms are value(rng, ring), by default a mix
+    of dense fractions, monomial units and powers of generators, with u
+    powers up to max_u and random dx index tuples."""
     nvars = len(ring.vars)
     terms = {}
     for _ in range(nterms):
@@ -192,7 +252,7 @@ def mixed_matrix_form(rng, ring, rows, cols, nterms, max_u=3):
             tuple(sorted(rng.sample(range(nvars), rng.randint(0, min(2, nvars))))),
             rng.randint(0, max_u),
         )
-        f = mixed_value(rng, ring)
+        f = value(rng, ring)
         terms[key] = terms[key] + f if key in terms else f
     return MatrixForm(ring, rows, cols, {k: f for k, f in terms.items() if not f.is_zero()})
 
@@ -200,15 +260,29 @@ def mixed_matrix_form(rng, ring, rows, cols, nterms, max_u=3):
 PARITIES = [(0,), (1,), (0, 1), (1, 0, 1), (0, 0, 1, 1)]
 
 
-def check_products(rng, ring, exact=True):
+def check_products(rng, ring, exact=True, value=mixed_value):
     """mul and _supertrace_mul against the per-pair route on random factors
     of every parity pattern, for cech_left 0, 1 and 2.  exact compares
     canonical strings and terms; otherwise values by ==.  Returns the number
     of product entries that collect more than one denominator tuple."""
+    a, b, square = random_factors(rng, ring, value)
+    check_pair(a, b, square, exact)
+    return len(grouped_keys(a, b))
+
+
+def random_factors(rng, ring, value=mixed_value):
+    """Random a, b and square of every parity pattern such that a.mul(b)
+    and a._supertrace_mul(square) are defined."""
     rows, mid, cols = (rng.choice(PARITIES) for _ in range(3))
-    a = mixed_matrix_form(rng, ring, rows, mid, rng.randint(0, 8))
-    b = mixed_matrix_form(rng, ring, mid, cols, rng.randint(0, 8))
-    square = mixed_matrix_form(rng, ring, mid, rows, rng.randint(0, 8))
+    return tuple(
+        mixed_matrix_form(rng, ring, r, c, rng.randint(0, 8), value=value)
+        for r, c in ((rows, mid), (mid, cols), (mid, rows))
+    )
+
+
+def check_pair(a, b, square, exact=True):
+    """a.mul(b) and a._supertrace_mul(square) against the per-pair route for
+    cech_left 0, 1 and 2."""
     for cech_left in (0, 1, 2):
         pairs = [
             (a.mul(b, cech_left), per_pair_mul(a, b, cech_left)),
@@ -222,7 +296,6 @@ def check_products(rng, ring, exact=True):
                 assert_same_terms(new, old)
             else:
                 assert new == old, f"{new} vs {old}"
-    return len(grouped_keys(a, b))
 
 
 def grouped_keys(a, b):
@@ -285,6 +358,84 @@ def test_cancelling_denominators_and_denominator_groups():
         assert str(new) == str(old)
         assert new == a.mul(b, cech_left).supertrace()
         assert new.terms[(0, 0, (), 0)] == z ** -1
+
+
+def test_products_match_with_prime_denominators():
+    rng = random.Random(2114)
+    for ring in [koszul_ring(), coprime_ring()] + overlap_rings():
+        for _ in range(12):
+            check_products(rng, ring, value=dense_value)
+    for _ in range(20):
+        check_products(rng, shared_factor_ring(), exact=False, value=dense_value)
+
+
+def integral_coefficients(value):
+    return all(type(c) is int for f in value.terms.values() for c in f.num.terms.values())
+
+
+def test_products_of_integer_factors_build_no_fraction():
+    """All-integer factors take no scale: no Fraction is built on rings
+    whose generators are one term with coefficient 1."""
+    rng = random.Random(2115)
+    for ring in [koszul_ring()] + overlap_rings():
+        for _ in range(12):
+            a, b, square = random_factors(rng, ring, integer_value)
+            check_pair(a, b, square)
+            for product in (lambda: a.mul(b, 1), lambda: a._supertrace_mul(square, 1)):
+                value, built = fraction_constructions(product)
+                assert built == 0 and integral_coefficients(value), (built, value)
+    for _ in range(12):
+        check_products(rng, coprime_ring(), value=integer_value)
+
+
+def test_products_that_cancel_to_integers():
+    """Factors scaled by 1/d and d, and non-integral terms whose sum is
+    integral: every output coefficient is an int, and no Fraction is built."""
+    rng = random.Random(2116)
+    for ring in [koszul_ring()] + overlap_rings():
+        for _ in range(12):
+            d = rng.choice((3, 5, 7, 11, 13))
+            a, b, square = random_factors(rng, ring, integer_value)
+            a, b, square = a.scale(Fraction(1, d)), b.scale(d), square.scale(d)
+            check_pair(a, b, square)
+            for product in (lambda: a.mul(b, 2), lambda: a._supertrace_mul(square, 2)):
+                value, built = fraction_constructions(product)
+                assert built == 0 and integral_coefficients(value), (built, value)
+    ring = koszul_ring()
+    x = ring.var("x1")
+    row = MatrixForm(ring, (0,), (0, 0), {(0, 0, (), 0): x * Fraction(1, 3),
+                                          (0, 1, (), 0): x * Fraction(2, 3)})
+    for sign, expected, fractions in ((1, x, 0), (-1, x * Fraction(-1, 3), 1)):
+        col = MatrixForm(ring, (0, 0), (0,), {(0, 0, (), 0): ring.one(),
+                                              (1, 0, (), 0): ring.one() * sign})
+        check_pair(row, col, col)
+        product, built = fraction_constructions(lambda: row.mul(col))
+        assert_same_terms(product, MatrixForm(ring, (0,), (0,), {(0, 0, (), 0): expected}))
+        assert built == fractions, built
+
+
+def test_koszul_curvature_products_match_the_per_pair_route():
+    """R.R, R^2.R^2 and R.R^2 of the seed-1 koszul_affine curvature, with
+    their supertraces, for cech_left 0, 1 and 2."""
+    R = koszul_curvature()
+    R2 = R.mul(R)
+    assert len(R.terms) == 71 and len(R2.terms) == 130
+    for a, b in ((R, R), (R2, R2), (R, R2)):
+        check_pair(a, b, b)
+
+
+def test_curvature_square_builds_one_fraction_per_non_integral_coefficient():
+    """A count, not a time: R.R of the seed-1 koszul_affine curvature sums in
+    ints and divides once per output coefficient, so it builds at most one
+    Fraction per non-integral coefficient of the result (36), where adding
+    Fraction products pair by pair built 288."""
+    R = koszul_curvature()
+    product, built = fraction_constructions(lambda: R.mul(R))
+    non_integral = sum(
+        type(c) is not int for f in product.terms.values() for c in f.num.terms.values()
+    )
+    assert non_integral == 36
+    assert built <= non_integral, built
 
 
 def test_tr_nabla_matches_with_the_per_pair_route(monkeypatch):

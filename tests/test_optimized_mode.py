@@ -126,6 +126,8 @@ CASES = {
         lambda: Ring("B", ("x",), (ScalarPoly.zero(("x",)),)),
     "Ring: one-term denominator generators x and x^2 share a variable":
         lambda: Ring("B", ("x",), (x, x * x)),
+    "Ring: constant denominator generator 2 next to x - 1":
+        lambda: Ring("B", ("x",), (x - ScalarPoly.const(("x",), 1), ScalarPoly.const(("x",), 2))),
     "RingMap: source is not a Ring":
         lambda: RingMap(("x",), line, (one,)),
     "RingMap: two images for one source variable":
@@ -293,7 +295,7 @@ def test_malformed_inputs_raise_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["cases"] == 84
+    assert report["cases"] == 85
     assert not report["accepted"], "accepted under python -O: " + "; ".join(report["accepted"])
 
 

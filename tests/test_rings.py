@@ -192,6 +192,17 @@ def test_rings_compared_by_structure_not_name():
     assert punctured.var("z") == twin.var("z")
 
 
+def test_constant_denominator_generators_are_rejected():
+    """A constant is already a unit; next to a multi-term generator, trial
+    division by it never ended, so K.var("x").inverse() did not return."""
+    x = ScalarPoly.variable(("x",), "x")
+    one = ScalarPoly.const(("x",), 1)
+    for gens in ((x - one, one * 2), (one * 2,), (x, one * Fraction(-1, 3)), (one,)):
+        with pytest.raises(ValueError, match=r"constant denominator generator .* in ring K"):
+            Ring("K", ("x",), gens)
+    assert Ring("K", ("x",), (x * 2,))._monomials is not None
+
+
 def test_equal_values_hash_equal_when_generators_share_a_factor():
     """On generators x - 1 and x^2 - 1, 1/(x - 1) and (x + 1)/(x^2 - 1) are
     two canonical forms of one value: they compare equal, so they hash

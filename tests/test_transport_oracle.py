@@ -427,8 +427,12 @@ def oracle_nabla_bracket(cochain, conn_target, conn_source):
 
 
 def assert_same_poly(p, q):
+    """Same variables, terms and coefficient types: Fraction(2, 1) == 2, so
+    comparing values alone would miss an integral coefficient left a Fraction."""
     assert p.vars == q.vars
     assert p.terms == q.terms, f"{p} vs {q}"
+    types = [(e, type(c).__name__, type(q.terms[e]).__name__) for e, c in p.terms.items()]
+    assert all(a == b for _, a, b in types), f"coefficient types differ: {p} vs {q}: {types}"
 
 
 def assert_same_frac(a, b):
