@@ -249,10 +249,11 @@ class MatrixForm:
         the ledger sign (and the supertrace's row sign), into one sum dict
         per output key and summed denominator tuple.  Signs and merged dx
         tuples are taken once per distinct (dx tuples, parities), and each
-        value is scaled once, both within the call.  Each summed
-        coefficient is divided once by the two scales, an int when it
-        divides and a Fraction otherwise; each dict is canonicalised once,
-        and then the denominator groups of one key are added."""
+        value is scaled once, both within the call.  One pass over each
+        sum dict drops the zero sums and divides the others once by the two
+        scales, an int when it divides and a Fraction otherwise, so the
+        numerator is stored as built; each value is canonicalised once, and
+        then the denominator groups of one key are added."""
         if not self.terms or not other.terms:
             return {}
         partners = {}  # row of other, or (row, col) with trace -> its terms
@@ -307,9 +308,11 @@ class MatrixForm:
         scale = scale1 * scale2
         terms = {}
         for (key, den), sums in groups.items():
-            if scale != 1:
+            if scale == 1:
+                sums = {e: c for e, c in sums.items() if c}
+            else:
                 sums = {e: _divided(c, scale) for e, c in sums.items() if c}
-            val = LocalFrac._of(self.ring, ScalarPoly._of_sums(self.ring.vars, sums), den)
+            val = LocalFrac._of(self.ring, ScalarPoly._of(self.ring.vars, sums), den)
             terms[key] = terms[key] + val if key in terms else val
         return terms
 

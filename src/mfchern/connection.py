@@ -146,12 +146,15 @@ def total_curvature(P, conn, with_u=True, u_truncation=None):
     comm = {}
     for (i,) in scheme.tuples(1):
         C = conn.matrix(i)
-        if with_u:
+        d_only = C.is_zero()  # the connection is d in this frame
+        if with_u and not d_only:
             sq = (C.d_form() + C.mul(C)).shift_u(1)
             if not sq.is_zero():
                 second[(i,)] = sq
         delta = P.deltas[i]
-        value = delta.d_form() + C.mul(delta) + delta.mul(C)
+        if delta.is_zero():
+            continue
+        value = delta.d_form() if d_only else delta.d_form() + C.mul(delta) + delta.mul(C)
         if not value.is_zero():
             comm[(i,)] = value
     frame = _frame_differences(P, conn, u_truncation)

@@ -28,9 +28,12 @@ Chains combine only over one category object.
 Entries are values: a chain holds the entry objects it was given, and
 nothing may mutate them afterwards: a ``MorphismCochain`` keeps its parity,
 differential, composites and key text while it lives, so b and B reuse them
-across calls and chains.  Each construction of a chain validates, keys and
-tests for dropping every distinct entry object once, however many of its
-strings and slots hold it.
+across calls and chains, and a value built from closed ones (as every entry
+of eta_pi is built from pi and the identity) starts with the zero
+differential, so b skips its differential term without computing it.  Each
+construction of a chain validates, keys and tests for dropping every
+distinct entry object once, however many of its strings and slots hold it,
+and scales each string's distinct a0 objects once.
 """
 
 import itertools
@@ -198,15 +201,18 @@ class GeometricCategory:
 class HochschildChain:
     """Exact linear combination of strings a0[a1|...|an]; each a_j maps
     P_{j+1} -> P_j cyclically.  Coefficients are absorbed into a0 and strings
-    with identical slots merge.  Construction normalizes: any string with a
-    scalar-identity entry in slots 1..n is dropped, and so is any string above
-    the u truncation, after its checks have passed.
+    with identical slots merge: the coefficients of one string are summed
+    per distinct a0 object, each object is scaled once by its sum, and the
+    scaled objects are added, so a string whose sum is zero is dropped.
+    Construction normalizes: any string with a scalar-identity entry in
+    slots 1..n is dropped, and so is any string above the u truncation,
+    after its checks have passed.
 
-    Construction checks the u truncation (an int >= 0), every string (power
-    of u, tensor cap, composability) and every distinct entry object
-    (``validate_entry``), once per construction.  An entry must not be
-    mutated once it is in a chain: a geometric entry keeps its parity, its
-    differential, its composites and its key text for its lifetime.
+    Construction checks the u truncation (an int >= 0), every string (exact
+    coefficient, power of u, tensor cap, composability) and every distinct
+    entry object (``validate_entry``), once per construction.  An entry must
+    not be mutated once it is in a chain: a geometric entry keeps its parity,
+    its differential, its composites and its key text for its lifetime.
 
     A string is the pure tensor a0 (x) a1 (x) ... (x) an.  The category
     decomposes a0 over a basis of labels (``decompose``) and each slot over
@@ -230,7 +236,10 @@ class HochschildChain:
         # so that its id cannot be reused while this construction runs.
         checked = {}  # id -> (entry, parity)
         slot_keys = {}  # id -> (entry, key, or None when it drops its string)
+        # Per string key: (u_pow, slots, {id of an a0: [a0, summed coefficient]}).
+        heads = {}
         for coeff, u_pow, a0, slots in items:
+            coeff = _exact(coeff)
             if u_pow < 0:
                 raise ValueError(f"negative power of u: u^{u_pow}")
             slots = tuple(slots)
@@ -266,24 +275,25 @@ class HochschildChain:
                 keys.append(known[1])
             if len(keys) < len(slots):
                 continue
-            scaled = a0.scale(coeff) if coeff != 1 else a0
-            if scaled.is_zero():
-                continue
             route = (
                 category.object_key(a0.source),
                 category.object_key(a0.target),
                 checked[id(a0)][1],
             )
             key = (u_pow, route) + tuple(keys)
-            held = self.strings.get(key)
+            held = heads.get(key)
             if held is None:
-                self.strings[key] = (u_pow, scaled, slots)
-            else:
-                merged = held[1] + scaled
-                if merged.is_zero():
-                    del self.strings[key]
-                else:
-                    self.strings[key] = (u_pow, merged, slots)
+                held = heads[key] = (u_pow, slots, {})
+            summed = held[2].setdefault(id(a0), [a0, 0])
+            summed[1] += coeff
+        for key, (u_pow, slots, summed) in heads.items():
+            total = None
+            for a0, coeff in summed.values():
+                if coeff:
+                    scaled = a0.scale(coeff) if coeff != 1 else a0
+                    total = scaled if total is None else total + scaled
+            if total is not None and not total.is_zero():
+                self.strings[key] = (u_pow, total, slots)
 
     @classmethod
     def single(cls, category, u_truncation, tensor_cap, a0, slots=(), coeff=1, u_pow=0):

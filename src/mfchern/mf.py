@@ -305,7 +305,11 @@ class MorphismCochain:
     and keeps them, and keeps each ``self.compose(other)`` in a memo keyed
     by ``id(other)`` that holds ``other`` (so the id is not reused) and
     lives as long as ``self``.  Results of ``scale``, ``+``, ``-`` and
-    ``compose`` are new values with empty memos."""
+    ``compose`` are new values with empty memos, except that closed values
+    stay closed: the identity, and each such result whose operands all
+    have a differential known to be zero, start with the zero differential
+    (d is linear, d(1) = 0, and d(a b) = (da) b + (parity_sign a)(db)).
+    Any other differential is computed when first asked for."""
 
     __slots__ = ("source", "target", "cochain", "_parity", "_differential", "_composites")
 
@@ -332,7 +336,17 @@ class MorphismCochain:
 
     @classmethod
     def identity(cls, P, u_truncation):
-        return cls(P, P, identity_cochain(P.scheme, P.bundle, u_truncation))
+        return cls(P, P, identity_cochain(P.scheme, P.bundle, u_truncation))._closed()
+
+    def _closed(self, *operands):
+        """self, given the zero differential when the differential of every
+        operand is known to be zero (or there is no operand)."""
+        for a in operands:
+            if a._differential is None or not a._differential.is_zero():
+                return self
+        trunc = self.cochain.u_truncation
+        self._differential = MorphismCochain.from_entries(self.source, self.target, {}, trunc)
+        return self
 
     def is_zero(self):
         return self.cochain.is_zero()
@@ -346,16 +360,17 @@ class MorphismCochain:
         _check_morphism(other, "summand")
         if other.source is not self.source or other.target is not self.target:
             raise ValueError("summands have different sources or targets")
-        return MorphismCochain(self.source, self.target, self.cochain + other.cochain)
+        out = MorphismCochain(self.source, self.target, self.cochain + other.cochain)
+        return out._closed(self, other)
 
     def __neg__(self):
-        return MorphismCochain(self.source, self.target, -self.cochain)
+        return MorphismCochain(self.source, self.target, -self.cochain)._closed(self)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, scalar):
-        return MorphismCochain(self.source, self.target, self.cochain.scale(scalar))
+        return MorphismCochain(self.source, self.target, self.cochain.scale(scalar))._closed(self)
 
     def compose(self, other):
         """self after other."""
@@ -365,6 +380,7 @@ class MorphismCochain:
             if other.target is not self.source:
                 raise ValueError("composition shape mismatch")
             c = MorphismCochain(other.source, self.target, acw_product(self.cochain, other.cochain))
+            c._closed(self, other)
             held = self._composites[id(other)] = (other, c)
         return held[1]
 

@@ -125,6 +125,17 @@ class ScalarPoly:
         self.terms = _nonzero_terms(clean)
 
     @classmethod
+    def _of(cls, variables, terms):
+        """The polynomial with terms, a dict the arithmetic here built
+        already stored as the constructor stores it: nonzero coefficients,
+        integral ones as ints, keyed by exponent tuples of the right length.
+        Nothing is checked or copied."""
+        out = cls.__new__(cls)
+        out.vars = variables
+        out.terms = terms
+        return out
+
+    @classmethod
     def _of_sums(cls, variables, sums):
         """The polynomial with coefficients sums, a dict the arithmetic below
         built: exact scalars keyed by exponent tuples of the right length.
@@ -181,7 +192,7 @@ class ScalarPoly:
         return ScalarPoly._of_sums(self.vars, terms)
 
     def __neg__(self):
-        return ScalarPoly._of_sums(self.vars, {e: -c for e, c in self.terms.items()})
+        return ScalarPoly._of(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)

@@ -1,4 +1,6 @@
+import os
 import random
+import sys
 
 import pytest
 
@@ -24,6 +26,9 @@ from .test_cech import proj_line_three_patch
 from .test_geometry import affine_line_squared, proj_line, z2_reflection_on_line
 from .test_mf import affine_plane
 from .test_rings import random_frac
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCHMARKS = os.path.join(ROOT, "benchmarks")
 
 
 def twist_bundle(scheme, n):
@@ -338,3 +343,34 @@ def test_curvature_total_parity_even():
     total = R.cochain()
     if not total.is_zero():
         assert total.homogeneous_total_parity() == 0
+
+
+def test_total_curvature_multiplies_no_zero_factor(monkeypatch):
+    """Over the seed-1 projective_chern pool, whose potentials are zero (so
+    is every delta) and whose connections are zero on some patches,
+    total_curvature asks the product kernel for no product with an empty
+    factor, and still for the others."""
+    if BENCHMARKS not in sys.path:
+        sys.path.insert(0, BENCHMARKS)
+    import run
+
+    kernel = MatrixForm._product_terms
+    inside = total_curvature.__code__
+    products = []  # per product asked within total_curvature: has it an empty factor
+
+    def spy(self, other, cech_left, trace):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not inside:
+            frame = frame.f_back
+        if frame is not None:
+            products.append(not (self.terms and other.terms))
+        return kernel(self, other, cech_left, trace)
+
+    monkeypatch.setattr(MatrixForm, "_product_terms", spy)
+    workload = run.WORKLOADS["projective_chern"]
+    checker = run.Checker(workload, run.load_frozen(workload, 1))
+    api = run.import_api()
+    for index, spec in enumerate(workload.make_inputs(1)):
+        run.run_job(api, index, spec, checker)
+    assert checker.failed == 0, "\n".join(checker.messages)
+    assert products and not any(products), f"{sum(products)} of {len(products)} empty"

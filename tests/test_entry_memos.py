@@ -1,20 +1,26 @@
 """Entry values keep what they compute: a MorphismCochain its parity, its
 differential and its composites, a CechCochain its canonical string.  A kept
 result must equal a fresh computation by the uncached route, repeat as the
-same object, and start empty on every new value.  Over one job shaped like
-the eta_cycle benchmark (eta_pi at u = 4, its cut below the top power of u,
-and both images under b + uB), no entry's differential and no pair's
-product is computed twice, although the two chains share their entries."""
+same object, and start empty on every new value, except that closed values
+stay closed: the identity, and a result of scale, +, - or compose whose
+operands all have a differential known to be zero, start with the zero
+differential.  Over one job shaped like the eta_cycle benchmark (eta_pi at
+u = 4, its cut below the top power of u, and both images under b + uB), no
+pair's product is computed twice, although the two chains share their
+entries, and only the retract's g and f have their differential computed."""
 
 import itertools
 import random
+import sys
 
 from mfchern.cech import acw_product
 from mfchern.hochschild import HochschildChain, connes_B, eta_pi, hochschild_b
 from mfchern.mf import _UNSET, MorphismCochain, hom_differential
 
-from .test_hochschild import geometric_retract, proj_pool
-from .test_transport_oracle import filled_cochain
+from .test_connection import BENCHMARKS, rank_two_three_patch
+from .test_hochschild import geometric_retract, line_objects, plane_objects, proj_pool
+from .test_mf import section_mf_three_patch
+from .test_transport_oracle import filled_cochain, frame_objects
 
 
 def uncached_canonical_string(c):
@@ -56,10 +62,15 @@ def same_cochain(got, fresh):
     )
 
 
-def has_empty_memos(a):
+def is_known_closed(a):
+    return a._differential is not None and a._differential.is_zero()
+
+
+def has_empty_memos(a, closed=False):
+    """Nothing kept on a, except the zero differential when closed."""
     return (
         a._parity is _UNSET
-        and a._differential is None
+        and (is_known_closed(a) if closed else a._differential is None)
         and a._composites == {}
         and a.cochain._text is None
     )
@@ -102,18 +113,69 @@ def test_kept_results_match_fresh_oracles_on_mixed_parities():
 
 def test_new_values_start_with_empty_memos():
     """Results of scale, +, - and compose are new values, so nothing kept
-    on their operands carries over to them."""
-    for a in (geometric_retract(3).pi, proj_line_entries()[0]):
+    on their operands carries over to them, except closedness: pi, composed
+    from the closed g and f, is closed before anyone asks, and so is every
+    result built from it, while results built from a morphism whose
+    differential is not zero, or not known, start with no differential."""
+    pi = geometric_retract(3).pi
+    assert is_known_closed(pi)
+    for a, closed in ((pi, True), (proj_line_entries()[0], False)):
         assert a.source is a.target
         x = a.scale(3)
-        assert has_empty_memos(x)
+        assert has_empty_memos(x, closed)
         x.parity()
-        x.differential()
+        assert x.differential().is_zero() == closed
         x.cochain.canonical_string()
         y = x.compose(x)
-        assert has_empty_memos(y)
+        assert has_empty_memos(y, closed)
         for new in (x.scale(2), x + x, x - y, -x, x.compose(a)):
-            assert has_empty_memos(new)
+            assert has_empty_memos(new, closed)
+    unknown = MorphismCochain(pi.source, pi.target, pi.cochain)
+    for new in (pi + unknown, unknown + pi, pi.compose(unknown), unknown.compose(pi)):
+        assert has_empty_memos(new)
+    assert unknown.differential().is_zero()
+    known = unknown.scale(1)
+    for new in (pi + unknown, unknown + pi, pi.compose(known), known.compose(pi)):
+        assert has_empty_memos(new, True)
+
+
+def test_identity_of_every_test_object_is_closed():
+    """The identity starts with the zero differential, which a fresh
+    hom_differential confirms on every test object: factorizations on the
+    affine line and plane, on the two- and three-chart projective line, on
+    the projective plane, and a direct sum."""
+    objects = [*line_objects()[1], *plane_objects()[1], *(P for P, _t in proj_pool()[1])]
+    objects += [P for _sch, found in frame_objects() for P in found]
+    objects += [geometric_retract(3).N, section_mf_three_patch(), rank_two_three_patch()]
+    for P in objects:
+        one = MorphismCochain.identity(P, 3)
+        assert is_known_closed(one)
+        fresh = hom_differential(one)
+        assert fresh.is_zero() and same_cochain(one.differential().cochain, fresh.cochain)
+    assert len(objects) == 15
+
+
+def test_compose_differential_obeys_the_leibniz_rule():
+    """d(a b) = (da) b + (parity_sign a)(db) with fresh differentials, the
+    rule by which a composite of closed values starts closed: on the
+    mixed-parity morphisms of the projective line both sides are nonzero,
+    on the retract entries both are zero.  Each composite's kept
+    differential equals the fresh one."""
+    pairs = nonzero = 0
+    for entries in (proj_line_entries(), retract_entries()):
+        for a, b in itertools.product(entries, repeat=2):
+            if b.target is not a.source:
+                continue
+            ab = a.compose(b)
+            fresh = hom_differential(ab).cochain
+            leibniz = acw_product(hom_differential(a).cochain, b.cochain) + acw_product(
+                a.cochain.parity_sign(), hom_differential(b).cochain
+            )
+            assert same_cochain(fresh, leibniz)
+            assert same_cochain(ab.differential().cochain, fresh)
+            pairs += 1
+            nonzero += not fresh.is_zero()
+    assert nonzero == 8 and pairs > 300
 
 
 def test_compose_memo_holds_its_right_factor():
@@ -146,6 +208,9 @@ def eta_cycle_job(trunc=4):
 
 
 def test_differential_computed_once_per_distinct_entry(monkeypatch):
+    """Only g and f have their differential computed, once each, when
+    RetractData checks that they are closed; every entry of eta_pi is built
+    from them and the identity, so it starts closed."""
     computed = []  # the morphisms whose differential was computed, held
 
     def spy(phi):
@@ -154,10 +219,32 @@ def test_differential_computed_once_per_distinct_entry(monkeypatch):
 
     monkeypatch.setattr("mfchern.mf.hom_differential", spy)
     eta = eta_cycle_job()
-    ids = [id(phi) for phi in computed]
-    entries = {id(a) for (_m, a0, slots) in eta.items() for a in (a0, *slots)}
-    assert entries <= set(ids)
-    assert len(ids) == len(set(ids))
+    assert len({id(phi) for phi in computed}) == len(computed) == 2
+    assert all(is_known_closed(a) for (_m, a0, slots) in eta.items() for a in (a0, *slots))
+
+
+def test_eta_cycle_jobs_compute_two_differentials(monkeypatch):
+    """Every job of the seed-1 eta_cycle benchmark pool computes exactly two
+    hom differentials, those of the retract's g and f."""
+    if BENCHMARKS not in sys.path:
+        sys.path.insert(0, BENCHMARKS)
+    import run
+
+    computed = []
+
+    def spy(phi):
+        computed.append(phi)
+        return hom_differential(phi)
+
+    monkeypatch.setattr("mfchern.mf.hom_differential", spy)
+    workload = run.WORKLOADS["eta_cycle"]
+    checker = run.Checker(workload, run.load_frozen(workload, 1))
+    api = run.import_api()
+    for index, spec in enumerate(workload.make_inputs(1)):
+        computed.clear()
+        run.run_job(api, index, spec, checker)
+        assert len(computed) == 2, (index, len(computed))
+    assert checker.failed == 0, "\n".join(checker.messages)
 
 
 def test_product_computed_once_per_distinct_pair(monkeypatch):

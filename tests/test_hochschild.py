@@ -281,6 +281,38 @@ def test_strings_merge_and_scale():
     assert (x + x.scale(-1)).is_zero()
 
 
+def test_each_distinct_a0_scaled_once_per_string(monkeypatch):
+    """The items of one string are summed per distinct a0 object first: each
+    object is scaled once by its summed coefficient (not at all when that is
+    1), the distinct objects are added once, and a string whose sum cancels
+    builds nothing."""
+    sch, (P, Q) = line_objects()
+    cat = GeometricCategory(sch, 2)
+    a, b = diagonal_endo(P, ["x", "2*x"], 2), diagonal_endo(P, ["1", "x"], 2)
+    slot = diagonal_endo(P, ["x", "x^2"], 2)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    items = [(2, 0, a, (slot,)), (half, 0, b, (slot,)), (3, 0, a, (slot,)), (half, 0, b, (slot,))]
+    items += [(third, 1, a, ()), (-third, 1, a, ())]
+    scaled, added = [], []
+    scale, add = MorphismCochain.scale, MorphismCochain.__add__
+
+    def spy_scale(self, q):
+        scaled.append((self, q))
+        return scale(self, q)
+
+    def spy_add(self, other):
+        added.append((self, other))
+        return add(self, other)
+
+    monkeypatch.setattr(MorphismCochain, "scale", spy_scale)
+    monkeypatch.setattr(MorphismCochain, "__add__", spy_add)
+    x = HochschildChain(cat, 2, 4, items)
+    monkeypatch.undo()
+    assert [(v is a, q) for v, q in scaled] == [(True, 5)] and len(added) == 1
+    (m, a0, slots), = x.items()
+    assert (m, slots) == (0, (slot,)) and a0 == a.scale(5) + b
+
+
 def test_composability_checked():
     sch, (P, Q) = line_objects()
     cat = GeometricCategory(sch, 2)

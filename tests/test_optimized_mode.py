@@ -244,6 +244,12 @@ CASES = {
         lambda: chain((1, 3, "not a morphism", ())),
     "HochschildChain: slot 1 maps into another object than slot 0 leaves":
         lambda: chain((1, 0, even, (to_other,))),
+    "HochschildChain: coefficient 0.5 on a string above the u truncation":
+        lambda: naming("0.5", lambda: chain((0.5, 3, even, ()))),
+    "HochschildChain: coefficient 0.5 on a string with an identity in slot 1":
+        lambda: naming("0.5", lambda: chain((0.5, 0, even, (kos_one,)))),
+    "HochschildChain: coefficients 0.5 and -0.5 on one string":
+        lambda: naming("0.5", lambda: chain((0.5, 0, even, ()), (-0.5, 0, even, ()))),
     "HochschildChain: u truncation -1, message names it":
         lambda: naming("-1", lambda: HochschildChain(plane_cat, -1, 3, [(1, 0, even, ())])),
     "HochschildChain: u truncation 1.5, message names it":
@@ -295,7 +301,7 @@ def test_malformed_inputs_raise_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["cases"] == 85
+    assert report["cases"] == 88
     assert not report["accepted"], "accepted under python -O: " + "; ".join(report["accepted"])
 
 

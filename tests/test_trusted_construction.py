@@ -1,9 +1,9 @@
-"""The private ``_of`` constructors of LocalFrac, MatrixForm and CechCochain
-skip the public constructors' checks, because they only build results from
-values that were already checked.  While the seed-1 inputs of every benchmark
-workload run, each value they build must be one the public constructor
-accepts and builds the same, term for term; and only rings.py and cech.py,
-which define them, may use them."""
+"""The private ``_of`` constructors of ScalarPoly, LocalFrac, MatrixForm and
+CechCochain skip the public constructors' checks, because they only build
+results from values that were already checked.  While the seed-1 inputs of
+every benchmark workload run, each value they build must be one the public
+constructor accepts and builds the same, term for term; and only rings.py
+and cech.py, which define them, may use them."""
 
 import ast
 import glob
@@ -11,7 +11,7 @@ import os
 import sys
 
 from mfchern.cech import CechCochain, MatrixForm
-from mfchern.rings import LocalFrac
+from mfchern.rings import LocalFrac, ScalarPoly
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCHMARKS = os.path.join(ROOT, "benchmarks")
@@ -22,6 +22,15 @@ import run  # noqa: E402
 
 TRUSTED = ("_of", "_like")
 DEFINED_IN = {"rings.py", "cech.py"}
+
+
+def same_poly(a, b):
+    return (
+        type(a.vars) is tuple
+        and a.vars == b.vars
+        and list(a.terms.items()) == list(b.terms.items())
+        and [type(c) for c in a.terms.values()] == [type(c) for c in b.terms.values()]
+    )
 
 
 def same_frac(a, b):
@@ -68,6 +77,7 @@ def test_trusted_values_match_the_public_constructors(monkeypatch):
 
         monkeypatch.setattr(cls, "_of", classmethod(of))
 
+    checked(ScalarPoly, same_poly)
     checked(LocalFrac, same_frac)
     checked(MatrixForm, same_matrix)
     checked(CechCochain, same_cochain)
@@ -79,7 +89,7 @@ def test_trusted_values_match_the_public_constructors(monkeypatch):
         for index, spec in enumerate(pool):
             run.run_job(api, index, spec, checker)
         assert checker.failed == 0, "\n".join(checker.messages)
-    assert set(built) == {"LocalFrac", "MatrixForm", "CechCochain"}, built
+    assert set(built) == {"ScalarPoly", "LocalFrac", "MatrixForm", "CechCochain"}, built
 
 
 def test_trusted_constructors_used_only_where_defined():
