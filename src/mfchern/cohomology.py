@@ -139,6 +139,19 @@ def _column_image(tup, idxs, value, cofaces, minus_dw):
     return out
 
 
+def _candidate_values(ring, degree_bound, den_bound):
+    """Every canonical x^a/g^m of ring with |a| <= degree_bound and each
+    denominator multiplicity at most den_bound, in (denominator, grlex)
+    order; a pair that cancels to another candidate is left out."""
+    out = []
+    for den in monomials_up_to(len(ring.denominators), den_bound):
+        for mono in monomials_up_to(len(ring.vars), degree_bound):
+            value = LocalFrac(ring, ScalarPoly(ring.vars, {mono: Fraction(1)}), den)
+            if value.den == tuple(den) and value.num.terms == {tuple(mono): Fraction(1)}:
+                out.append(value)
+    return out
+
+
 def cohomologous(c1, c2, degree_bound, den_bound=1):
     """Search for a primitive p with total_differential(p) = c1 - c2.
 
@@ -147,11 +160,24 @@ def cohomologous(c1, c2, degree_bound, den_bound=1):
     undecided within the bound, not a proof of inequality.
 
     The search space has one column per basis element x^a/g^m dx_I at a
-    tuple and a power of u.  Each column's image is built in closed form
+    tuple and a power u^k.  Each column's image is built in closed form
     (see ``_column_image``).  A found primitive is checked by substitution
     with total_differential before it is returned, and that check does not
     use the closed form: a wrong column could at worst turn "found" into
     "undecided", never return a wrong primitive.
+
+    Only the columns of degrees that c1 - c2 touches are built and solved.
+    The degree of dx_I u^k is q = |I| - k.  When every chart has w = 0 the
+    total differential preserves q: the Cech part pulls back along ring maps
+    and changes frames by u-free transitions, so it keeps |I| and k, and
+    u d raises both by one.  The system is then block diagonal in q, and a
+    block that c1 - c2 misses is homogeneous.  In the full search such a
+    block's columns come out 0 (free columns are set to 0 and back-substitute
+    to 0), and it can never be inconsistent.  The kept rows hold the same
+    parts in the same order and the kept columns keep their relative order,
+    so elimination picks the same pivots: the primitive and the verdict are
+    those of the full search.  When some chart has w != 0, -dw raises |I|
+    alone, so every degree is kept and nothing is left out.
     """
     _check_count("degree bound", degree_bound)
     _check_count("denominator bound", den_bound)
@@ -168,33 +194,36 @@ def cohomologous(c1, c2, degree_bound, den_bound=1):
         raise ValueError("total degree mismatch between the two cocycles")
     target_parity = (parity + 1) % 2
 
+    dw = _minus_dw_cochain(scheme, trunc)
+    if dw.is_zero():
+        degrees = {
+            len(idxs) - k for mf in diff.entries.values() for (_r, _c, idxs, k) in mf.terms
+        }
+    else:
+        degrees = range(-trunc, scheme.dimension + 1)
     # total_differential keeps the power of u except on u d, which raises it
     # by one, so a column at u^m has its family's u^0 image shifted by m.
-    dw = _minus_dw_cochain(scheme, trunc)
     columns = []
     contributions = {}
     for size in range(1, scheme.npatches() + 1):
         for tup in scheme.tuples(size):
             ring = scheme.intersection(tup).ring
-            nvars = len(ring.vars)
-            cofaces = _cofaces(scheme, tup)
-            minus_dw = dw.transport(tup[:1], tup) if tup[:1] in dw.entries else None
-            for idxs in _subsets(nvars):
+            values = None
+            for idxs in _subsets(len(ring.vars)):
                 if (size - 1 + len(idxs)) % 2 != target_parity:
                     continue
-                family = []
-                for den in monomials_up_to(len(ring.denominators), den_bound):
-                    for mono in monomials_up_to(nvars, degree_bound):
-                        value = LocalFrac(
-                            ring, ScalarPoly(ring.vars, {mono: Fraction(1)}), den
-                        )
-                        if value.den != tuple(den) or value.num.terms != {
-                            tuple(mono): Fraction(1)
-                        }:
-                            continue
-                        image = _column_image(tup, idxs, value, cofaces, minus_dw)
-                        family.append((value, image))
-                for m in range(trunc + 1):
+                powers = [m for m in range(trunc + 1) if len(idxs) - m in degrees]
+                if not powers:
+                    continue
+                if values is None:
+                    values = _candidate_values(ring, degree_bound, den_bound)
+                    cofaces = _cofaces(scheme, tup)
+                    minus_dw = dw.transport(tup[:1], tup) if tup[:1] in dw.entries else None
+                family = [
+                    (value, _column_image(tup, idxs, value, cofaces, minus_dw))
+                    for value in values
+                ]
+                for m in powers:
                     for value, image in family:
                         col = len(columns)
                         columns.append((tup, idxs, m, value))

@@ -315,26 +315,32 @@ class HochschildChain:
         and pivot tuple, the a0 label vectors summed with these weights
         vanish.  The work grows with the number of strings times the product
         of the slot values' coordinate counts, not with the product of the
-        strings' term counts.  The sums start from the int 0, so integral
-        coefficients stay ints and only non-integral ones are Fractions."""
+        strings' term counts.  Each distinct slot value is decomposed once per
+        call and shared by every position it sits at.  The sums start from
+        the int 0, so integral coefficients stay ints and only non-integral
+        ones are Fractions."""
         cat = self.category
         by_length = {}
         for key, string in self.strings.items():
             # key = (u_pow, route) + the slots' category keys
             by_length.setdefault(len(string[2]), []).append((key[2:], string))
         total = {}
+        decomposed = {}  # slot key -> slot_decompose of that value
         for n, members in by_length.items():
             coords = []
             for j in range(n):
                 pivots, columns, at_j = {}, {}, {}
                 for slot_keys, (_m, _a0, slots) in members:
-                    if slot_keys[j] in at_j:
+                    slot = slot_keys[j]
+                    if slot in at_j:
                         continue
+                    if slot not in decomposed:
+                        decomposed[slot] = list(cat.slot_decompose(slots[j]))
                     row = {}
-                    for lab, q in cat.slot_decompose(slots[j]):
+                    for lab, q in decomposed[slot]:
                         col = columns.setdefault(lab, len(columns))
                         row[col] = row.get(col, 0) + q
-                    at_j[slot_keys[j]] = list(echelon_reduce(pivots, row)[0].items())
+                    at_j[slot] = list(echelon_reduce(pivots, row)[0].items())
                 coords.append(at_j)
             for slot_keys, (m, a0, _slots) in members:
                 parts = list(cat.decompose(a0))

@@ -6,6 +6,7 @@ from mfchern import cohomology
 from mfchern.cech import CechCochain, MatrixForm
 from mfchern.cohomology import (
     TotalCochain,
+    _candidate_values,
     _cofaces,
     _column_image,
     _minus_dw_cochain,
@@ -15,14 +16,7 @@ from mfchern.cohomology import (
     total_differential,
 )
 from mfchern.geometry import build_scheme
-from mfchern.rings import (
-    Fraction,
-    LocalFrac,
-    ScalarPoly,
-    _subsets,
-    monomials_up_to,
-    parse_scalar,
-)
+from mfchern.rings import Fraction, _subsets, parse_scalar
 
 from .test_geometry import (
     affine_line_squared,
@@ -238,16 +232,6 @@ def test_distinct_classes_stay_undecided():
     assert cohomologous(res_class, TotalCochain.zero(sch, 2), 3, den_bound=2) is None
 
 
-def basis_values(ring, degree_bound, den_bound):
-    """The values x^a/g^m that cohomologous takes as column bases: those
-    whose canonical form keeps the monomial and the multiplicities."""
-    for den in monomials_up_to(len(ring.denominators), den_bound):
-        for mono in monomials_up_to(len(ring.vars), degree_bound):
-            value = LocalFrac(ring, ScalarPoly(ring.vars, {mono: 1}), den)
-            if value.den == tuple(den) and value.num.terms == {tuple(mono): 1}:
-                yield value
-
-
 def test_column_images_match_the_total_differential():
     """Each column image that cohomologous builds in closed form equals the
     terms of total_differential of its one-entry cochain, numerators and
@@ -266,7 +250,7 @@ def test_column_images_match_the_total_differential():
                 cofaces = _cofaces(sch, tup)
                 minus_dw = dw.transport(tup[:1], tup) if tup[:1] in dw.entries else None
                 for idxs in _subsets(len(ring.vars)):
-                    for value in basis_values(ring, 3, 2):
+                    for value in _candidate_values(ring, 3, 2):
                         image = _column_image(tup, idxs, value, cofaces, minus_dw)
                         got = dict(image)
                         assert len(got) == len(image)

@@ -7,14 +7,22 @@ operands all have a differential known to be zero, start with the zero
 differential.  Over one job shaped like the eta_cycle benchmark (eta_pi at
 u = 4, its cut below the top power of u, and both images under b + uB), no
 pair's product is computed twice, although the two chains share their
-entries, and only the retract's g and f have their differential computed."""
+entries, and only the retract's g and f have their differential computed.
+A zero test decomposes each distinct slot value once, not once per slot
+position that holds it."""
 
 import itertools
 import random
 import sys
 
 from mfchern.cech import acw_product
-from mfchern.hochschild import HochschildChain, connes_B, eta_pi, hochschild_b
+from mfchern.hochschild import (
+    GeometricCategory,
+    HochschildChain,
+    connes_B,
+    eta_pi,
+    hochschild_b,
+)
 from mfchern.mf import _UNSET, MorphismCochain, hom_differential
 
 from .test_connection import BENCHMARKS, rank_two_three_patch
@@ -244,6 +252,39 @@ def test_eta_cycle_jobs_compute_two_differentials(monkeypatch):
         computed.clear()
         run.run_job(api, index, spec, checker)
         assert len(computed) == 2, (index, len(computed))
+    assert checker.failed == 0, "\n".join(checker.messages)
+
+
+def test_eta_cycle_zero_tests_decompose_each_slot_value_once(monkeypatch):
+    """Each zero test of a seed-1 eta_cycle job decomposes each of its 4
+    distinct slot values once, however many slot positions hold it."""
+    if BENCHMARKS not in sys.path:
+        sys.path.insert(0, BENCHMARKS)
+    import run
+
+    calls = []  # per zero test: the slot keys decomposed, and the distinct ones
+    real_zero, real_decompose = HochschildChain.is_zero, GeometricCategory.slot_decompose
+
+    def zero_spy(chain):
+        distinct = {k for key in chain.strings for k in key[2:]}
+        calls.append(([], len(distinct)))
+        return real_zero(chain)
+
+    def decompose_spy(cat, a):
+        calls[-1][0].append(cat.key(a))
+        return real_decompose(cat, a)
+
+    monkeypatch.setattr(HochschildChain, "is_zero", zero_spy)
+    monkeypatch.setattr(GeometricCategory, "slot_decompose", decompose_spy)
+    workload = run.WORKLOADS["eta_cycle"]
+    checker = run.Checker(workload, run.load_frozen(workload, 1))
+    api = run.import_api()
+    for index, spec in enumerate(workload.make_inputs(1)):
+        calls.clear()
+        run.run_job(api, index, spec, checker)
+        assert len(calls) == 2, index
+        for keys, distinct in calls:
+            assert len(keys) == len(set(keys)) == distinct == 4, (index, len(keys))
     assert checker.failed == 0, "\n".join(checker.messages)
 
 
