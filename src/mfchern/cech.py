@@ -31,7 +31,9 @@ from math import lcm
 from operator import add
 
 # pullback is not used here, but stays importable from this module:
-# benchmarks/spans.py wraps the layer functions other modules import by name.
+# benchmarks/spans.py wraps the layer functions other modules import by name,
+# and benchmarks/test_benchmark_harness.py::
+# test_install_wraps_names_imported_elsewhere asserts cech.pullback.
 from .forms import _d_term, _merge_indices, _pullback_term, pullback  # noqa: F401
 from .rings import LocalFrac, ScalarPoly, _check_same_ring, _exact
 
@@ -125,15 +127,18 @@ class MatrixForm:
         for (r, c, idxs, m), f in terms.items():
             idxs = tuple(idxs)
             if not (
-                0 <= r < nrows
+                type(r) is int  # a bool or a float is not an index or a count
+                and type(c) is int
+                and type(m) is int
+                and 0 <= r < nrows
                 and 0 <= c < ncols
                 and m >= 0
-                and all(0 <= i < nvars for i in idxs)
+                and all(type(i) is int and 0 <= i < nvars for i in idxs)
                 and all(a < b for a, b in zip(idxs, idxs[1:]))
             ):
                 raise ValueError(
-                    f"bad term key {(r, c, idxs, m)}: need row < {nrows}, col < {ncols}, "
-                    f"increasing dx indices below {nvars} and a u power >= 0"
+                    f"bad term key {(r, c, idxs, m)}: need int row < {nrows}, int col < "
+                    f"{ncols}, increasing int dx indices below {nvars} and an int u power >= 0"
                 )
             if not isinstance(f, LocalFrac):
                 raise TypeError(f"term {(r, c, idxs, m)} is a {type(f).__name__}, not a LocalFrac")
@@ -441,6 +446,7 @@ class CechCochain:
     __slots__ = ("scheme", "source", "target", "entries", "u_truncation", "_text")
 
     def __init__(self, scheme, source, target, entries, u_truncation):
+        _check_count("u truncation", u_truncation)
         self.scheme = scheme
         self.source = source
         self.target = target

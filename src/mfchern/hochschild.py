@@ -4,7 +4,7 @@ operators, normalization, and the connection trace map into scalar cochains.
 Chains call their entries directly: an entry ``a`` has ``a.source`` and
 ``a.target`` (objects compared with ``==``), ``a.parity()``, ``a.compose(b)``
 (a after b), ``a + b``, ``a.scale(q)``, ``a.is_zero()`` and
-``a.differential()``.  What depends on the category is a backend with eight
+``a.differential()``.  What depends on the category is a backend with seven
 methods:
 
 - ``object_key(P)``: a sortable key of an object;
@@ -16,8 +16,7 @@ methods:
   identities are zero;
 - ``identity(P)``: the identity arrow of an object;
 - ``is_scalar_identity(a)``: whether ``a`` is a scalar multiple of the
-  identity of its object (zero included);
-- ``curvature(P)``: the curvature arrow of an object, or None when flat.
+  identity of its object (zero included).
 
 ``GeometricCategory`` implements it: its morphisms are Cech cochains between
 matrix factorizations.  The second implementation is a test fake, the
@@ -42,7 +41,6 @@ from math import factorial, prod
 
 from .cech import (
     CechCochain,
-    MatrixForm,
     _check_count,
     acw_product,
     form_derivative,
@@ -70,8 +68,7 @@ __all__ = [
 
 class GeometricCategory:
     """Morphisms are MorphismCochains between matrix factorizations on one
-    scheme; the differential is the hom differential; the curvature of an
-    object is the potential times its identity."""
+    scheme; the differential is the hom differential."""
 
     def __init__(self, scheme, u_truncation):
         self.scheme = scheme
@@ -177,23 +174,6 @@ class GeometricCategory:
                     return False
         return True
 
-    def curvature(self, P):
-        entries = {}
-        parities = P.bundle.parities()
-        for (i,) in self.scheme.tuples(1):
-            w = self.scheme.potential(i)
-            if w.is_zero():
-                continue
-            ring = self.scheme.intersection((i,)).ring
-            terms = {(r, r, (), 0): w for r in range(len(parities))}
-            entries[(i,)] = MatrixForm(ring, parities, parities, terms)
-        if not entries:
-            return None
-        cochain = CechCochain(
-            self.scheme, P.bundle, P.bundle, entries, self.u_truncation
-        )
-        return MorphismCochain(P, P, cochain)
-
 
 # -- chains ------------------------------------------------------------------
 
@@ -208,11 +188,12 @@ class HochschildChain:
     slots 1..n is dropped, and so is any string above the u truncation,
     after its checks have passed.
 
-    Construction checks the u truncation (an int >= 0), every string (exact
-    coefficient, power of u, tensor cap, composability) and every distinct
-    entry object (``validate_entry``), once per construction.  An entry must
-    not be mutated once it is in a chain: a geometric entry keeps its parity,
-    its differential, its composites and its key text for its lifetime.
+    Construction checks the u truncation and each string's power of u (ints
+    >= 0), every string (exact coefficient, tensor cap, composability) and
+    every distinct entry object (``validate_entry``), once per construction.
+    An entry must not be mutated once it is in a chain: a geometric entry
+    keeps its parity, its differential, its composites and its key text for
+    its lifetime.
 
     A string is the pure tensor a0 (x) a1 (x) ... (x) an.  The category
     decomposes a0 over a basis of labels (``decompose``) and each slot over
@@ -240,8 +221,7 @@ class HochschildChain:
         heads = {}
         for coeff, u_pow, a0, slots in items:
             coeff = _exact(coeff)
-            if u_pow < 0:
-                raise ValueError(f"negative power of u: u^{u_pow}")
+            _check_count("power of u", u_pow)
             slots = tuple(slots)
             if len(slots) > tensor_cap:
                 raise ValueError(
@@ -406,9 +386,10 @@ class HochschildChain:
 # -- differentials -----------------------------------------------------------
 
 
-def hochschild_b(x, curved=False):
-    """b = b2 + b1 (+ b0 when curved): composition of neighbours including
-    the wrap-around, entrywise differentials, and curvature insertions.
+def hochschild_b(x):
+    """b = b2 + b1: composition of neighbours including the wrap-around, and
+    entrywise differentials.  Hom differentials square to zero, so the
+    category is an ordinary dg category and b has no curvature term.
 
     Entries keep their composites, so each pair of entry objects is composed
     once, in this call or a later one, whichever of a0 after slot 0, slot
@@ -446,15 +427,6 @@ def hochschild_b(x, curved=False):
                 items.append((sign, u_pow, da, slots))
             else:
                 new_slots = slots[: j - 1] + (da,) + slots[j:]
-                items.append((sign, u_pow, a0, new_slots))
-
-        if curved:
-            for k in range(n + 1):
-                h = cat.curvature(entries[k].source)
-                if h is None or h.is_zero():
-                    continue
-                sign = (-1) ** ((sum(parities[: k + 1]) - k) % 2)
-                new_slots = slots[:k] + (h,) + slots[k:]
                 items.append((sign, u_pow, a0, new_slots))
 
     return HochschildChain(cat, x.u_truncation, x.tensor_cap, items)

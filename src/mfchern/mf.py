@@ -404,8 +404,9 @@ class MorphismCochain:
 
 def hom_differential(phi):
     """The Cech differential of phi plus the graded commutator
-    delta_target phi - (parity_sign phi) delta_source; squares to zero in
-    the curved sense.  It is linear in phi, so phi may mix parities."""
+    delta_target phi - (parity_sign phi) delta_source.  It squares to zero:
+    [delta, [delta, phi]] = [W, phi] = 0, as W times an identity is
+    central.  It is linear in phi, so phi may mix parities."""
     _check_morphism(phi, "phi")
     c = phi.cochain
     trunc = c.u_truncation

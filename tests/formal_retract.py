@@ -147,9 +147,6 @@ class RetractCategory:
     def is_scalar_identity(self, a):
         return set(a.coeffs) <= {"1P"} or set(a.coeffs) <= {"1N"}
 
-    def curvature(self, obj):
-        return None
-
 
 # Chains combine only over one category object, so every formal chain of the
 # tests lives over this one.

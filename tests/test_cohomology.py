@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mfchern import cohomology
-from mfchern.cech import CechCochain, MatrixForm
+from mfchern.cech import CechCochain, MatrixForm, acw_product, cech_differential, pullback_matrix
 from mfchern.cohomology import (
     TotalCochain,
     _candidate_values,
@@ -15,9 +15,14 @@ from mfchern.cohomology import (
     coinvariant_project,
     total_differential,
 )
+from mfchern.connection import Connection
 from mfchern.geometry import build_scheme
-from mfchern.rings import Fraction, _subsets, parse_scalar
+from mfchern.hochschild import GeometricCategory, HochschildChain, connes_B, hochschild_b, tr_nabla
+from mfchern.mf import MorphismCochain, koszul_mf
+from mfchern.rings import Fraction, RingMap, _subsets, parse_scalar
 
+from .test_cech import random_matrix_form
+from .test_connection import random_one_form_matrix
 from .test_geometry import (
     affine_line_squared,
     proj_line,
@@ -145,6 +150,70 @@ def test_total_differential_squares_to_zero():
         c = random_scalar(rng, sch, u_truncation=3)
         dd = total_differential(total_differential(c))
         assert dd.is_zero(), f"trial {trial}:\n{dd}"
+
+
+def polynomial_morphism(rng, source, target, trunc):
+    """A global morphism between objects on the trivial bundle of
+    three_patch_squared(): a random polynomial matrix on chart 0, restricted
+    to every chart, so its Cech differential vanishes."""
+    sch = source.scheme
+    ring0 = sch.patch_ring(0)
+    value = random_matrix_form(
+        rng,
+        ring0,
+        target.bundle.parities(),
+        source.bundle.parities(),
+        parity=rng.randint(0, 1),
+        max_u=0,
+        nterms=4,
+    )
+    entries = {}
+    for (i,) in sch.tuples(1):
+        ring = sch.intersection((i,)).ring
+        entries[(i,)] = pullback_matrix(RingMap(ring0, ring, (ring.var("x"),)), value)
+    return MorphismCochain.from_entries(source, target, entries, trunc)
+
+
+def test_trace_chain_map_three_charts_with_potential():
+    """D tr_nabla = tr_nabla (b + uB) on the three-chart A^1 with w = x^2,
+    with a random connection on every chart.  D carries -dw and the Cech
+    differential of a real cover, and both act on some of the traces."""
+    sch = build_scheme(three_patch_squared())
+    objects = [
+        koszul_mf(sch, [["x"] * 3], [["x"] * 3]),
+        koszul_mf(sch, [["x^2"] * 3], [["1"] * 3]),
+    ]
+    rings = [sch.patch_ring(i) for i in range(sch.npatches())]
+    minus_dw = _minus_dw_cochain(sch, 3)
+    rng = random.Random(20261020)
+    cat = GeometricCategory(sch, 3)
+    cech_acts = dw_acts = 0
+    for trial in range(12):
+        conns = {
+            P: Connection(
+                P,
+                [random_one_form_matrix(rng, ring, P.bundle.parities()) for ring in rings],
+            )
+            for P in objects
+        }
+        items = []
+        for _ in range(2):
+            n = rng.randint(0, 2)
+            route = [rng.choice(objects) for _ in range(n + 1)]
+            entries = [
+                polynomial_morphism(rng, route[(j + 1) % (n + 1)], route[j], 3)
+                for j in range(n + 1)
+            ]
+            items.append((1, rng.randint(0, 1), entries[0], tuple(entries[1:])))
+        x = HochschildChain(cat, 3, 4, items)
+        trace = tr_nabla(x, conns)
+        cech_acts += not cech_differential(trace).is_zero()
+        dw_acts += not acw_product(minus_dw, trace).is_zero()
+        lhs = total_differential(trace)
+        rhs = tr_nabla(hochschild_b(x) + connes_B(x).shift_u(1), conns)
+        diff = lhs - rhs
+        assert diff.is_zero(), f"trial {trial}:\n{diff.canonical_string()}"
+    assert cech_acts and dw_acts, (cech_acts, dw_acts)
 
 
 def test_is_cocycle_flags_open_cochains():

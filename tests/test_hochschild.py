@@ -598,17 +598,6 @@ def test_b_squared_zero_random():
         assert bb.is_zero(), trial
 
 
-def test_b_squared_zero_curved():
-    sch, objects = line_objects()
-    cat = GeometricCategory(sch, 2)
-    rng = random.Random(77)
-    P = objects[0]
-    for trial in range(30):
-        x = random_chain(rng, cat, [P], 2, 6, max_n=2, nterms=3)
-        bb = hochschild_b(hochschild_b(x, curved=True), curved=True)
-        assert bb.is_zero(), trial
-
-
 def test_B_squared_zero_random():
     sch, objects = line_objects()
     cat = GeometricCategory(sch, 2)
@@ -747,7 +736,7 @@ def check_trace_chain_map(rng, sch, objects, trials, max_n, trunc=3):
         conns = {P: random_connection(rng, P, trunc) for P in objects}
         x = random_chain(rng, cat, objects, trunc, max_n + 2, max_n=max_n)
         lhs = total_differential(tr_nabla(x, conns))
-        image = hochschild_b(x, curved=False) + connes_B(x).shift_u(1)
+        image = hochschild_b(x) + connes_B(x).shift_u(1)
         rhs = tr_nabla(image, conns)
         diff = lhs - rhs
         assert diff.is_zero(), f"trial {trial}:\n{diff.canonical_string()}"
@@ -771,7 +760,7 @@ def test_trace_chain_map_proj_line():
         conns = {P: random_connection(rng, P, 3) for P, _tw in pool}
         x = random_global_chain(rng, cat, pool, 3, 4, max_n=2)
         lhs = total_differential(tr_nabla(x, conns))
-        image = hochschild_b(x, curved=False) + connes_B(x).shift_u(1)
+        image = hochschild_b(x) + connes_B(x).shift_u(1)
         rhs = tr_nabla(image, conns)
         diff = lhs - rhs
         assert diff.is_zero(), f"trial {trial}:\n{diff.canonical_string()}"

@@ -107,10 +107,29 @@ CASES = {
         lambda: MatrixForm(line, (0,), (0,), {(0, 0, (7,), 0): one}),
     "MatrixForm: u power -1":
         lambda: MatrixForm(line, (0,), (0,), {(0, 0, (), -1): one}),
+    "MatrixForm: u power 0.5":
+        lambda: MatrixForm(line, (0,), (0,), {(0, 0, (), 0.5): one}),
+    "MatrixForm: u power True":
+        lambda: MatrixForm(line, (0,), (0,), {(0, 0, (), True): one}),
+    "MatrixForm: row 0.0":
+        lambda: MatrixForm(line, (0,), (0,), {(0.0, 0, (), 0): one}),
+    "MatrixForm: column False":
+        lambda: MatrixForm(line, (0,), (0,), {(0, False, (), 0): one}),
+    "MatrixForm: dx index 0.0":
+        lambda: MatrixForm(line, (0,), (0,), {(0, 0, (0.0,), 0): one}),
     "MatrixForm: entry from a same-named ring with other denominators":
         lambda: MatrixForm(plain, (0,), (0,), {(0, 0, (), 0): punctured.var("z").unit_inverse()}),
     "CechCochain: entry in the ring of another patch":
         lambda: CechCochain.scalar(sch, {(0,): MatrixForm.identity(sch.patch_ring(1), (0,))}, 1),
+    "CechCochain: sum with a cochain of u truncation -1, message names it":
+        lambda: naming("-1", lambda: CechCochain.scalar(sch, {}, 1)
+                       + CechCochain.scalar(sch, {}, -1)),
+    "CechCochain: u truncation 1.5, message names it":
+        lambda: naming("1.5", lambda: CechCochain.scalar(sch, {}, 1.5)),
+    "CechCochain: u truncation True, message names it":
+        lambda: naming("True", lambda: CechCochain(sch, bundle, bundle, {}, True)),
+    "TotalCochain.zero: u truncation -1, message names it":
+        lambda: naming("-1", lambda: TotalCochain.zero(sch, -1)),
     "VectorBundle: non-square transition":
         lambda: VectorBundle(sch, [0], {(0, 1): [[pair.one(), pair.one()]]}),
     "VectorBundle: wrong declared inverse":
@@ -250,6 +269,12 @@ CASES = {
         lambda: naming("0.5", lambda: chain((0.5, 0, even, (kos_one,)))),
     "HochschildChain: coefficients 0.5 and -0.5 on one string":
         lambda: naming("0.5", lambda: chain((0.5, 0, even, ()), (-0.5, 0, even, ()))),
+    "HochschildChain: power of u 0.5, message names it":
+        lambda: naming("0.5", lambda: chain((1, 0.5, even, ()))),
+    "HochschildChain: power of u 1.0, message names it":
+        lambda: naming("1.0", lambda: chain((1, 1.0, even, ()))),
+    "HochschildChain: power of u True, message names it":
+        lambda: naming("True", lambda: chain((1, True, even, ()))),
     "HochschildChain: u truncation -1, message names it":
         lambda: naming("-1", lambda: HochschildChain(plane_cat, -1, 3, [(1, 0, even, ())])),
     "HochschildChain: u truncation 1.5, message names it":
@@ -301,7 +326,7 @@ def test_malformed_inputs_raise_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["cases"] == 88
+    assert report["cases"] == 100
     assert not report["accepted"], "accepted under python -O: " + "; ".join(report["accepted"])
 
 
