@@ -237,6 +237,7 @@ class MatrixForm:
         return self._like({(r, c, i, m + k): f for (r, c, i, m), f in self.terms.items()})
 
     def truncate_u(self, bound):
+        _check_count("u truncation", bound)
         return self._like({k: f for k, f in self.terms.items() if k[3] <= bound})
 
     def _check_factor(self, other):
@@ -556,8 +557,11 @@ class CechCochain:
         return CechCochain._of(self.scheme, self.source, self.target, entries, trunc)
 
     def truncate_u(self, bound):
+        """Drop the terms above u^bound; the truncation only goes down."""
+        _check_count("u truncation", bound)
         entries = {t: mf.truncate_u(bound) for t, mf in self.entries.items()}
-        return CechCochain._of(self.scheme, self.source, self.target, entries, bound)
+        trunc = min(bound, self.u_truncation)
+        return CechCochain._of(self.scheme, self.source, self.target, entries, trunc)
 
     def __eq__(self, other):
         self._compatible(other)

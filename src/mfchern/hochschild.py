@@ -8,8 +8,7 @@ Chains call their entries directly: an entry ``a`` has ``a.source`` and
 methods:
 
 - ``object_key(P)``: a sortable key of an object;
-- ``validate_entry(a, where)``: raise unless ``a`` may sit in a chain, and
-  return ``a.parity()``;
+- ``validate_entry(a, where)``: raise unless ``a`` may sit in a chain;
 - ``key(a)``: a hashable, sortable key of an entry, equal for equal entries;
 - ``decompose(a)``: (label, rational) pairs over a basis of arrows;
 - ``slot_decompose(a)``: the same in the slot space, where the scalar
@@ -29,10 +28,10 @@ nothing may mutate them afterwards: a ``MorphismCochain`` keeps its parity,
 differential, composites and key text while it lives, so b and B reuse them
 across calls and chains, and a value built from closed ones (as every entry
 of eta_pi is built from pi and the identity) starts with the zero
-differential, so b skips its differential term without computing it.  Each
-construction of a chain validates, keys and tests for dropping every
-distinct entry object once, however many of its strings and slots hold it,
-and scales each string's distinct a0 objects once.
+differential, so b skips its differential term without computing it.  The
+constructor validates each distinct entry object once and keys and tests
+each distinct slot object once; chains derived from checked ones reuse their
+strings' keys, and b and B key and test only the entries they make.
 """
 
 import itertools
@@ -94,13 +93,11 @@ class GeometricCategory:
                         f"chain entries must be u-free: {where} has a u^{k[3]} "
                         f"term on {tup}"
                     )
-        parity = a.parity()
-        if parity is None and not a.is_zero():
+        if a.parity() is None and not a.is_zero():
             raise ValueError(
                 f"chain entries must be parity homogeneous: {where} mixes "
                 "even and odd terms"
             )
-        return parity
 
     def key(self, a):
         return (
@@ -188,12 +185,13 @@ class HochschildChain:
     slots 1..n is dropped, and so is any string above the u truncation,
     after its checks have passed.
 
-    Construction checks the u truncation and each string's power of u (ints
-    >= 0), every string (exact coefficient, tensor cap, composability) and
-    every distinct entry object (``validate_entry``), once per construction.
-    An entry must not be mutated once it is in a chain: a geometric entry
-    keeps its parity, its differential, its composites and its key text for
-    its lifetime.
+    The constructor checks the u truncation and each string's power of u
+    (ints >= 0), every string (exact coefficient, tensor cap, composability)
+    and every distinct entry object (``validate_entry``), once per
+    construction.  A string's key is its power of u, a0's route (object keys
+    and parity) and its slots' keys; ``_keyed`` builds derived chains from
+    keyed strings.  An entry must not be mutated once it is in a chain: a
+    geometric entry keeps its parity, differential, composites and key text.
 
     A string is the pure tensor a0 (x) a1 (x) ... (x) an.  The category
     decomposes a0 over a basis of labels (``decompose``) and each slot over
@@ -209,16 +207,11 @@ class HochschildChain:
     def __init__(self, category, u_truncation, tensor_cap, items=()):
         _check_count("u truncation", u_truncation)
         _check_count("tensor cap", tensor_cap)
-        self.category = category
-        self.u_truncation = u_truncation
-        self.tensor_cap = tensor_cap
-        self.strings = {}
         # Per distinct entry object, keyed by id; each value holds the entry
         # so that its id cannot be reused while this construction runs.
-        checked = {}  # id -> (entry, parity)
+        checked = {}
         slot_keys = {}  # id -> (entry, key, or None when it drops its string)
-        # Per string key: (u_pow, slots, {id of an a0: [a0, summed coefficient]}).
-        heads = {}
+        keyed = []
         for coeff, u_pow, a0, slots in items:
             coeff = _exact(coeff)
             _check_count("power of u", u_pow)
@@ -230,7 +223,8 @@ class HochschildChain:
             chain_entries = (a0,) + slots
             for j, a in enumerate(chain_entries):
                 if id(a) not in checked:
-                    checked[id(a)] = (a, category.validate_entry(a, f"slot {j}"))
+                    category.validate_entry(a, f"slot {j}")
+                    checked[id(a)] = a
             for j in range(len(slots)):
                 if chain_entries[j].source != chain_entries[j + 1].target:
                     raise ValueError(
@@ -246,34 +240,43 @@ class HochschildChain:
                 continue
             keys = []
             for s in slots:
-                known = slot_keys.get(id(s))
-                if known is None:
-                    drops = category.is_scalar_identity(s)
-                    known = slot_keys[id(s)] = (s, None if drops else category.key(s))
-                if known[1] is None:
+                key = _slot_key(category, slot_keys, s)
+                if key is None:
                     break
-                keys.append(known[1])
-            if len(keys) < len(slots):
+                keys.append(key)
+            if len(keys) == len(slots):
+                keyed.append((coeff, _head(category, u_pow, a0) + tuple(keys), a0, slots))
+        self._merge(category, u_truncation, tensor_cap, keyed)
+
+    @classmethod
+    def _keyed(cls, category, u_truncation, tensor_cap, items):
+        """The chain of keyed (coeff, string key, a0, slots) items of checked entries."""
+        chain = cls.__new__(cls)
+        chain._merge(category, u_truncation, tensor_cap, items)
+        return chain
+
+    def _merge(self, category, u_truncation, tensor_cap, items):
+        """Set the fields and the strings of keyed items, merged per string
+        key as the class docstring says; strings above the u truncation go."""
+        self.category, self.u_truncation, self.tensor_cap = category, u_truncation, tensor_cap
+        self.strings = {}
+        heads = {}  # string key -> (slots, {id of an a0: [a0, summed coefficient]})
+        for coeff, key, a0, slots in items:
+            if key[0] > u_truncation:
                 continue
-            route = (
-                category.object_key(a0.source),
-                category.object_key(a0.target),
-                checked[id(a0)][1],
-            )
-            key = (u_pow, route) + tuple(keys)
             held = heads.get(key)
             if held is None:
-                held = heads[key] = (u_pow, slots, {})
-            summed = held[2].setdefault(id(a0), [a0, 0])
+                held = heads[key] = (slots, {})
+            summed = held[1].setdefault(id(a0), [a0, 0])
             summed[1] += coeff
-        for key, (u_pow, slots, summed) in heads.items():
+        for key, (slots, summed) in heads.items():
             total = None
             for a0, coeff in summed.values():
                 if coeff:
                     scaled = a0.scale(coeff) if coeff != 1 else a0
                     total = scaled if total is None else total + scaled
             if total is not None and not total.is_zero():
-                self.strings[key] = (u_pow, total, slots)
+                self.strings[key] = (key[0], total, slots)
 
     @classmethod
     def single(cls, category, u_truncation, tensor_cap, a0, slots=(), coeff=1, u_pow=0):
@@ -285,52 +288,35 @@ class HochschildChain:
     def is_zero(self):
         """Exact zero test in the label bases of the class docstring.
 
-        Strings of different tensor length or power of u lie in independent
-        summands, so they are tested apart.  At each slot position the
-        distinct slot values are reduced to echelon form once: a value is
-        then sum_p c_p r_p over independent echelon rows r_p, and a string
-        is sum over pivot tuples (p_1..p_n) of prod_j c_{j,p_j} times
+        Each distinct slot value is decomposed and reduced once per call,
+        against one echelon basis shared by all slot positions and tensor
+        lengths; pivot rows never change once added.  A value is then
+        sum_p c_p r_p over independent echelon rows r_p, and a string is the
+        sum over pivot tuples (p_1..p_n) of prod_j c_{j,p_j} times
         a0 (x) r_{p_1} (x) ... (x) r_{p_n}.  Pure tensors of independent
-        vectors are independent, so the chain is zero iff, for every u power
-        and pivot tuple, the a0 label vectors summed with these weights
-        vanish.  The work grows with the number of strings times the product
-        of the slot values' coordinate counts, not with the product of the
-        strings' term counts.  Each distinct slot value is decomposed once per
-        call and shared by every position it sits at.  The sums start from
-        the int 0, so integral coefficients stay ints and only non-integral
-        ones are Fractions."""
+        vectors are independent and the head (u power, pivot tuple) records
+        the length and every position, so the chain is zero iff, for every
+        head, the a0 label vectors summed with these weights vanish.  The
+        work grows with the number of strings times the product of the slot
+        values' coordinate counts.  The sums start from the int 0, so
+        integral coefficients stay ints."""
         cat = self.category
-        by_length = {}
-        for key, string in self.strings.items():
-            # key = (u_pow, route) + the slots' category keys
-            by_length.setdefault(len(string[2]), []).append((key[2:], string))
+        pivots, columns = {}, {}
+        coords = {}  # slot key -> [(pivot column, coefficient)]
         total = {}
-        decomposed = {}  # slot key -> slot_decompose of that value
-        for n, members in by_length.items():
-            coords = []
-            for j in range(n):
-                pivots, columns, at_j = {}, {}, {}
-                for slot_keys, (_m, _a0, slots) in members:
-                    slot = slot_keys[j]
-                    if slot in at_j:
-                        continue
-                    if slot not in decomposed:
-                        decomposed[slot] = list(cat.slot_decompose(slots[j]))
-                    row = {}
-                    for lab, q in decomposed[slot]:
-                        col = columns.setdefault(lab, len(columns))
-                        row[col] = row.get(col, 0) + q
-                    at_j[slot] = list(echelon_reduce(pivots, row)[0].items())
-                coords.append(at_j)
-            for slot_keys, (m, a0, _slots) in members:
-                parts = list(cat.decompose(a0))
-                factors = [coords[j][k] for j, k in enumerate(slot_keys)]
-                for combo in itertools.product(*factors):
-                    weight = prod(q for _p, q in combo)
-                    head = (m, tuple(p for p, _q in combo))
-                    for lab, q in parts:
-                        key = (head, lab)
-                        total[key] = total.get(key, 0) + weight * q
+        for key, (m, a0, slots) in self.strings.items():
+            for slot, s in zip(key[2:], slots):
+                if slot not in coords:
+                    row = {columns.setdefault(lab, len(columns)): q
+                           for lab, q in cat.slot_decompose(s)}
+                    coords[slot] = list(echelon_reduce(pivots, row)[0].items())
+            parts = list(cat.decompose(a0))
+            for combo in itertools.product(*(coords[slot] for slot in key[2:])):
+                weight = prod(q for _p, q in combo)
+                head = (m, tuple(p for p, _q in combo))
+                for lab, q in parts:
+                    at = (head, lab)
+                    total[at] = total.get(at, 0) + weight * q
         return not any(total.values())
 
     def _combine(self, other, flip):
@@ -338,10 +324,10 @@ class HochschildChain:
             raise TypeError(f"cannot combine a HochschildChain with a {type(other).__name__}")
         if other.category is not self.category:
             raise ValueError("chains live over different categories")
-        items = [(1, m, a, s) for (m, a, s) in self.strings.values()]
+        items = [(1, key, a, s) for key, (_m, a, s) in self.strings.items()]
         sign = -1 if flip else 1
-        items += [(sign, m, a, s) for (m, a, s) in other.strings.values()]
-        return HochschildChain(
+        items += [(sign, key, a, s) for key, (_m, a, s) in other.strings.items()]
+        return HochschildChain._keyed(
             self.category,
             min(self.u_truncation, other.u_truncation),
             max(self.tensor_cap, other.tensor_cap),
@@ -358,12 +344,16 @@ class HochschildChain:
         return self.scale(-1)
 
     def scale(self, q):
-        items = [(q, m, a, s) for (m, a, s) in self.strings.values()]
-        return HochschildChain(self.category, self.u_truncation, self.tensor_cap, items)
+        q = _exact(q)
+        items = [(q, key, a, s) for key, (_m, a, s) in self.strings.items()]
+        return HochschildChain._keyed(self.category, self.u_truncation, self.tensor_cap, items)
 
     def shift_u(self, k):
-        items = [(1, m + k, a, s) for (m, a, s) in self.strings.values()]
-        return HochschildChain(self.category, self.u_truncation, self.tensor_cap, items)
+        items = []
+        for key, (m, a, s) in self.strings.items():
+            _check_count("power of u", m + k)
+            items.append((1, (m + k,) + key[1:], a, s))
+        return HochschildChain._keyed(self.category, self.u_truncation, self.tensor_cap, items)
 
     def __eq__(self, other):
         if not isinstance(other, HochschildChain):
@@ -383,6 +373,20 @@ class HochschildChain:
         return f"HochschildChain({len(self.strings)} strings)"
 
 
+def _head(cat, u_pow, a0):
+    """The front of a string key: the power of u and a0's route."""
+    return (u_pow, (cat.object_key(a0.source), cat.object_key(a0.target), a0.parity()))
+
+
+def _slot_key(cat, memo, s):
+    """The key of a slot entry, or None when it is a scalar identity and
+    drops its string; ``memo`` maps id(s) to (s, that) for one call."""
+    known = memo.get(id(s))
+    if known is None:
+        known = memo[id(s)] = (s, None if cat.is_scalar_identity(s) else cat.key(s))
+    return known[1]
+
+
 # -- differentials -----------------------------------------------------------
 
 
@@ -394,11 +398,14 @@ def hochschild_b(x):
     Entries keep their composites, so each pair of entry objects is composed
     once, in this call or a later one, whichever of a0 after slot 0, slot
     i-1 after slot i or the wrap-around slot n-1 after a0 asks for it; a
-    chain that repeats its entries (as eta_pi does) yields one per pair."""
+    chain that repeats its entries (as eta_pi does) yields one per pair.
+    Retained slots keep their keys; a new slot entry is keyed once per call."""
     cat = x.category
+    made = {}  # id of a new slot entry -> (entry, key or None)
     items = []
-    for (u_pow, a0, slots) in x.strings.values():
+    for key, (u_pow, a0, slots) in x.strings.items():
         n = len(slots)
+        keys = key[2:]
         entries = (a0,) + slots
         parities = [a.parity() for a in entries]
 
@@ -406,17 +413,19 @@ def hochschild_b(x):
             sign = (-1) ** ((sum(parities[: i + 1]) - i) % 2)
             if i == 0:
                 new_a0 = a0.compose(slots[0])
-                new_slots = slots[1:]
-            else:
-                new_a0 = a0
-                merged = slots[i - 1].compose(slots[i])
+                items.append((sign, _head(cat, u_pow, new_a0) + keys[1:], new_a0, slots[1:]))
+                continue
+            merged = slots[i - 1].compose(slots[i])
+            k = _slot_key(cat, made, merged)
+            if k is not None:
                 new_slots = slots[: i - 1] + (merged,) + slots[i + 1 :]
-            items.append((sign, u_pow, new_a0, new_slots))
+                items.append((sign, key[:2] + keys[: i - 1] + (k,) + keys[i + 1 :], a0, new_slots))
 
         if n >= 1:
             exponent = (parities[n] - 1) * (sum(parities[:n]) - (n - 1)) + 1
             new_a0 = slots[n - 1].compose(a0)
-            items.append(((-1) ** (exponent % 2), u_pow, new_a0, slots[: n - 1]))
+            head = _head(cat, u_pow, new_a0)
+            items.append(((-1) ** (exponent % 2), head + keys[: n - 1], new_a0, slots[: n - 1]))
 
         for j in range(n + 1):
             da = entries[j].differential()
@@ -424,40 +433,53 @@ def hochschild_b(x):
                 continue
             sign = (-1) ** ((sum(parities[:j]) - j) % 2)
             if j == 0:
-                items.append((sign, u_pow, da, slots))
-            else:
+                items.append((sign, _head(cat, u_pow, da) + keys, da, slots))
+                continue
+            k = _slot_key(cat, made, da)
+            if k is not None:
                 new_slots = slots[: j - 1] + (da,) + slots[j:]
-                items.append((sign, u_pow, a0, new_slots))
+                items.append((sign, key[:2] + keys[: j - 1] + (k,) + keys[j:], a0, new_slots))
 
-    return HochschildChain(cat, x.u_truncation, x.tensor_cap, items)
+    return HochschildChain._keyed(cat, x.u_truncation, x.tensor_cap, items)
 
 
-def _rotated(a0, slots, parities):
-    """The string a0[slots], its entries of the given parities, with its
-    last-written entry rotated to the front, as (a0, slots, parities): a0
-    moves into the last slot, and the cyclic Koszul sign on shifted degrees
-    scales the new front entry."""
-    if not slots:
-        return a0, slots, parities
-    rotated = parities[1:] + parities[:1]
-    rest = sum(parities[1:]) - len(slots)
-    if ((parities[0] - 1) * rest) % 2:
-        return slots[0].scale(-1), slots[1:] + (a0,), rotated
-    return slots[0], slots[1:] + (a0,), rotated
+def _rotated(cat, made, negated, entries, keys, parities):
+    """The slots of a B term, their keys and parities, rotated by one: the
+    front entry moves to the back, and the cyclic Koszul sign on shifted
+    degrees scales the new front entry, whose negative is made and keyed
+    once per call (``negated`` maps id(a) to (a, -a))."""
+    negate = ((parities[0] - 1) * (sum(parities[1:]) - len(entries) + 1)) % 2
+    entries, keys = entries[1:] + entries[:1], keys[1:] + keys[:1]
+    parities = parities[1:] + parities[:1]
+    if negate:
+        neg = negated.get(id(entries[0]))
+        if neg is None:
+            neg = negated[id(entries[0])] = (entries[0], entries[0].scale(-1))
+        entries, keys = (neg[1],) + entries[1:], (_slot_key(cat, made, neg[1]),) + keys[1:]
+    return entries, keys, parities
 
 
 def connes_B(x):
     """B = s N in the normalized complex: sum the cyclic rotations, then
     prepend an identity.  A rotation whose slots hold a scalar identity
-    vanishes when the sum is built."""
+    vanishes.  The slots of x keep their keys; its a0 moving into a slot and
+    the negated front entries of the rotations are keyed once per call."""
     cat = x.category
+    made, negated = {}, {}  # see _slot_key and _rotated
     items = []
-    for (u_pow, a0, slots) in x.strings.values():
-        parities = [a.parity() for a in (a0,) + slots]
-        for _i in range(len(slots) + 1):
-            items.append((1, u_pow, cat.identity(a0.target), (a0,) + slots))
-            a0, slots, parities = _rotated(a0, slots, parities)
-    return HochschildChain(cat, x.u_truncation, x.tensor_cap, items)
+    for key, (u_pow, a0, slots) in x.strings.items():
+        if len(slots) >= x.tensor_cap:
+            raise ValueError(f"tensor degree {len(slots) + 1} above the cap {x.tensor_cap}")
+        entries = (a0,) + slots
+        keys = (_slot_key(cat, made, a0),) + key[2:]
+        parities = [a.parity() for a in entries]
+        for i in range(len(entries)):
+            if i:
+                entries, keys, parities = _rotated(cat, made, negated, entries, keys, parities)
+            if None not in keys:
+                one = cat.identity(entries[0].target)
+                items.append((1, _head(cat, u_pow, one) + keys, one, entries))
+    return HochschildChain._keyed(cat, x.u_truncation, x.tensor_cap, items)
 
 
 # -- trace map ----------------------------------------------------------------

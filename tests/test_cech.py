@@ -491,3 +491,26 @@ def test_caller_arguments_checked_on_built_values():
     assert u_one.shift_u(2).terms == {(0, 0, (), 3): ring.one()}
     assert cochains[0].shift_u(2).is_zero()
     assert (u_one - u_one).terms == {}
+
+
+def test_truncate_u_checks_its_bound_and_never_raises_the_truncation():
+    """On P^1, c = dz/z + u^2 dz at truncation 2: truncate_u(9) keeps the
+    truncation 2, truncate_u(1) drops the u^2 term, and a bound that is not
+    an int >= 0 raises, on the cochain and on its entry."""
+    sch = build_scheme(proj_line())
+    ring = sch.intersection((0, 1)).ring
+    z = ring.var("z")
+    mf = MatrixForm(ring, (0,), (0,), {(0, 0, (0,), 0): z ** -1, (0, 0, (0,), 2): ring.one()})
+    c = CechCochain.scalar(sch, {(0, 1): mf}, 2)
+    high = c.truncate_u(9)
+    assert high.u_truncation == 2 and high == c
+    assert (c + high).u_truncation == 2 and c + high == c.scale(2)
+    low = c.truncate_u(1)
+    assert low.u_truncation == 1
+    assert low.entry((0, 1)).terms == {(0, 0, (0,), 0): z ** -1}
+    for value in (c, mf):
+        with pytest.raises(ValueError, match="negative u truncation -1"):
+            value.truncate_u(-1)
+        for bound in (1.5, True):
+            with pytest.raises(TypeError, match="not an int"):
+                value.truncate_u(bound)

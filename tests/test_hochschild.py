@@ -332,6 +332,46 @@ def test_tensor_cap_enforced():
         HochschildChain.single(cat, 2, 1, a, (a, a))
 
 
+def test_derived_chains_keep_the_checks_that_can_fail():
+    """Chains derived from checked ones skip the entry checks, but the
+    caller's scalar and u shift, the other operand of a sum and B's tensor
+    cap are still checked, also where the entries would not catch them (a
+    formal arrow takes a float scalar)."""
+    g, f = FormalMorphism.basis("g"), FormalMorphism.basis("f")
+    x = HochschildChain(RETRACT, 1, 2, [(1, 0, g, (f,)), (1, 1, g, (f,))])
+    for chain in (x, HochschildChain(RETRACT, 1, 2)):
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            chain.scale(0.5)
+    with pytest.raises(TypeError, match="not an int"):
+        x.shift_u(0.5)
+    with pytest.raises(ValueError, match="negative power of u -1"):
+        x.shift_u(-1)
+    with pytest.raises(TypeError, match="cannot combine"):
+        x + 1
+    with pytest.raises(ValueError, match="different categories"):
+        x + HochschildChain(RetractCategory(), 1, 2, [(1, 0, g, (f,))])
+    assert len(connes_B(x).strings) == 4 and x.shift_u(1).u_truncation == 1
+    with pytest.raises(ValueError, match="tensor degree 3 above the cap 2"):
+        connes_B(connes_B(x))
+
+
+def test_a0s_of_different_parity_stay_apart():
+    """The route in a string key holds a0's parity: strings that differ only
+    in the parity of a0 do not merge, in the constructor or in derived
+    chains, so every a0 stays parity homogeneous."""
+    sch, (P, _Q) = line_objects()
+    cat = GeometricCategory(sch, 2)
+    rng = random.Random(21)
+    even, odd, s = (random_morphism(rng, P, P, p, 2) for p in (0, 1, 1))
+    while odd.is_zero() or s.is_zero():
+        odd, s = (random_morphism(rng, P, P, 1, 2) for _ in range(2))
+    x = HochschildChain(cat, 2, 4, [(1, 0, even, (s,)), (1, 0, odd, (s,))])
+    for y in (x, x + x.shift_u(1), hochschild_b(x), connes_B(x)):
+        assert y.strings
+        assert all(a0.parity() is not None for (_m, a0, _slots) in y.strings.values())
+    assert len(x.strings) == 2
+
+
 def test_chain_validation_names_the_slot():
     sch, (P, Q) = line_objects()
     cat = GeometricCategory(sch, 2)
@@ -461,47 +501,51 @@ def test_parity_asked_once_per_distinct_entry(monkeypatch):
     assert sum(1 + len(slots) for (_m, _a0, slots) in eta.strings.values()) > len(entries)
 
 
-def test_each_distinct_entry_checked_and_keyed_once_per_construction(monkeypatch):
-    """Building eta_pi at u = 3 and (b + uB) of it validates every distinct
-    entry object of each construction once and keys each slot entry at most
-    once, although entries repeat across strings and slots."""
+def test_eta_pi_checks_each_entry_once_and_derived_chains_key_only_new_entries(monkeypatch):
+    """Building eta_pi at u = 3 validates and keys each distinct entry object
+    once.  b and B validate nothing: b keys and tests only the composites it
+    makes, and B only the a0s that move into a slot, each once; shift_u and
+    the sum of (b + uB) eta_pi validate, key and test nothing."""
     r = geometric_retract(3)
-    logs = []
-    init = HochschildChain.__init__
-    validate = GeometricCategory.validate_entry
-    key = GeometricCategory.key
+    spied = {"validate_entry": [], "key": [], "is_scalar_identity": []}
+    for name, calls in spied.items():
+        real = getattr(GeometricCategory, name)
 
-    def spy_init(self, category, u_truncation, tensor_cap, items=()):
-        items = list(items)
-        log = {"validated": [], "keyed": [], "entries": set(), "slots": set()}
-        for (_c, _m, a0, slots) in items:
-            log["entries"].update(id(a) for a in (a0,) + tuple(slots))
-            log["slots"].update(id(a) for a in slots)
-        logs.append(log)
-        init(self, category, u_truncation, tensor_cap, items)
-        log["kept"] = {id(a) for (_m, _a0, slots) in self.strings.values() for a in slots}
-        log["positions"] = sum(1 + len(slots) for (_c, _m, _a0, slots) in items)
+        def spy(self, a, *rest, real=real, calls=calls):
+            calls.append(id(a))
+            return real(self, a, *rest)
 
-    def spy_validate(self, a, where):
-        logs[-1]["validated"].append(id(a))
-        return validate(self, a, where)
+        monkeypatch.setattr(GeometricCategory, name, spy)
 
-    def spy_key(self, a):
-        logs[-1]["keyed"].append(id(a))
-        return key(self, a)
+    def taken():
+        out = {name: list(calls) for name, calls in spied.items()}
+        for calls in spied.values():
+            del calls[:]
+        return out
 
-    monkeypatch.setattr(HochschildChain, "__init__", spy_init)
-    monkeypatch.setattr(GeometricCategory, "validate_entry", spy_validate)
-    monkeypatch.setattr(GeometricCategory, "key", spy_key)
     eta = eta_pi(r, 3)
-    image = hochschild_b(eta) + connes_B(eta).shift_u(1)
+    at_eta = taken()
+    b_eta = hochschild_b(eta)
+    at_b = taken()
+    B_eta = connes_B(eta)
+    at_B = taken()
+    image = b_eta + B_eta.shift_u(1)
+    at_sum = taken()
     assert image.is_zero()
-    assert len(logs) == 5  # eta_pi, b, B, shift_u and the sum
-    for log in logs:
-        assert sorted(log["validated"]) == sorted(log["entries"])
-        assert len(log["keyed"]) == len(set(log["keyed"]))
-        assert log["kept"] <= set(log["keyed"]) <= log["slots"]
-    assert sum(log["positions"] for log in logs) > 2 * sum(len(log["entries"]) for log in logs)
+
+    a0s = {id(a0) for (_m, a0, _slots) in eta.strings.values()}
+    slots = {id(s) for (_m, _a0, ss) in eta.strings.values() for s in ss}
+    assert len(a0s) == 4 and slots == {id(r.pi)}
+    # the entries given to eta_pi: pi and 2 pi - 1, which the a0s scale
+    assert len(at_eta["validate_entry"]) == len(set(at_eta["validate_entry"])) == 2
+    assert at_eta["key"] == at_eta["is_scalar_identity"] == [id(r.pi)]
+    # every entry of eta_pi is closed, so b's only new slot entry is the
+    # composite pi pi, which pi keeps
+    assert at_b["validate_entry"] == []
+    assert at_b["key"] == at_b["is_scalar_identity"] == [id(r.pi.compose(r.pi))]
+    assert at_B["validate_entry"] == []
+    assert sorted(at_B["key"]) == sorted(at_B["is_scalar_identity"]) == sorted(a0s)
+    assert at_sum == {name: [] for name in spied}
 
 
 def test_chain_from_fresh_temporaries_matches_list_built():

@@ -289,6 +289,30 @@ CASES = {
         lambda: naming("True", lambda: HochschildChain(plane_cat, 2, True, [(1, 0, even, ())])),
     "HochschildChain: tensor cap '3', message names it":
         lambda: naming("'3'", lambda: HochschildChain(plane_cat, 2, "3", [(1, 0, even, ())])),
+    "MatrixForm.truncate_u(-1), message names it":
+        lambda: naming("-1", lambda: MatrixForm.identity(line, (0,)).truncate_u(-1)),
+    "MatrixForm.truncate_u(1.5), message names it":
+        lambda: naming("1.5", lambda: MatrixForm.identity(line, (0,)).truncate_u(1.5)),
+    "MatrixForm.truncate_u(True), message names it":
+        lambda: naming("True", lambda: MatrixForm.identity(line, (0,)).truncate_u(True)),
+    "CechCochain.truncate_u(-1), message names it":
+        lambda: naming("-1", lambda: on_plane.truncate_u(-1)),
+    "CechCochain.truncate_u(1.5), message names it":
+        lambda: naming("1.5", lambda: on_plane.truncate_u(1.5)),
+    "CechCochain.truncate_u(True), message names it":
+        lambda: naming("True", lambda: on_plane.truncate_u(True)),
+    "HochschildChain.shift_u(0.5), message names it":
+        lambda: naming("0.5", lambda: chain((1, 0, even, ())).shift_u(0.5)),
+    "HochschildChain.shift_u(-1) of a u^0 string, message names it":
+        lambda: naming("-1", lambda: chain((1, 0, even, ())).shift_u(-1)),
+    "HochschildChain.scale by the float 0.5, message names it":
+        lambda: naming("0.5", lambda: chain((1, 0, even, ())).scale(0.5)),
+    "HochschildChain + int":
+        lambda: chain((1, 0, even, ())) + 1,
+    "HochschildChain + a chain over another category":
+        lambda: chain((1, 0, even, ())) + HochschildChain(
+            GeometricCategory(plane, 2), 2, 4, [(1, 0, even, ())]
+        ),
     "cohomologous: degree bound -1, message names it":
         lambda: naming("-1", lambda: cohomologous(on_plane, on_plane, -1)),
     "cohomologous: denominator bound -1, message names it":
@@ -326,7 +350,7 @@ def test_malformed_inputs_raise_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["cases"] == 100
+    assert report["cases"] == 111
     assert not report["accepted"], "accepted under python -O: " + "; ".join(report["accepted"])
 
 

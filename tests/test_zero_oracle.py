@@ -250,3 +250,66 @@ def test_non_integral_chains_agree_with_expansion():
                 assert new == old, y.canonical_string()
                 seen[new] += 1
     assert seen[True] >= 4 and seen[False] >= 4, seen
+
+
+# -- one echelon basis for every position and length ---------------------------
+#
+# is_zero reduces all slot values against one shared basis, so only the head
+# (u power, pivot tuple) keeps strings of different slot orders and lengths
+# apart.  Each test below fails if the head forgets the position or the length
+# of a pivot.
+
+
+def endomorphism_pair(seed):
+    """a0, a, b: P -> P on A^1 with a and b of one parity and nonzero in
+    the slot space (independent for the seeds used), a scaled so that its
+    first slot coordinate is 1."""
+    sch, (P, _Q) = line_objects()
+    cat = GeometricCategory(sch, 2)
+    rng = random.Random(seed)
+    a0 = random_morphism(rng, P, P, 0, 2)
+    a = b = None
+    while a is None or not cat.slot_decompose(a) or not cat.slot_decompose(b):
+        parity = rng.randint(0, 1)
+        a, b = (random_morphism(rng, P, P, parity, 2) for _ in range(2))
+    a = a.scale(Fraction(1, cat.slot_decompose(a)[0][1]))
+    return cat, a0, a, b
+
+
+def test_transposed_slots_do_not_cancel():
+    """a0[a|b] - a0[b|a] is nonzero when a and b are independent."""
+    for seed in (3, 8):
+        cat, a0, a, b = endomorphism_pair(seed)
+        x = HochschildChain(cat, 2, 4, [(1, 0, a0, (a, b)), (-1, 0, a0, (b, a))])
+        assert len(x.strings) == 2
+        assert verdicts(x) == (False, False)
+
+
+def test_one_slot_value_at_every_position_and_length_agrees_with_expansion():
+    """Signed pairs and the sum of strings that hold a at different positions
+    and lengths, next to b; each verdict matches the expansion."""
+    cat, a0, a, b = endomorphism_pair(5)
+    tuples = [(a,), (a, a), (a, b), (b, a), (a, a, b), (a, b, a), (b, a, a)]
+    seen = {True: 0, False: 0}
+    cases = [[(1, 0, a0, s) for s in tuples]]
+    for s, t in itertools.combinations(tuples, 2):
+        for sign in (1, -1):
+            cases.append([(1, 0, a0, s), (sign, 0, a0, t)])
+    cases.append([(1, 0, a0, (a, b)), (1, 0, a0, (a, a + b)), (-1, 0, a0, (a, a + b.scale(2)))])
+    for items in cases:
+        new, old = verdicts(HochschildChain(cat, 2, 4, items))
+        assert new == old, items
+        seen[new] += 1
+    assert seen == {True: 1, False: len(cases) - 1}, seen
+
+
+def test_lengths_never_cancel():
+    """a0[q pi] + lam a0[q pi|q pi] is nonzero for every q and lam, also for
+    lam = -1/q, where the two strings carry equal weight on one pivot."""
+    pi = FormalMorphism.basis("pi")
+    for a0 in (pi, FormalMorphism.basis("1N")):
+        for q in (1, 2, Fraction(-1, 3)):
+            slot = pi.scale(q)
+            for lam in (1, -1, -1 / Fraction(q)):
+                x = HochschildChain(RETRACT, 0, 4, [(1, 0, a0, (slot,)), (lam, 0, a0, (slot, slot))])
+                assert verdicts(x) == (False, False), (a0, q, lam)
