@@ -443,29 +443,26 @@ def hochschild_b(x):
     return HochschildChain._keyed(cat, x.u_truncation, x.tensor_cap, items)
 
 
-def _rotated(cat, made, negated, entries, keys, parities):
+def _rotated(cat, made, entries, keys, parities):
     """The slots of a B term, their keys and parities, rotated by one: the
     front entry moves to the back, and the cyclic Koszul sign on shifted
-    degrees scales the new front entry, whose negative is made and keyed
-    once per call (``negated`` maps id(a) to (a, -a))."""
+    degrees scales the new front entry, which is then keyed anew."""
     negate = ((parities[0] - 1) * (sum(parities[1:]) - len(entries) + 1)) % 2
     entries, keys = entries[1:] + entries[:1], keys[1:] + keys[:1]
     parities = parities[1:] + parities[:1]
     if negate:
-        neg = negated.get(id(entries[0]))
-        if neg is None:
-            neg = negated[id(entries[0])] = (entries[0], entries[0].scale(-1))
-        entries, keys = (neg[1],) + entries[1:], (_slot_key(cat, made, neg[1]),) + keys[1:]
+        neg = entries[0].scale(-1)
+        entries, keys = (neg,) + entries[1:], (_slot_key(cat, made, neg),) + keys[1:]
     return entries, keys, parities
 
 
 def connes_B(x):
     """B = s N in the normalized complex: sum the cyclic rotations, then
     prepend an identity.  A rotation whose slots hold a scalar identity
-    vanishes.  The slots of x keep their keys; its a0 moving into a slot and
-    the negated front entries of the rotations are keyed once per call."""
+    vanishes.  The slots of x keep their keys; its a0 moving into a slot is
+    keyed once per call, and a negated front entry of a rotation is keyed."""
     cat = x.category
-    made, negated = {}, {}  # see _slot_key and _rotated
+    made = {}  # see _slot_key
     items = []
     for key, (u_pow, a0, slots) in x.strings.items():
         if len(slots) >= x.tensor_cap:
@@ -475,7 +472,7 @@ def connes_B(x):
         parities = [a.parity() for a in entries]
         for i in range(len(entries)):
             if i:
-                entries, keys, parities = _rotated(cat, made, negated, entries, keys, parities)
+                entries, keys, parities = _rotated(cat, made, entries, keys, parities)
             if None not in keys:
                 one = cat.identity(entries[0].target)
                 items.append((1, _head(cat, u_pow, one) + keys, one, entries))
