@@ -261,12 +261,17 @@ def cohomologous(c1, c2, degree_bound, den_bound=1):
     return None
 
 
-def _transported(scheme, cochain, h):
+def _pullback(f, c):
+    """The scalar cochain f*c on f.source of a scalar cochain c on f.target,
+    for a SchemeMap f: its entry on a nonempty tuple T is c's entry on the
+    image tuple f(T), pulled back along f.on(T)."""
+    position = {k: i for i, k in enumerate(f.index)}
     entries = {}
-    for tup, mf in cochain.entries.items():
-        rm = scheme.action_on(tup, h)
-        entries[tup] = pullback_matrix(rm, mf)
-    return CechCochain.scalar(scheme, entries, cochain.u_truncation)
+    for tup, mf in c.entries.items():
+        pre = tuple(position.get(k) for k in tup)
+        if None not in pre and f.source.is_nonempty(pre):
+            entries[pre] = pullback_matrix(f.on(pre), mf)
+    return CechCochain.scalar(f.source, entries, c.u_truncation)
 
 
 def coinvariant_project(family, scheme):
@@ -306,6 +311,6 @@ def coinvariant_project(family, scheme):
             c = family.get(gp)
             if c is None or c.is_zero():
                 continue
-            acc = acc + _transported(scheme, c.truncate_u(trunc), h)
+            acc = acc + _pullback(scheme.action_map(h), c.truncate_u(trunc))
         out[g] = acc.scale(Fraction(1, len(orbit)))
     return out

@@ -8,7 +8,7 @@ the commutator with delta, and the frame differences across overlaps.
 from __future__ import annotations
 
 from .cech import CechCochain, MatrixForm, cech_differential, pullback_matrix
-from .mf import MatrixFactorization, invert_matrix
+from .mf import MatrixFactorization
 from .rings import Fraction, _check_same_ring
 
 __all__ = [
@@ -79,17 +79,18 @@ def default_connection(P):
 
 def group_transformed_connection(conn, structure, g):
     """The connection g.C with matrix phi_g rho_g(C) phi_g^{-1} + phi_g
-    d(phi_g^{-1}) on each patch."""
+    d(phi_g^{-1}) on each patch, where phi_g^{-1} = rho_g(phi_{g^-1}) by the
+    cocycle rule phi_e = phi_g g(phi_{g^-1})."""
     P = structure.P
     if conn.mf is not P:
         raise ValueError("connection and structure are on different factorizations")
     scheme = P.scheme
-    act = scheme.action
+    f = scheme.action_map(g)
+    back = structure.phi[scheme.action.inverse(g)]
     out = []
-    for i in range(scheme.npatches()):
-        rho = act.map(g, i)
+    for i, rho in enumerate(f.charts):
         phi = structure.phi[g][i]
-        phi_inv = invert_matrix(phi)
+        phi_inv = pullback_matrix(rho, back[i])
         moved = pullback_matrix(rho, conn.matrix(i))
         C = phi.mul(moved).mul(phi_inv) + phi.mul(phi_inv.d_form())
         out.append(C)

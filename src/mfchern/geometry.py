@@ -3,6 +3,13 @@
 A CoveredScheme is a list of patches with pairwise gluing data, a potential,
 and optionally a finite group acting linearly patch by patch.  Ordered
 intersections are presented in the coordinates of their smallest-index patch.
+
+A SchemeMap f: X -> Y is given chart by chart: chart i of X maps into chart
+index[i] of Y, with index strictly increasing, by a RingMap O(Y_index[i]) ->
+O(X_i).  Its constructor checks that f pulls the potential of Y back to that
+of X and respects the gluing.  Group elements (``action_map``), fixed-locus
+inclusions X^g -> X (``fixed_locus``) and transports between fixed loci
+(``locus_transport``) are all SchemeMaps.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ __all__ = [
     "Patch",
     "CoveredScheme",
     "GroupAction",
-    "FixedLocus",
+    "SchemeMap",
     "build_scheme",
     "reroot",
     "fixed_locus",
@@ -91,9 +98,6 @@ class GroupAction:
             if self.table[gi][b] == self.index(self.identity):
                 return self.elements[b]
         raise AssertionError("element without inverse")
-
-    def map(self, g, patch_index):
-        return self.maps[g][patch_index]
 
 
 class CoveredScheme:
@@ -189,14 +193,11 @@ class CoveredScheme:
         self._restrictions[(small, big)] = out
         return out
 
-    def action_on(self, tup, g):
-        """The g-action transported to the intersection ring of tup."""
+    def action_map(self, g):
+        """The group element g as a SchemeMap from the scheme to itself."""
         if self.action is None:
             raise ValueError("scheme has no group action")
-        inclusion = self.restriction(tup[:1], tup)
-        base = self.action.map(g, tup[0])
-        images = tuple(inclusion.apply(img) for img in base.images)
-        return RingMap(inclusion.target, inclusion.target, images)
+        return self._action_maps[g]
 
     # -- validation --------------------------------------------------------
 
@@ -242,39 +243,28 @@ class CoveredScheme:
     def _validate_action(self):
         act = self.action
         n = self.npatches()
-        if set(act.maps) != set(act.elements) or any(len(m) != n for m in act.maps.values()):
+        if set(act.maps) != set(act.elements) or any(
+            len(m) != n or not all(isinstance(f, RingMap) for f in m) for m in act.maps.values()
+        ):
             raise ValueError("the action needs one ring map per element and patch")
         # group law patchwise, exact equality of images
         for g in act.elements:
             for h in act.elements:
-                gh = act.mult(g, h)
+                gh = act.maps[act.mult(g, h)]
                 for i in range(n):
-                    comp = act.map(g, i).compose(act.map(h, i))
-                    if comp.images != act.map(gh, i).images:
+                    if act.maps[g][i].compose(act.maps[h][i]).images != gh[i].images:
                         raise ValueError(f"action fails group law at ({g},{h}), patch {i}")
         # identity acts as identity
         for i in range(n):
-            if act.map(act.identity, i).images != RingMap.identity(self.patches[i].ring).images:
+            if act.maps[act.identity][i].images != RingMap.identity(self.patches[i].ring).images:
                 raise ValueError("identity element must act trivially")
-        # the potential is fixed
+        # each element fixes the potential and respects the gluing
+        self._action_maps = {}
         for g in act.elements:
-            for i in range(n):
-                w = self.patches[i].potential
-                if act.map(g, i).apply(w) != w:
-                    raise ValueError(f"potential not fixed by {g} on patch {i}")
-        # actions commute with the gluing maps
-        for (i, j) in sorted(self.pair_data):
-            if not self.is_nonempty((i, j)):
-                continue
-            rho_ij = self.restriction((j,), (i, j))
-            for g in act.elements:
-                gi = self.action_on((i, j), g)
-                lhs = [gi.apply(img) for img in rho_ij.images]
-                rhs = [
-                    rho_ij.apply(img) for img in act.map(g, j).images
-                ]
-                if lhs != rhs:
-                    raise ValueError(f"action of {g} does not respect gluing ({i},{j})")
+            try:
+                self._action_maps[g] = SchemeMap(self, self, range(n), act.maps[g])
+            except ValueError as err:
+                raise ValueError(f"action of {g}: {err}") from err
 
 
 def reroot(ring, value):
@@ -339,23 +329,71 @@ def build_scheme(config):
     return scheme
 
 
-class FixedLocus:
-    """The fixed-point subscheme of one group element, as its own covered scheme.
+class SchemeMap:
+    """A map f: source -> target of covered schemes, chart by chart: chart i
+    of the source maps into chart index[i] of the target, index strictly
+    increasing, and charts[i] is the RingMap O(target_index[i]) ->
+    O(source_i).  The constructor checks the chart counts and rings, that
+    index increases, that f*W = W on each chart, that f respects the gluing
+    on each nonempty pair of the source, and that on every chart and such
+    pair each denominator of the target maps to a unit."""
 
-    patch_map sends an ambient patch index to the locus patch index, or None
-    when the fixed locus misses that patch.  restrictions[i] is the RingMap
-    from ambient patch i onto its locus piece, which describes the piece: it
-    sends each ambient coordinate to an affine function of the locus
-    coordinates t, and some ambient coordinate exactly to each t_k.
-    """
+    __slots__ = ("source", "target", "index", "charts", "_on")
 
-    __slots__ = ("element", "scheme", "patch_map", "restrictions")
+    def __init__(self, source, target, index, charts):
+        self.source, self.target = source, target
+        self.index, self.charts = tuple(index), tuple(charts)
+        if not len(self.index) == len(self.charts) == source.npatches():
+            raise ValueError(f"{len(self.index)} chart indices and {len(self.charts)} "
+                             f"ring maps for {source.npatches()} charts")
+        bounds = (-1,) + self.index + (target.npatches(),)
+        if any(type(k) is not int for k in self.index) or any(
+            a >= b for a, b in zip(bounds, bounds[1:])
+        ):
+            raise ValueError(f"chart index {self.index} is not increasing below {bounds[-1]}")
+        for i, (k, f) in enumerate(zip(self.index, self.charts)):
+            if not isinstance(f, RingMap):
+                raise TypeError(f"chart {i} is a {type(f).__name__}, not a RingMap")
+            _check_same_ring(f.source, target.patch_ring(k))
+            _check_same_ring(f.target, source.patch_ring(i))
+            if f.apply(target.potential(k)) != source.potential(i):
+                raise ValueError(f"potential not fixed by the map on chart {i}")
+        self._on = {(i,): f for i, f in enumerate(self.charts)}
+        for i, j in source.tuples(2):
+            pair = (self.index[i], self.index[j])
+            if not target.is_nonempty(pair):
+                raise ValueError(f"charts ({i},{j}) meet but charts {pair} do not")
+            lhs = self.on((i, j)).compose(target.restriction(pair[1:], pair))
+            rhs = source.restriction((j,), (i, j)).compose(self.charts[j])
+            if lhs.images != rhs.images:
+                raise ValueError(f"map does not respect gluing ({i},{j})")
+        for rm in self._on.values():
+            for k in range(len(rm.source.denominators)):
+                rm._denominator_inverse(k)  # raises unless its image is a unit
 
-    def __init__(self, element, scheme, patch_map, restrictions):
-        self.element = element
-        self.scheme = scheme
-        self.patch_map = patch_map
-        self.restrictions = restrictions
+    def on(self, tup):
+        """The map on the overlap tup of the source, from the ring of its
+        image overlap; built once per tuple."""
+        rm = self._on.get(tup)
+        if rm is None:
+            lift = self.source.restriction(tup[:1], tup)
+            images = tuple(lift.apply(img) for img in self.charts[tup[0]].images)
+            image = self.target.intersection(tuple(self.index[k] for k in tup))
+            rm = self._on[tup] = RingMap(image.ring, lift.target, images)
+        return rm
+
+
+def _restricted_denominators(dens, images, ring):
+    """The nonconstant restrictions of the polynomials dens along polynomial
+    images over ring, or None when one restricts to zero: the piece is empty."""
+    out = []
+    for d in dens:
+        rd = d.substitute(images, ring).num
+        if rd.is_zero():
+            return None
+        if rd.as_constant() is None:
+            out.append(rd)
+    return out
 
 
 def _locus_coordinates(restriction, ring, values, failure):
@@ -374,22 +412,20 @@ def _locus_coordinates(restriction, ring, values, failure):
 
 
 def fixed_locus(scheme, g):
-    """Present the fixed subscheme of the group element g patch by patch."""
-    act = scheme.action
-    if act is None:
-        raise ValueError("scheme has no group action")
-    n = scheme.npatches()
-    patch_map = {}
-    restrictions = {}
-    locus_patches = []
-    locus_rings = []
-    for i in range(n):
+    """The inclusion X^g -> X of the fixed subscheme of the group element g,
+    as a SchemeMap.  Chart k of X^g is the piece of ambient chart index[k]
+    that g fixes, ambient charts the locus misses are left out, and
+    charts[k] sends each ambient coordinate to an affine function of the
+    locus coordinates t, and some ambient coordinate exactly to each t_k."""
+    action = scheme.action_map(g)
+    index, restrictions = [], []
+    for i in range(scheme.npatches()):
         ring = scheme.patch_ring(i)
         nvars = len(ring.vars)
         # g acts by x -> A x + s, so its fixed points solve (A - 1) x = -s
         rows = [[Fraction(-int(r == c)) for c in range(nvars)] for r in range(nvars)]
         rhs = [Fraction(0)] * nvars
-        for r, img in enumerate(act.map(g, i).images):
+        for r, img in enumerate(action.charts[i].images):
             if any(img.den):
                 raise ValueError("unsupported action: image has denominators")
             for exps, c in img.num.terms.items():
@@ -401,7 +437,6 @@ def fixed_locus(scheme, g):
                     raise ValueError("unsupported action: nonlinear substitution")
         sol = solve_affine_q(rows, rhs)
         if sol is None:
-            patch_map[i] = None
             continue
         # x = x0 + L t; solve_affine_q makes x exactly t_k at the k-th free
         # column, which _locus_coordinates relies on
@@ -419,60 +454,28 @@ def fixed_locus(scheme, g):
                     e = tuple(1 if k == c else 0 for k in range(len(tvars)))
                     terms[e] = terms.get(e, Fraction(0)) + col[r]
             param.append(ScalarPoly(tvars, terms))
-        # ambient denominators restricted to the piece; zero means empty
-        dens = []
-        empty = False
-        for d in ring.denominators:
-            rd = d.substitute(
-                [LocalFrac(pre, p) for p in param], pre
-            )
-            if rd.is_zero():
-                empty = True
-                break
-            if rd.as_constant() is None:
-                assert not any(rd.den)
-                dens.append(rd.num)
-        if empty:
-            patch_map[i] = None
+        dens = _restricted_denominators(ring.denominators, [LocalFrac(pre, p) for p in param], pre)
+        if dens is None:
             continue
         locus_ring = Ring(f"{ring.name}^{g}", tvars, tuple(dens))
-        restr = RingMap(
-            ring,
-            locus_ring,
-            tuple(LocalFrac(locus_ring, ScalarPoly(tvars, p.terms)) for p in param),
-        )
+        restr = RingMap(ring, locus_ring, tuple(LocalFrac(locus_ring, p) for p in param))
         # the locus must actually be fixed
         for v, img in zip(ring.vars, restr.images):
-            assert restr.apply(act.map(g, i).apply(ring.var(v))) == img, (
+            assert restr.apply(action.charts[i].apply(ring.var(v))) == img, (
                 f"parametrized locus not fixed by {g} on patch {i}"
             )
-        patch_map[i] = len(locus_patches)
-        locus_rings.append(locus_ring)
-        restrictions[i] = restr
-        locus_patches.append(Patch(locus_ring, restr.apply(scheme.potential(i))))
+        index.append(i)
+        restrictions.append(restr)
 
     pair_data = {}
     empty_pairs = []
-    ambient_alive = [i for i in range(n) if patch_map[i] is not None]
-    for ai, aj in itertools.combinations(ambient_alive, 2):
-        if not scheme.is_nonempty((ai, aj)):
-            empty_pairs.append((patch_map[ai], patch_map[aj]))
-            continue
-        li, lj = patch_map[ai], patch_map[aj]
-        ring_i = locus_rings[li]
-        restr_i = restrictions[ai]
-        # gluing denominators restricted to the locus piece
-        dens = []
-        empty = False
-        for d in scheme.pair_data[(ai, aj)][0]:
-            rd = d.substitute(restr_i.images, ring_i)
-            assert not any(rd.den)
-            if rd.num.is_zero():
-                empty = True
-                break
-            if rd.num.as_constant() is None:
-                dens.append(rd.num)
-        if empty:
+    for (li, ai), (lj, aj) in itertools.combinations(enumerate(index), 2):
+        restr_i = restrictions[li]
+        ring_i = restr_i.target
+        dens = None
+        if scheme.is_nonempty((ai, aj)):
+            dens = _restricted_denominators(scheme.pair_data[(ai, aj)][0], restr_i.images, ring_i)
+        if dens is None:
             empty_pairs.append((li, lj))
             continue
         pair_ring = Ring(
@@ -490,42 +493,32 @@ def fixed_locus(scheme, g):
                 f"gluing ({ai},{aj}) does not restrict to the locus of {g}"
             ) from err
         images = _locus_coordinates(
-            restrictions[aj],
+            restrictions[lj],
             pair_ring,
             restricted,
             f"gluing ({ai},{aj}) does not carry the locus of {g} to itself",
         )
         pair_data[(li, lj)] = (tuple(dens), tuple(images))
 
-    locus_scheme = CoveredScheme(scheme.grading, locus_patches, pair_data, empty_pairs=empty_pairs)
-    return FixedLocus(g, locus_scheme, patch_map, restrictions)
+    patches = [Patch(r.target, r.apply(scheme.potential(i))) for i, r in zip(index, restrictions)]
+    locus = CoveredScheme(scheme.grading, patches, pair_data, empty_pairs=empty_pairs)
+    return SchemeMap(locus, scheme, index, restrictions)
 
 
 def locus_transport(scheme, locus_src, locus_dst, h):
-    """Per-patch ring maps O(X^{h g h^-1}) -> O(X^g) realizing transport by h.
-
-    locus_src is the fixed locus of g, locus_dst the fixed locus of h g h^-1.
-    Returns {ambient patch index: RingMap} on patches where both pieces exist.
-    """
-    act = scheme.action
-    hinv = act.inverse(h)
-    out = {}
-    for i in range(scheme.npatches()):
-        si = locus_src.patch_map.get(i)
-        di = locus_dst.patch_map.get(i)
-        if si is None:
-            continue
-        if di is None:
+    """Transport by h as the SchemeMap X^g -> X^{h g h^-1}, for locus_src the
+    inclusion of X^g and locus_dst that of X^{h g h^-1}: on each chart it
+    sends restr_dst(x) to restr_src(h^-1 x), x an ambient coordinate."""
+    hinv = scheme.action_map(scheme.action.inverse(h))
+    index, charts = [], []
+    for restr, i in zip(locus_src.charts, locus_src.index):
+        if i not in locus_dst.index:
             raise ValueError(f"transport by {h} hits an empty piece on patch {i}")
-        ring_src = locus_src.scheme.patch_ring(si)
-        restr = locus_src.restrictions[i]
+        index.append(locus_dst.index.index(i))
         # image of ambient coordinates under the point map, on the g-locus
-        moved = [restr.apply(img) for img in act.map(hinv, i).images]
-        images = _locus_coordinates(
-            locus_dst.restrictions[i],
-            ring_src,
-            moved,
-            f"transport by {h} does not map the locus correctly on patch {i}",
-        )
-        out[i] = RingMap(locus_dst.scheme.patch_ring(di), ring_src, tuple(images))
-    return out
+        moved = [restr.apply(img) for img in hinv.charts[i].images]
+        dst = locus_dst.charts[index[-1]]
+        failure = f"transport by {h} does not map the locus correctly on patch {i}"
+        images = _locus_coordinates(dst, restr.target, moved, failure)
+        charts.append(RingMap(dst.target, restr.target, images))
+    return SchemeMap(locus_src.source, locus_dst.source, index, charts)

@@ -72,16 +72,15 @@ class GeometricCategory:
     def __init__(self, scheme, u_truncation):
         self.scheme = scheme
         self.u_truncation = u_truncation
-        self._ids = {}
+        self._ids = {}  # id of an object -> (the object, its key)
         self._identities = {}  # id of an object -> its identity, which holds it
         self._identity_labels = {}  # id of an object -> its identity's labels
 
     def object_key(self, P):
-        key = self._ids.get(id(P))
-        if key is None:
-            key = len(self._ids)
-            self._ids[id(P)] = key
-        return key
+        held = self._ids.get(id(P))
+        if held is None:
+            held = self._ids[id(P)] = (P, len(self._ids))
+        return held[1]
 
     def validate_entry(self, a, where):
         if not isinstance(a, MorphismCochain):
@@ -279,8 +278,8 @@ class HochschildChain:
                 self.strings[key] = (key[0], total, slots)
 
     @classmethod
-    def single(cls, category, u_truncation, tensor_cap, a0, slots=(), coeff=1, u_pow=0):
-        return cls(category, u_truncation, tensor_cap, [(coeff, u_pow, a0, slots)])
+    def single(cls, category, u_truncation, tensor_cap, a0, slots=()):
+        return cls(category, u_truncation, tensor_cap, [(1, 0, a0, slots)])
 
     def items(self):
         return [self.strings[key] for key in sorted(self.strings, key=lambda k: (k[0], k[1:]))]

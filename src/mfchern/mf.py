@@ -483,15 +483,15 @@ def shift(P):
 def group_twist(P, g):
     """The factorization with the g-action applied to transitions and delta."""
     scheme = P.scheme
-    act = _action(scheme)
+    f = scheme.action_map(g)
 
     def moved(stored):
-        return {pair: pullback_matrix(scheme.action_on(pair, g), m) for pair, m in stored.items()}
+        return {pair: pullback_matrix(f.on(pair), m) for pair, m in stored.items()}
 
     bundle = VectorBundle(
         scheme, P.bundle.gradings, moved(P.bundle.transitions), moved(P.bundle.inverses)
     )
-    deltas = [pullback_matrix(act.map(g, i), d) for i, d in enumerate(P.deltas)]
+    deltas = [pullback_matrix(f.charts[i], d) for i, d in enumerate(P.deltas)]
     return MatrixFactorization(bundle, deltas)
 
 
@@ -530,17 +530,17 @@ class EquivariantStructure:
             if self.phi[act.identity][i] != MatrixForm.identity(scheme.patch_ring(i), parities):
                 raise ValueError("phi_e must be the identity")
         for g in act.elements:
+            f = scheme.action_map(g)
             for h in act.elements:
                 gh = act.mult(g, h)
                 for i in range(scheme.npatches()):
-                    moved = pullback_matrix(act.map(g, i), self.phi[h][i])
+                    moved = pullback_matrix(f.charts[i], self.phi[h][i])
                     if self.phi[g][i].mul(moved) != self.phi[gh][i]:
                         raise ValueError(f"phi cocycle fails for ({g},{h}) on patch {i}")
-        # compatibility with delta: delta phi_g = phi_g g(delta)
-        for g in act.elements:
+            # compatibility with delta: delta phi_g = phi_g g(delta)
             for i in range(scheme.npatches()):
                 phi, delta = self.phi[g][i], P.deltas[i]
-                moved = pullback_matrix(act.map(g, i), delta)
+                moved = pullback_matrix(f.charts[i], delta)
                 if delta.mul(phi) != phi.mul(moved):
                     raise ValueError(f"phi_{g} does not intertwine delta on patch {i}")
         # transitions: phi is a morphism of bundles gP -> P
@@ -549,7 +549,7 @@ class EquivariantStructure:
             for g in act.elements:
                 phi_i = pullback_matrix(scheme.restriction((i,), (i, j)), self.phi[g][i])
                 phi_j = pullback_matrix(scheme.restriction((j,), (i, j)), self.phi[g][j])
-                moved = pullback_matrix(scheme.action_on((i, j), g), gij)
+                moved = pullback_matrix(scheme.action_map(g).on((i, j)), gij)
                 if gij.mul(phi_j) != phi_i.mul(moved):
                     raise ValueError(f"phi_{g} not compatible with transition ({i},{j})")
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,13 +11,14 @@ from mfchern.cohomology import (
     _cofaces,
     _column_image,
     _minus_dw_cochain,
+    _pullback,
     _total_differential,
     cohomologous,
     coinvariant_project,
     total_differential,
 )
 from mfchern.connection import Connection
-from mfchern.geometry import build_scheme
+from mfchern.geometry import build_scheme, fixed_locus, locus_transport
 from mfchern.hochschild import GeometricCategory, HochschildChain, connes_B, hochschild_b, tr_nabla
 from mfchern.mf import MorphismCochain, koszul_mf
 from mfchern.rings import Fraction, RingMap, _subsets, parse_scalar
@@ -27,6 +29,7 @@ from .test_geometry import (
     affine_line_squared,
     proj_line,
     three_patch_line,
+    z2_on_proj_line,
     z2_swap_on_plane,
 )
 from .test_rings import random_frac
@@ -429,3 +432,26 @@ def test_coinvariant_commutes_with_differential():
     }
     for g in sch.action.elements:
         assert left[g] == right[g], g
+
+
+@pytest.mark.parametrize("config", [z2_on_proj_line, z2_swap_on_plane, s3_plane_config])
+def test_pullback_commutes_with_the_total_differential(config):
+    """f* d = d f* on random scalar cochains, for f every group element, every
+    fixed-locus inclusion X^g -> X and every transport X^g -> X^{hgh^-1}."""
+    X = build_scheme(config())
+    act = X.action
+    rng = random.Random(28)
+    loci = {g: fixed_locus(X, g) for g in act.elements}
+    maps = [X.action_map(g) for g in act.elements] + list(loci.values())
+    for g, h in itertools.product(act.elements, repeat=2):
+        conj = act.mult(act.mult(h, g), act.inverse(h))
+        maps.append(locus_transport(X, loci[g], loci[conj], h))
+    moved = 0
+    for f in maps:
+        for _ in range(3):
+            c = random_scalar(rng, f.target, 2)
+            pulled = _pullback(f, c)
+            assert pulled.scheme is f.source
+            assert total_differential(pulled) == _pullback(f, total_differential(c))
+            moved += not pulled.is_zero()
+    assert moved >= len(maps), moved

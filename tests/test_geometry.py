@@ -1,11 +1,11 @@
 import itertools
 import random
+from collections import namedtuple
 
 import pytest
 
 from mfchern.geometry import (
     CoveredScheme,
-    FixedLocus,
     Patch,
     build_scheme,
     fixed_locus,
@@ -183,25 +183,36 @@ def test_action_must_fix_potential():
         build_scheme(cfg)
 
 
+def test_action_must_respect_gluing():
+    """On P^1, z -> -z must go with w -> -w, since w = 1/z on the overlap."""
+    cfg = z2_on_proj_line()
+    cfg["group"]["action"][1] = [["-z"], ["w"]]
+    with pytest.raises(ValueError, match="respect gluing"):
+        build_scheme(cfg)
+    X = build_scheme(z2_on_proj_line())
+    w = X.patch_ring(1).var("w")
+    assert X.action_map("s").charts[1].apply(w) == -w
+
+
 def test_fixed_locus_of_reflection_is_origin():
     X = build_scheme(z2_reflection_on_line())
     loc = fixed_locus(X, "s")
-    assert loc.patch_map[0] == 0
-    ring = loc.scheme.patch_ring(0)
+    assert loc.index[0] == 0
+    ring = loc.source.patch_ring(0)
     assert ring.vars == ()
-    restr = loc.restrictions[0]
+    restr = loc.charts[0]
     x = X.patch_ring(0).var("x")
     assert restr.apply(x ** 2 + 3).as_constant() == 3
-    assert loc.scheme.potential(0).is_zero()
+    assert loc.source.potential(0).is_zero()
 
 
 def test_fixed_locus_of_identity_is_everything():
     X = build_scheme(z2_reflection_on_line())
     loc = fixed_locus(X, "e")
-    ring = loc.scheme.patch_ring(0)
+    ring = loc.source.patch_ring(0)
     assert len(ring.vars) == 1
     rng = random.Random(5)
-    restr = loc.restrictions[0]
+    restr = loc.charts[0]
     for _ in range(5):
         a = random_frac(rng, X.patch_ring(0))
         b = random_frac(rng, X.patch_ring(0))
@@ -211,21 +222,21 @@ def test_fixed_locus_of_identity_is_everything():
 def test_fixed_locus_of_swap_is_diagonal_line():
     X = build_scheme(z2_swap_on_plane())
     loc = fixed_locus(X, "s")
-    ring = loc.scheme.patch_ring(0)
+    ring = loc.source.patch_ring(0)
     assert len(ring.vars) == 1
-    restr = loc.restrictions[0]
+    restr = loc.charts[0]
     x = X.patch_ring(0).var("x")
     y = X.patch_ring(0).var("y")
     assert restr.apply(x) == restr.apply(y)
     t = restr.apply(x)
-    assert loc.scheme.potential(0) == t * t
+    assert loc.source.potential(0) == t * t
 
 
 def test_fixed_locus_restriction_absorbs_action():
     X = build_scheme(z2_swap_on_plane())
     loc = fixed_locus(X, "s")
-    restr = loc.restrictions[0]
-    act = X.action.map("s", 0)
+    restr = loc.charts[0]
+    act = X.action_map("s").charts[0]
     rng = random.Random(6)
     for _ in range(10):
         a = random_frac(rng, X.patch_ring(0))
@@ -236,19 +247,19 @@ def test_fixed_locus_on_proj_line_has_empty_overlap():
     X = build_scheme(z2_on_proj_line())
     loc = fixed_locus(X, "s")
     # two point pieces, one per patch, never overlapping
-    assert loc.patch_map == {0: 0, 1: 1}
-    assert loc.scheme.npatches() == 2
-    assert not loc.scheme.is_nonempty((0, 1))
-    assert loc.scheme.tuples(2) == []
-    assert loc.scheme.dimension == 0
+    assert loc.index == (0, 1)
+    assert loc.source.npatches() == 2
+    assert not loc.source.is_nonempty((0, 1))
+    assert loc.source.tuples(2) == []
+    assert loc.source.dimension == 0
 
 
 def test_fixed_locus_of_identity_keeps_gluing():
     X = build_scheme(z2_on_proj_line())
     loc = fixed_locus(X, "e")
-    assert loc.scheme.tuples(2) == [(0, 1)]
-    t = loc.scheme.intersection((0, 1)).ring.var("t0")
-    img = loc.scheme.restriction((1,), (0, 1)).apply(loc.scheme.patch_ring(1).var("t0"))
+    assert loc.source.tuples(2) == [(0, 1)]
+    t = loc.source.intersection((0, 1)).ring.var("t0")
+    img = loc.source.restriction((1,), (0, 1)).apply(loc.source.patch_ring(1).var("t0"))
     assert img == t ** -1
 
 
@@ -256,22 +267,37 @@ def test_locus_transport_on_swap_action():
     X = build_scheme(z2_swap_on_plane())
     loc_s = fixed_locus(X, "s")
     transport = locus_transport(X, loc_s, loc_s, "s")
-    ring = loc_s.scheme.patch_ring(0)
+    ring = loc_s.source.patch_ring(0)
     # the swap fixes the diagonal pointwise, so transport is the identity
     t = ring.var("t0")
-    assert transport[0].apply(t) == t
+    assert transport.charts[0].apply(t) == t
 
 
 def test_locus_transport_identity_element():
     X = build_scheme(z2_on_proj_line())
     loc = fixed_locus(X, "s")
     transport = locus_transport(X, loc, loc, "e")
-    for i in (0, 1):
-        ring = loc.scheme.patch_ring(loc.patch_map[i])
-        assert transport[i].apply(ring.one()) == ring.one()
+    for k in (0, 1):
+        ring = loc.source.patch_ring(k)
+        assert transport.charts[k].apply(ring.one()) == ring.one()
 
 
 # -- fixed loci against the left-inverse route they replaced ----------------------
+
+
+# The shape fixed loci had: patch_map sends an ambient patch to its locus
+# patch or None, and restrictions[i] is the RingMap of ambient patch i.
+OldLocus = namedtuple("OldLocus", "scheme patch_map restrictions")
+
+
+def as_old_locus(inclusion):
+    """A fixed-locus inclusion SchemeMap in the shape of OldLocus."""
+    where = {a: k for k, a in enumerate(inclusion.index)}
+    return OldLocus(
+        inclusion.source,
+        {i: where.get(i) for i in range(inclusion.target.npatches())},
+        {a: inclusion.charts[k] for a, k in where.items()},
+    )
 
 
 def _affine_data_of_map(rm):
@@ -344,7 +370,7 @@ def oracle_fixed_locus(scheme, g):
     for i in range(n):
         ring = scheme.patch_ring(i)
         nvars = len(ring.vars)
-        matrix, shift = _affine_data_of_map(act.map(g, i))
+        matrix, shift = _affine_data_of_map(act.maps[g][i])
         rows = [
             [matrix[r][c] - (1 if r == c else 0) for c in range(nvars)]
             for r in range(nvars)
@@ -392,7 +418,7 @@ def oracle_fixed_locus(scheme, g):
         )
         # the locus must actually be fixed
         for v, img in zip(ring.vars, restr.images):
-            assert restr.apply(act.map(g, i).apply(ring.var(v))) == img, (
+            assert restr.apply(act.maps[g][i].apply(ring.var(v))) == img, (
                 f"parametrized locus not fixed by {g} on patch {i}"
             )
         patch_map[i] = len(locus_patches)
@@ -454,7 +480,7 @@ def oracle_fixed_locus(scheme, g):
         empty_pairs=empty_pairs,
         action=None,
     )
-    return FixedLocus(g, locus_scheme, patch_map, restrictions), parametrizations
+    return OldLocus(locus_scheme, patch_map, restrictions), parametrizations
 
 
 def oracle_locus_transport(scheme, locus_src, locus_dst, params_dst, h):
@@ -470,7 +496,7 @@ def oracle_locus_transport(scheme, locus_src, locus_dst, params_dst, h):
         if di is None:
             raise ValueError(f"transport by {h} hits an empty piece on patch {i}")
         ring_src = locus_src.scheme.patch_ring(si)
-        matrix, shift = _affine_data_of_map(act.map(hinv, i))
+        matrix, shift = _affine_data_of_map(act.maps[hinv][i])
         # image of ambient coordinates under the point map, on the g-locus
         moved = _affine_substitute(
             matrix, shift, list(locus_src.restrictions[i].images), ring_src
@@ -506,7 +532,8 @@ def s3_permuting_a3():
 
 
 def assert_same_locus(new, old):
-    assert new.element == old.element and new.patch_map == old.patch_map
+    new = as_old_locus(new)
+    assert new.patch_map == old.patch_map
     assert set(new.restrictions) == set(old.restrictions)
     for i, restr in new.restrictions.items():
         assert [str(v) for v in restr.images] == [str(v) for v in old.restrictions[i].images]
@@ -543,12 +570,13 @@ def test_fixed_loci_and_transport_match_the_left_inverse_route(config):
         conj = act.mult(act.mult(h, g), act.inverse(h))
         src, dst = loci[g], loci[conj]
         transport = locus_transport(X, src, dst, h)
+        src, dst = as_old_locus(src), as_old_locus(dst)
         expected = oracle_locus_transport(X, src, dst, params[conj], h)
-        assert set(transport) == set(expected)
-        for i, rm in transport.items():
+        assert set(src.restrictions) == set(expected)
+        for i, rm in zip(src.restrictions, transport.charts):
             assert rm.source is expected[i].source and rm.target is expected[i].target
             assert [str(v) for v in rm.images] == [str(v) for v in expected[i].images]
-            hinv = act.map(act.inverse(h), i)
+            hinv = act.maps[act.inverse(h)][i]
             for v in X.patch_ring(i).vars:
                 x = X.patch_ring(i).var(v)
                 got = rm.apply(dst.restrictions[i].apply(x))

@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 from fractions import Fraction
@@ -26,6 +27,7 @@ from mfchern.mf import (
     direct_sum,
     hom_differential,
     koszul_mf,
+    shift,
 )
 from mfchern.rings import parse_scalar
 
@@ -569,6 +571,18 @@ def test_chain_from_fresh_temporaries_matches_list_built():
     assert len(y.strings) == 3
     assert x == y
     assert x.canonical_string() == y.canonical_string()
+
+
+def test_object_keys_of_short_lived_objects_stay_distinct():
+    """object_key holds every object it keys: a collected object must not
+    lend its id, and with it its key, to a later object."""
+    sch, (P, _Q) = line_objects()
+    cat = GeometricCategory(sch, 2)
+    keys = []
+    for _ in range(50):
+        keys.append(cat.object_key(shift(P)))
+        gc.collect()
+    assert len(set(keys)) == 50
 
 
 def test_formal_arrows_validated():

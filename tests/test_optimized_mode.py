@@ -22,7 +22,7 @@ import json
 from mfchern.cech import TRIVIAL_LINE, CechCochain, MatrixForm, supertrace_product
 from mfchern.cohomology import TotalCochain, coinvariant_project, cohomologous
 from mfchern.forms import de_rham_d, pullback, wedge
-from mfchern.geometry import build_scheme
+from mfchern.geometry import CoveredScheme, GroupAction, SchemeMap, build_scheme
 from mfchern.hochschild import GeometricCategory, HochschildChain, eta_pi
 from mfchern.mf import MorphismCochain, RetractData, VectorBundle, koszul_mf
 from mfchern.rings import LocalFrac, Ring, RingMap, ScalarPoly, echelon_reduce, parse_scalar
@@ -58,7 +58,19 @@ swap_config = {
     },
 }
 plane, other_plane = build_scheme(swap_config), build_scheme(swap_config)
-patch0 = sch.patch_ring(0)
+curved_plane = build_scheme(dict(swap_config, potentials=["x*y"]))
+
+
+def chart_scheme(dens):
+    return build_scheme({"grading": "Z", "dimension": 1, "gluings": [], "potentials": ["0"],
+                         "patches": [{"name": "U", "variables": ["z"], "denominators": dens}]})
+
+
+affine, punctured_affine = chart_scheme([]), chart_scheme(["z"])
+affine0 = affine.patch_ring(0)
+curved0 = curved_plane.patch_ring(0)
+patch0, patch1 = sch.patch_ring(0), sch.patch_ring(1)
+line_ids = [RingMap.identity(patch0), RingMap.identity(patch1)]
 
 
 def line_variant(**changes):
@@ -325,6 +337,30 @@ CASES = {
         lambda: naming("True", lambda: cohomologous(on_plane, on_plane, True)),
     "cohomologous: denominator bound False, message names it":
         lambda: naming("False", lambda: cohomologous(on_plane, on_plane, 2, den_bound=False)),
+    "SchemeMap: one chart map for the two charts of P^1, message names the count":
+        lambda: naming("for 2 charts", lambda: SchemeMap(sch, sch, [0], line_ids[:1])),
+    "SchemeMap: chart index (1, 0), message says it does not increase":
+        lambda: naming("not increasing", lambda: SchemeMap(sch, sch, [1, 0], line_ids)),
+    "SchemeMap: a string as the map of chart 1":
+        lambda: SchemeMap(sch, sch, [0, 1], [line_ids[0], "w"]),
+    "SchemeMap: chart 0 mapped by the identity of chart 1's ring":
+        lambda: SchemeMap(sch, sch, [0, 1], line_ids[::-1]),
+    "SchemeMap: z -> -z and w -> w on P^1, message names the gluing":
+        lambda: naming("respect gluing", lambda: SchemeMap(
+            sch, sch, [0, 1], [RingMap(patch0, patch0, (-patch0.var("z"),)), line_ids[1]]
+        )),
+    "SchemeMap: z -> z from A^1 onto D(z), message names the denominator":
+        lambda: naming("denominator z", lambda: SchemeMap(affine, punctured_affine, [0], [
+            RingMap(punctured_affine.patch_ring(0), affine0, (affine0.var("z"),))
+        ])),
+    "SchemeMap: x -> 2x on A^2 with W = xy, message names the potential":
+        lambda: naming("potential", lambda: SchemeMap(curved_plane, curved_plane, [0], [
+            RingMap(curved0, curved0, (curved0.var("x") * 2, curved0.var("y")))
+        ])),
+    "CoveredScheme: a string as the action of s on A^1":
+        lambda: CoveredScheme("Z", [sch.patches[0]], {}, action=GroupAction(
+            ["e", "s"], [[0, 1], [1, 0]], {"e": [line_ids[0]], "s": ["z -> -z"]}
+        )),
     "eta_pi: u truncation '2', message names it":
         lambda: naming("'2'", lambda: eta_pi(kos_retract, "2")),
     "eta_pi: u truncation -1, message names it":
@@ -350,7 +386,7 @@ def test_malformed_inputs_raise_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["cases"] == 111
+    assert report["cases"] == 119
     assert not report["accepted"], "accepted under python -O: " + "; ".join(report["accepted"])
 
 

@@ -237,7 +237,7 @@ def test_identity_chains_match_the_full_products():
         # on A^1 the curvature has no 2-form part, so str(1) = str(R) = 0 there
         assert ch.is_zero() == (sch.dimension == 1 and sch.npatches() == 1)
         for coeff, u_pow in ((1, 0), (0, 0), (Fraction(-3, 2), 1)):
-            x = HochschildChain.single(cat, trunc, 2, one, (), coeff=coeff, u_pow=u_pow)
+            x = HochschildChain(cat, trunc, 2, [(coeff, u_pow, one, ())])
             assert_same_trace(x, conns)
         # an a0 cut at a lower power of u than the chain
         low = MorphismCochain.identity(P, trunc - 1).scale(Fraction(-3, 2))
