@@ -575,14 +575,23 @@ class CechCochain:
         bundle transitions when the leading index changes.  The transition
         and inverse at the pair (big[0], small[0]) are pulled back into the
         big tuple's ring, except when that pair is the big tuple itself: they
-        already live in its ring and are used as they are."""
+        already live in its ring and are used as they are.
+
+        An endomorphism of a line bundle keeps its frame: its transition g is
+        an even, form-free, u-free 1 x 1 matrix, so both ledger signs are +1,
+        functions commute, and g X g^{-1} = X (X keeps its own form where a
+        ring with multi-term generators gives a value several).  Hom(L1, L2)
+        with L1 and L2 different bundles, and End(E) of rank 2 or more, still
+        conjugate."""
         small, big = tuple(small), tuple(big)
         if value is None:
             value = self.entries[small]
         if small == big:
             return value
         moved = pullback_matrix(self.scheme.restriction(small, big), value)
-        if small[0] != big[0]:
+        if small[0] != big[0] and not (
+            self.source is self.target and len(self.source.parities()) == 1
+        ):
             pair = (big[0], small[0])
             frames = [self.target.transitions.get(pair), self.source.inverses.get(pair)]
             if pair != big:

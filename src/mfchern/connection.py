@@ -169,8 +169,13 @@ def total_curvature(P, conn, with_u=True, u_truncation=None):
 
 def frame_form(bundle, pair):
     """-g d(g^{-1}) over the ring of the increasing pair, for the bundle's
-    transition g there: d in frame i minus d of frame j seen in frame i."""
-    return -bundle.transitions[pair].mul(bundle.inverses[pair].d_form())
+    transition g there: d in frame i minus d of frame j seen in frame i.
+    Built once per bundle and pair, and kept in the bundle."""
+    theta = bundle._frame_forms.get(pair)
+    if theta is None:
+        g, g_inv = bundle.transitions[pair], bundle.inverses[pair]
+        theta = bundle._frame_forms[pair] = -g.mul(g_inv.d_form())
+    return theta
 
 
 def _frame_differences(P, conn, u_truncation):

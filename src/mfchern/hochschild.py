@@ -489,9 +489,9 @@ def nabla_bracket(cochain, conn_target, conn_source):
     On tuples of length two or more the source connection matrix has to move
     into the leading frame affinely, T C T^{-1} - dT T^{-1}; transport only
     supplies the conjugation, so the dT T^{-1} part is restored here, as
-    (parity_sign c) times the frame form of the tuple's outer pair.  One
-    pass over the tuples builds each pair's frame form once, uses it as it
-    is on the pair itself, and pulls it back once on a longer tuple."""
+    (parity_sign c) times the frame form of the tuple's outer pair, which
+    the bundle builds once per pair (``frame_form``): used as it is on the
+    pair itself, and pulled back on a longer tuple."""
     trunc = cochain.u_truncation
     scheme = cochain.scheme
     signed = cochain.parity_sign()
@@ -502,19 +502,14 @@ def nabla_bracket(cochain, conn_target, conn_source):
         out = out + acw_product(ct, cochain)
     if not cs.is_zero():
         out = out - acw_product(signed, cs)
-    thetas = {}  # tuple t -> frame form of (t[0], t[-1]) in the ring of t
     gauge = {}
     for t, value in signed.entries.items():
         if len(t) < 2:
             continue
-        theta = thetas.get(t)
-        if theta is None:
-            pair = (t[0], t[-1])
-            theta = thetas.get(pair)
-            if theta is None:
-                theta = thetas[pair] = frame_form(cochain.source, pair)
-            if t != pair:
-                theta = thetas[t] = pullback_matrix(scheme.restriction(pair, t), theta)
+        pair = (t[0], t[-1])
+        theta = frame_form(cochain.source, pair)
+        if t != pair:
+            theta = pullback_matrix(scheme.restriction(pair, t), theta)
         term = value.mul(theta, cech_left=len(t) - 1)
         if not term.is_zero():
             gauge[t] = term

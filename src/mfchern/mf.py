@@ -90,34 +90,40 @@ def _action(scheme):
 
 
 def invert_matrix(m):
-    """Exact inverse of a form-free square MatrixForm by elimination with
-    unit pivots.  Raises when no unit pivot is available."""
+    """Exact inverse of a form-free square MatrixForm by Gauss-Jordan
+    elimination with unit pivots, the first unit in each column.  Rows are
+    kept sparse, so zero entries are neither scaled nor subtracted.  Raises
+    when no unit pivot is available."""
     _check_plain(m, "matrix")
     ring = m.ring
     n = len(m.row_parities)
-    aug = [[ring.zero()] * (2 * n) for _ in range(n)]
-    for r in range(n):
-        aug[r][n + r] = ring.one()
+    rows = [{n + r: ring.one()} for r in range(n)]  # column -> nonzero entry
     for (r, c, _idxs, _u), f in m.terms.items():
-        aug[r][c] = f
+        rows[r][c] = f
     for c in range(n):
-        pivot = None
         for r in range(c, n):
-            if aug[r][c].inverse() is not None:
-                pivot = r
+            inv = rows[r][c].inverse() if c in rows[r] else None
+            if inv is not None:
                 break
-        if pivot is None:
+        else:
             raise ValueError("matrix not invertible over the localization")
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = aug[c][c].unit_inverse()
-        aug[c] = [v * inv for v in aug[c]]
-        for r in range(n):
-            if r != c and not aug[r][c].is_zero():
-                f = aug[r][c]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[c])]
-    return MatrixForm.from_entries(
-        ring, m.col_parities, m.row_parities, [row[n:] for row in aug]
-    )
+        rows[c], rows[r] = rows[r], rows[c]
+        pivot_row = rows[c] = {k: v * inv for k, v in rows[c].items()}
+        for r, row in enumerate(rows):
+            f = row.get(c)
+            if r == c or f is None:
+                continue
+            for k, w in pivot_row.items():
+                v = row.get(k)
+                v = -(f * w) if v is None else v - f * w
+                if v.is_zero():
+                    del row[k]
+                else:
+                    row[k] = v
+    terms = {
+        (r, k - n, (), 0): row[k] for r, row in enumerate(rows) for k in sorted(row) if k >= n
+    }
+    return MatrixForm(ring, m.col_parities, m.row_parities, terms)
 
 
 class VectorBundle:
@@ -136,9 +142,16 @@ class VectorBundle:
         self._parities = parities = tuple(g % 2 for g in self.gradings)
         self.transitions = {}
         self.inverses = {}
+        self._frame_forms = {}  # pair -> frame_form(self, pair)
+        overlaps = scheme.tuples(2)
+        for pair in inverses or ():
+            if pair not in transitions:
+                raise ValueError(f"inverse given for {pair}, which has no transition")
         for (i, j), value in transitions.items():
             if not i < j:
                 raise ValueError(f"transition pair ({i},{j}) is not increasing")
+            if (i, j) not in overlaps:
+                raise ValueError(f"transition pair ({i},{j}) is not an overlap of the cover")
             ring = scheme.intersection((i, j)).ring
             g = _square_form(ring, value, parities, f"transition ({i},{j})")
             for r, c, _idxs, _u in g.terms:
@@ -152,7 +165,7 @@ class VectorBundle:
             if g.mul(inv) != MatrixForm.identity(ring, parities):
                 raise ValueError(f"declared inverse wrong at ({i},{j})")
             self.inverses[(i, j)] = inv
-        for pair in scheme.tuples(2):
+        for pair in overlaps:
             if pair not in self.transitions:
                 raise ValueError(f"missing transition for overlap {pair}")
         self._check_cocycle()

@@ -333,9 +333,11 @@ class Ring:
     share a variable, so that cancelling one of them never changes whether
     another divides, and every value has one canonical form.  A constant
     generator is rejected: it is already a unit, and trial division by it
-    would never stop."""
+    would never stop.  Each constant and coordinate numerator is built once
+    per ring (``_numerators``, keyed by the exact scalar or the variable
+    name); numerators are never mutated, so values may share them."""
 
-    __slots__ = ("name", "vars", "denominators", "_monomials", "_den_powers")
+    __slots__ = ("name", "vars", "denominators", "_monomials", "_den_powers", "_numerators")
 
     def __init__(self, name, variables, denominators=()):
         self.name = name
@@ -372,6 +374,7 @@ class Ring:
         self.denominators = dens
         self._monomials = tuple(monomials) if len(monomials) == len(dens) else None
         self._den_powers = {}  # multiplicity tuple -> its den_power
+        self._numerators = {}  # exact scalar or variable name -> its ScalarPoly
 
     def zero(self):
         return self.const(0)
@@ -380,12 +383,17 @@ class Ring:
         return self.const(1)
 
     def const(self, c):
-        num = ScalarPoly.const(self.vars, c)
-        return LocalFrac._of(self, num, (0,) * len(self.denominators))
+        c = _exact(c)
+        num = self._numerators.get(c)
+        if num is None:
+            num = self._numerators[c] = ScalarPoly.const(self.vars, c)
+        return LocalFrac._canonical(self, num, (0,) * len(self.denominators))
 
     def var(self, name):
-        num = ScalarPoly.variable(self.vars, name)
-        return LocalFrac._of(self, num, (0,) * len(self.denominators))
+        num = self._numerators.get(name)
+        if num is None:
+            num = self._numerators[name] = ScalarPoly.variable(self.vars, name)
+        return LocalFrac._canonical(self, num, (0,) * len(self.denominators))
 
     def den_power(self, mults):
         """The product of the denominator generators to the multiplicities

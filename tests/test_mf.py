@@ -28,7 +28,7 @@ from .test_geometry import (
     z2_on_proj_line,
     z2_reflection_on_line,
 )
-from .test_rings import plain_ring, punctured_line, random_poly
+from .test_rings import plain_ring, punctured_line, random_frac, random_poly
 
 
 def affine_plane(potential):
@@ -253,6 +253,130 @@ def test_invert_matrix():
     z = punct.var("z")
     inv = inverse(punct, [[z]])
     assert inv[0][0] == z ** -1
+
+
+def dense_invert_matrix(m):
+    """invert_matrix as it was: Gauss-Jordan on dense rows, zeros included,
+    each pivot's inverse taken twice."""
+    ring = m.ring
+    n = len(m.row_parities)
+    aug = [[ring.zero()] * (2 * n) for _ in range(n)]
+    for r in range(n):
+        aug[r][n + r] = ring.one()
+    for (r, c, _idxs, _u), f in m.terms.items():
+        aug[r][c] = f
+    for c in range(n):
+        pivot = None
+        for r in range(c, n):
+            if aug[r][c].inverse() is not None:
+                pivot = r
+                break
+        if pivot is None:
+            raise ValueError("matrix not invertible over the localization")
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        inv = aug[c][c].unit_inverse()
+        aug[c] = [v * inv for v in aug[c]]
+        for r in range(n):
+            if r != c and not aug[r][c].is_zero():
+                f = aug[r][c]
+                aug[r] = [v - f * w for v, w in zip(aug[r], aug[c])]
+    return MatrixForm.from_entries(
+        ring, m.col_parities, m.row_parities, [row[n:] for row in aug]
+    )
+
+
+def assert_same_terms(a, b):
+    """Same keys, numerator terms (coefficient types included) and
+    denominator multiplicities: the same canonical forms, not only values."""
+    assert set(a.terms) == set(b.terms), f"{a} vs {b}"
+    for key, f in a.terms.items():
+        g = b.terms[key]
+        assert f.den == g.den and f.num.terms == g.num.terms, (key, f, g)
+        assert [type(c) for c in f.num.terms.values()] == [
+            type(g.num.terms[e]) for e in f.num.terms
+        ], (key, f, g)
+
+
+def random_invertible(rng, ring, n):
+    """A permutation times unipotent lower, unit diagonal and unipotent upper
+    factors: entries z^k with k in -2..2 on the diagonal and random values
+    off it."""
+    z = ring.var("z")
+    one, zero = ring.one(), ring.zero()
+    lower = [[one if r == c else random_frac(rng, ring) if r > c else zero for c in range(n)]
+             for r in range(n)]
+    upper = [[one if r == c else random_frac(rng, ring) if r < c else zero for c in range(n)]
+             for r in range(n)]
+    diag = [[z ** rng.randint(-2, 2) * rng.choice((-2, 1, 3)) if r == c else zero
+             for c in range(n)] for r in range(n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    factors = [[[one if c == perm[r] else zero for c in range(n)] for r in range(n)],
+               lower, diag, upper]
+    parities = (0,) * n
+    out = MatrixForm.identity(ring, parities)
+    for rows in factors:
+        out = out.mul(MatrixForm.from_entries(ring, parities, parities, rows))
+    return out
+
+
+def test_sparse_invert_matrix_matches_the_dense_elimination():
+    rng = random.Random(29)
+    ring = build_scheme(proj_line()).intersection((0, 1)).ring
+    z, one, zero = ring.var("z"), ring.one(), ring.zero()
+    cases = [random_invertible(rng, ring, rng.randint(1, 4)) for _ in range(24)]
+    for rows in (
+        [[zero, one], [one, z]],  # zero leading entry: the rows swap
+        [[one, z, z ** -1 + one], [zero, one, z * z], [zero, zero, one]],  # unipotent
+    ):
+        parities = (0,) * len(rows)
+        cases.append(MatrixForm.from_entries(ring, parities, parities, rows))
+    inverted = 0
+    for m in cases:
+        try:
+            want = dense_invert_matrix(m)
+        except ValueError:  # invertible, but some column has no unit left
+            with pytest.raises(ValueError, match="matrix not invertible over the localization"):
+                invert_matrix(m)
+            continue
+        got = invert_matrix(m)
+        assert_same_terms(got, want)
+        assert m.mul(got) == MatrixForm.identity(ring, m.row_parities)
+        inverted += 1
+    assert inverted >= 18, inverted
+    assert sum(len(m.terms) < len(m.row_parities) ** 2 for m in cases) >= 2
+    singular = MatrixForm.from_entries(ring, (0, 0), (0, 0), [[z, one], [z * z, z]])
+    for m in (singular, MatrixForm.from_entries(ring, (0,), (0,), [[z + one]])):
+        with pytest.raises(ValueError, match="matrix not invertible over the localization"):
+            invert_matrix(m)
+
+
+def test_invert_matrix_scales_and_inverts_only_nonzero_entries(monkeypatch):
+    """A diagonal 4 x 4 takes four pivot inverses and eight scalings: two
+    nonzero entries per pivot row, the pivot and its identity column (the
+    dense elimination made eight inverses and 32 scalings)."""
+    ring = build_scheme(proj_line()).intersection((0, 1)).ring
+    z = ring.var("z")
+    rows = [[z ** k if r == c else ring.zero() for c in range(4)] for r, k in
+            enumerate((1, -1, 2, 0))]
+    m = MatrixForm.from_entries(ring, (0,) * 4, (0,) * 4, rows)
+    calls = {"mul": 0, "inverse": 0}
+    real_mul, real_inverse = LocalFrac.__mul__, LocalFrac.inverse
+
+    def mul(self, other):
+        calls["mul"] += 1
+        return real_mul(self, other)
+
+    def inverse(self):
+        calls["inverse"] += 1
+        return real_inverse(self)
+
+    monkeypatch.setattr(LocalFrac, "__mul__", mul)
+    monkeypatch.setattr(LocalFrac, "inverse", inverse)
+    got = invert_matrix(m)
+    assert calls == {"mul": 8, "inverse": 4}, calls
+    monkeypatch.undo()
+    assert_same_terms(got, dense_invert_matrix(m))
 
 
 def test_identity_morphism_is_closed():

@@ -147,6 +147,13 @@ CASES = {
     "VectorBundle: wrong declared inverse":
         lambda: VectorBundle(sch, [0], {(0, 1): [[pair.var("z")]]},
                              inverses={(0, 1): [[pair.var("z")]]}),
+    "VectorBundle: inverse given for (1, 0), which has no transition, message names it":
+        lambda: naming("(1, 0)", lambda: VectorBundle(sch, [0], {(0, 1): [[pair.var("z")]]},
+                                                      inverses={(1, 0): [[pair.var("z")]]})),
+    "VectorBundle: transition on (0,2) of a two-chart cover, message names it":
+        lambda: naming("(0,2)", lambda: VectorBundle(
+            sch, [0], {(0, 1): [[pair.var("z")]], (0, 2): [[pair.one()]]}
+        )),
     "CechCochain: bundle on another scheme":
         lambda: CechCochain(other_sch, bundle, bundle, {}, 1),
     "Ring: denominator generator given as a string":
@@ -386,7 +393,7 @@ def test_malformed_inputs_raise_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["cases"] == 119
+    assert report["cases"] == 121
     assert not report["accepted"], "accepted under python -O: " + "; ".join(report["accepted"])
 
 

@@ -1,3 +1,6 @@
+import ast
+import glob
+import os
 import random
 from fractions import Fraction
 
@@ -352,3 +355,79 @@ def test_parse_scalar_rejects_bad_input_types_and_text():
         parse_scalar(A, 1.5)
     with pytest.raises(ValueError, match=r"cannot parse 'x \+'"):
         parse_scalar(A, "x +")
+
+
+def test_constants_and_coordinates_built_once_per_ring():
+    """Ring.const and Ring.var give the value the constructor gives, share
+    one numerator per ring, and still reject what they rejected."""
+    U = punctured_line()
+    for c in (0, 1, -1, Fraction(1, 2), True):
+        got = U.const(c)
+        want = LocalFrac(U, ScalarPoly.const(U.vars, c))
+        assert got.den == want.den and got.num.terms == want.num.terms, c
+        assert [type(v) for v in got.num.terms.values()] == [
+            type(v) for v in want.num.terms.values()
+        ], c
+        assert U.const(c).num is got.num
+    assert U.const(True).num is U.one().num
+    z = U.var("z")
+    assert z == LocalFrac(U, ScalarPoly.variable(U.vars, "z")) and U.var("z").num is z.num
+    assert Ring("V", ("z",)).one().num is not U.one().num
+    for bad in (0.5, [1]):
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            U.const(bad)
+    with pytest.raises(ValueError):
+        U.var("q")
+
+
+# Functions that may set the numerator and denominator fields of a value.
+CONSTRUCTORS = {"__init__", "_of", "_of_sums", "_canonical", "_settle"}
+FIELDS = {"num", "den", "terms"}
+DICT_WRITES = {"clear", "pop", "popitem", "setdefault", "update"}
+
+
+def field_writes(tree):
+    """(enclosing function, line) of every assignment, augmented assignment
+    or deletion that targets a .num, .den or .terms attribute or an item of
+    one, and of every call of a dict-mutating method on such an attribute."""
+    out = []
+
+    def touches_field(node):
+        return any(isinstance(n, ast.Attribute) and n.attr in FIELDS for n in ast.walk(node))
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Assign, ast.Delete)):
+                targets = child.targets
+            elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+                targets = [child.target]
+            else:
+                targets = []
+            if any(touches_field(t) for t in targets):
+                out.append((func, child.lineno))
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr in DICT_WRITES
+                and touches_field(child.func.value)
+            ):
+                out.append((func, child.lineno))
+            is_func = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_func else func)
+
+    visit(tree, None)
+    return out
+
+
+def test_values_are_written_only_by_their_constructors():
+    """Values share numerators (Ring.const, Ring.var, Ring.den_power), which
+    is safe only while no code writes a value's fields after building it."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    writes = []
+    for path in sorted(glob.glob(os.path.join(src, "mfchern", "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        writes += [(os.path.basename(path), func, line) for func, line in field_writes(tree)]
+    assert len(writes) >= 8, writes
+    outside = [w for w in writes if w[1] not in CONSTRUCTORS]
+    assert not outside, f"fields written outside a constructor: {outside}"

@@ -5,11 +5,12 @@ forms.pullback recomputing d(image) on every call, wedge and de_rham_d adding
 one piece at a time, de_rham_d taking every partial and LocalFrac.partial
 adding a term for every generator in the denominator, MatrixForm.d_form and
 pullback_matrix moving one term at a time through those oracles,
-MatrixForm.mul testing every pair of terms, frame changes that rerooted each pair transition
-into the bigger overlap's ring instead of pulling it back along
-CoveredScheme.restriction, nabla_bracket pulling each pair's frame form
-back along every restriction, the identity included, and hom_differential
-and nabla_bracket splitting their argument by total parity.
+MatrixForm.mul testing every pair of terms, frame changes that rerooted each
+pair transition into the bigger overlap's ring instead of pulling it back
+along CoveredScheme.restriction and conjugated line-bundle endomorphisms
+too, nabla_bracket pulling each pair's frame form back along every
+restriction, the identity included, and hom_differential and nabla_bracket
+splitting their argument by total parity.
 
 The oracles run with ScalarPoly.divide_exact swapped for the long-division
 oracle, so every LocalFrac they build is cancelled as before.  Results are
@@ -1176,6 +1177,43 @@ def test_transport_and_differential_match_rerooted_transitions():
                     old = cech_differential(c)
                 assert new.canonical_string() == old.canonical_string()
     assert changed >= 100, changed
+
+
+def frame_changes(c, big):
+    """(transport, oracle transport, bare pullback) for each entry of c
+    inside big whose leading index differs from big's."""
+    for small in sorted(c.entries):
+        if set(small) <= set(big) and small[0] != big[0]:
+            bare = pullback_matrix(c.scheme.restriction(small, big), c.entries[small])
+            yield c.transport(small, big), oracle_transport(c, small, big), bare
+
+
+def test_line_endomorphisms_keep_their_frame():
+    """End(O(n)) on the three-chart P^2 moves into (0,1,2) by the bare
+    pullback, which is term by term what conjugating by the transitions
+    gives.  Hom(O(1), O(2)) and End(O + O(-1)) still conjugate: they match
+    the oracle, and there the oracle differs from the bare pullback."""
+    rng = random.Random(181)
+    sch = build_scheme(P2)
+    big = (0, 1, 2)
+    moved = 0
+    for n in (1, 2, 3):
+        L = twist_p2(sch, n).bundle
+        c = filled_cochain(rng, sch, L, L, (1, 2))
+        for new, old, bare in frame_changes(c, big):
+            assert_same_terms(new, old)
+            assert_same_terms(new, bare)
+            moved += not new.is_zero()
+    assert moved >= 9, moved
+    o1, o2 = twist_p2(sch, 1).bundle, twist_p2(sch, 2).bundle
+    o_plus = p2_bundle(sch, (0, 0), (0, -1))
+    for source, target in ((o1, o2), (o_plus, o_plus)):
+        c = filled_cochain(rng, sch, source, target, (1, 2))
+        conjugated = 0
+        for new, old, bare in frame_changes(c, big):
+            assert_same_terms(new, old)
+            conjugated += old != bare
+        assert conjugated >= 2, (source.rank(), target.rank(), conjugated)
 
 
 def test_frame_forms_match_rerooted_transitions():
