@@ -1,5 +1,5 @@
 """Total complex of scalar Cech cochains: the full differential, primitive
-solving, and conjugation averaging of families.
+solving, and the coinvariant projection of families over the fixed loci.
 
 Scalar cochains are plain ``CechCochain``s whose source and target bundles
 are even lines; every function here takes and returns them.
@@ -27,6 +27,7 @@ from .cech import (
     pullback_matrix,
 )
 from .forms import _d_term, _merge_indices, _pullback_term
+from .geometry import SchemeMap, locus_transport
 
 __all__ = [
     "TotalCochain",
@@ -274,43 +275,31 @@ def _pullback(f, c):
     return CechCochain.scalar(f.source, entries, c.u_truncation)
 
 
-def coinvariant_project(family, scheme):
-    """Average a per-group-element family over conjugation orbits.
-
-    family: {g: scalar CechCochain}; missing components are zero.
-    The component at g becomes the orbit average of the components at all
-    h g h^{-1}, each pulled back along a fixed h realizing the conjugation.
-    For abelian groups every orbit is a singleton realized by the identity,
-    so the projection is the identity map.
-    """
-    act = scheme.action
-    if act is None:
-        raise ValueError("scheme carries no group action")
-    trunc = None
+def coinvariant_project(family, loci):
+    """The coinvariant projection of a family over the fixed loci.  loci:
+    {g: fixed_locus(X, g)} for each g in X's group; family: {g: scalar
+    cochain on loci[g].source}, a missing one zero.  Component g is (1/|G|)
+    sum_h f_h^*(c_(hgh^-1)) for f_h = locus_transport(X, loci[g], loci[hgh^-1], h)."""
+    for g, f in loci.items():
+        if not isinstance(f, SchemeMap):
+            raise TypeError(f"the locus of {g!r} is a {type(f).__name__}, not a SchemeMap")
+    targets = {f.target for f in loci.values()}
+    X = targets.pop() if len(targets) == 1 else None
+    act = getattr(X, "action", None)
+    if act is None or set(loci) != set(act.elements):
+        raise ValueError("need the loci in one scheme of all elements of its group, and no other")
     for g, c in family.items():
         _check_scalar(c)
-        if c.scheme is not scheme:
-            raise ValueError(f"the component at {g!r} lives on another scheme")
-        trunc = c.u_truncation if trunc is None else min(trunc, c.u_truncation)
-    if trunc is None:
-        trunc = 0
-
-    def conj(h, g):
-        return act.mult(act.mult(h, g), act.inverse(h))
-
+        if g not in loci or c.scheme is not loci[g].source:
+            raise ValueError(f"the component at {g!r} does not live on the fixed locus of {g!r}")
+    trunc = min((c.u_truncation for c in family.values()), default=0)
     out = {}
     for g in act.elements:
-        orbit = []
-        for gp in act.elements:
-            movers = [h for h in act.elements if conj(h, gp) == g]
-            if movers:
-                pick = act.identity if act.identity in movers else movers[0]
-                orbit.append((gp, pick))
-        acc = CechCochain.scalar(scheme, {}, trunc)
-        for gp, h in orbit:
-            c = family.get(gp)
-            if c is None or c.is_zero():
-                continue
-            acc = acc + _pullback(scheme.action_map(h), c.truncate_u(trunc))
-        out[g] = acc.scale(Fraction(1, len(orbit)))
+        acc = CechCochain.scalar(loci[g].source, {}, trunc)
+        for h in act.elements:
+            conj = act.mult(act.mult(h, g), act.inverse(h))
+            if conj in family:
+                f = locus_transport(X, loci[g], loci[conj], h)
+                acc = acc + _pullback(f, family[conj].truncate_u(trunc))
+        out[g] = acc.scale(Fraction(1, len(act.elements)))
     return out

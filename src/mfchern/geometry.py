@@ -384,16 +384,20 @@ class SchemeMap:
 
 
 def _restricted_denominators(dens, images, ring):
-    """The nonconstant restrictions of the polynomials dens along polynomial
-    images over ring, or None when one restricts to zero: the piece is empty."""
-    out = []
+    """The denominator generators that the polynomials dens, restricted
+    along polynomial images, add to ring, each once; None when one restricts
+    to zero: the piece is empty.  A one-term restriction adds its variables."""
+    out = list(ring.denominators)
     for d in dens:
         rd = d.substitute(images, ring).num
         if rd.is_zero():
             return None
-        if rd.as_constant() is None:
-            out.append(rd)
-    return out
+        new = [rd]
+        if len(rd.terms) == 1:
+            (e,) = rd.terms
+            new = [ScalarPoly.variable(ring.vars, v) for v, n in zip(ring.vars, e) if n]
+        out += [p for p in new if p not in out]
+    return out[len(ring.denominators):]
 
 
 def _locus_coordinates(restriction, ring, values, failure):

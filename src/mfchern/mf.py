@@ -83,17 +83,11 @@ def _check_morphism(x, what):
         raise TypeError(f"{what} is a {type(x).__name__}, not a MorphismCochain")
 
 
-def _action(scheme):
-    if scheme.action is None:
-        raise ValueError("scheme has no group action")
-    return scheme.action
-
-
 def invert_matrix(m):
     """Exact inverse of a form-free square MatrixForm by Gauss-Jordan
     elimination with unit pivots, the first unit in each column.  Rows are
-    kept sparse, so zero entries are neither scaled nor subtracted.  Raises
-    when no unit pivot is available."""
+    kept sparse, so zero entries are neither scaled nor subtracted.  When a
+    column has no unit pivot left, ``_adjugate_inverse`` takes over."""
     _check_plain(m, "matrix")
     ring = m.ring
     n = len(m.row_parities)
@@ -106,7 +100,7 @@ def invert_matrix(m):
             if inv is not None:
                 break
         else:
-            raise ValueError("matrix not invertible over the localization")
+            return _adjugate_inverse(m)
         rows[c], rows[r] = rows[r], rows[c]
         pivot_row = rows[c] = {k: v * inv for k, v in rows[c].items()}
         for r, row in enumerate(rows):
@@ -124,6 +118,23 @@ def invert_matrix(m):
         (r, k - n, (), 0): row[k] for r, row in enumerate(rows) for k in sorted(row) if k >= n
     }
     return MatrixForm(ring, m.col_parities, m.row_parities, terms)
+
+
+def _adjugate_inverse(m):
+    """adj(m) det(m)^-1 by Faddeev-LeVerrier: from M_0 = 0 and c_n = 1,
+    M_k = m M_(k-1) + c_(n-k+1) and c_(n-k) = -tr(m M_k)/k, and m M_n = -c_0
+    = +-det(m).  Form-free products carry no sign, so even parities serve."""
+    ring, even = m.ring, (0,) * len(m.row_parities)
+    a, one = MatrixForm(ring, even, even, m.terms), MatrixForm.identity(ring, even)
+    am, c = MatrixForm(ring, even, even, {}), ring.one()
+    for k in range(1, len(even) + 1):
+        mk = am + one.scale(c)
+        am = a.mul(mk)
+        trace = sum((f for (r, col, _, _), f in am.terms.items() if r == col), ring.zero())
+        c = trace * Fraction(-1, k)
+    if c.inverse() is None:
+        raise ValueError("matrix not invertible over the localization")
+    return MatrixForm(ring, m.col_parities, m.row_parities, mk.scale(-c.inverse()).terms)
 
 
 class VectorBundle:
@@ -516,7 +527,9 @@ class EquivariantStructure:
 
     def __init__(self, P, phi):
         scheme = P.scheme
-        act = _action(scheme)
+        act = scheme.action
+        if act is None:
+            raise ValueError("scheme has no group action")
         self.P = P
         self.phi = {}
         gradings = P.bundle.gradings
@@ -550,21 +563,14 @@ class EquivariantStructure:
                     moved = pullback_matrix(f.charts[i], self.phi[h][i])
                     if self.phi[g][i].mul(moved) != self.phi[gh][i]:
                         raise ValueError(f"phi cocycle fails for ({g},{h}) on patch {i}")
-            # compatibility with delta: delta phi_g = phi_g g(delta)
-            for i in range(scheme.npatches()):
-                phi, delta = self.phi[g][i], P.deltas[i]
-                moved = pullback_matrix(f.charts[i], delta)
-                if delta.mul(phi) != phi.mul(moved):
-                    raise ValueError(f"phi_{g} does not intertwine delta on patch {i}")
-        # transitions: phi is a morphism of bundles gP -> P
-        for (i, j) in scheme.tuples(2):
-            gij = P.bundle.transitions[(i, j)]
-            for g in act.elements:
-                phi_i = pullback_matrix(scheme.restriction((i,), (i, j)), self.phi[g][i])
-                phi_j = pullback_matrix(scheme.restriction((j,), (i, j)), self.phi[g][j])
-                moved = pullback_matrix(scheme.action_map(g).on((i, j)), gij)
-                if gij.mul(phi_j) != phi_i.mul(moved):
-                    raise ValueError(f"phi_{g} not compatible with transition ({i},{j})")
+            # phi_g: g*P -> P is closed: delta phi_g = phi_g g*(delta) on each
+            # chart, and g_ij phi_j = phi_i g*(g_ij) on each overlap (i, j)
+            phi = {(i,): m for i, m in enumerate(self.phi[g])}
+            failed = hom_differential(MorphismCochain.from_entries(group_twist(P, g), P, phi, 0))
+            for tup in sorted(failed.cochain.entries, key=lambda tup: (len(tup), tup)):
+                if len(tup) == 1:
+                    raise ValueError(f"phi_{g} does not intertwine delta on patch {tup[0]}")
+                raise ValueError(f"phi_{g} not compatible with transition ({tup[0]},{tup[1]})")
 
 
 def twist_by_character(structure, character):

@@ -380,58 +380,87 @@ def test_parity_mismatch_raises():
         cohomologous(even, odd, degree_bound=2)
 
 
-def test_coinvariant_identity_for_abelian_group():
-    sch = build_scheme(z2_swap_on_plane())
-    rng = random.Random(11)
-    family = {
-        "e": TotalCochain(random_scalar(rng, sch, 2)),
-        "s": TotalCochain(random_scalar(rng, sch, 2)),
-    }
-    out = coinvariant_project(family, sch)
-    assert out["e"] == family["e"]
-    assert out["s"] == family["s"]
+def fixed_loci(X):
+    return {g: fixed_locus(X, g) for g in X.action.elements}
+
+
+def random_family(rng, loci):
+    """A random scalar cochain at u truncation 2 on each fixed locus."""
+    return {g: TotalCochain(random_scalar(rng, f.source, 2)) for g, f in loci.items()}
+
+
+EQUIVARIANT_CONFIGS = [s3_plane_config, z2_swap_on_plane, z2_on_proj_line]
+
+
+def test_coinvariant_averages_the_swap_on_the_plane():
+    """For the swap s on A^2 the e-component is averaged over the group:
+    s pulls t0 dt0 on X^e = A^2 back to t1 dt1.  No element conjugates e
+    to s, so the s-component stays 0."""
+    X = build_scheme(z2_swap_on_plane())
+    loci = fixed_loci(X)
+    plane = loci["e"].source
+    out = coinvariant_project({"e": scalar_cochain(plane, {(0,): [((0,), 0, "t0")]}, 1)}, loci)
+    want = scalar_cochain(plane, {(0,): [((0,), 0, "t0/2"), ((1,), 0, "t1/2")]}, 1)
+    assert out["e"] == want
+    assert out["s"].scheme is loci["s"].source and out["s"].is_zero()
 
 
 def test_coinvariant_single_component_orbit():
-    sch = build_scheme(s3_plane_config())
-    c = TotalCochain(scalar_cochain(sch, {(0,): [((0,), 0, "x"), ((), 1, "y^2")]}, 2))
-    family = {"r": c}
-    out = coinvariant_project(family, sch)
+    """The rotation r of S_3 fixes only the origin; its class is {r, r2},
+    so a family at r alone is split in half between r and r2."""
+    X = build_scheme(s3_plane_config())
+    loci = fixed_loci(X)
+    c = TotalCochain(scalar_cochain(loci["r"].source, {(0,): [((), 0, "3"), ((), 1, "1")]}, 2))
+    out = coinvariant_project({"r": c}, loci)
     assert out["r"] == c.scale(Fraction(1, 2))
+    assert out["r2"].scheme is loci["r2"].source and not out["r2"].is_zero()
     assert out["e"].is_zero()
     assert out["s"].is_zero()
-    assert not out["r2"].is_zero()
+
+
+@pytest.mark.parametrize("config", EQUIVARIANT_CONFIGS)
+def test_coinvariant_projection_is_invariant_under_conjugation(config):
+    """Each transport f_h: X^g -> X^(h^-1 g h) pulls component h^-1 g h of
+    the projection back to component g, on random families; for S_3 the
+    projection is not the identity."""
+    X = build_scheme(config())
+    act = X.action
+    loci = fixed_loci(X)
+    rng = random.Random(30)
+    for _ in range(2):
+        family = random_family(rng, loci)
+        out = coinvariant_project(family, loci)
+        for g, h in itertools.product(act.elements, repeat=2):
+            hinv = act.inverse(h)
+            conj = act.mult(act.mult(hinv, g), h)
+            f = locus_transport(X, loci[g], loci[conj], hinv)
+            assert _pullback(f, out[conj]) == out[g], (g, h)
+        if len(act.elements) == 6:
+            assert any(out[g] != family[g] for g in act.elements)
 
 
 def test_coinvariant_idempotent():
-    sch = build_scheme(s3_plane_config())
     rng = random.Random(20260819)
-    for _ in range(3):
-        family = {
-            g: TotalCochain(random_scalar(rng, sch, 2))
-            for g in sch.action.elements
-        }
-        once = coinvariant_project(family, sch)
-        twice = coinvariant_project(once, sch)
-        for g in sch.action.elements:
-            assert twice[g] == once[g], g
+    for config in EQUIVARIANT_CONFIGS:
+        X = build_scheme(config())
+        loci = fixed_loci(X)
+        for _ in range(2):
+            once = coinvariant_project(random_family(rng, loci), loci)
+            twice = coinvariant_project(once, loci)
+            for g in X.action.elements:
+                assert twice[g] == once[g], (config.__name__, g)
 
 
 def test_coinvariant_commutes_with_differential():
-    sch = build_scheme(s3_plane_config())
     rng = random.Random(5)
-    family = {
-        g: TotalCochain(random_scalar(rng, sch, 2)) for g in sch.action.elements
-    }
-    left = coinvariant_project(
-        {g: total_differential(c) for g, c in family.items()}, sch
-    )
-    right = {
-        g: total_differential(c)
-        for g, c in coinvariant_project(family, sch).items()
-    }
-    for g in sch.action.elements:
-        assert left[g] == right[g], g
+    for config in EQUIVARIANT_CONFIGS:
+        X = build_scheme(config())
+        loci = fixed_loci(X)
+        family = random_family(rng, loci)
+        left = coinvariant_project({g: total_differential(c) for g, c in family.items()}, loci)
+        right = coinvariant_project(family, loci)
+        for g in X.action.elements:
+            assert left[g] == total_differential(right[g]), (config.__name__, g)
 
 
 @pytest.mark.parametrize("config", [z2_on_proj_line, z2_swap_on_plane, s3_plane_config])

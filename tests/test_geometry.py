@@ -4,15 +4,26 @@ from collections import namedtuple
 
 import pytest
 
+from mfchern.cech import CechCochain, MatrixForm
+from mfchern.cohomology import _pullback
 from mfchern.geometry import (
     CoveredScheme,
     Patch,
+    _restricted_denominators,
     build_scheme,
     fixed_locus,
     locus_transport,
     reroot,
 )
-from mfchern.rings import Fraction, LocalFrac, Ring, RingMap, ScalarPoly, solve_affine_q
+from mfchern.rings import (
+    Fraction,
+    LocalFrac,
+    Ring,
+    RingMap,
+    ScalarPoly,
+    parse_scalar,
+    solve_affine_q,
+)
 
 from .test_rings import random_frac
 
@@ -261,6 +272,52 @@ def test_fixed_locus_of_identity_keeps_gluing():
     t = loc.source.intersection((0, 1)).ring.var("t0")
     img = loc.source.restriction((1,), (0, 1)).apply(loc.source.patch_ring(1).var("t0"))
     assert img == t ** -1
+
+
+def torus_with_swap(images, denominators=("x", "y")):
+    return {
+        "grading": "Z2",
+        "dimension": 2,
+        "patches": [{"name": "T", "variables": ["x", "y"], "denominators": list(denominators)}],
+        "gluings": [],
+        "potentials": ["0"],
+        "group": {
+            "elements": ["e", "s"],
+            "table": [[0, 1], [1, 0]],
+            "action": [[["x", "y"]], [images]],
+        },
+    }
+
+
+@pytest.mark.parametrize("images, sign", [(["y", "x"], 1), (["-y", "-x"], -1)])
+def test_fixed_locus_of_a_swap_on_the_torus(images, sign):
+    """x and y both restrict to +-t0 on the fixed line of a swap of the
+    torus; the line's ring inverts t0 once, and 1/x restricts to +-1/t0."""
+    X = build_scheme(torus_with_swap(images))
+    loc = fixed_locus(X, "s")
+    ring = loc.source.patch_ring(0)
+    t0 = ScalarPoly.variable(("t0",), "t0")
+    assert ring.vars == ("t0",) and ring.denominators == (t0,)
+    x = X.patch_ring(0).var("x") ** -1
+    c = CechCochain.scalar(X, {(0,): MatrixForm(x.ring, (0,), (0,), {(0, 0, (), 0): x})}, 0)
+    want = ring.var("t0") ** -1 * sign
+    assert _pullback(loc, c).entry((0,)).terms == {(0, 0, (), 0): want}
+
+
+def test_restricted_denominators_are_listed_once():
+    """x - 1 and y - 1 both restrict to t0 - 1 on the diagonal, which the
+    locus ring inverts once; a generator the ring already inverts, and one
+    whose restriction has a variable the ring inverts, add nothing."""
+    X = build_scheme(torus_with_swap(["y", "x"], ("x - 1", "y - 1")))
+    ring = fixed_locus(X, "s").source.patch_ring(0)
+    assert ring.denominators == (parse_scalar(ring, "t0 - 1").num,)
+    ring = Ring("L", ("t0",), (ScalarPoly.variable(("t0",), "t0"),))
+    plane = Ring("A", ("x", "y"))
+    dens = [parse_scalar(plane, d).num for d in
+            ("x^2", "y - 1", "x - 2", "y - 1", "x - 2*y + 3", "2*y - 4", "2*y - x - 2")]
+    images = (ring.var("t0") * 2, ring.var("t0") + 1)  # x = 2 t0, y = t0 + 1
+    assert _restricted_denominators(dens[:-1], images, ring) == [parse_scalar(ring, "2*t0 - 2").num]
+    assert _restricted_denominators(dens, images, ring) is None
 
 
 def test_locus_transport_on_swap_action():

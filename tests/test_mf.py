@@ -1,11 +1,13 @@
+import itertools
 import random
 
 import pytest
 
-from mfchern.cech import CechCochain, MatrixForm
+from mfchern.cech import CechCochain, MatrixForm, pullback_matrix
 from mfchern.geometry import build_scheme
 from mfchern.mf import (
     EquivariantStructure,
+    _square_form,
     MatrixFactorization,
     MorphismCochain,
     RetractData,
@@ -336,8 +338,7 @@ def test_sparse_invert_matrix_matches_the_dense_elimination():
         try:
             want = dense_invert_matrix(m)
         except ValueError:  # invertible, but some column has no unit left
-            with pytest.raises(ValueError, match="matrix not invertible over the localization"):
-                invert_matrix(m)
+            assert m.mul(invert_matrix(m)) == MatrixForm.identity(ring, m.row_parities)
             continue
         got = invert_matrix(m)
         assert_same_terms(got, want)
@@ -349,6 +350,18 @@ def test_sparse_invert_matrix_matches_the_dense_elimination():
     for m in (singular, MatrixForm.from_entries(ring, (0,), (0,), [[z + one]])):
         with pytest.raises(ValueError, match="matrix not invertible over the localization"):
             invert_matrix(m)
+
+
+def test_bundle_with_a_transition_without_unit_pivots():
+    """On P^1 the transition [[z + 1, 1], [z + 2, 1]] has no unit in its
+    first column, but its determinant -1 is a unit: the bundle is accepted
+    and the inverse is the adjugate over the determinant."""
+    sch = build_scheme(proj_line())
+    r = sch.intersection((0, 1)).ring
+    z, one = r.var("z"), r.one()
+    bundle = VectorBundle(sch, [0, 0], {(0, 1): [[z + one, one], [z + 2, one]]})
+    want = MatrixForm.from_entries(r, (0, 0), (0, 0), [[-one, one], [z + 2, -(z + one)]])
+    assert bundle.inverses[(0, 1)] == want
 
 
 def test_invert_matrix_scales_and_inverts_only_nonzero_entries(monkeypatch):
@@ -660,6 +673,78 @@ def test_equivariant_structure_across_patches():
     with pytest.raises(ValueError, match="transition"):
         EquivariantStructure(P1, {"e": [[[1]], [[1]]], "s": [[[1]], [[1]]]})
     EquivariantStructure(P1, {"e": [[[1]], [[1]]], "s": [[[1]], [[-1]]]})
+
+
+def oracle_validate(P, phi):
+    """EquivariantStructure._validate as it was, on coerced phi: the
+    cocycle loop, then delta intertwined chart by chart, then each
+    transition compared with its pullback along the action."""
+    scheme = P.scheme
+    act = scheme.action
+    parities = P.bundle.parities()
+    for i in range(scheme.npatches()):
+        if phi[act.identity][i] != MatrixForm.identity(scheme.patch_ring(i), parities):
+            raise ValueError("phi_e must be the identity")
+    for g in act.elements:
+        f = scheme.action_map(g)
+        for h in act.elements:
+            gh = act.mult(g, h)
+            for i in range(scheme.npatches()):
+                moved = pullback_matrix(f.charts[i], phi[h][i])
+                if phi[g][i].mul(moved) != phi[gh][i]:
+                    raise ValueError(f"phi cocycle fails for ({g},{h}) on patch {i}")
+        for i in range(scheme.npatches()):
+            moved = pullback_matrix(f.charts[i], P.deltas[i])
+            if P.deltas[i].mul(phi[g][i]) != phi[g][i].mul(moved):
+                raise ValueError(f"phi_{g} does not intertwine delta on patch {i}")
+    for (i, j) in scheme.tuples(2):
+        gij = P.bundle.transitions[(i, j)]
+        for g in act.elements:
+            phi_i = pullback_matrix(scheme.restriction((i,), (i, j)), phi[g][i])
+            phi_j = pullback_matrix(scheme.restriction((j,), (i, j)), phi[g][j])
+            moved = pullback_matrix(scheme.action_map(g).on((i, j)), gij)
+            if gij.mul(phi_j) != phi_i.mul(moved):
+                raise ValueError(f"phi_{g} not compatible with transition ({i},{j})")
+
+
+def verdict(check):
+    """"ok", or the kind of the ValueError that check raises."""
+    try:
+        check()
+    except ValueError as err:
+        return next(k for k in ("identity", "cocycle", "intertwine", "transition") if k in str(err))
+    return "ok"
+
+
+def test_equivariant_validation_matches_the_three_loop_oracle():
+    """phi_g is checked as a closed morphism g*P -> P of the hom complex.
+    It accepts what the three loops accepted, and rejects with the same
+    kind of message: Koszul x*x on the reflected line with phi_s = diag(a,
+    b), and O(n) on P^1 (n = 0..3) with phi_s constants a and b on the two
+    charts, for a and b in {-1, 0, 1, 2}."""
+    line = build_scheme(z2_reflection_on_line())
+    P1 = build_scheme(z2_on_proj_line())
+    z = P1.intersection((0, 1)).ring.var("z")
+    cases = []
+    koszul = koszul_mf(line, [["x"]], [["x"]])
+    for a, b in itertools.product((-1, 0, 1, 2), repeat=2):
+        cases.append((koszul, {"e": [[[1, 0], [0, 1]]], "s": [[[a, 0], [0, b]]]}))
+    for n in range(4):
+        line_bundle = MatrixFactorization(VectorBundle(P1, [0], {(0, 1): [[z ** n]]}), [[[0]]] * 2)
+        for a, b in itertools.product((-1, 0, 1, 2), repeat=2):
+            cases.append((line_bundle, {"e": [[[1]], [[1]]], "s": [[[a]], [[b]]]}))
+    kinds = []
+    for P, spec in cases:
+        coerced = {
+            g: [_square_form(P.scheme.patch_ring(i), m, P.bundle.parities(), "phi")
+                for i, m in enumerate(mats)]
+            for g, mats in spec.items()
+        }
+        want = verdict(lambda: oracle_validate(P, coerced))
+        assert verdict(lambda: EquivariantStructure(P, spec)) == want, (spec, want)
+        kinds.append(want)
+    assert set(kinds) == {"ok", "cocycle", "intertwine", "transition"}, kinds
+    assert kinds.count("ok") == 2 + 4 * 2, kinds
 
 
 def test_tilde_factorization_rank_doubles():

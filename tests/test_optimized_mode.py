@@ -22,7 +22,7 @@ import json
 from mfchern.cech import TRIVIAL_LINE, CechCochain, MatrixForm, supertrace_product
 from mfchern.cohomology import TotalCochain, coinvariant_project, cohomologous
 from mfchern.forms import de_rham_d, pullback, wedge
-from mfchern.geometry import CoveredScheme, GroupAction, SchemeMap, build_scheme
+from mfchern.geometry import CoveredScheme, GroupAction, SchemeMap, build_scheme, fixed_locus
 from mfchern.hochschild import GeometricCategory, HochschildChain, eta_pi
 from mfchern.mf import MorphismCochain, RetractData, VectorBundle, koszul_mf
 from mfchern.rings import LocalFrac, Ring, RingMap, ScalarPoly, echelon_reduce, parse_scalar
@@ -58,6 +58,7 @@ swap_config = {
     },
 }
 plane, other_plane = build_scheme(swap_config), build_scheme(swap_config)
+plane_loci = {g: fixed_locus(plane, g) for g in ("e", "s")}
 curved_plane = build_scheme(dict(swap_config, potentials=["x*y"]))
 
 
@@ -222,10 +223,24 @@ CASES = {
         )),
     "TotalCochain: a string":
         lambda: TotalCochain("c"),
-    "coinvariant_project: component on another scheme":
-        lambda: coinvariant_project({"e": CechCochain.scalar(other_plane, {}, 1)}, plane),
-    "coinvariant_project: scheme without a group action":
-        lambda: coinvariant_project({}, sch),
+    "coinvariant_project: component on the ambient scheme, not its locus":
+        lambda: coinvariant_project({"s": CechCochain.scalar(plane, {}, 1)}, plane_loci),
+    "coinvariant_project: component on the locus of another element":
+        lambda: coinvariant_project(
+            {"s": CechCochain.scalar(plane_loci["e"].source, {}, 1)}, plane_loci
+        ),
+    "coinvariant_project: component at an element outside the group":
+        lambda: coinvariant_project(
+            {"t": CechCochain.scalar(plane_loci["e"].source, {}, 1)}, plane_loci
+        ),
+    "coinvariant_project: loci missing a group element":
+        lambda: coinvariant_project({}, {"e": plane_loci["e"]}),
+    "coinvariant_project: loci in different schemes":
+        lambda: coinvariant_project({}, {"e": plane_loci["e"], "s": fixed_locus(other_plane, "s")}),
+    "coinvariant_project: loci in a scheme without a group action":
+        lambda: coinvariant_project({}, {"e": SchemeMap(sch, sch, (0, 1), line_ids)}),
+    "coinvariant_project: a locus that is not a SchemeMap":
+        lambda: coinvariant_project({}, {"e": "X^e", "s": plane_loci["s"]}),
     "supertrace_product: a string as the left factor":
         lambda: supertrace_product("c", on_plane),
     "supertrace_product: factors on different schemes":
@@ -393,7 +408,7 @@ def test_malformed_inputs_raise_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["cases"] == 121
+    assert report["cases"] == 126
     assert not report["accepted"], "accepted under python -O: " + "; ".join(report["accepted"])
 
 
@@ -454,7 +469,6 @@ UNCALLED_EXPORTS = {
     "averaged_connection": "equivariant Chern character, ROADMAP item 3",
     "coinvariant_project": "equivariant Chern character, ROADMAP item 3",
     "fixed_locus": "equivariant Chern character, ROADMAP item 3",
-    "group_twist": "equivariant Chern character, ROADMAP item 3",
     "twist_by_character": "equivariant Chern character, ROADMAP item 3",
     "check_mf": "checked entry point for a caller's factorization",
     "de_rham_d": "checked entry point for a caller's forms; a benchmark span source",
