@@ -35,7 +35,7 @@ from operator import add
 # and benchmarks/test_benchmark_harness.py::
 # test_install_wraps_names_imported_elsewhere asserts cech.pullback.
 from .forms import _d_term, _merge_indices, _pullback_term, pullback  # noqa: F401
-from .rings import LocalFrac, ScalarPoly, _check_same_ring, _exact
+from .rings import LocalFrac, ScalarPoly, _check_same_ring, _exact, _from_coordinates
 
 __all__ = [
     "MatrixForm",
@@ -486,6 +486,17 @@ class CechCochain:
         out._text = None
         out.entries = {t: mf for t, mf in entries.items() if not mf.is_zero()}
         return out
+
+    @classmethod
+    def _of_coordinates(cls, scheme, source, target, coords, u_truncation):
+        """``_of`` from {patch tuple: {term key: ``rings._coordinates``}}."""
+        rows, cols = target.parities(), source.parities()
+        entries = {}
+        for t, by_key in coords.items():
+            ring = scheme.intersection(t).ring
+            terms = {k: _from_coordinates(ring, c) for k, c in by_key.items()}
+            entries[t] = MatrixForm._of(ring, rows, cols, terms)
+        return cls._of(scheme, source, target, entries, u_truncation)
 
     @classmethod
     def scalar(cls, scheme, entries, u_truncation):

@@ -3,16 +3,18 @@ operators, normalization, and the connection trace map into scalar cochains.
 
 Chains call their entries directly: an entry ``a`` has ``a.source`` and
 ``a.target`` (objects compared with ``==``), ``a.parity()``, ``a.compose(b)``
-(a after b), ``a + b``, ``a.scale(q)``, ``a.is_zero()`` and
-``a.differential()``.  What depends on the category is a backend with seven
-methods:
+(a after b), ``a.scale(q)``, ``a.is_zero()`` and ``a.differential()``.  What
+depends on the category is a backend with eight methods:
 
 - ``object_key(P)``: a sortable key of an object;
 - ``validate_entry(a, where)``: raise unless ``a`` may sit in a chain;
-- ``key(a)``: a hashable, sortable key of an entry, equal for equal entries;
-- ``decompose(a)``: (label, rational) pairs over a basis of arrows;
-- ``slot_decompose(a)``: the same in the slot space, where the scalar
-  identities are zero;
+- ``key(a)``: a sortable key of an entry that orders and prints strings;
+- ``decompose(a)``: the coordinates of ``a`` over a Q-basis of arrows, a
+  frozenset of (label, rational) pairs, equal exactly for equal entries;
+- ``from_coordinates(coords, like)``: the entry with those coordinates, a
+  linear combination of the entries ``like``;
+- ``slot_decompose(a)``: (label, rational) pairs over a basis of the slot
+  space, where the scalar identities are zero;
 - ``identity(P)``: the identity arrow of an object;
 - ``is_scalar_identity(a)``: whether ``a`` is a scalar multiple of the
   identity of its object (zero included).
@@ -29,9 +31,10 @@ differential, composites and key text while it lives, so b and B reuse them
 across calls and chains, and a value built from closed ones (as every entry
 of eta_pi is built from pi and the identity) starts with the zero
 differential, so b skips its differential term without computing it.  The
-constructor validates each distinct entry object once and keys and tests
-each distinct slot object once; chains derived from checked ones reuse their
-strings' keys, and b and B key and test only the entries they make.
+constructor validates each distinct entry object once.  The category keeps
+each entry's decomposition, each summed a0 it builds and, for the zero
+test, each slot value's echelon coordinates; chains derived from checked
+ones reuse their strings' keys, and b and B key only the entries they make.
 """
 
 import itertools
@@ -49,7 +52,7 @@ from .cech import (
 )
 from .mf import MorphismCochain
 from .connection import frame_form, total_curvature
-from .rings import _exact, echelon_reduce, monomials_up_to
+from .rings import _coordinates, _exact, _nonzero_terms, echelon_reduce, monomials_up_to
 
 __all__ = [
     "GeometricCategory",
@@ -74,7 +77,7 @@ class GeometricCategory:
         self.u_truncation = u_truncation
         self._ids = {}  # id of an object -> (the object, its key)
         self._identities = {}  # id of an object -> its identity, which holds it
-        self._identity_labels = {}  # id of an object -> its identity's labels
+        self._kept = None  # see decompose
 
     def object_key(self, P):
         held = self._ids.get(id(P))
@@ -106,38 +109,52 @@ class GeometricCategory:
         )
 
     def decompose(self, a):
-        """Split into elementary pieces with rational coefficients; the
-        labels form a basis, so chains expand multilinearly over them."""
-        src = self.object_key(a.source)
-        tgt = self.object_key(a.target)
-        for tup in sorted(a.cochain.entries):
-            mf = a.cochain.entries[tup]
-            for (r, c, idxs, m), f in mf.terms.items():
-                for exp, q in f.num.terms.items():
-                    yield (src, tgt, tup, r, c, idxs, m, exp, f.den), q
+        """a over a Q-basis of arrows: a frozenset of (label, rational)
+        pairs, a label being (source key, target key, patch tuple, term key,
+        label in ``rings._coordinates``).  Computed once per entry object, in
+        a cache made on first use that holds the entry and what
+        ``from_coordinates`` builds."""
+        kept = self._kept = self._kept or {}
+        held = kept.get(id(a))
+        if held is None:
+            route = (self.object_key(a.source), self.object_key(a.target))
+            held = kept[id(a)] = (a, frozenset(
+                (route + (tup,) + k + (lab,), q) for tup, mf in a.cochain.entries.items()
+                for k, f in mf.terms.items() for lab, q in _coordinates(f).items()))
+        return held[1]
 
     def slot_decompose(self, a):
         """Decomposition in the degenerate quotient: the constant-identity
         direction of an endomorphism slot is projected away.  Values follow
         the rule of ``ScalarPoly``: an integral value is an int, and a
         Fraction appears only where a value is not integral."""
-        pairs = {}
-        for lab, q in self.decompose(a):
-            pairs[lab] = pairs.get(lab, 0) + q
+        pairs = dict(self.decompose(a))
         if a.source is a.target:
-            ident = self._identity_labels.get(id(a.source))
-            if ident is None:
-                ident = [lab for lab, _q in self.decompose(self.identity(a.source))]
-                self._identity_labels[id(a.source)] = ident
-            lam = pairs.get(min(ident))
+            ident = self.decompose(self.identity(a.source))
+            lam = pairs.get(min(ident)[0])
             if lam:
-                for lab in ident:
-                    left = _exact(pairs.get(lab, 0) - lam)
-                    if left:
-                        pairs[lab] = left
-                    else:
-                        pairs.pop(lab, None)
+                for lab, _one in ident:
+                    pairs[lab] = _exact(pairs.get(lab, 0) - lam)
         return [(lab, q) for lab, q in pairs.items() if q]
+
+    def from_coordinates(self, coords, like):
+        """The morphism with coordinates coords, a linear combination of the
+        morphisms like: their source, target and least u truncation, and the
+        zero differential when theirs are known to be zero; built once per
+        category and truncation."""
+        trunc = min(a.cochain.u_truncation for a in like)
+        kept = self._kept = self._kept or {}
+        out = kept.get((coords, trunc))
+        if out is None:
+            terms = {}  # patch tuple -> term key -> {scalar label: coefficient}
+            for lab, q in coords:
+                terms.setdefault(lab[2], {}).setdefault(lab[3:7], {})[lab[7]] = q
+            a = like[0]
+            cochain = CechCochain._of_coordinates(
+                self.scheme, a.source.bundle, a.target.bundle, terms, trunc)
+            out = kept[coords, trunc] = MorphismCochain(a.source, a.target, cochain)._closed(*like)
+            kept[id(out)] = (out, coords)
+        return out
 
     def identity(self, P):
         one = self._identities.get(id(P))
@@ -177,9 +194,9 @@ class GeometricCategory:
 class HochschildChain:
     """Exact linear combination of strings a0[a1|...|an]; each a_j maps
     P_{j+1} -> P_j cyclically.  Coefficients are absorbed into a0 and strings
-    with identical slots merge: the coefficients of one string are summed
-    per distinct a0 object, each object is scaled once by its sum, and the
-    scaled objects are added, so a string whose sum is zero is dropped.
+    with identical slots merge: a string's a0 values are summed in their
+    coordinates and the sum is built once per category, unless it is one a0
+    with coefficient 1; a string whose sum is zero is dropped.
     Construction normalizes: any string with a scalar-identity entry in
     slots 1..n is dropped, and so is any string above the u truncation,
     after its checks have passed.
@@ -188,13 +205,15 @@ class HochschildChain:
     (ints >= 0), every string (exact coefficient, tensor cap, composability)
     and every distinct entry object (``validate_entry``), once per
     construction.  A string's key is its power of u, a0's route (object keys
-    and parity) and its slots' keys; ``_keyed`` builds derived chains from
-    keyed strings.  An entry must not be mutated once it is in a chain: a
-    geometric entry keeps its parity, differential, composites and key text.
+    and parity) and its slots' decompositions; ``_keyed`` builds derived
+    chains from keyed strings.  An entry must not be mutated once it is in a
+    chain: a geometric entry keeps its parity, differential, composites and
+    key text.
 
     A string is the pure tensor a0 (x) a1 (x) ... (x) an.  The category
-    decomposes a0 over a basis of labels (``decompose``) and each slot over
-    a basis of the slot space, in which the scalar identities are zero
+    decomposes a0 over a Q-basis (``decompose``; geometric labels are matrix
+    terms times the basis of ``rings._coordinates``) and each slot over a
+    basis of the slot space, where scalar identities are zero
     (``slot_decompose``).  Strings merge only when their slots are equal as
     values, so the stored strings need not be linearly independent: a
     relation among slot values (a Leibniz expansion sitting in one slot, or
@@ -209,7 +228,6 @@ class HochschildChain:
         # Per distinct entry object, keyed by id; each value holds the entry
         # so that its id cannot be reused while this construction runs.
         checked = {}
-        slot_keys = {}  # id -> (entry, key, or None when it drops its string)
         keyed = []
         for coeff, u_pow, a0, slots in items:
             coeff = _exact(coeff)
@@ -239,10 +257,9 @@ class HochschildChain:
                 continue
             keys = []
             for s in slots:
-                key = _slot_key(category, slot_keys, s)
-                if key is None:
+                if category.is_scalar_identity(s):
                     break
-                keys.append(key)
+                keys.append(category.decompose(s))
             if len(keys) == len(slots):
                 keyed.append((coeff, _head(category, u_pow, a0) + tuple(keys), a0, slots))
         self._merge(category, u_truncation, tensor_cap, keyed)
@@ -269,39 +286,46 @@ class HochschildChain:
             summed = held[1].setdefault(id(a0), [a0, 0])
             summed[1] += coeff
         for key, (slots, summed) in heads.items():
-            total = None
-            for a0, coeff in summed.values():
-                if coeff:
-                    scaled = a0.scale(coeff) if coeff != 1 else a0
-                    total = scaled if total is None else total + scaled
-            if total is not None and not total.is_zero():
-                self.strings[key] = (key[0], total, slots)
+            (a0, coeff), *more = summed.values()
+            if more or coeff != 1:
+                sums = {}
+                for b0, c in summed.values():
+                    for lab, q in category.decompose(b0) if c else ():
+                        sums[lab] = sums.get(lab, 0) + c * q
+                coords = frozenset(_nonzero_terms(sums).items())
+                if not coords:
+                    continue
+                a0 = category.from_coordinates(coords, [b0 for b0, _c in summed.values()])
+            if not a0.is_zero():
+                self.strings[key] = (key[0], a0, slots)
 
     @classmethod
     def single(cls, category, u_truncation, tensor_cap, a0, slots=()):
         return cls(category, u_truncation, tensor_cap, [(1, 0, a0, slots)])
 
     def items(self):
-        return [self.strings[key] for key in sorted(self.strings, key=lambda k: (k[0], k[1:]))]
+        """The strings (u power, a0, slots), by u, a0's route and slot keys."""
+        cat = self.category
+        return sorted(self.strings.values(),
+                      key=lambda s: (_head(cat, s[0], s[1]), [cat.key(a) for a in s[2]]))
 
     def is_zero(self):
-        """Exact zero test in the label bases of the class docstring.
+        """Exact zero test in the bases of the class docstring.
 
-        Each distinct slot value is decomposed and reduced once per call,
-        against one echelon basis shared by all slot positions and tensor
-        lengths; pivot rows never change once added.  A value is then
-        sum_p c_p r_p over independent echelon rows r_p, and a string is the
-        sum over pivot tuples (p_1..p_n) of prod_j c_{j,p_j} times
+        Each distinct slot value is reduced once per category against one
+        echelon basis for all positions and lengths, kept on the category
+        (``_slot_basis``); pivot rows never change once added, so a value
+        stays sum_p c_p r_p over independent echelon rows r_p, and a string
+        is the sum over pivot tuples (p_1..p_n) of prod_j c_{j,p_j} times
         a0 (x) r_{p_1} (x) ... (x) r_{p_n}.  Pure tensors of independent
         vectors are independent and the head (u power, pivot tuple) records
         the length and every position, so the chain is zero iff, for every
-        head, the a0 label vectors summed with these weights vanish.  The
-        work grows with the number of strings times the product of the slot
+        head, the a0 coordinates summed with these weights vanish.  The work
+        grows with the number of strings times the product of the slot
         values' coordinate counts.  The sums start from the int 0, so
         integral coefficients stay ints."""
-        cat = self.category
-        pivots, columns = {}, {}
-        coords = {}  # slot key -> [(pivot column, coefficient)]
+        cat = self.category  # coords below: slot key -> [(pivot column, coefficient)]
+        pivots, columns, coords = vars(cat).setdefault("_slot_basis", ({}, {}, {}))
         total = {}
         for key, (m, a0, slots) in self.strings.items():
             for slot, s in zip(key[2:], slots):
@@ -309,7 +333,7 @@ class HochschildChain:
                     row = {columns.setdefault(lab, len(columns)): q
                            for lab, q in cat.slot_decompose(s)}
                     coords[slot] = list(echelon_reduce(pivots, row)[0].items())
-            parts = list(cat.decompose(a0))
+            parts = cat.decompose(a0)
             for combo in itertools.product(*(coords[slot] for slot in key[2:])):
                 weight = prod(q for _p, q in combo)
                 head = (m, tuple(p for p, _q in combo))
@@ -377,15 +401,6 @@ def _head(cat, u_pow, a0):
     return (u_pow, (cat.object_key(a0.source), cat.object_key(a0.target), a0.parity()))
 
 
-def _slot_key(cat, memo, s):
-    """The key of a slot entry, or None when it is a scalar identity and
-    drops its string; ``memo`` maps id(s) to (s, that) for one call."""
-    known = memo.get(id(s))
-    if known is None:
-        known = memo[id(s)] = (s, None if cat.is_scalar_identity(s) else cat.key(s))
-    return known[1]
-
-
 # -- differentials -----------------------------------------------------------
 
 
@@ -398,9 +413,9 @@ def hochschild_b(x):
     once, in this call or a later one, whichever of a0 after slot 0, slot
     i-1 after slot i or the wrap-around slot n-1 after a0 asks for it; a
     chain that repeats its entries (as eta_pi does) yields one per pair.
-    Retained slots keep their keys; a new slot entry is keyed once per call."""
+    Retained slots keep their keys; a new slot entry is keyed by its
+    decomposition, which the category keeps."""
     cat = x.category
-    made = {}  # id of a new slot entry -> (entry, key or None)
     items = []
     for key, (u_pow, a0, slots) in x.strings.items():
         n = len(slots)
@@ -415,10 +430,10 @@ def hochschild_b(x):
                 items.append((sign, _head(cat, u_pow, new_a0) + keys[1:], new_a0, slots[1:]))
                 continue
             merged = slots[i - 1].compose(slots[i])
-            k = _slot_key(cat, made, merged)
-            if k is not None:
+            if not cat.is_scalar_identity(merged):
                 new_slots = slots[: i - 1] + (merged,) + slots[i + 1 :]
-                items.append((sign, key[:2] + keys[: i - 1] + (k,) + keys[i + 1 :], a0, new_slots))
+                new_keys = keys[: i - 1] + (cat.decompose(merged),) + keys[i + 1 :]
+                items.append((sign, key[:2] + new_keys, a0, new_slots))
 
         if n >= 1:
             exponent = (parities[n] - 1) * (sum(parities[:n]) - (n - 1)) + 1
@@ -433,45 +448,43 @@ def hochschild_b(x):
             sign = (-1) ** ((sum(parities[:j]) - j) % 2)
             if j == 0:
                 items.append((sign, _head(cat, u_pow, da) + keys, da, slots))
-                continue
-            k = _slot_key(cat, made, da)
-            if k is not None:
+            elif not cat.is_scalar_identity(da):
                 new_slots = slots[: j - 1] + (da,) + slots[j:]
-                items.append((sign, key[:2] + keys[: j - 1] + (k,) + keys[j:], a0, new_slots))
+                new_keys = keys[: j - 1] + (cat.decompose(da),) + keys[j:]
+                items.append((sign, key[:2] + new_keys, a0, new_slots))
 
     return HochschildChain._keyed(cat, x.u_truncation, x.tensor_cap, items)
 
 
-def _rotated(cat, made, entries, keys, parities):
+def _rotated(entries, keys, parities):
     """The slots of a B term, their keys and parities, rotated by one: the
     front entry moves to the back, and the cyclic Koszul sign on shifted
-    degrees scales the new front entry, which is then keyed anew."""
+    degrees scales the new front entry and negates its coordinates."""
     negate = ((parities[0] - 1) * (sum(parities[1:]) - len(entries) + 1)) % 2
     entries, keys = entries[1:] + entries[:1], keys[1:] + keys[:1]
     parities = parities[1:] + parities[:1]
     if negate:
-        neg = entries[0].scale(-1)
-        entries, keys = (neg,) + entries[1:], (_slot_key(cat, made, neg),) + keys[1:]
+        front = keys[0] and frozenset((lab, -q) for lab, q in keys[0])
+        entries, keys = (entries[0].scale(-1),) + entries[1:], (front,) + keys[1:]
     return entries, keys, parities
 
 
 def connes_B(x):
     """B = s N in the normalized complex: sum the cyclic rotations, then
     prepend an identity.  A rotation whose slots hold a scalar identity
-    vanishes.  The slots of x keep their keys; its a0 moving into a slot is
-    keyed once per call, and a negated front entry of a rotation is keyed."""
+    (key None) vanishes.  The slots of x keep their keys, and its a0 moving
+    into a slot is keyed by its decomposition."""
     cat = x.category
-    made = {}  # see _slot_key
     items = []
     for key, (u_pow, a0, slots) in x.strings.items():
         if len(slots) >= x.tensor_cap:
             raise ValueError(f"tensor degree {len(slots) + 1} above the cap {x.tensor_cap}")
         entries = (a0,) + slots
-        keys = (_slot_key(cat, made, a0),) + key[2:]
+        keys = (None if cat.is_scalar_identity(a0) else cat.decompose(a0),) + key[2:]
         parities = [a.parity() for a in entries]
         for i in range(len(entries)):
             if i:
-                entries, keys, parities = _rotated(cat, made, entries, keys, parities)
+                entries, keys, parities = _rotated(entries, keys, parities)
             if None not in keys:
                 one = cat.identity(entries[0].target)
                 items.append((1, _head(cat, u_pow, one) + keys, one, entries))

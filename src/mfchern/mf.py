@@ -530,6 +530,7 @@ class EquivariantStructure:
         act = scheme.action
         if act is None:
             raise ValueError("scheme has no group action")
+        _check_elements(phi, act, "phi")
         self.P = P
         self.phi = {}
         gradings = P.bundle.gradings
@@ -573,9 +574,19 @@ class EquivariantStructure:
                 raise ValueError(f"phi_{g} not compatible with transition ({tup[0]},{tup[1]})")
 
 
+def _check_elements(values, act, what):
+    """Raise ValueError naming the first group element that values has no
+    key for, or else its first key that is not a group element."""
+    odd = [g for g in act.elements if g not in values]
+    odd += [g for g in values if g not in act.elements]
+    if odd:
+        raise ValueError(f"{what} needs one value per group element: {odd[0]!r} is missing or extra")
+
+
 def twist_by_character(structure, character):
     """Scale each phi_g by a character value chi(g) in Q."""
     act = structure.P.scheme.action
+    _check_elements(character, act, "character")
     if character[act.identity] != 1:
         raise ValueError("character is not multiplicative: chi(e) != 1")
     for g in act.elements:

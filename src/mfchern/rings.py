@@ -262,18 +262,27 @@ class ScalarPoly:
                     return None
                 qterms[qe] = c if dc == 1 else Fraction(c, dc)
             return ScalarPoly._of_sums(self.vars, qterms)
-        lead_e, lead_c = divisor.leading()
-        remainder = self
-        qterms = {}
-        while not remainder.is_zero():
-            re, rc = remainder.leading()
-            qe = tuple(a - b for a, b in zip(re, lead_e))
-            if any(x < 0 for x in qe):
-                return None
-            qc = Fraction(rc, lead_c)
-            qterms[qe] = qterms.get(qe, 0) + qc
-            remainder = remainder - divisor * ScalarPoly._of_sums(self.vars, {qe: qc})
-        return ScalarPoly._of_sums(self.vars, qterms)
+        quotient, remainder = self._divmod(divisor)
+        return None if remainder.terms else quotient
+
+    def _divmod(self, divisor):
+        """(quotient, remainder) of grlex long division by a nonzero
+        divisor; no term of the remainder is divisible by its leading term."""
+        lead, lead_c = divisor.leading()
+        terms, quotient, remainder = dict(self.terms), {}, {}
+        while terms:
+            e = max(terms, key=_grlex_key)
+            f = tuple(map(sub, e, lead))
+            if any(x < 0 for x in f):
+                remainder[e] = terms.pop(e)
+                continue
+            q = quotient[f] = Fraction(terms[e], lead_c)
+            for ge, gc in divisor.terms.items():
+                at = tuple(map(add, ge, f))
+                terms[at] = terms.get(at, 0) - q * gc
+                if not terms[at]:
+                    del terms[at]
+        return ScalarPoly._of_sums(self.vars, quotient), ScalarPoly._of_sums(self.vars, remainder)
 
     def partial(self, var_index):
         terms = {}
@@ -708,6 +717,37 @@ class LocalFrac:
         return f"{num}/{den}"
 
     __repr__ = __str__
+
+
+def _coordinates(value):
+    """{label: exact scalar} of a value over a Q-basis of its ring: the
+    exponents a without generators, else x^a / G^k labelled (k, a), for G
+    the product of the generators, k >= 1 and x^a not divisible by G's grlex
+    leading term, or k = 0 (a relabelling of the Laurent monomials when G is
+    one term).  Long division by G splits the numerator over G^k into such
+    a remainder and a quotient over G^(k - 1)."""
+    ring, den = value.ring, value.den
+    if not ring.denominators:
+        return dict(value.num.terms)
+    top = max(den)
+    num = value._lift((top,) * len(den))
+    out = {}
+    for level in range(top, 0, -1):
+        num, rest = num._divmod(ring.den_power((1,) * len(den)))
+        out.update(((level, e), q) for e, q in rest.terms.items())
+    out.update(((0, e), q) for e, q in num.terms.items())
+    return out
+
+
+def _from_coordinates(ring, coords):
+    """The canonical value with the coordinates coords (``_coordinates``)."""
+    if not ring.denominators:
+        return LocalFrac._canonical(ring, ScalarPoly._of_sums(ring.vars, coords), ())
+    out = ring.zero()
+    for (level, e), q in coords.items():
+        num = ScalarPoly._of(ring.vars, {e: q})
+        out = out + LocalFrac._of(ring, num, (level,) * len(ring.denominators))
+    return out
 
 
 def _one_term(value):

@@ -130,8 +130,10 @@ class RetractCategory:
         return (a.source, a.target, items)
 
     def decompose(self, a):
-        for name in sorted(a.coeffs):
-            yield (a.source, a.target, name), a.coeffs[name]
+        return frozenset(((a.source, a.target, name), q) for name, q in a.coeffs.items())
+
+    def from_coordinates(self, coords, like):
+        return FormalMorphism(like[0].source, like[0].target, {lab[2]: q for lab, q in coords})
 
     def slot_decompose(self, a):
         return [

@@ -243,16 +243,17 @@ def test_normalization_drops_identity_slots():
 
 
 def test_slot_decompose_decomposes_each_identity_once(monkeypatch):
-    """slot_decompose keeps the identity's labels per object: repeated calls
-    decompose each object's identity once and give what a fresh category
-    gives."""
+    """slot_decompose reads the identity's coordinates, which the category
+    keeps per object: repeated calls decompose each object's identity once
+    and give what a fresh category gives."""
     sch, (P, Q) = line_objects()
     cat = GeometricCategory(sch, 2)
-    calls = []
+    calls = []  # the objects decompose computes, not the ones it had kept
     decompose = GeometricCategory.decompose
 
     def spy(self, a):
-        calls.append(a)
+        if self._kept is None or id(a) not in self._kept:
+            calls.append(a)
         return decompose(self, a)
 
     monkeypatch.setattr(GeometricCategory, "decompose", spy)
@@ -283,11 +284,12 @@ def test_strings_merge_and_scale():
     assert (x + x.scale(-1)).is_zero()
 
 
-def test_each_distinct_a0_scaled_once_per_string(monkeypatch):
-    """The items of one string are summed per distinct a0 object first: each
-    object is scaled once by its summed coefficient (not at all when that is
-    1), the distinct objects are added once, and a string whose sum cancels
-    builds nothing."""
+def test_string_sums_use_no_morphism_arithmetic_and_build_each_value_once(monkeypatch):
+    """The items of one string are summed in the coordinates of decompose:
+    no MorphismCochain.scale or + runs, the sum is built by
+    from_coordinates, a second chain with the same items gets the very same
+    object (each distinct value is built once per category), and a string
+    whose sum cancels builds nothing."""
     sch, (P, Q) = line_objects()
     cat = GeometricCategory(sch, 2)
     a, b = diagonal_endo(P, ["x", "2*x"], 2), diagonal_endo(P, ["1", "x"], 2)
@@ -295,24 +297,24 @@ def test_each_distinct_a0_scaled_once_per_string(monkeypatch):
     half, third = Fraction(1, 2), Fraction(1, 3)
     items = [(2, 0, a, (slot,)), (half, 0, b, (slot,)), (3, 0, a, (slot,)), (half, 0, b, (slot,))]
     items += [(third, 1, a, ()), (-third, 1, a, ())]
-    scaled, added = [], []
-    scale, add = MorphismCochain.scale, MorphismCochain.__add__
+    calls, built = [], []
+    build = GeometricCategory.from_coordinates
 
-    def spy_scale(self, q):
-        scaled.append((self, q))
-        return scale(self, q)
+    def spy_build(self, coords, like):
+        out = build(self, coords, like)
+        built.append(out)
+        return out
 
-    def spy_add(self, other):
-        added.append((self, other))
-        return add(self, other)
-
-    monkeypatch.setattr(MorphismCochain, "scale", spy_scale)
-    monkeypatch.setattr(MorphismCochain, "__add__", spy_add)
+    for name in ("scale", "__add__"):
+        monkeypatch.setattr(MorphismCochain, name, lambda *args, name=name: calls.append(name))
+    monkeypatch.setattr(GeometricCategory, "from_coordinates", spy_build)
     x = HochschildChain(cat, 2, 4, items)
+    y = HochschildChain(cat, 2, 4, items)
     monkeypatch.undo()
-    assert [(v is a, q) for v, q in scaled] == [(True, 5)] and len(added) == 1
+    assert calls == [] and len(built) == 2 and built[0] is built[1]
     (m, a0, slots), = x.items()
-    assert (m, slots) == (0, (slot,)) and a0 == a.scale(5) + b
+    assert (m, slots) == (0, (slot,)) and a0 is built[0] and a0 == a.scale(5) + b
+    assert y.items()[0][1] is a0
 
 
 def test_composability_checked():
@@ -504,25 +506,31 @@ def test_parity_asked_once_per_distinct_entry(monkeypatch):
 
 
 def test_eta_pi_checks_each_entry_once_and_derived_chains_key_only_new_entries(monkeypatch):
-    """Building eta_pi at u = 3 validates and keys each distinct entry object
-    once.  b and B validate nothing: b keys and tests only the composites it
-    makes, and B only the a0s that move into a slot, each once; shift_u and
-    the sum of (b + uB) eta_pi validate, key and test nothing."""
+    """Building eta_pi at u = 3 validates each distinct entry object once
+    and decomposes pi and 2 pi - 1, from whose coordinates the a0s are
+    built.  b and B validate nothing: b decomposes first the composite
+    pi pi, then the a0s it sums; B and the sum of (b + uB) eta_pi decompose
+    at most the identity of N, which B's strings merge.  No object is
+    decomposed twice in the category."""
     r = geometric_retract(3)
-    spied = {"validate_entry": [], "key": [], "is_scalar_identity": []}
-    for name, calls in spied.items():
-        real = getattr(GeometricCategory, name)
+    validated, decomposed = [], []
+    validate, decompose = GeometricCategory.validate_entry, GeometricCategory.decompose
 
-        def spy(self, a, *rest, real=real, calls=calls):
-            calls.append(id(a))
-            return real(self, a, *rest)
+    def spy_validate(self, a, where):
+        validated.append(id(a))
+        return validate(self, a, where)
 
-        monkeypatch.setattr(GeometricCategory, name, spy)
+    def spy_decompose(self, a):
+        if self._kept is None or id(a) not in self._kept:
+            decomposed.append(a)
+        return decompose(self, a)
+
+    monkeypatch.setattr(GeometricCategory, "validate_entry", spy_validate)
+    monkeypatch.setattr(GeometricCategory, "decompose", spy_decompose)
 
     def taken():
-        out = {name: list(calls) for name, calls in spied.items()}
-        for calls in spied.values():
-            del calls[:]
+        out = (list(validated), list(decomposed))
+        del validated[:], decomposed[:]
         return out
 
     eta = eta_pi(r, 3)
@@ -538,16 +546,13 @@ def test_eta_pi_checks_each_entry_once_and_derived_chains_key_only_new_entries(m
     a0s = {id(a0) for (_m, a0, _slots) in eta.strings.values()}
     slots = {id(s) for (_m, _a0, ss) in eta.strings.values() for s in ss}
     assert len(a0s) == 4 and slots == {id(r.pi)}
-    # the entries given to eta_pi: pi and 2 pi - 1, which the a0s scale
-    assert len(at_eta["validate_entry"]) == len(set(at_eta["validate_entry"])) == 2
-    assert at_eta["key"] == at_eta["is_scalar_identity"] == [id(r.pi)]
-    # every entry of eta_pi is closed, so b's only new slot entry is the
-    # composite pi pi, which pi keeps
-    assert at_b["validate_entry"] == []
-    assert at_b["key"] == at_b["is_scalar_identity"] == [id(r.pi.compose(r.pi))]
-    assert at_B["validate_entry"] == []
-    assert sorted(at_B["key"]) == sorted(at_B["is_scalar_identity"]) == sorted(a0s)
-    assert at_sum == {name: [] for name in spied}
+    assert len(at_eta[0]) == len(set(at_eta[0])) == 2
+    assert len(at_eta[1]) == 2 and at_eta[1][0] is r.pi
+    assert at_b[0] == [] and at_b[1][0] is r.pi.compose(r.pi)
+    one = eta.category.identity(r.N)
+    assert at_B[0] == at_sum[0] == [] and all(a is one for a in at_B[1] + at_sum[1])
+    everything = at_eta[1] + at_b[1]
+    assert len({id(a) for a in everything}) == len(everything)
 
 
 def test_chain_from_fresh_temporaries_matches_list_built():
@@ -1003,3 +1008,44 @@ def test_formal_composition_table():
     assert f.compose(pi).coeffs == {"f": Fraction(1)}
     with pytest.raises(ValueError, match="shape mismatch"):
         g.compose(pi)
+
+
+def text_keyed_lines(x):
+    """canonical_string as it was when strings were keyed by the text of
+    ``key``: (u power, a0's route, slot keys), sorted."""
+    cat = x.category
+    keyed = {}
+    for m, a0, slots in x.strings.values():
+        route = (cat.object_key(a0.source), cat.object_key(a0.target), a0.parity())
+        keyed[(m, route) + tuple(cat.key(s) for s in slots)] = (m, a0, slots)
+    order = [keyed[k] for k in sorted(keyed, key=lambda k: (k[0], k[1:]))]
+    lines = [f"u^{m} {cat.key(a0)} [{' | '.join(str(cat.key(s)) for s in slots)}]"
+             for m, a0, slots in order]
+    return order, "\n".join(lines) if lines else "0"
+
+
+def test_lines_keep_the_text_keyed_order():
+    """items() and canonical_string() order strings as the text-keyed chains
+    did, on random geometric and formal chains and their b and B images."""
+    rng = random.Random(20261022)
+    proj, twisted = proj_pool()
+    pools = [line_objects(), (proj, [P for P, _tw in twisted])]
+    checked = 0
+    for trial in range(8):
+        if trial % 4 == 3:
+            x = HochschildChain(RETRACT, 0, 6, [
+                (rng.randint(-3, 3), 0, FormalMorphism.basis(rng.choice(["pi", "1N"])),
+                 tuple(FormalMorphism.basis(rng.choice(["pi", "1N"])).scale(rng.randint(1, 3))
+                       for _ in range(rng.randint(0, 3))))
+                for _ in range(4)
+            ])
+        else:
+            sch, objects = pools[trial % 2]
+            cat = GeometricCategory(sch, 2)
+            x = random_chain(rng, cat, objects, 2, 6, max_n=2, nterms=3)
+        for y in (x, hochschild_b(x), connes_B(x), hochschild_b(x) + connes_B(x).shift_u(1)):
+            order, text = text_keyed_lines(y)
+            assert [id(a0) for _m, a0, _s in y.items()] == [id(a0) for _m, a0, _s in order]
+            assert y.canonical_string() == text
+            checked += len(order)
+    assert checked > 50, checked

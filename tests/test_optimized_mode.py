@@ -24,7 +24,9 @@ from mfchern.cohomology import TotalCochain, coinvariant_project, cohomologous
 from mfchern.forms import de_rham_d, pullback, wedge
 from mfchern.geometry import CoveredScheme, GroupAction, SchemeMap, build_scheme, fixed_locus
 from mfchern.hochschild import GeometricCategory, HochschildChain, eta_pi
-from mfchern.mf import MorphismCochain, RetractData, VectorBundle, koszul_mf
+from mfchern.mf import (
+    EquivariantStructure, MorphismCochain, RetractData, VectorBundle, koszul_mf, twist_by_character,
+)
 from mfchern.rings import LocalFrac, Ring, RingMap, ScalarPoly, echelon_reduce, parse_scalar
 
 line = Ring("A", ("x",))
@@ -110,6 +112,9 @@ mixed = morphism(kos, kos, {(0, 0, (), 0): plane0.one(), (0, 1, (), 0): plane0.o
 to_other = morphism(kos, other_kos, {(0, 0, (), 0): plane0.one()})
 kos_one = MorphismCochain.identity(kos, 2)
 kos_retract = RetractData(kos, kos, kos_one, kos_one)
+free = koszul_mf(plane, [["1"]], [["0"]])
+ones = [[[1, 0], [0, 1]]]
+free_structure = EquivariantStructure(free, {"e": ones, "s": ones})
 
 CASES = {
     "MatrixForm: row 5, dx index 7 and u^-1 on a 1 x 1 matrix over A[x]":
@@ -383,6 +388,14 @@ CASES = {
         lambda: CoveredScheme("Z", [sch.patches[0]], {}, action=GroupAction(
             ["e", "s"], [[0, 1], [1, 0]], {"e": [line_ids[0]], "s": ["z -> -z"]}
         )),
+    "EquivariantStructure: phi without the element s, message names it":
+        lambda: naming("'s'", lambda: EquivariantStructure(free, {"e": ones})),
+    "EquivariantStructure: phi with the non-element t, message names it":
+        lambda: naming("'t'", lambda: EquivariantStructure(free, {"e": ones, "s": ones, "t": ones})),
+    "twist_by_character: no value at s, message names it":
+        lambda: naming("'s'", lambda: twist_by_character(free_structure, {"e": 1})),
+    "twist_by_character: a value at the non-element t, message names it":
+        lambda: naming("'t'", lambda: twist_by_character(free_structure, {"e": 1, "s": 1, "t": 1})),
     "eta_pi: u truncation '2', message names it":
         lambda: naming("'2'", lambda: eta_pi(kos_retract, "2")),
     "eta_pi: u truncation -1, message names it":
@@ -408,7 +421,7 @@ def test_malformed_inputs_raise_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["cases"] == 126
+    assert report["cases"] == 130
     assert not report["accepted"], "accepted under python -O: " + "; ".join(report["accepted"])
 
 

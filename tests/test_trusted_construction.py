@@ -9,7 +9,9 @@ HochschildChain's private ``_keyed`` builds derived chains from strings whose
 keys are known, without checking or keying their entries again.  Each chain
 it builds, while the seed-1 ``eta_cycle`` pool runs and on random geometric
 chains, must equal the public constructor's chain of the same items; and
-only hochschild.py may call it."""
+only hochschild.py may call it.  GeometricCategory.from_coordinates builds
+summed a0 values through ``CechCochain._of_coordinates``; each value it
+builds must match the public constructors term for term."""
 
 import ast
 import glob
@@ -20,6 +22,7 @@ from fractions import Fraction
 
 from mfchern.cech import CechCochain, MatrixForm
 from mfchern.hochschild import GeometricCategory, HochschildChain, connes_B, hochschild_b
+from mfchern.mf import MorphismCochain
 from mfchern.rings import LocalFrac, ScalarPoly
 
 from .test_hochschild import line_objects, proj_pool, random_chain
@@ -194,3 +197,73 @@ def test_keyed_constructor_used_only_in_hochschild():
                     inside += 1
     assert not stray, f"HochschildChain._keyed used outside hochschild.py: {stray}"
     assert inside >= 5, "the scan no longer finds the uses in hochschild.py"
+
+
+def public_value(cat, coords, like):
+    """The morphism with coordinates coords built by the public
+    constructors only: each scalar is the sum of its basis values
+    x^a / G^k (``rings._coordinates``)."""
+    a = like[0]
+    terms = {}
+    for lab, q in coords:
+        terms.setdefault(lab[2], {}).setdefault(lab[3:7], {})[lab[7]] = q
+    entries = {}
+    for tup, by_key in terms.items():
+        ring = cat.scheme.intersection(tup).ring
+        values = {}
+        for k, scalar in by_key.items():
+            if not ring.denominators:
+                values[k] = LocalFrac(ring, ScalarPoly(ring.vars, scalar))
+                continue
+            value = ring.zero()
+            for (level, e), q in scalar.items():
+                basis = LocalFrac(ring, ScalarPoly(ring.vars, {e: q}), (level,) * len(ring.denominators))
+                value = value + basis
+            values[k] = value
+        entries[tup] = MatrixForm(ring, a.target.bundle.parities(), a.source.bundle.parities(), values)
+    trunc = min(b.cochain.u_truncation for b in like)
+    return MorphismCochain.from_entries(a.source, a.target, entries, trunc)
+
+
+def test_values_built_from_coordinates_match_the_public_constructors(monkeypatch):
+    """Every value GeometricCategory.from_coordinates builds, while the
+    seed-1 pools of every workload and random geometric chains run, has the
+    terms, numerators, denominators and u truncation that the public
+    constructors give, and is the sum the coordinates describe."""
+    build = GeometricCategory.__dict__["from_coordinates"]
+    built = []
+
+    def spy(self, coords, like):
+        out = build(self, coords, like)
+        public = public_value(self, coords, like)
+        assert out.cochain.u_truncation == public.cochain.u_truncation
+        assert list(out.cochain.entries) == list(public.cochain.entries)
+        for tup, mf in out.cochain.entries.items():
+            other = public.cochain.entries[tup]
+            assert sorted(mf.terms) == sorted(other.terms)
+            for k, f in mf.terms.items():
+                g = other.terms[k]
+                assert f.den == g.den and f.num.terms == g.num.terms
+                assert all(type(c) is type(g.num.terms[e]) for e, c in f.num.terms.items())
+        assert self.decompose(out) == coords
+        built.append(out)
+        return out
+
+    monkeypatch.setattr(GeometricCategory, "from_coordinates", spy)
+    api = run.import_api()
+    for name in sorted(run.WORKLOADS):
+        workload = run.WORKLOADS[name]
+        checker = run.Checker(workload, run.load_frozen(workload, 1))
+        for index, spec in enumerate(workload.make_inputs(1)):
+            run.run_job(api, index, spec, checker)
+        assert checker.failed == 0, "\n".join(checker.messages)
+    assert len(built) >= 6
+    rng = random.Random(20261022)
+    proj, twisted = proj_pool()
+    pools = [line_objects(), (proj, [P for P, _tw in twisted])]
+    for trial in range(4):
+        sch, objects = pools[trial % 2]
+        cat = GeometricCategory(sch, 2)
+        x = random_chain(rng, cat, objects, 2, 6, max_n=2, nterms=3)
+        hochschild_b(x) + connes_B(x).shift_u(1) + x.scale(Fraction(3, 4))
+    assert len(built) >= 12

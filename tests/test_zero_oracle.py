@@ -7,11 +7,13 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from mfchern.geometry import build_scheme
 from mfchern.hochschild import GeometricCategory, HochschildChain, connes_B, hochschild_b
-from mfchern.mf import MorphismCochain
+from mfchern.mf import MorphismCochain, koszul_mf
+from mfchern.rings import LocalFrac, echelon_reduce
 
 from .formal_retract import RETRACT, FormalMorphism, expanded
-from .test_hochschild import line_objects, proj_pool, random_chain, random_morphism
+from .test_hochschild import diagonal_endo, line_objects, proj_pool, random_chain, random_morphism
 
 
 def fraction_slot_decompose(self, a):
@@ -21,10 +23,7 @@ def fraction_slot_decompose(self, a):
     for lab, q in self.decompose(a):
         pairs[lab] = pairs.get(lab, Fraction(0)) + q
     if a.source is a.target:
-        ident = self._identity_labels.get(id(a.source))
-        if ident is None:
-            ident = [lab for lab, _q in self.decompose(self.identity(a.source))]
-            self._identity_labels[id(a.source)] = ident
+        ident = [lab for lab, _q in self.decompose(self.identity(a.source))]
         lam = pairs.get(min(ident))
         if lam:
             for lab in ident:
@@ -313,3 +312,72 @@ def test_lengths_never_cancel():
             for lam in (1, -1, -1 / Fraction(q)):
                 x = HochschildChain(RETRACT, 0, 4, [(1, 0, a0, (slot,)), (lam, 0, a0, (slot, slot))])
                 assert verdicts(x) == (False, False), (a0, q, lam)
+
+
+# -- rings with denominators --------------------------------------------------
+#
+# The zero test once labelled a scalar by (numerator exponent, denominator
+# multiplicities), which are not independent: 1/x, 1/x^2 and (x + 1)/x^2 got
+# three labels.  These chains are zero; each is checked by the zero test, by
+# the expansion, and by a value-level oracle that never sees a label.
+
+
+def punctured_line(denominator):
+    sch = build_scheme({
+        "grading": "Z2", "dimension": 1, "gluings": [], "potentials": ["0"],
+        "patches": [{"name": "U", "variables": ["x"], "denominators": [denominator]}],
+    })
+    return sch, koszul_mf(sch, [["1"]], [["0"]])
+
+
+def value_level_zero(items):
+    """Zero test of a chain of one-slot strings a0[s] whose slots are scalar
+    multiples of the identity on one patch: each slot's scalar, times a
+    common power D of the denominators, is a polynomial; its coefficients
+    are reduced to echelon form, and per pivot the a0 MorphismCochains,
+    scaled by the weights, must sum to zero."""
+
+    def scalar(s):
+        (f,) = {v for (r, c, _i, _m), v in s.cochain.entries[(0,)].terms.items() if r == c}
+        return f
+
+    ring = scalar(items[0][3][0]).ring
+    top = max(m for *_rest, (s,) in items for m in scalar(s).den)
+    lift = ring.one()
+    for g in ring.denominators:
+        lift = lift * LocalFrac(ring, g) ** top
+    pivots, columns, sums = {}, {}, {}
+    for coeff, _m, a0, (s,) in items:
+        poly = scalar(s) * lift
+        assert not any(poly.den)
+        row = {columns.setdefault(e, len(columns)): q for e, q in poly.num.terms.items()}
+        for p, w in echelon_reduce(pivots, row)[0].items():
+            term = a0.scale(Fraction(coeff) * w)
+            sums[p] = term if p not in sums else sums[p] + term
+    return all(v.is_zero() for v in sums.values())
+
+
+def test_chains_zero_over_rings_with_denominators():
+    """Over Q[x, 1/x]: (1/x)[x] + (1/(2x^2))[2x] - ((x + 1)/(3x^2))[3x] and
+    x[1/x] + x[1/x^2] - x[(x + 1)/x^2]; over Q[x, 1/(x - 1)]:
+    (1/(x - 1))[x] + (1/(2(x - 1)^2))[2x] - (x/(3(x - 1)^2))[3x].  Each is
+    zero, and changing the last coefficient makes it nonzero."""
+    chains = []
+    for denominator, texts in (
+        ("x", [("1/x", "x"), ("1/(2*x^2)", "2*x"), ("(x + 1)/(3*x^2)", "3*x")]),
+        ("x", [("x", "1/x"), ("x", "1/x^2"), ("x", "(x + 1)/x^2")]),
+        ("x - 1", [("1/(x - 1)", "x"), ("1/(2*(x - 1)^2)", "2*x"), ("x/(3*(x - 1)^2)", "3*x")]),
+    ):
+        sch, P = punctured_line(denominator)
+        e = lambda text, P=P: diagonal_endo(P, [text, text], 2)  # noqa: E731
+        items = [(c, 0, e(a0), (e(s),)) for c, (a0, s) in zip((1, 1, -1), texts)]
+        chains.append((GeometricCategory(sch, 2), items))
+    for category, items in chains:
+        x = HochschildChain(category, 2, 4, items)
+        assert len(x.strings) == 3
+        assert value_level_zero(items)
+        assert x.is_zero() and not expanded(x)
+        assert x == HochschildChain(category, 2, 4, [])
+        shifted = items[:-1] + [(-2, 0) + items[-1][2:]]
+        assert not value_level_zero(shifted)
+        assert not HochschildChain(category, 2, 4, shifted).is_zero()
