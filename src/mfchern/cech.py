@@ -237,7 +237,10 @@ class MatrixForm:
         return self._like({(r, c, i, m + k): f for (r, c, i, m), f in self.terms.items()})
 
     def truncate_u(self, bound):
+        """The terms up to u^bound; this value itself when none is above."""
         _check_count("u truncation", bound)
+        if all(k[3] <= bound for k in self.terms):
+            return self
         return self._like({k: f for k, f in self.terms.items() if k[3] <= bound})
 
     def _check_factor(self, other):
@@ -343,10 +346,16 @@ class MatrixForm:
         return MatrixForm._of(self.ring, (0,), (0,), self._product_terms(other, cech_left, True))
 
     def d_form(self):
-        """Exterior derivative on the form factor; it sits leftmost, no sign."""
+        """Exterior derivative on the form factor; it sits leftmost, no sign.
+        ``_d_term`` runs once per distinct (coefficient object, dx tuple)
+        within the call; the terms hold the objects, so their ids are safe."""
         terms = {}
+        done = {}  # (id of a coefficient, dx tuple) -> its _d_term pairs
         for (r, c, idxs, m), f in self.terms.items():
-            for nidxs, nf in _d_term(idxs, f):
+            found = done.get((id(f), idxs))
+            if found is None:
+                found = done[id(f), idxs] = _d_term(idxs, f)
+            for nidxs, nf in found:
                 key = (r, c, nidxs, m)
                 terms[key] = terms[key] + nf if key in terms else nf
         return self._like(terms)

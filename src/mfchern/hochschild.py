@@ -32,9 +32,10 @@ across calls and chains, and a value built from closed ones (as every entry
 of eta_pi is built from pi and the identity) starts with the zero
 differential, so b skips its differential term without computing it.  The
 constructor validates each distinct entry object once.  The category keeps
-each entry's decomposition, each summed a0 it builds and, for the zero
-test, each slot value's echelon coordinates; chains derived from checked
-ones reuse their strings' keys, and b and B key only the entries they make.
+each entry's decomposition and scalar-identity verdict, each summed a0 it
+builds and, for the zero test, each slot value's echelon coordinates; chains
+derived from checked ones reuse their strings' keys, and b and B key only
+the entries they make.
 """
 
 import itertools
@@ -78,6 +79,7 @@ class GeometricCategory:
         self._ids = {}  # id of an object -> (the object, its key)
         self._identities = {}  # id of an object -> its identity, which holds it
         self._kept = None  # see decompose
+        self._verdicts = None  # see is_scalar_identity
 
     def object_key(self, P):
         held = self._ids.get(id(P))
@@ -163,6 +165,15 @@ class GeometricCategory:
         return one
 
     def is_scalar_identity(self, a):
+        """Computed once per entry object, in a cache made on first use that
+        holds the entry."""
+        verdicts = self._verdicts = self._verdicts or {}
+        held = verdicts.get(id(a))
+        if held is None:
+            held = verdicts[id(a)] = (a, self._scalar_identity(a))
+        return held[1]
+
+    def _scalar_identity(self, a):
         c = a.cochain
         if c.is_zero():
             return True

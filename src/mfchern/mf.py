@@ -22,7 +22,7 @@ from .cech import (
     identity_cochain,
     pullback_matrix,
 )
-from .rings import _check_same_ring, _subsets, parse_scalar
+from .rings import _check_same_ring, _exact, _subsets, parse_scalar
 
 __all__ = [
     "VectorBundle",
@@ -56,13 +56,18 @@ def _check_plain(m, what):
 def _square_form(ring, value, parities, what):
     """A form-free, u-free square MatrixForm over ring with the given row and
     column parities, from a MatrixForm or a square list of LocalFracs,
-    expression strings or rationals."""
+    expression strings or rationals.  A MatrixForm over the very ring object
+    with those parities already is returned as it is: it was checked when it
+    was built and is immutable.  Any other one is re-tagged through the
+    constructor."""
     rank = len(parities)
     if isinstance(value, MatrixForm):
         _check_plain(value, what)
         _check_same_ring(value.ring, ring)
         if value.shape() != (rank, rank):
             raise ValueError(f"{what} is not a {rank} x {rank} matrix")
+        if value.ring is ring and value.row_parities == value.col_parities == tuple(parities):
+            return value
         return MatrixForm(ring, parities, parities, value.terms)
     rows = [[parse_scalar(ring, v) for v in row] for row in value]
     if len(rows) != rank or any(len(row) != rank for row in rows):
@@ -270,20 +275,25 @@ def koszul_mf(scheme, a, b):
 
     a and b are lists over the index j of per-patch scalars; the underlying
     bundle is the exterior algebra on m generators with identity transitions.
-    Raises ValueError unless sum a_j b_j is the potential on every patch and
-    the deltas glue on every overlap.  delta^2 = (sum a_j b_j) id holds for
-    the exterior-algebra differential by construction, so it is not squared
-    here; ``check_mf`` still squares it.
+    Raises ValueError unless every a_j and b_j has one value per patch, sum
+    a_j b_j is the potential on every patch and the deltas glue on every
+    overlap.  delta^2 = (sum a_j b_j) id holds for the exterior-algebra
+    differential by construction, so it is not squared here; ``check_mf``
+    still squares it.  On each patch a_j, -a_j, b_j and -b_j are made once
+    and every entry of delta holds one of these shared values.
     """
     m = len(a)
     if len(b) != m:
         raise ValueError(f"{m} elements a_j but {len(b)} elements b_j")
     npatch = scheme.npatches()
 
-    def scalars(rows):
+    def scalars(name, rows):
+        for j, row in enumerate(rows):
+            if len(row) != npatch:
+                raise ValueError(f"{len(row)} values of {name}_{j} for {npatch} patches")
         return [[parse_scalar(scheme.patch_ring(i), v) for i, v in enumerate(row)] for row in rows]
 
-    a, b = scalars(a), scalars(b)
+    a, b = scalars("a", a), scalars("b", b)
     for i in range(npatch):
         total = sum((a[j][i] * b[j][i] for j in range(m)), scheme.patch_ring(i).zero())
         if total != scheme.potential(i):
@@ -301,16 +311,17 @@ def koszul_mf(scheme, a, b):
     bundle = VectorBundle(scheme, gradings, transitions)
     deltas = []
     for i in range(npatch):
+        signed = [(a[j][i], -a[j][i], b[j][i], -b[j][i]) for j in range(m)]
         terms = {}
         for s in basis:
             col = index[s]
             for j in range(m):
-                sign = (-1) ** sum(1 for x in s if x < j)
+                odd = sum(1 for x in s if x < j) % 2
                 if j not in s:
-                    row, value = index[tuple(sorted(s + (j,)))], a[j][i]
+                    row, value = index[tuple(sorted(s + (j,)))], signed[j][odd]
                 else:
-                    row, value = index[tuple(x for x in s if x != j)], b[j][i]
-                terms[(row, col, (), 0)] = value * sign
+                    row, value = index[tuple(x for x in s if x != j)], signed[j][2 + odd]
+                terms[(row, col, (), 0)] = value
         deltas.append(MatrixForm(scheme.patch_ring(i), parities, parities, terms))
     P = MatrixFactorization(bundle, deltas)
     failures = _overlap_failures(P)
@@ -584,17 +595,16 @@ def _check_elements(values, act, what):
 
 
 def twist_by_character(structure, character):
-    """Scale each phi_g by a character value chi(g) in Q."""
+    """Scale each phi_g by a character value chi(g) in Q, an int or a
+    Fraction."""
     act = structure.P.scheme.action
     _check_elements(character, act, "character")
-    if character[act.identity] != 1:
+    chi = {g: _exact(character[g]) for g in act.elements}
+    if chi[act.identity] != 1:
         raise ValueError("character is not multiplicative: chi(e) != 1")
     for g in act.elements:
         for h in act.elements:
-            if character[act.mult(g, h)] != character[g] * character[h]:
+            if chi[act.mult(g, h)] != chi[g] * chi[h]:
                 raise ValueError("character is not multiplicative")
-    phi = {
-        g: [m.scale(Fraction(character[g])) for m in structure.phi[g]]
-        for g in act.elements
-    }
+    phi = {g: [m.scale(chi[g]) for m in structure.phi[g]] for g in act.elements}
     return EquivariantStructure(structure.P, phi)

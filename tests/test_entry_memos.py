@@ -9,7 +9,8 @@ u = 4, its cut below the top power of u, and both images under b + uB), no
 pair's product is computed twice, although the two chains share their
 entries, and only the retract's g and f have their differential computed.
 A zero test decomposes each distinct slot value once, not once per slot
-position that holds it."""
+position that holds it, and the category checks each distinct entry for a
+scalar identity once."""
 
 import itertools
 import random
@@ -301,3 +302,30 @@ def test_product_computed_once_per_distinct_pair(monkeypatch):
     entries = {id(a.cochain) for (_m, a0, slots) in eta.items() for a in (a0, *slots)}
     assert sum(1 for pair in pairs if set(pair) <= entries) >= 3
     assert len(pairs) == len(set(pairs))
+
+
+def test_scalar_identity_verdict_computed_once_per_distinct_entry(monkeypatch):
+    """The category keeps each entry's scalar-identity verdict: over one
+    eta_cycle job (both chains and their images under b + uB) the check runs
+    once per distinct entry object, although the chains ask about the same
+    entries many times, and every kept verdict equals a fresh check."""
+    asked, computed = [], []  # the entries, held
+    real_ask = GeometricCategory.is_scalar_identity
+    real_compute = GeometricCategory._scalar_identity
+
+    def ask_spy(cat, a):
+        asked.append(a)
+        return real_ask(cat, a)
+
+    def compute_spy(cat, a):
+        computed.append(a)
+        return real_compute(cat, a)
+
+    monkeypatch.setattr(GeometricCategory, "is_scalar_identity", ask_spy)
+    monkeypatch.setattr(GeometricCategory, "_scalar_identity", compute_spy)
+    eta = eta_cycle_job()
+    distinct = {id(a) for a in asked}
+    assert len(computed) == len({id(a) for a in computed}) == len(distinct)
+    assert len(asked) > 2 * len(distinct)
+    for a in computed:
+        assert real_ask(eta.category, a) == real_compute(eta.category, a)

@@ -256,6 +256,11 @@ CASES = {
         lambda: supertrace_product(CechCochain(plane, rank2, TRIVIAL_LINE, {}, 1), rank2_endo),
     "koszul_mf: delta z on U0 and w on U1 do not glue":
         lambda: koszul_mf(sch, [["z", "w"]], [["0", "0"]]),
+    "koszul_mf: one value of a_0 on two patches, message names both counts":
+        lambda: naming("1 values of a_0 for 2 patches", lambda: koszul_mf(sch, [["0"]], [["0"]])),
+    "koszul_mf: three values of a_0 on two patches, message names both counts":
+        lambda: naming("3 values of a_0 for 2 patches",
+                       lambda: koszul_mf(sch, [["0", "0", "0"]], [["0", "0", "0"]])),
     "build_scheme: two patches, one potential":
         lambda: line_variant(potentials=["0"]),
     "build_scheme: gluing pair (0, 2) on two patches":
@@ -396,6 +401,8 @@ CASES = {
         lambda: naming("'s'", lambda: twist_by_character(free_structure, {"e": 1})),
     "twist_by_character: a value at the non-element t, message names it":
         lambda: naming("'t'", lambda: twist_by_character(free_structure, {"e": 1, "s": 1, "t": 1})),
+    "twist_by_character: float values 1.0 and -1.0":
+        lambda: twist_by_character(free_structure, {"e": 1.0, "s": -1.0}),
     "eta_pi: u truncation '2', message names it":
         lambda: naming("'2'", lambda: eta_pi(kos_retract, "2")),
     "eta_pi: u truncation -1, message names it":
@@ -421,7 +428,7 @@ def test_malformed_inputs_raise_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["cases"] == 130
+    assert report["cases"] == 133
     assert not report["accepted"], "accepted under python -O: " + "; ".join(report["accepted"])
 
 
